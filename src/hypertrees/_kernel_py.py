@@ -1,4 +1,4 @@
-"""Pure-Python counting kernel: the fallback twin of the compiled _kernel.
+"""Pure-Python counting kernel behind the brute-force oracle.
 
 Given n labeled vertices and a list of edge sizes, walk every assignment of
 a vertex subset to each edge slot and classify it with a union-find pass:

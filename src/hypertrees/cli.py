@@ -33,6 +33,7 @@ from .gf import (
     count_by_profile,
     rooted_count_by_edges,
     render_table,
+    status_tag,
     table_terms,
     verify_identities,
 )
@@ -144,7 +145,10 @@ def oracle(
     """Brute-force hypergraph counts: all / connected / hypertree."""
     if check_path is not None:
         with open(check_path, "r", encoding="utf-8") as fh:
-            h = parse_hypergraph(fh.read())
+            try:
+                h = parse_hypergraph(fh.read())
+            except ValueError as exc:
+                raise click.UsageError(f"bad hypergraph file: {exc}") from exc
         payload = {
             "n": h.n,
             "profile": h.profile().as_dict(),
@@ -168,6 +172,8 @@ def oracle(
         raise click.UsageError(f"--n {n} exceeds --n-max {n_max}")
     if (profile_text is None) == (max_magnitude is None):
         raise click.UsageError("give exactly one of --profile or --max-magnitude")
+    if max_magnitude is not None and max_magnitude < 0:
+        raise click.UsageError("need --max-magnitude >= 0")
     try:
         if profile_text is not None:
             rows = [count_profile(n, _parse_profile(profile_text), budget=budget)]
@@ -237,9 +243,9 @@ def _run_verify(
         )
     payload["vanishing"] = {"ok": vanishing_ok, "trials": trials, "rows": vanishing_rows}
     payload["diagonal"] = {"ok": diagonal_ok, "trials": trials}
-    status = "ok  " if vanishing_ok else "FAIL"
+    status = status_tag(vanishing_ok, ran=trials > 0)
     lines.append(f"{status} vanishing pattern over {trials} seeded arrays [t<={t_max}, z<={z_max}]")
-    status = "ok  " if diagonal_ok else "FAIL"
+    status = status_tag(diagonal_ok, ran=trials > 0)
     lines.append(f"{status} psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})")
 
     sub_size = max(max_edge_size, z_max + 1)
@@ -264,7 +270,7 @@ def _run_verify(
             }
         )
     payload["substitution"] = {"ok": substitution_ok, "trials": sub_trials, "rows": sub_rows}
-    status = "ok  " if substitution_ok else "FAIL"
+    status = status_tag(substitution_ok, ran=sub_trials > 0)
     lines.append(
         f"{status} substitution route over {sub_trials} seeded arrays "
         f"[t<={t_max}, z<={z_max}]"
@@ -308,6 +314,8 @@ def verify(
     """Run the full identity suite at the configured truncation."""
     if t_max < 1 or z_max < 0:
         raise click.UsageError("need --t-max >= 1 and --z-max >= 0")
+    if trials < 0 or sub_trials < 0:
+        raise click.UsageError("need --trials >= 0 and --sub-trials >= 0")
     if magnitude_max is None:
         magnitude_max = t_max
     if magnitude_max < t_max - 1:

@@ -104,7 +104,10 @@ class PhiCoefficients:
         entries: dict[tuple[int, int], Fraction] = {}
         for item in data["entries"]:
             key = (int(item["m"]), int(item["n"]))
-            c = Fraction(int(item["num"]), int(item.get("den", 1)))
+            den = int(item.get("den", 1))
+            if not den:
+                raise ValueError(f"entry {key} has a zero denominator")
+            c = Fraction(int(item["num"]), den)
             entries[key] = entries.get(key, Fraction(0)) + c
         return cls(entries)
 

@@ -10,14 +10,13 @@ modules track with the u-variables.
 is_connected and is_hypertree below are deliberately literal: they walk
 the bipartite incidence graph (vertices on one side, edges on the other)
 and test reachability and acyclicity by depth-first search.  The counting
-kernels reproduce the same classification with a union-find pass; tests
+kernel reproduces the same classification with a union-find pass; tests
 hold the two routes against each other, so the fast path never becomes
 the definition.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -27,11 +26,6 @@ from typing import Iterator
 from . import _kernel_py
 from .combinat import part_multiplicities, partitions
 from .series import Monomial, Series, TruncationContext
-
-try:
-    from . import _kernel  # type: ignore[attr-defined]
-except ImportError:
-    _kernel = None
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_N_MAX = 6
@@ -48,16 +42,9 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def active_kernel():
-    """The counting kernel selected at import: compiled when available,
-    pure Python otherwise or when HYPERTREES_PURE is set."""
-    if os.environ.get("HYPERTREES_PURE", "") not in ("", "0"):
-        return _kernel_py
-    return _kernel if _kernel is not None else _kernel_py
-
-
 def kernel_name() -> str:
-    return active_kernel().KERNEL_NAME
+    """The counting kernel's name, as reported by ``oracle --json``."""
+    return _kernel_py.KERNEL_NAME
 
 
 @dataclass(frozen=True)
@@ -184,9 +171,6 @@ class Hypergraph:
 
     def profile(self) -> EdgeProfile:
         return EdgeProfile.from_sizes(tuple(len(e) for e in self.edges))
-
-    # weight of the hypergraph as a monomial exponent vector
-    weight = profile
 
     @property
     def edge_magnitude(self) -> int:
@@ -329,11 +313,11 @@ class CountTable:
 def count_profile(
     n: int, profile: EdgeProfile, budget: int = DEFAULT_BUDGET
 ) -> CountRow:
-    """Classify every hypergraph with this profile through the active kernel."""
+    """Classify every hypergraph with this profile through the counting kernel."""
     required = assignment_count(n, profile)
     if required > budget:
         raise BudgetExceededError(required, budget)
-    total, connected, hypertree = active_kernel().count_profile(n, profile.sizes())
+    total, connected, hypertree = _kernel_py.count_profile(n, profile.sizes())
     return CountRow(n, profile, total, connected, hypertree)
 
 

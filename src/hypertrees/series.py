@@ -21,7 +21,6 @@ inside the bounds can only have used admissible factors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
@@ -41,7 +40,7 @@ class Monomial(NamedTuple):
     """Exponent vector ``(t_deg, z_deg, u_degs)``.
 
     ``u_degs[j]`` is the exponent of ``u_{j+2}``.  Tuple ordering of the
-    fields doubles as the canonical term order used for serialization.
+    fields doubles as the canonical term order of :meth:`Series.terms`.
     """
 
     t_deg: int
@@ -51,21 +50,6 @@ class Monomial(NamedTuple):
     @property
     def magnitude(self) -> int:
         return sum(i * e for i, e in enumerate(self.u_degs, start=1))
-
-    @property
-    def total_grade(self) -> int:
-        return self.t_deg + self.z_deg + self.magnitude
-
-    def is_unit(self) -> bool:
-        return self.t_deg == 0 and self.z_deg == 0 and not any(self.u_degs)
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return Monomial(
-        a.t_deg + b.t_deg,
-        a.z_deg + b.z_deg,
-        tuple(x + y for x, y in zip(a.u_degs, b.u_degs)),
-    )
 
 
 @dataclass(frozen=True)
@@ -87,15 +71,6 @@ class VarAlphabet:
     @property
     def u_count(self) -> int:
         return self.max_edge_size - 1
-
-    def variables(self) -> tuple[str, ...]:
-        names: list[str] = []
-        if self.has_t:
-            names.append("t")
-        if self.has_z:
-            names.append("z")
-        names.extend(f"u{i}" for i in range(2, self.max_edge_size + 1))
-        return tuple(names)
 
     def resolve(self, name: str) -> tuple[str, int]:
         """Map a variable name to ``(kind, u_index)``; u_index is 0 unless kind is 'u'."""
@@ -572,94 +547,6 @@ class Series:
         result._terms = out
         return result
 
-    # -- serialization -------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Canonical text form: one `p/q * t^a z^b u2^c ...` line per term."""
-        names = self.context.alphabet.variables()
-        lines = []
-        for m, c in self.terms():
-            exps = _exponent_list(self.context.alphabet, m)
-            body = " ".join(f"{v}^{e}" for v, e in zip(names, exps))
-            lines.append(f"{c.numerator}/{c.denominator} * {body}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, context: TruncationContext, text: str) -> "Series":
-        names = context.alphabet.variables()
-        terms: dict[Monomial, Fraction] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            coeff_part, _, body = line.partition("*")
-            coeff = Fraction(coeff_part.strip())
-            exps: dict[str, int] = {}
-            for token in body.split():
-                var, _, e = token.partition("^")
-                if var not in names:
-                    raise ValueError(f"unknown variable {var!r} in term {line!r}")
-                exps[var] = int(e)
-            m = _monomial_from_exponents(context, exps)
-            terms[m] = terms.get(m, Fraction(0)) + coeff
-        return cls(context, terms)
-
-    def to_json_terms(self) -> list[dict]:
-        """JSON form: ordered list of {"exps": [t, z, c2..cM], "num", "den"}."""
-        out = []
-        for m, c in self.terms():
-            out.append(
-                {
-                    "exps": _exponent_list(self.context.alphabet, m),
-                    "num": c.numerator,
-                    "den": c.denominator,
-                }
-            )
-        return out
-
-    @classmethod
-    def from_json_terms(cls, context: TruncationContext, data: Iterable[Mapping]) -> "Series":
-        alphabet = context.alphabet
-        width = alphabet.has_t + alphabet.has_z + alphabet.u_count
-        terms: dict[Monomial, Fraction] = {}
-        for entry in data:
-            exps = list(entry["exps"])
-            if len(exps) != width:
-                raise ValueError("exponent vector does not match the alphabet")
-            pos = 0
-            t = exps[pos] if alphabet.has_t else 0
-            pos += alphabet.has_t
-            z = exps[pos] if alphabet.has_z else 0
-            pos += alphabet.has_z
-            m = Monomial(t, z, tuple(exps[pos:]))
-            c = Fraction(entry["num"], entry["den"])
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return cls(context, terms)
-
-
-def _exponent_list(alphabet: VarAlphabet, m: Monomial) -> list[int]:
-    exps: list[int] = []
-    if alphabet.has_t:
-        exps.append(m.t_deg)
-    if alphabet.has_z:
-        exps.append(m.z_deg)
-    exps.extend(m.u_degs)
-    return exps
-
-
-def _monomial_from_exponents(context: TruncationContext, exps: Mapping[str, int]) -> Monomial:
-    u = {}
-    t = z = 0
-    for name, e in exps.items():
-        kind, idx = context.alphabet.resolve(name)
-        if kind == "t":
-            t = e
-        elif kind == "z":
-            z = e
-        else:
-            u[idx] = e
-    return context.monomial(t=t, z=z, u=u)
-
 
 def _term_text(m: Monomial, c: Fraction) -> str:
     factors = []
@@ -676,14 +563,6 @@ def _term_text(m: Monomial, c: Fraction) -> str:
     if c == 1:
         return body
     return f"{c}*{body}"
-
-
-def exp(f: Series) -> Series:
-    return f.exp()
-
-
-def log(f: Series) -> Series:
-    return f.log()
 
 
 def first_difference(
@@ -749,11 +628,3 @@ def lagrange_revert(f: Series) -> Series:
         t_n = Series.term(ctx, ctx.monomial(t=n), Fraction(1, n))
         g = g + t_n * slice_n
     return g
-
-
-def series_to_json(f: Series) -> str:
-    return json.dumps(f.to_json_terms())
-
-
-def series_from_json(context: TruncationContext, text: str) -> Series:
-    return Series.from_json_terms(context, json.loads(text))

@@ -120,11 +120,25 @@ def test_oracle_check_file_json(runner):
     }
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["3\n1 4\n", "3\n1 x\n", "3\n1 1\n", ""],
+    ids=["vertex-out-of-range", "non-integer", "repeated-vertex", "empty"],
+)
+def test_oracle_check_rejects_malformed_file(runner, tmp_path, text):
+    path = tmp_path / "h.txt"
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["oracle", "--check", str(path)])
+    assert result.exit_code == 2
+    assert "Error: bad hypergraph file:" in result.stderr
+    assert "Traceback" not in result.output
+
+
 def test_oracle_single_profile(runner):
     result = runner.invoke(main, ["oracle", "--n", "3", "--profile", "u2=2", "--json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
-    assert payload["kernel"] in ("cython", "python")
+    assert payload["kernel"] == "python"
     assert payload["rows"] == [
         {
             "n": 3,
@@ -165,6 +179,7 @@ def test_oracle_usage_errors(runner):
         runner.invoke(main, ["oracle", "--n", "5", "--n-max", "4", "--profile", "u2=1"]).exit_code
         == 2
     )
+    assert runner.invoke(main, ["oracle", "--n", "3", "--max-magnitude", "-1"]).exit_code == 2
 
 
 # -- verify -----------------------------------------------------------------------
@@ -214,6 +229,20 @@ def test_verify_bound_validation(runner):
     assert r.exit_code == 2
     r = runner.invoke(main, ["verify", "--t-max", "0"])
     assert r.exit_code == 2
+    r = runner.invoke(main, ["verify", "--trials", "-1", "--sub-trials", "0"])
+    assert r.exit_code == 2
+    r = runner.invoke(main, ["verify", "--trials", "0", "--sub-trials", "-1"])
+    assert r.exit_code == 2
+
+
+def test_verify_zero_trials_reports_skip(runner):
+    args = ["verify", "--t-max", "3", "--z-max", "3", "--max-edge-size", "4"]
+    result = runner.invoke(main, args + ["--trials", "0", "--sub-trials", "0"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[-4].startswith("skip vanishing pattern over 0 seeded arrays")
+    assert lines[-3].startswith("skip psi diagonal over 0 seeded arrays")
+    assert lines[-2].startswith("skip substitution route over 0 seeded arrays")
 
 
 # -- psi --------------------------------------------------------------------------
@@ -267,3 +296,7 @@ def test_psi_bad_inputs(runner, tmp_path):
         runner.invoke(main, ["psi", good, "--t-max", "3", "--order", "5"]).exit_code
         == 2
     )
+    zero_den = _write_phi(tmp_path, [{"m": 1, "n": 0, "num": 1, "den": 0}])
+    result = runner.invoke(main, ["psi", zero_den])
+    assert result.exit_code == 2
+    assert "Error: bad Phi file: entry (1, 0) has a zero denominator" in result.stderr

@@ -1,8 +1,7 @@
-"""Brute-force layer: enumeration, literal classification, counting kernels.
+"""Brute-force layer: enumeration, literal classification, counting kernel.
 
-The counting kernels (union-find) are never trusted alone: they are held
-against the literal BFS/DFS classifiers over full enumerations, and the
-pure and compiled kernels are held against each other.
+The counting kernel (union-find) is never trusted alone: it is held
+against the literal BFS/DFS classifiers over full enumerations.
 """
 
 from fractions import Fraction
@@ -24,7 +23,6 @@ from hypertrees.hypergraphs import (
     is_connected,
     is_hypertree,
     iter_profiles,
-    kernel_name,
     magnitude_law_violations,
     oracle_polynomials,
     parse_hypergraph,
@@ -143,7 +141,7 @@ def test_budget_is_enforced_up_front():
         list(enumerate_hypergraphs(7, EdgeProfile()))  # over default n_max
 
 
-# -- counting kernels -----------------------------------------------------------
+# -- counting kernel ------------------------------------------------------------
 
 
 FROZEN_ROWS = [
@@ -192,23 +190,6 @@ def test_kernels_agree_with_literal_classifiers():
                 connected,
                 hypertree,
             ), f"kernel disagrees with literal route at n={n} {profile}"
-
-
-def test_pure_and_compiled_kernels_agree():
-    compiled = pytest.importorskip("hypertrees._kernel")
-    for n in range(1, 6):
-        for profile in iter_profiles(4, max_size=n):
-            sizes = profile.sizes()
-            assert compiled.count_profile(n, sizes) == _kernel_py.count_profile(
-                n, sizes
-            ), f"kernel mismatch at n={n} {profile}"
-
-
-def test_kernel_selection_env_override(monkeypatch):
-    monkeypatch.setenv("HYPERTREES_PURE", "1")
-    assert kernel_name() == "python"
-    monkeypatch.setenv("HYPERTREES_PURE", "0")
-    assert kernel_name() in ("python", "cython")
 
 
 def test_kernel_input_validation():

@@ -20,8 +20,6 @@ from hypertrees.series import (
     lagrange_revert,
     make_context,
     revert,
-    series_from_json,
-    series_to_json,
 )
 
 CTX = make_context(t_max=6, magnitude_max=5, max_edge_size=5)
@@ -205,31 +203,6 @@ def test_revert_rejects_bad_input():
         revert(T**2)
     with pytest.raises(ValueError):
         revert(T + U2)
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def test_text_round_trip():
-    f = (T + U2 + U3).exp()
-    text = f.to_text()
-    assert Series.from_text(CTX, text) == f
-    assert Series.from_text(CTX, "") == Series.zero(CTX)
-
-
-def test_text_rejects_unknown_variable():
-    with pytest.raises(ValueError):
-        Series.from_text(CTX, "1/1 * t^1 q^2")
-
-
-def test_json_round_trip():
-    f = (1 - T - U2).inverse()
-    assert series_from_json(CTX, series_to_json(f)) == f
-
-
-def test_json_rejects_wrong_width():
-    with pytest.raises(ValueError):
-        Series.from_json_terms(CTX, [{"exps": [1, 0], "num": 1, "den": 1}])
 
 
 # -- property tests -----------------------------------------------------------

@@ -21,8 +21,6 @@ from .series import (
     OutOfContextError,
     Series,
     TruncationContext,
-    VarAlphabet,
-    make_context,
 )
 
 __version__ = "0.1.0"
@@ -33,7 +31,5 @@ __all__ = [
     "OutOfContextError",
     "Series",
     "TruncationContext",
-    "VarAlphabet",
-    "make_context",
     "__version__",
 ]

@@ -49,7 +49,7 @@ from .hypergraphs import (
     kernel_name,
     parse_hypergraph,
 )
-from .series import Series, first_difference, make_context
+from .series import Series, TruncationContext, first_difference
 
 EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 3
@@ -205,7 +205,7 @@ def _run_verify(
     lines: list[str] = []
     payload: dict = {}
 
-    ctx = make_context(t_max=t_max, magnitude_max=magnitude_max, max_edge_size=max_edge_size)
+    ctx = TruncationContext(t_max=t_max, magnitude_max=magnitude_max, max_edge_size=max_edge_size)
     P = PipelineResult.compute(ctx)
     if inject_fault:
         bad_C = P.C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
@@ -219,8 +219,8 @@ def _run_verify(
     payload["dictionary"] = dictionary_report.as_dict()
     lines.extend(dictionary_report.summary_lines())
 
-    ctx_tz = make_context(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
-    ctx_diag = make_context(t_max=t_max, magnitude_max=0, max_edge_size=2)
+    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
+    ctx_diag = TruncationContext(t_max=t_max, magnitude_max=0, max_edge_size=2)
     vanishing_ok = True
     diagonal_ok = True
     vanishing_rows = []
@@ -249,7 +249,7 @@ def _run_verify(
     lines.append(f"{status} psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})")
 
     sub_size = max(max_edge_size, z_max + 1)
-    ctx_sub = make_context(
+    ctx_sub = TruncationContext(
         t_max=t_max, z_max=z_max, magnitude_max=z_max, max_edge_size=sub_size
     )
     C_joint = compute_C(ctx_sub)
@@ -359,10 +359,10 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         except (KeyError, ValueError, TypeError) as exc:
             raise click.UsageError(f"bad Phi file: {exc}") from exc
     c00, reduced = phi.without_constant()
-    ctx_tz = make_context(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
+    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
     L = lhs_series(reduced, ctx_tz)
     vanishing = verify_psi_form(L)
-    ctx_diag = make_context(t_max=order + 1, magnitude_max=0, max_edge_size=2)
+    ctx_diag = TruncationContext(t_max=order + 1, magnitude_max=0, max_edge_size=2)
     pair = psi_from_phi(reduced.phi_series(ctx_diag), order=order)
     mismatches = diagonal_mismatches(pair, L)
     payload = {

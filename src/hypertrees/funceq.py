@@ -140,8 +140,6 @@ def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
     k = t_max; a runtime assertion confirms the final summand only
     touched the top t-coefficient.
     """
-    if not (ctx.alphabet.has_t and ctx.alphabet.has_z):
-        raise ValueError("need a context with both t and z")
     if phi.constant_term:
         raise ValueError(
             "constant term must be zero; use without_constant() and carry "
@@ -248,12 +246,10 @@ class PSeriesFamily:
         return Series.variable(ctx, "t") * p1.exp()
 
 
-def phi_to_P(
-    phi: PhiCoefficients, j_max: int, table: StirlingTable | None = None
-) -> PSeriesFamily:
+def phi_to_P(phi: PhiCoefficients, j_max: int) -> PSeriesFamily:
     """Substitution coefficients p_{m,i} = m! sum_l S(l, m) c_{l-1, j-l+1},
     where j = m + i - 1 runs through the z-weight of the image term."""
-    table = table or StirlingTable()
+    table = StirlingTable()
     coeffs: dict[tuple[int, int], Fraction] = {}
     for j in range(j_max + 1):
         for m in range(1, j + 2):
@@ -287,7 +283,7 @@ def substituted_connected_gf(
         C = compute_C(ctx)
     family = phi_to_P(phi, j_max=ctx.z_max)
     g = C
-    for m in range(2, ctx.alphabet.max_edge_size + 1):
+    for m in range(2, ctx.max_edge_size + 1):
         g = g.substitute(f"u{m}", family.u_image(m, ctx))
     return g.substitute("t", family.t_image(ctx))
 
@@ -350,7 +346,7 @@ def edge_symbol_phi(ctx: TruncationContext) -> Series:
     """phi(w) = sum_j u_{j+1} w^j/(j+1)!, the weights under which the
     reversion pair carries the hypertree series."""
     terms = {}
-    for j in range(1, ctx.alphabet.max_edge_size):
+    for j in range(1, ctx.max_edge_size):
         terms[ctx.monomial(t=j, u={j + 1: 1})] = Fraction(1, factorial(j + 1))
     return Series(ctx, terms)
 

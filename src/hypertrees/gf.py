@@ -1,6 +1,7 @@
 """Generating functions for connected labeled hypergraphs and hypertrees.
 
-The pipeline starts from the exponential formula: with
+The pipeline starts from the exponential formula: with S(t, u) the
+exponential generating function of all labeled hypergraphs,
 
     S(t, u) = sum_k t^k/k! * exp(sum_i binom(k, i) u_i),
 
@@ -21,52 +22,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .combinat import StirlingTable, multinomial, part_multiplicities, partitions
-from .hypergraphs import EdgeProfile
-from .series import (
-    Monomial,
-    Series,
-    TruncationContext,
-    first_difference,
-    make_context,
-)
+from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
+from .series import Monomial, Series, TruncationContext, first_difference
+
+# the edge-derivative identities run for u2 .. u5 (fewer when max_edge_size < 5)
+_EDGE_CHECK_TOP = 5
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-def _require_alphabet_covers(ctx: TruncationContext) -> None:
-    if ctx.magnitude_max > ctx.alphabet.max_edge_size - 1:
+def _require_edge_variables_cover(ctx: TruncationContext) -> None:
+    if ctx.magnitude_max > ctx.max_edge_size - 1:
         raise ValueError(
-            "alphabet too small: need max_edge_size - 1 >= magnitude_max "
+            "too few edge variables: need max_edge_size - 1 >= magnitude_max "
             "so no admissible edge variable is missing"
         )
 
 
-def edge_sum_argument(ctx: TruncationContext, k: int) -> Series:
-    """sum_i binom(k, i) u_i over the edge sizes the context can hold."""
-    terms = {}
-    for i in range(2, min(k, ctx.alphabet.max_edge_size) + 1):
-        c = comb(k, i)
-        if c:
-            terms[ctx.monomial(u={i: 1})] = Fraction(c)
-    return Series(ctx, terms)
-
-
 def compute_C(ctx: TruncationContext) -> Series:
-    """Connected-hypergraph series C = log(sum_k t^k/k! exp(edge sum)).
+    """Connected-hypergraph series C = log S, with S in closed form.
 
-    The k-sum stops at t_max: every summand with k > t_max carries t^k
-    and lies outside the context.
+    Expanding exp(sum_i binom(k, i) u_i) gives
+
+        [t^k u^a] S = prod_i binom(k, i)^(a_i) / (k! * prod_i a_i!),
+
+    the number of labeled hypergraphs on 1..k with edge profile a over
+    the label-class size and k!.  k runs to t_max and a through every
+    profile within magnitude_max and max_edge_size.
     """
-    _require_alphabet_covers(ctx)
-    total = Series.zero(ctx)
-    for k in range(0, ctx.t_max + 1):
-        term = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
-        total = total + term * edge_sum_argument(ctx, k).exp()
-    return total.log()
+    _require_edge_variables_cover(ctx)
+    terms = {}
+    for p in iter_profiles(ctx.magnitude_max, max_size=ctx.max_edge_size):
+        u_degs = p.monomial(ctx).u_degs
+        for k in range(ctx.t_max + 1):
+            count = assignment_count(k, p)
+            terms[Monomial(k, 0, u_degs)] = Fraction(count, factorial(k) * p.factorial_norm())
+    return Series(ctx, terms).log()
 
 
 def compute_T(C: Series) -> Series:
@@ -89,19 +84,15 @@ def compute_R(T: Series) -> Series:
 def rooted_edge_argument(R: Series) -> Series:
     """sum_j u_{j+1} R^j / j!, the exponent of the rooted fixed point.
 
-    j stops at the largest edge variable, at t_max (R^j has t-degree at
-    least j) and at magnitude_max (u_{j+1} has magnitude j).
+    j stops at the largest edge variable, at magnitude_max (u_{j+1} has
+    magnitude j) and at t_max - 1: R^j has t-degree at least j, so the
+    j = t_max term lands beyond t_max once the fixed point multiplies it
+    by t, and the rooted-ratio check compares t-degrees up to t_max - 1.
     """
     ctx = R.context
-    j_top = min(ctx.alphabet.max_edge_size - 1, ctx.t_max, ctx.magnitude_max)
-    arg = Series.zero(ctx)
-    power = Series.one(ctx)
-    for j in range(1, j_top + 1):
-        power = power * R
-        if power.is_zero():
-            break
-        arg = arg + Series.variable(ctx, f"u{j + 1}") * power / factorial(j)
-    return arg
+    j_top = min(ctx.max_edge_size - 1, ctx.t_max - 1, ctx.magnitude_max)
+    u = [Series.variable(ctx, f"u{j + 1}") / factorial(j) for j in range(1, j_top + 1)]
+    return R.power_sum([0] + u)
 
 
 def solve_R_fixed_point(ctx: TruncationContext) -> Series:
@@ -110,7 +101,7 @@ def solve_R_fixed_point(ctx: TruncationContext) -> Series:
     Each pass extends exactness by one t-order, so t_max passes starting
     from the t-linear seed determine every admissible coefficient.
     """
-    _require_alphabet_covers(ctx)
+    _require_edge_variables_cover(ctx)
     t = Series.variable(ctx, "t")
     R = t
     for _ in range(ctx.t_max):
@@ -121,15 +112,9 @@ def solve_R_fixed_point(ctx: TruncationContext) -> Series:
 def T_from_R(R: Series) -> Series:
     """Unrooted form: T = R - sum_{j>=2} (j-1) u_j R^j / j!."""
     ctx = R.context
-    out = R
-    power = R
-    for j in range(2, min(ctx.alphabet.max_edge_size, ctx.t_max) + 1):
-        power = power * R
-        if power.is_zero():
-            break
-        u_j = Series.variable(ctx, f"u{j}")
-        out = out - (j - 1) * u_j * power / factorial(j)
-    return out
+    top = min(ctx.max_edge_size, ctx.t_max)
+    u = [Series.variable(ctx, f"u{j}") * Fraction(1 - j, factorial(j)) for j in range(2, top + 1)]
+    return R.power_sum([0, 1] + u)
 
 
 @dataclass(frozen=True)
@@ -146,11 +131,6 @@ class PipelineResult:
         C = compute_C(ctx)
         T = compute_T(C)
         return cls(ctx, C, T, compute_R(T))
-
-
-def egf_coefficient(f: Series, n: int) -> Series:
-    """[t^n/n!] f as a series in the remaining variables."""
-    return f.t_coefficient(n) * factorial(n)
 
 
 def egf_profile_coefficient(f: Series, n: int, profile: EdgeProfile) -> Fraction:
@@ -189,7 +169,7 @@ def count_by_profile(n: int, profile: EdgeProfile) -> tuple[int, int]:
     return (rooted_int, rooted_int // n)
 
 
-def rooted_count_by_edges(n: int, k: int, table: StirlingTable | None = None) -> int:
+def rooted_count_by_edges(n: int, k: int) -> int:
     """Rooted hypertrees on 1..n with exactly k edges: n^k * S(n-1, k).
 
     Out-of-range k gives 0, except the degenerate n = 1, k = 0 where the
@@ -199,21 +179,20 @@ def rooted_count_by_edges(n: int, k: int, table: StirlingTable | None = None) ->
         raise ValueError("need n >= 1")
     if k < 0 or k > max(n - 1, 0):
         return 0
-    table = table or StirlingTable()
-    return n**k * table.stirling2(n - 1, k)
+    return n**k * StirlingTable().stirling2(n - 1, k)
 
 
 def specialize_all_ones(P: PipelineResult) -> tuple[Series, Series]:
     """(T, R) with every u_i set to 1, as plain series in t.
 
     Needs the full magnitude range per t-order, i.e. magnitude_max >=
-    t_max - 1, and an alphabet wide enough that no admissible edge size
+    t_max - 1, and edge variables enough that no admissible edge size
     was dropped (both established by the pipeline preconditions).
     """
     ctx = P.context
     if ctx.magnitude_max < ctx.t_max - 1:
         raise ValueError("need magnitude_max >= t_max - 1 to specialize u = 1")
-    tctx = make_context(t_max=ctx.t_max, z_max=0, magnitude_max=0, max_edge_size=2)
+    tctx = TruncationContext(t_max=ctx.t_max, z_max=0, magnitude_max=0, max_edge_size=2)
 
     def collapse(f: Series) -> Series:
         out: dict[Monomial, Fraction] = {}
@@ -299,7 +278,7 @@ def identity_check(
     return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
 
 
-def verify_identities(P: PipelineResult, j_top: int = 5) -> IdentityReport:
+def verify_identities(P: PipelineResult) -> IdentityReport:
     """Exact structural identities tying C, T and R together.
 
     Differentiating by u_j can only be trusted where the argument kept
@@ -309,7 +288,7 @@ def verify_identities(P: PipelineResult, j_top: int = 5) -> IdentityReport:
     """
     ctx = P.context
     N, Q = ctx.t_max, ctx.magnitude_max
-    j_top = min(j_top, ctx.alphabet.max_edge_size)
+    j_top = min(_EDGE_CHECK_TOP, ctx.max_edge_size)
     C, T, R = P.C, P.T, P.R
     t = Series.variable(ctx, "t")
     checks: list[IdentityCheck] = []
@@ -344,7 +323,7 @@ def verify_identities(P: PipelineResult, j_top: int = 5) -> IdentityReport:
             )
         )
 
-    dTdu = {j: T.derivative(f"u{j}") for j in range(2, max(j_top, ctx.alphabet.max_edge_size) + 1)}
+    dTdu = {j: T.derivative(f"u{j}") for j in range(2, max(j_top, ctx.max_edge_size) + 1)}
     checks.append(
         identity_check(
             "tree-2edge",
@@ -383,7 +362,7 @@ def verify_identities(P: PipelineResult, j_top: int = 5) -> IdentityReport:
         )
 
     lhs = Series.zero(ctx)
-    for j in range(2, ctx.alphabet.max_edge_size + 1):
+    for j in range(2, ctx.max_edge_size + 1):
         lhs = lhs + (j - 1) * Series.variable(ctx, f"u{j}") * dTdu[j]
     checks.append(
         identity_check(

@@ -184,16 +184,17 @@ def is_connected(h: Hypergraph) -> bool:
     """
     if h.n == 0:
         return False
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(1, h.n + 1)}
+    # only the vertices that edges touch get an entry: memory follows the edges, not n
+    by_vertex: dict[int, list[int]] = {}
     for ei, edge in enumerate(h.edges):
         for v in edge:
-            by_vertex[v].append(ei)
+            by_vertex.setdefault(v, []).append(ei)
     seen = {1}
     seen_edges: set[int] = set()
     stack = [1]
     while stack:
         v = stack.pop()
-        for ei in by_vertex[v]:
+        for ei in by_vertex.get(v, ()):
             if ei in seen_edges:
                 continue
             seen_edges.add(ei)
@@ -215,10 +216,10 @@ def is_hypertree(h: Hypergraph) -> bool:
     """
     if h.n == 0:
         return False
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(1, h.n + 1)}
+    by_vertex: dict[int, list[int]] = {}
     for ei, edge in enumerate(h.edges):
         for v in edge:
-            by_vertex[v].append(ei)
+            by_vertex.setdefault(v, []).append(ei)
     # nodes: ("v", vertex) and ("e", edge index)
     seen_v = {1}
     seen_e: set[int] = set()
@@ -226,7 +227,7 @@ def is_hypertree(h: Hypergraph) -> bool:
     while stack:
         kind, key, parent = stack.pop()
         if kind == "v":
-            for ei in by_vertex[key]:
+            for ei in by_vertex.get(key, ()):
                 if ("e", ei) == parent:
                     continue
                 if ei in seen_e:
@@ -375,7 +376,7 @@ def oracle_polynomials(
         raise ValueError("need n >= 1")
     c_terms: dict[Monomial, Fraction] = {}
     t_terms: dict[Monomial, Fraction] = {}
-    max_size = min(n, ctx.alphabet.max_edge_size)
+    max_size = min(n, ctx.max_edge_size)
     rows = []
     for profile in iter_profiles(ctx.magnitude_max, max_size=max_size):
         row = count_profile(n, profile, budget=budget)

@@ -1,18 +1,21 @@
 """Exact truncated multivariate formal power series over the rationals.
 
-Every series in this package lives over a fixed variable alphabet: an
-optional vertex-marking variable ``t``, an optional auxiliary variable
-``z``, and edge variables ``u2 .. uM`` where ``u_i`` marks an edge with
-``i`` vertices.  A monomial carries a *magnitude* grading::
+Every series in this package lives over the same kind of variable set:
+the vertex-marking variable ``t``, an auxiliary variable ``z``, and edge
+variables ``u2 .. uM`` where ``u_i`` marks an edge with ``i`` vertices.
+A monomial carries a *magnitude* grading::
 
     magnitude(t^a z^b u2^c2 ... uM^cM) = sum((i - 1) * c_i)
 
 which matches the edge magnitude of the hypergraphs these series count.
 
-A :class:`TruncationContext` fixes bounds ``t_max``, ``z_max`` and
-``magnitude_max``.  Every operation truncates its result to those bounds,
-so the algebra is closed and all stored coefficients are exact
-:class:`fractions.Fraction` values.  There is no floating point anywhere.
+A :class:`TruncationContext` is four integers: the bounds ``t_max``,
+``z_max`` and ``magnitude_max``, and the largest edge size ``M``.  Every
+operation truncates its result to those bounds, so the algebra is closed
+and all stored coefficients are exact :class:`fractions.Fraction` values.
+A bound of 0 leaves its variable in the set but truncates it away: with
+``z_max = 0`` the series ``z`` is zero.  There is no floating point
+anywhere.
 
 All three gradings are additive and non-negative, which is what makes
 truncation coherent: any product of admissible monomials that lands back
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from math import factorial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -53,20 +57,23 @@ class Monomial(NamedTuple):
 
 
 @dataclass(frozen=True)
-class VarAlphabet:
-    """The variable set shared by every series under one context.
+class TruncationContext:
+    """Degree bounds under which all arithmetic is performed.
 
     ``max_edge_size`` is the largest edge size M carried symbolically, so
     the edge variables are ``u2 .. uM``.
     """
 
+    t_max: int = 6
+    z_max: int = 0
+    magnitude_max: int = 6
     max_edge_size: int = 8
-    has_t: bool = True
-    has_z: bool = False
 
     def __post_init__(self) -> None:
         if self.max_edge_size < 2:
             raise ValueError("max_edge_size must be at least 2")
+        if min(self.t_max, self.z_max, self.magnitude_max) < 0:
+            raise ValueError("truncation bounds must be non-negative")
 
     @property
     def u_count(self) -> int:
@@ -74,37 +81,13 @@ class VarAlphabet:
 
     def resolve(self, name: str) -> tuple[str, int]:
         """Map a variable name to ``(kind, u_index)``; u_index is 0 unless kind is 'u'."""
-        if name == "t":
-            if not self.has_t:
-                raise ValueError("alphabet has no variable t")
-            return ("t", 0)
-        if name == "z":
-            if not self.has_z:
-                raise ValueError("alphabet has no variable z")
-            return ("z", 0)
+        if name in ("t", "z"):
+            return (name, 0)
         if name.startswith("u") and name[1:].isdigit():
             i = int(name[1:])
             if 2 <= i <= self.max_edge_size:
                 return ("u", i)
         raise ValueError(f"unknown variable {name!r}")
-
-
-@dataclass(frozen=True)
-class TruncationContext:
-    """Degree bounds under which all arithmetic is performed."""
-
-    t_max: int = 6
-    z_max: int = 0
-    magnitude_max: int = 6
-    alphabet: VarAlphabet = VarAlphabet()
-
-    def __post_init__(self) -> None:
-        if min(self.t_max, self.z_max, self.magnitude_max) < 0:
-            raise ValueError("truncation bounds must be non-negative")
-        if not self.alphabet.has_t and self.t_max != 0:
-            raise ValueError("t_max must be 0 when the alphabet has no t")
-        if not self.alphabet.has_z and self.z_max != 0:
-            raise ValueError("z_max must be 0 when the alphabet has no z")
 
     def admits(self, m: Monomial) -> bool:
         return (
@@ -122,41 +105,23 @@ class TruncationContext:
         return self.t_max + self.z_max + self.magnitude_max
 
     def unit_monomial(self) -> Monomial:
-        return Monomial(0, 0, (0,) * self.alphabet.u_count)
+        return Monomial(0, 0, (0,) * self.u_count)
 
     def monomial(
         self, t: int = 0, z: int = 0, u: Mapping[int, int] | None = None
     ) -> Monomial:
-        """Build a monomial, validating exponents against the alphabet."""
+        """Build a monomial, validating exponents against the edge variables."""
         if t < 0 or z < 0:
             raise ValueError("exponents must be non-negative")
-        if t and not self.alphabet.has_t:
-            raise ValueError("alphabet has no variable t")
-        if z and not self.alphabet.has_z:
-            raise ValueError("alphabet has no variable z")
-        degs = [0] * self.alphabet.u_count
+        degs = [0] * self.u_count
         if u:
             for i, e in u.items():
                 if e < 0:
                     raise ValueError("exponents must be non-negative")
-                if not 2 <= i <= self.alphabet.max_edge_size:
-                    raise ValueError(f"no edge variable u{i} in the alphabet")
+                if not 2 <= i <= self.max_edge_size:
+                    raise ValueError(f"no edge variable u{i} in the context")
                 degs[i - 2] = e
         return Monomial(t, z, tuple(degs))
-
-
-def make_context(
-    t_max: int = 6,
-    z_max: int = 0,
-    magnitude_max: int = 6,
-    max_edge_size: int = 8,
-    has_z: bool | None = None,
-) -> TruncationContext:
-    """Convenience constructor; z is included exactly when z_max > 0 unless forced."""
-    if has_z is None:
-        has_z = z_max > 0
-    alphabet = VarAlphabet(max_edge_size=max_edge_size, has_t=True, has_z=has_z)
-    return TruncationContext(t_max, z_max, magnitude_max, alphabet)
 
 
 class Series:
@@ -178,8 +143,8 @@ class Series:
         for m, c in items:
             if not isinstance(m, Monomial):
                 raise TypeError(f"expected Monomial key, got {type(m).__name__}")
-            if len(m.u_degs) != context.alphabet.u_count:
-                raise ValueError("monomial does not match the context alphabet")
+            if len(m.u_degs) != context.u_count:
+                raise ValueError("monomial does not match the context's edge variables")
             frac = Fraction(c)
             if frac and context.admits(m):
                 acc = data.get(m)
@@ -207,7 +172,7 @@ class Series:
 
     @classmethod
     def variable(cls, context: TruncationContext, name: str) -> "Series":
-        kind, idx = context.alphabet.resolve(name)
+        kind, idx = context.resolve(name)
         if kind == "t":
             m = context.monomial(t=1)
         elif kind == "z":
@@ -379,7 +344,7 @@ class Series:
 
     def derivative(self, name: str) -> "Series":
         """Partial derivative; the result is truncated to the same context."""
-        kind, idx = self.context.alphabet.resolve(name)
+        kind, idx = self.context.resolve(name)
         out: dict[Monomial, Fraction] = {}
         for m, c in self._terms.items():
             if kind == "t":
@@ -404,9 +369,7 @@ class Series:
     def substitute(self, name: str, g: "Series") -> "Series":
         """Replace a variable by a series with zero constant term."""
         self._check_same_context(g)
-        kind, idx = self.context.alphabet.resolve(name)
-        if g.constant_term:
-            raise ValueError("substituted series must have zero constant term")
+        kind, idx = self.context.resolve(name)
         groups: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self._terms.items():
             if kind == "t":
@@ -420,18 +383,9 @@ class Series:
                 rest = Monomial(m.t_deg, m.z_deg, tuple(degs))
             bucket = groups.setdefault(e, {})
             bucket[rest] = bucket.get(rest, Fraction(0)) + c
-        result = Series.zero(self.context)
-        power = Series.one(self.context)
-        cur = 0
-        for e in sorted(groups):
-            while cur < e:
-                power = power * g
-                cur += 1
-            if e and power.is_zero():
-                break
-            part = Series(self.context, groups[e])
-            result = result + (part * power if e else part)
-        return result
+        # stop at the largest exponent present: higher powers would be wasted products
+        top = max(groups, default=0)
+        return g.power_sum([Series(self.context, groups.get(e, ())) for e in range(top + 1)])
 
     # -- truncation and filtering -------------------------------------------
 
@@ -463,73 +417,50 @@ class Series:
         result._terms = kept
         return result
 
-    def truncate_to(self, context: TruncationContext) -> "Series":
-        """Re-home the series under another context with the same alphabet."""
-        if context.alphabet != self.context.alphabet:
-            raise ContextMismatchError("truncate_to requires the same alphabet")
-        return Series(context, self._terms)
-
     # -- transcendental operations ------------------------------------------
 
-    def exp(self) -> "Series":
-        """exp(f) for f with zero constant term.
+    def power_sum(self, coeffs: Sequence[Scalar | Series]) -> "Series":
+        """sum_k coeffs[k] * self^k for a series with zero constant term.
 
-        Convergence under truncation needs every monomial of f to carry
-        positive total grade; over this alphabet that is exactly the
-        zero-constant-term condition, since every variable has positive
-        grade.
+        Each coefficient is a scalar or a series.  The sum stops at the end
+        of coeffs or at the first power that truncates to zero.  Every
+        non-constant monomial has t + z + magnitude >= 1, so
+        self^(grade_bound + 1) is zero and grade_bound + 1 coefficients
+        always reach the end of the truncated series.
         """
         if self.constant_term:
-            raise ValueError("exp needs a series with zero constant term")
-        ctx = self.context
-        result = Series.one(ctx)
-        term = Series.one(ctx)
-        k = 0
-        while True:
-            k += 1
-            term = term * self / k
-            if term.is_zero():
-                return result
-            result = result + term
-            if k > ctx.grade_bound:
-                raise RuntimeError("exp failed to terminate; grading violated")
+            raise ValueError("power sums need a series with zero constant term")
+        result = Series.zero(self.context)
+        power = Series.one(self.context)
+        for k, c in enumerate(coeffs):
+            if k:
+                power = self if k == 1 else power * self
+                if power.is_zero():
+                    break
+            if c:
+                result = result + (power * c if k else c)  # self^0 = 1 needs no product
+        return result
+
+    def exp(self) -> "Series":
+        """exp(f) for f with zero constant term."""
+        n = self.context.grade_bound + 1
+        return self.power_sum([Fraction(1, factorial(k)) for k in range(n)])
 
     def log(self) -> "Series":
         """log(f) for f with constant term 1."""
         if self.constant_term != 1:
             raise ValueError("log needs a series with constant term 1")
-        ctx = self.context
-        g = self - 1
-        result = Series.zero(ctx)
-        power = Series.one(ctx)
-        k = 0
-        while True:
-            k += 1
-            power = power * g
-            if power.is_zero():
-                return result
-            result = result + power * Fraction((-1) ** (k + 1), k)
-            if k > ctx.grade_bound:
-                raise RuntimeError("log failed to terminate; grading violated")
+        n = self.context.grade_bound + 1
+        coeffs = [Fraction((-1) ** (k + 1), k) if k else 0 for k in range(n)]
+        return (self - 1).power_sum(coeffs)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term) series."""
         c = self.constant_term
         if not c:
             raise ValueError("inverse needs a nonzero constant term")
-        ctx = self.context
-        r = self / c - 1
-        result = Series.one(ctx)
-        power = Series.one(ctx)
-        k = 0
-        while True:
-            k += 1
-            power = power * r
-            if power.is_zero():
-                return result / c
-            result = result + power * Fraction((-1) ** k)
-            if k > ctx.grade_bound:
-                raise RuntimeError("inverse failed to terminate; grading violated")
+        n = self.context.grade_bound + 1
+        return (self / c - 1).power_sum([(-1) ** k for k in range(n)]) / c
 
     def divided_by_t(self) -> "Series":
         """Shift t-degrees down by one; every term must be divisible by t.

@@ -41,7 +41,7 @@ from hypertrees.hypergraphs import (
     iter_profiles,
     magnitude_law_violations,
 )
-from hypertrees.series import first_difference, make_context
+from hypertrees.series import TruncationContext, first_difference
 
 SEEDS = tuple(range(42, 62))
 
@@ -57,7 +57,7 @@ TABLE_LINES = [
 
 @pytest.fixture(scope="module")
 def big_pipeline():
-    ctx = make_context(t_max=6, magnitude_max=6, max_edge_size=8)
+    ctx = TruncationContext(t_max=6, magnitude_max=6, max_edge_size=8)
     return PipelineResult.compute(ctx)
 
 
@@ -89,7 +89,7 @@ def test_c1_table_reproduction(acceptance, big_pipeline):
 
 def test_c2_quadruple_agreement(acceptance):
     start = time.monotonic()
-    ctx = make_context(t_max=5, magnitude_max=4, max_edge_size=6)
+    ctx = TruncationContext(t_max=5, magnitude_max=4, max_edge_size=6)
     P = PipelineResult.compute(ctx)
     T_fixed = T_from_R(solve_R_fixed_point(ctx))
     checked = 0
@@ -177,7 +177,7 @@ def test_c4_identity_suite(acceptance, big_pipeline):
 
 def test_c5_vanishing_pattern(acceptance):
     start = time.monotonic()
-    ctx = make_context(t_max=6, z_max=6, magnitude_max=0, max_edge_size=2)
+    ctx = TruncationContext(t_max=6, z_max=6, magnitude_max=0, max_edge_size=2)
     ok = True
     for seed in SEEDS:
         report = verify_psi_form(lhs_series(random_phi(seed), ctx))
@@ -194,7 +194,7 @@ def test_c5_vanishing_pattern(acceptance):
 
 def test_c6_substitution_equivalence(acceptance):
     start = time.monotonic()
-    ctx = make_context(t_max=6, z_max=6, magnitude_max=6, max_edge_size=8)
+    ctx = TruncationContext(t_max=6, z_max=6, magnitude_max=6, max_edge_size=8)
     C = compute_C(ctx)
     ok = True
     for seed in SEEDS[:5]:
@@ -211,8 +211,8 @@ def test_c6_substitution_equivalence(acceptance):
 
 def test_c7_psi_diagonal_and_dictionary(acceptance, big_pipeline):
     start = time.monotonic()
-    ctx_tz = make_context(t_max=6, z_max=6, magnitude_max=0, max_edge_size=2)
-    ctx_diag = make_context(t_max=6, magnitude_max=0, max_edge_size=2)
+    ctx_tz = TruncationContext(t_max=6, z_max=6, magnitude_max=0, max_edge_size=2)
+    ctx_diag = TruncationContext(t_max=6, magnitude_max=0, max_edge_size=2)
     ok = True
     for seed in SEEDS:
         phi = random_phi(seed)

@@ -120,6 +120,15 @@ def test_oracle_check_file_json(runner):
     }
 
 
+def test_oracle_check_memory_follows_edges(runner, tmp_path):
+    # the classifiers index only touched vertices, so a vast n costs nothing
+    path = tmp_path / "h.txt"
+    path.write_text("1000000000\n1 2\n", encoding="utf-8")
+    result = runner.invoke(main, ["oracle", "--check", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith("connected=False hypertree=False\n")
+
+
 @pytest.mark.parametrize(
     "text",
     ["3\n1 4\n", "3\n1 x\n", "3\n1 1\n", ""],
@@ -235,6 +244,13 @@ def test_verify_bound_validation(runner):
     assert r.exit_code == 2
 
 
+def test_verify_without_z(runner):
+    args = ["verify", "--t-max", "3", "--z-max", "0", "--max-edge-size", "4"]
+    result = runner.invoke(main, args + ["--trials", "2", "--sub-trials", "1"])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith("all checks passed\n")
+
+
 def test_verify_zero_trials_reports_skip(runner):
     args = ["verify", "--t-max", "3", "--z-max", "3", "--max-edge-size", "4"]
     result = runner.invoke(main, args + ["--trials", "0", "--sub-trials", "0"])
@@ -284,6 +300,13 @@ def test_psi_reports_log_scale(runner, tmp_path):
         main, ["psi", path, "--t-max", "4", "--z-max", "4", "--json"]
     )
     assert json.loads(json_result.output)["log_t_scale"] == {"num": 2, "den": 1}
+
+
+def test_psi_without_z(runner, tmp_path):
+    path = _write_phi(tmp_path, [{"m": 1, "n": 0, "num": 1, "den": 1}])
+    result = runner.invoke(main, ["psi", path, "--t-max", "4", "--z-max", "0"])
+    assert result.exit_code == 0, result.output
+    assert "vanishing ok\ndiagonal ok\n" in result.output
 
 
 def test_psi_bad_inputs(runner, tmp_path):

@@ -25,9 +25,9 @@ from hypertrees.funceq import (
     verify_psi_form,
 )
 from hypertrees.gf import compute_C
-from hypertrees.series import Series, first_difference, make_context
+from hypertrees.series import Series, TruncationContext, first_difference
 
-CTX = make_context(t_max=5, z_max=5, magnitude_max=0, max_edge_size=2)
+CTX = TruncationContext(t_max=5, z_max=5, magnitude_max=0, max_edge_size=2)
 
 
 # -- an independent reimplementation on plain dicts -----------------------------
@@ -129,9 +129,13 @@ def test_random_phi_is_deterministic_and_seed_stable():
 def test_lhs_rejects_bad_inputs():
     with pytest.raises(ValueError):
         lhs_series(PhiCoefficients({(0, 0): 1}), CTX)
-    no_z = make_context(t_max=4, magnitude_max=0, max_edge_size=2)
-    with pytest.raises(ValueError):
-        lhs_series(PhiCoefficients({(1, 0): 1}), no_z)
+
+
+def test_lhs_without_z_is_plain_t():
+    # z_max = 0 truncates every k Phi(kz, z) term: L = log(sum t^k/k!) = t
+    no_z = TruncationContext(t_max=4, magnitude_max=0, max_edge_size=2)
+    L = lhs_series(PhiCoefficients({(1, 0): 1, (0, 1): 2}), no_z)
+    assert L == Series.variable(no_z, "t")
 
 
 # -- vanishing pattern ------------------------------------------------------------
@@ -204,7 +208,7 @@ def test_phi_to_P_single_entry():
 
 
 def test_phi_to_P_images():
-    ctx = make_context(t_max=4, z_max=4, magnitude_max=4, max_edge_size=5)
+    ctx = TruncationContext(t_max=4, z_max=4, magnitude_max=4, max_edge_size=5)
     family = phi_to_P(PhiCoefficients({(1, 0): 1}), j_max=4)
     u2_image = family.u_image(2, ctx)
     assert u2_image == Series.term(ctx, ctx.monomial(z=1), 2)
@@ -214,14 +218,14 @@ def test_phi_to_P_images():
 
 
 def test_t_image_requires_reduced_array():
-    ctx = make_context(t_max=3, z_max=3, magnitude_max=0, max_edge_size=2)
+    ctx = TruncationContext(t_max=3, z_max=3, magnitude_max=0, max_edge_size=2)
     family = phi_to_P(PhiCoefficients({(0, 0): 1}), j_max=2)
     with pytest.raises(ValueError):
         family.t_image(ctx)
 
 
 def test_substitution_reproduces_lhs():
-    ctx = make_context(t_max=4, z_max=4, magnitude_max=4, max_edge_size=6)
+    ctx = TruncationContext(t_max=4, z_max=4, magnitude_max=4, max_edge_size=6)
     C = compute_C(ctx)
     for seed in (42, 99):
         phi = random_phi(seed)
@@ -231,7 +235,7 @@ def test_substitution_reproduces_lhs():
 
 
 def test_substitution_requires_magnitude_headroom():
-    ctx = make_context(t_max=4, z_max=4, magnitude_max=2, max_edge_size=6)
+    ctx = TruncationContext(t_max=4, z_max=4, magnitude_max=2, max_edge_size=6)
     with pytest.raises(ValueError):
         substituted_connected_gf(random_phi(1), ctx)
 
@@ -240,14 +244,14 @@ def test_substitution_requires_magnitude_headroom():
 
 
 def test_psi_of_zero_phi_is_one():
-    ctx = make_context(t_max=4, magnitude_max=0, max_edge_size=2)
+    ctx = TruncationContext(t_max=4, magnitude_max=0, max_edge_size=2)
     pair = psi_from_phi(Series.zero(ctx), order=3)
     assert pair.w == Series.variable(ctx, "t")
     assert pair.psi == Series.one(ctx)
 
 
 def test_diagonal_matches_lhs_for_seeded_arrays():
-    ctx1 = make_context(t_max=5, magnitude_max=0, max_edge_size=2)
+    ctx1 = TruncationContext(t_max=5, magnitude_max=0, max_edge_size=2)
     for seed in range(60, 70):
         phi = random_phi(seed)
         L = lhs_series(phi, CTX)
@@ -258,7 +262,7 @@ def test_diagonal_matches_lhs_for_seeded_arrays():
 def test_diagonal_detects_corruption():
     phi = random_phi(5)
     L = lhs_series(phi, CTX)
-    ctx1 = make_context(t_max=5, magnitude_max=0, max_edge_size=2)
+    ctx1 = TruncationContext(t_max=5, magnitude_max=0, max_edge_size=2)
     pair = psi_from_phi(phi.phi_series(ctx1), order=4)
     bad = L + Series.term(CTX, CTX.monomial(t=3, z=2), Fraction(1, 7))
     mism = diagonal_mismatches(pair, bad)
@@ -266,7 +270,7 @@ def test_diagonal_detects_corruption():
 
 
 def test_psi_from_phi_validates():
-    ctx = make_context(t_max=3, magnitude_max=0, max_edge_size=2)
+    ctx = TruncationContext(t_max=3, magnitude_max=0, max_edge_size=2)
     with pytest.raises(ValueError):
         psi_from_phi(Series.zero(ctx), order=3)  # needs t_max >= order + 1
     with pytest.raises(ValueError):
@@ -277,14 +281,14 @@ def test_psi_from_phi_validates():
 
 
 def test_edge_symbol_phi_shape():
-    ctx = make_context(t_max=4, magnitude_max=4, max_edge_size=5)
+    ctx = TruncationContext(t_max=4, magnitude_max=4, max_edge_size=5)
     phi = edge_symbol_phi(ctx)
     assert phi.coefficient(ctx.monomial(t=1, u={2: 1})) == Fraction(1, 2)
     assert phi.coefficient(ctx.monomial(t=3, u={4: 1})) == Fraction(1, 24)
 
 
 def test_dictionary_reproduces_hypertree_series():
-    ctx = make_context(t_max=5, magnitude_max=5, max_edge_size=6)
+    ctx = TruncationContext(t_max=5, magnitude_max=5, max_edge_size=6)
     report = hypertree_dictionary_report(ctx)
     assert report.ok, report.summary_lines()
     assert [c.key for c in report.checks] == ["dictionary-rooted", "dictionary-unrooted"]

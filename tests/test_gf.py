@@ -16,7 +16,6 @@ from hypertrees.gf import (
     compute_R,
     compute_T,
     count_by_profile,
-    egf_coefficient,
     egf_profile_coefficient,
     render_table,
     render_table_line,
@@ -27,9 +26,9 @@ from hypertrees.gf import (
     verify_identities,
 )
 from hypertrees.hypergraphs import EdgeProfile, count_profile, oracle_polynomials
-from hypertrees.series import Series, make_context
+from hypertrees.series import Series, TruncationContext
 
-CTX = make_context(t_max=6, magnitude_max=6, max_edge_size=8)
+CTX = TruncationContext(t_max=6, magnitude_max=6, max_edge_size=8)
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +62,9 @@ def test_hypertree_layer_is_the_minimal_magnitude_slice(pipeline):
 
 def test_pipeline_requires_wide_enough_alphabet():
     with pytest.raises(ValueError):
-        compute_C(make_context(t_max=4, magnitude_max=6, max_edge_size=4))
+        compute_C(TruncationContext(t_max=4, magnitude_max=6, max_edge_size=4))
     with pytest.raises(ValueError):
-        compute_T(compute_C(make_context(t_max=6, magnitude_max=3, max_edge_size=8)))
+        compute_T(compute_C(TruncationContext(t_max=6, magnitude_max=3, max_edge_size=8)))
 
 
 def test_fixed_point_route_matches_log_route(pipeline):
@@ -130,17 +129,17 @@ def test_egf_extraction_conventions(pipeline):
     # 12 hypertrees on 4 vertices with one 2-edge and one 3-edge
     coeff = egf_profile_coefficient(pipeline.T, 4, profile)
     assert coeff == 12 * profile.factorial_norm()
-    T4 = egf_coefficient(pipeline.T, 4)
+    T4 = pipeline.T.t_coefficient(4) * factorial(4)
     assert T4.coefficient(CTX.monomial(u={2: 1, 3: 1})) == 12
 
 
 def test_pipeline_matches_oracle_polynomials(pipeline):
     # full polynomial agreement (all magnitudes) for small n
-    octx = make_context(t_max=4, magnitude_max=4, max_edge_size=8)
+    octx = TruncationContext(t_max=4, magnitude_max=4, max_edge_size=8)
     for n in range(1, 5):
         C_n, T_n = oracle_polynomials(n, octx)
-        assert egf_coefficient(pipeline.C, n).truncate_to(octx) == C_n
-        assert egf_coefficient(pipeline.T, n).truncate_to(octx) == T_n
+        assert Series(octx, (pipeline.C.t_coefficient(n) * factorial(n)).terms()) == C_n
+        assert Series(octx, (pipeline.T.t_coefficient(n) * factorial(n)).terms()) == T_n
 
 
 # -- identity suite ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Byte-exact stdout of the README examples and of ``verify --json``.
+"""Byte-exact stdout of the README examples, ``verify --json`` and ``psi``.
 
 The fixtures under data/golden were recorded from the command line; any
 change to the printed text or JSON of these runs fails here.
@@ -11,7 +11,9 @@ from click.testing import CliRunner
 
 from hypertrees.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+PHI_C00 = str(DATA / "phi-c00.json")
 
 CASES = [
     (["count", "--n", "6", "--profile", "u2=3,u3=1"], "count-n6-u2-3-u3-1.txt"),
@@ -19,6 +21,8 @@ CASES = [
     (["oracle", "--n", "4", "--profile", "u2=1,u3=1"], "oracle-n4-u2-1-u3-1.txt"),
     (["verify", "--t-max", "6", "--z-max", "6"], "verify-t6-z6.txt"),
     (["verify", "--t-max", "6", "--z-max", "6", "--json"], "verify-json-t6-z6.json"),
+    (["psi", PHI_C00, "--t-max", "8", "--z-max", "8"], "psi-c00-t8-z8.txt"),
+    (["psi", PHI_C00, "--t-max", "8", "--z-max", "8", "--json"], "psi-json-c00-t8-z8.json"),
 ]
 
 

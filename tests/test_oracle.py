@@ -27,7 +27,7 @@ from hypertrees.hypergraphs import (
     oracle_polynomials,
     parse_hypergraph,
 )
-from hypertrees.series import make_context
+from hypertrees.series import TruncationContext
 
 DATA = Path(__file__).parent / "data"
 
@@ -230,7 +230,7 @@ def test_count_row_orders_counts():
 
 
 def test_oracle_polynomials_small():
-    ctx = make_context(t_max=4, magnitude_max=4, max_edge_size=5)
+    ctx = TruncationContext(t_max=4, magnitude_max=4, max_edge_size=5)
     C3, T3 = oracle_polynomials(3, ctx)
     u = lambda **kw: ctx.monomial(u={int(k[1:]): v for k, v in kw.items()})
     assert T3.coefficient(u(u3=1)) == 1

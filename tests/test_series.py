@@ -16,13 +16,13 @@ from hypertrees.series import (
     Monomial,
     OutOfContextError,
     Series,
+    TruncationContext,
     first_difference,
     lagrange_revert,
-    make_context,
     revert,
 )
 
-CTX = make_context(t_max=6, magnitude_max=5, max_edge_size=5)
+CTX = TruncationContext(t_max=6, magnitude_max=5, max_edge_size=5)
 T = Series.variable(CTX, "t")
 U2 = Series.variable(CTX, "u2")
 U3 = Series.variable(CTX, "u3")
@@ -59,13 +59,22 @@ def test_alphabet_rejects_unknown_variables():
     with pytest.raises(ValueError):
         Series.variable(CTX, "u9")
     with pytest.raises(ValueError):
-        Series.variable(CTX, "z")  # this context has no z
+        Series.variable(CTX, "u1")
     with pytest.raises(ValueError):
         CTX.monomial(u={1: 1})
 
 
+def test_bound_zero_truncates_its_variable():
+    # z_max = 0 keeps z in the variable set but truncates it, like t at t_max = 0
+    assert CTX.z_max == 0
+    assert Series.variable(CTX, "z").is_zero()
+    t_free = TruncationContext(t_max=0, z_max=2, magnitude_max=0, max_edge_size=2)
+    assert Series.variable(t_free, "t").is_zero()
+    assert not Series.variable(t_free, "z").is_zero()
+
+
 def test_mixing_contexts_raises():
-    other = make_context(t_max=6, magnitude_max=5, max_edge_size=6)
+    other = TruncationContext(t_max=6, magnitude_max=5, max_edge_size=6)
     with pytest.raises(ContextMismatchError):
         T + Series.variable(other, "t")
 
@@ -183,7 +192,7 @@ def test_revert_catalan():
 
 def test_revert_rooted_labeled_trees():
     # inverse of t e^{-t} has [t^n] = n^{n-1}/n!
-    ctx = make_context(t_max=6, magnitude_max=0, max_edge_size=2)
+    ctx = TruncationContext(t_max=6, magnitude_max=0, max_edge_size=2)
     t = Series.variable(ctx, "t")
     g = revert(t * (-t).exp())
     for n in range(1, 7):
@@ -207,7 +216,7 @@ def test_revert_rejects_bad_input():
 
 # -- property tests -----------------------------------------------------------
 
-PCTX = make_context(t_max=4, magnitude_max=4, max_edge_size=4)
+PCTX = TruncationContext(t_max=4, magnitude_max=4, max_edge_size=4)
 
 _ADMISSIBLE = [
     Monomial(t, 0, (a, b, c))
@@ -269,12 +278,18 @@ def test_exp_is_a_homomorphism(a, b):
 @settings(max_examples=60, deadline=None)
 @given(series_terms, series_terms)
 def test_truncation_coherence(a, b):
-    small = make_context(t_max=2, magnitude_max=2, max_edge_size=4)
+    small = TruncationContext(t_max=2, magnitude_max=2, max_edge_size=4)
+
+    def cut(f):
+        return Series(small, f.terms())
+
     f, g = build(a), build(b)
-    assert (f * g).truncate_to(small) == f.truncate_to(small) * g.truncate_to(small)
-    assert (f + g).truncate_to(small) == f.truncate_to(small) + g.truncate_to(small)
+    assert cut(f * g) == cut(f) * cut(g)
+    assert cut(f + g) == cut(f) + cut(g)
     f0 = f - f.constant_term
-    assert f0.exp().truncate_to(small) == f0.truncate_to(small).exp()
+    assert cut(f0.exp()) == cut(f0).exp()
+    assert cut((1 + f0).log()) == cut(1 + f0).log()
+    assert cut((2 + f0).inverse()) == cut(2 + f0).inverse()
 
 
 @settings(max_examples=60, deadline=None)

@@ -322,6 +322,8 @@ def verify(
         raise click.UsageError("need --magnitude-max >= t_max - 1")
     if max_edge_size - 1 < magnitude_max:
         raise click.UsageError("need --max-edge-size > --magnitude-max")
+    if max_edge_size < 2:
+        raise click.UsageError("need --max-edge-size >= 2")
     ok, payload, lines = _run_verify(
         t_max, z_max, magnitude_max, max_edge_size, seed, trials, sub_trials, inject_fault
     )
@@ -349,6 +351,8 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
     """
     if t_max < 1:
         raise click.UsageError("need --t-max >= 1")
+    if z_max < 0:
+        raise click.UsageError("need --z-max >= 0")
     if order is None:
         order = t_max - 1
     if not 0 <= order <= t_max - 1:

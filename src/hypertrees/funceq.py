@@ -103,13 +103,21 @@ class PhiCoefficients:
     def from_json(cls, data: Mapping) -> "PhiCoefficients":
         entries: dict[tuple[int, int], Fraction] = {}
         for item in data["entries"]:
-            key = (int(item["m"]), int(item["n"]))
-            den = int(item.get("den", 1))
+            key = (_json_int(item["m"], "m"), _json_int(item["n"], "n"))
+            den = _json_int(item.get("den", 1), "den")
             if not den:
                 raise ValueError(f"entry {key} has a zero denominator")
-            c = Fraction(int(item["num"]), den)
+            c = Fraction(_json_int(item["num"], "num"), den)
             entries[key] = entries.get(key, Fraction(0)) + c
         return cls(entries)
+
+
+def _json_int(value: object, field: str) -> int:
+    """A field of a Phi entry, which must be a JSON integer."""
+    # bool is a subclass of int, but JSON true/false is not a number
+    if type(value) is not int:
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
 
 
 def random_phi(seed: int, max_weight: int = 4, include_constant: bool = False) -> PhiCoefficients:

@@ -57,10 +57,10 @@ def compute_C(ctx: TruncationContext) -> Series:
     _require_edge_variables_cover(ctx)
     terms = {}
     for p in iter_profiles(ctx.magnitude_max, max_size=ctx.max_edge_size):
-        u_degs = p.monomial(ctx).u_degs
+        u = dict(p.items())
         for k in range(ctx.t_max + 1):
             count = assignment_count(k, p)
-            terms[Monomial(k, 0, u_degs)] = Fraction(count, factorial(k) * p.factorial_norm())
+            terms[ctx.monomial(t=k, u=u)] = Fraction(count, factorial(k) * p.factorial_norm())
     return Series(ctx, terms).log()
 
 
@@ -133,13 +133,6 @@ class PipelineResult:
         return cls(ctx, C, T, compute_R(T))
 
 
-def egf_profile_coefficient(f: Series, n: int, profile: EdgeProfile) -> Fraction:
-    """Coefficient of (t^n/n!) (u^profile/profile!) in f."""
-    ctx = f.context
-    m = Monomial(n, 0, profile.monomial(ctx).u_degs)
-    return f.coefficient(m) * factorial(n) * profile.factorial_norm()
-
-
 # -- closed-form counts ------------------------------------------------------
 
 
@@ -197,7 +190,7 @@ def specialize_all_ones(P: PipelineResult) -> tuple[Series, Series]:
     def collapse(f: Series) -> Series:
         out: dict[Monomial, Fraction] = {}
         for m, c in f.terms():
-            key = Monomial(m.t_deg, 0, (0,))
+            key = tctx.monomial(t=m.t_deg)
             out[key] = out.get(key, Fraction(0)) + c
         return Series(tctx, out)
 
@@ -240,9 +233,6 @@ class IdentityReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[IdentityCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}

@@ -18,14 +18,11 @@ the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterator
 
 from . import _kernel_py
 from .combinat import part_multiplicities, partitions
-from .series import Monomial, Series, TruncationContext
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_N_MAX = 6
@@ -122,9 +119,6 @@ class EdgeProfile:
         for _, c in self.items():
             out *= factorial(c)
         return out
-
-    def monomial(self, ctx: TruncationContext) -> Monomial:
-        return ctx.monomial(u=dict(self.items()))
 
     def as_dict(self) -> dict[str, int]:
         return {f"u{size}": c for size, c in self.items()}
@@ -253,32 +247,6 @@ def assignment_count(n: int, profile: EdgeProfile) -> int:
     return total
 
 
-def enumerate_hypergraphs(
-    n: int,
-    profile: EdgeProfile,
-    budget: int = DEFAULT_BUDGET,
-    n_max: int = DEFAULT_N_MAX,
-) -> Iterator[Hypergraph]:
-    """Stream every labeled hypergraph with the given profile, deterministically.
-
-    Order: edge slots by size ascending then label, each slot running
-    through the lexicographically sorted vertex subsets.  Never samples;
-    raises BudgetExceededError up front when the full count is over budget.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > n_max:
-        raise ValueError(f"n = {n} exceeds the configured n_max = {n_max}")
-    required = assignment_count(n, profile)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-    choice_lists = [
-        list(combinations(range(1, n + 1), size)) for size in profile.sizes()
-    ]
-    for assignment in product(*choice_lists):
-        yield Hypergraph(n, tuple(assignment))
-
-
 @dataclass(frozen=True)
 class CountRow:
     """Classification counts for one (n, profile) cell."""
@@ -331,67 +299,6 @@ def count_sweep(
         for profile in iter_profiles(max_magnitude, max_size=n)
     ]
     return CountTable(tuple(rows))
-
-
-def magnitude_law_violations(rows: CountTable | tuple[CountRow, ...]) -> list[str]:
-    """Check the magnitude law against brute-force counts.
-
-    For every profile: connected hypergraphs need magnitude >= n - 1, and
-    magnitude == n - 1 holds exactly for the hypertrees.  Returns human
-    readable descriptions of any violations (empty means the law held).
-    """
-    out = []
-    rows = rows.rows if isinstance(rows, CountTable) else rows
-    for row in rows:
-        mag = row.profile.magnitude
-        floor = row.n - 1
-        if mag < floor and row.connected:
-            out.append(
-                f"n={row.n} {row.profile}: {row.connected} connected below magnitude {floor}"
-            )
-        if mag == floor and row.hypertree != row.connected:
-            out.append(
-                f"n={row.n} {row.profile}: {row.connected} connected vs "
-                f"{row.hypertree} hypertrees at magnitude {floor}"
-            )
-        if mag > floor and row.hypertree:
-            out.append(
-                f"n={row.n} {row.profile}: {row.hypertree} hypertrees above magnitude {floor}"
-            )
-    return out
-
-
-def oracle_polynomials(
-    n: int, ctx: TruncationContext, budget: int = DEFAULT_BUDGET
-) -> tuple[Series, Series]:
-    """(C_n, T_n): brute-force polynomials in the u-variables.
-
-    C_n collects connected counts over every profile within the context
-    magnitude bound, each divided by the label-class size so that the
-    coefficient of u^profile counts hypergraphs with indistinguishable
-    equal-size edges.  T_n keeps the magnitude n - 1 layer, counting
-    hypertrees; the magnitude law is asserted along the way.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    c_terms: dict[Monomial, Fraction] = {}
-    t_terms: dict[Monomial, Fraction] = {}
-    max_size = min(n, ctx.max_edge_size)
-    rows = []
-    for profile in iter_profiles(ctx.magnitude_max, max_size=max_size):
-        row = count_profile(n, profile, budget=budget)
-        rows.append(row)
-        if not row.connected:
-            continue
-        m = profile.monomial(ctx)
-        norm = Fraction(1, profile.factorial_norm())
-        c_terms[m] = row.connected * norm
-        if profile.magnitude == n - 1:
-            t_terms[m] = row.hypertree * norm
-    violations = magnitude_law_violations(tuple(rows))
-    if violations:
-        raise AssertionError("magnitude law failed: " + "; ".join(violations))
-    return Series(ctx, c_terms), Series(ctx, t_terms)
 
 
 # -- text fixture format ----------------------------------------------------

@@ -3,6 +3,8 @@
 Every series in this package lives over the same kind of variable set:
 the vertex-marking variable ``t``, an auxiliary variable ``z``, and edge
 variables ``u2 .. uM`` where ``u_i`` marks an edge with ``i`` vertices.
+A monomial is one flat exponent vector ``(t, z, u2, ..., uM)`` and a
+variable is its position in that vector: t is 0, z is 1 and u_i is i.
 A monomial carries a *magnitude* grading::
 
     magnitude(t^a z^b u2^c2 ... uM^cM) = sum((i - 1) * c_i)
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from operator import add
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -40,20 +44,31 @@ class OutOfContextError(ValueError):
     """Raised when a coefficient is requested outside the truncation bounds."""
 
 
-class Monomial(NamedTuple):
-    """Exponent vector ``(t_deg, z_deg, u_degs)``.
+class Monomial(tuple):
+    """Flat exponent vector ``(t, z, u2, ..., uM)``.
 
-    ``u_degs[j]`` is the exponent of ``u_{j+2}``.  Tuple ordering of the
-    fields doubles as the canonical term order of :meth:`Series.terms`.
+    Entry i >= 2 is the exponent of ``u_i``.  Tuple ordering doubles as
+    the canonical term order of :meth:`Series.terms`: by t, then z, then
+    the edge exponents.  The repr keeps the grouped form
+    ``Monomial(t_deg=.., z_deg=.., u_degs=(..))`` that reports print.
     """
 
-    t_deg: int
-    z_deg: int
-    u_degs: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def t_deg(self) -> int:
+        return self[0]
+
+    @property
+    def z_deg(self) -> int:
+        return self[1]
 
     @property
     def magnitude(self) -> int:
-        return sum(i * e for i, e in enumerate(self.u_degs, start=1))
+        return sum(i * e for i, e in enumerate(self[2:], start=1))
+
+    def __repr__(self) -> str:
+        return f"Monomial(t_deg={self[0]}, z_deg={self[1]}, u_degs={self[2:]})"
 
 
 @dataclass(frozen=True)
@@ -75,26 +90,20 @@ class TruncationContext:
         if min(self.t_max, self.z_max, self.magnitude_max) < 0:
             raise ValueError("truncation bounds must be non-negative")
 
-    @property
-    def u_count(self) -> int:
-        return self.max_edge_size - 1
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Variable names in exponent-vector order: t, z, u2 .. uM."""
+        return ("t", "z") + tuple(f"u{i}" for i in range(2, self.max_edge_size + 1))
 
-    def resolve(self, name: str) -> tuple[str, int]:
-        """Map a variable name to ``(kind, u_index)``; u_index is 0 unless kind is 'u'."""
-        if name in ("t", "z"):
-            return (name, 0)
-        if name.startswith("u") and name[1:].isdigit():
-            i = int(name[1:])
-            if 2 <= i <= self.max_edge_size:
-                return ("u", i)
-        raise ValueError(f"unknown variable {name!r}")
+    def index(self, name: str) -> int:
+        """Position of a variable in the exponent vector."""
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise ValueError(f"unknown variable {name!r}") from None
 
     def admits(self, m: Monomial) -> bool:
-        return (
-            m.t_deg <= self.t_max
-            and m.z_deg <= self.z_max
-            and m.magnitude <= self.magnitude_max
-        )
+        return m[0] <= self.t_max and m[1] <= self.z_max and m.magnitude <= self.magnitude_max
 
     def require(self, m: Monomial) -> None:
         if not self.admits(m):
@@ -105,7 +114,7 @@ class TruncationContext:
         return self.t_max + self.z_max + self.magnitude_max
 
     def unit_monomial(self) -> Monomial:
-        return Monomial(0, 0, (0,) * self.u_count)
+        return Monomial((0,) * len(self.names))
 
     def monomial(
         self, t: int = 0, z: int = 0, u: Mapping[int, int] | None = None
@@ -113,15 +122,15 @@ class TruncationContext:
         """Build a monomial, validating exponents against the edge variables."""
         if t < 0 or z < 0:
             raise ValueError("exponents must be non-negative")
-        degs = [0] * self.u_count
+        degs = [t, z] + [0] * (self.max_edge_size - 1)
         if u:
             for i, e in u.items():
                 if e < 0:
                     raise ValueError("exponents must be non-negative")
                 if not 2 <= i <= self.max_edge_size:
                     raise ValueError(f"no edge variable u{i} in the context")
-                degs[i - 2] = e
-        return Monomial(t, z, tuple(degs))
+                degs[i] = e
+        return Monomial(degs)
 
 
 class Series:
@@ -139,11 +148,12 @@ class Series:
         terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = (),
     ) -> None:
         data: dict[Monomial, Fraction] = {}
+        width = len(context.names)
         items = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in items:
             if not isinstance(m, Monomial):
                 raise TypeError(f"expected Monomial key, got {type(m).__name__}")
-            if len(m.u_degs) != context.u_count:
+            if len(m) != width:
                 raise ValueError("monomial does not match the context's edge variables")
             frac = Fraction(c)
             if frac and context.admits(m):
@@ -155,6 +165,14 @@ class Series:
                     del data[m]
         self.context = context
         self._terms = data
+
+    @staticmethod
+    def _trusted(context: TruncationContext, terms: dict[Monomial, Fraction]) -> "Series":
+        """Wrap terms that are already admissible, nonzero and Fraction-valued."""
+        result = Series.__new__(Series)
+        result.context = context
+        result._terms = terms
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -172,14 +190,9 @@ class Series:
 
     @classmethod
     def variable(cls, context: TruncationContext, name: str) -> "Series":
-        kind, idx = context.resolve(name)
-        if kind == "t":
-            m = context.monomial(t=1)
-        elif kind == "z":
-            m = context.monomial(z=1)
-        else:
-            m = context.monomial(u={idx: 1})
-        return cls(context, {m: Fraction(1)})
+        degs = [0] * len(context.names)
+        degs[context.index(name)] = 1
+        return cls(context, {Monomial(degs): Fraction(1)})
 
     @classmethod
     def term(cls, context: TruncationContext, m: Monomial, coeff: Scalar) -> "Series":
@@ -202,7 +215,7 @@ class Series:
         return self._terms.get(self.context.unit_monomial(), Fraction(0))
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """All terms in canonical order: sorted by (t_deg, z_deg, u_degs)."""
+        """All terms in canonical order: sorted by exponent vector."""
         return sorted(self._terms.items())
 
     def coefficient(self, m: Monomial) -> Fraction:
@@ -216,11 +229,7 @@ class Series:
 
     def t_coefficient(self, k: int) -> "Series":
         """The coefficient of t^k as a series in the remaining variables."""
-        out = {
-            Monomial(0, m.z_deg, m.u_degs): c
-            for m, c in self._terms.items()
-            if m.t_deg == k
-        }
+        out = {Monomial((0,) + m[1:]): c for m, c in self._terms.items() if m[0] == k}
         return Series(self.context, out)
 
     def __eq__(self, other: object) -> bool:
@@ -232,7 +241,8 @@ class Series:
 
     def __repr__(self) -> str:
         shown = self.terms()[:4]
-        body = " + ".join(_term_text(m, c) for m, c in shown) or "0"
+        names = self.context.names
+        body = " + ".join(_term_text(names, m, c) for m, c in shown) or "0"
         if self.n_terms > 4:
             body += f" + ... ({self.n_terms} terms)"
         return f"Series({body})"
@@ -257,19 +267,13 @@ class Series:
                 out[m] = new
             elif acc is not None:
                 del out[m]
-        result = Series.__new__(Series)
-        result.context = self.context
-        result._terms = out
-        return result
+        return Series._trusted(self.context, out)
 
     def __radd__(self, other: Scalar) -> "Series":
         return self.__add__(other)
 
     def __neg__(self) -> "Series":
-        result = Series.__new__(Series)
-        result.context = self.context
-        result._terms = {m: -c for m, c in self._terms.items()}
-        return result
+        return Series._trusted(self.context, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Series" | Scalar) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -284,42 +288,32 @@ class Series:
     def __mul__(self, other: "Series" | Scalar) -> "Series":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            result = Series.__new__(Series)
-            result.context = self.context
-            result._terms = {m: v * c for m, v in self._terms.items()} if c else {}
-            return result
+            return Series._trusted(
+                self.context, {m: v * c for m, v in self._terms.items()} if c else {}
+            )
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_context(other)
         ctx = self.context
         t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
-        # magnitudes are additive, so compute each factor's once
-        left = [(m, m.magnitude, c) for m, c in self._terms.items()]
-        right = [(m, m.magnitude, c) for m, c in other._terms.items()]
+        # all three gradings are additive, so read each factor's once
+        left = [(m, m[0], m[1], m.magnitude, c) for m, c in self._terms.items()]
+        right = [(m, m[0], m[1], m.magnitude, c) for m, c in other._terms.items()]
         if len(left) > len(right):
             left, right = right, left
         out: dict[Monomial, Fraction] = {}
-        for ma, maga, ca in left:
-            for mb, magb, cb in right:
-                if maga + magb > mag_max:
+        for ma, ta, za, maga, ca in left:
+            for mb, tb, zb, magb, cb in right:
+                if maga + magb > mag_max or ta + tb > t_max or za + zb > z_max:
                     continue
-                td = ma.t_deg + mb.t_deg
-                if td > t_max:
-                    continue
-                zd = ma.z_deg + mb.z_deg
-                if zd > z_max:
-                    continue
-                m = Monomial(td, zd, tuple(x + y for x, y in zip(ma.u_degs, mb.u_degs)))
+                m = Monomial(map(add, ma, mb))
                 acc = out.get(m)
                 new = ca * cb if acc is None else acc + ca * cb
                 if new:
                     out[m] = new
                 elif acc is not None:
                     del out[m]
-        result = Series.__new__(Series)
-        result.context = ctx
-        result._terms = out
-        return result
+        return Series._trusted(ctx, out)
 
     def __rmul__(self, other: Scalar) -> "Series":
         return self.__mul__(other)
@@ -344,44 +338,22 @@ class Series:
 
     def derivative(self, name: str) -> "Series":
         """Partial derivative; the result is truncated to the same context."""
-        kind, idx = self.context.resolve(name)
+        i = self.context.index(name)
         out: dict[Monomial, Fraction] = {}
         for m, c in self._terms.items():
-            if kind == "t":
-                e = m.t_deg
-                if e:
-                    out[Monomial(e - 1, m.z_deg, m.u_degs)] = c * e
-            elif kind == "z":
-                e = m.z_deg
-                if e:
-                    out[Monomial(m.t_deg, e - 1, m.u_degs)] = c * e
-            else:
-                e = m.u_degs[idx - 2]
-                if e:
-                    degs = list(m.u_degs)
-                    degs[idx - 2] = e - 1
-                    out[Monomial(m.t_deg, m.z_deg, tuple(degs))] = c * e
-        result = Series.__new__(Series)
-        result.context = self.context
-        result._terms = out
-        return result
+            e = m[i]
+            if e:
+                out[Monomial(m[:i] + (e - 1,) + m[i + 1:])] = c * e
+        return Series._trusted(self.context, out)
 
     def substitute(self, name: str, g: "Series") -> "Series":
         """Replace a variable by a series with zero constant term."""
         self._check_same_context(g)
-        kind, idx = self.context.resolve(name)
+        i = self.context.index(name)
         groups: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self._terms.items():
-            if kind == "t":
-                e, rest = m.t_deg, Monomial(0, m.z_deg, m.u_degs)
-            elif kind == "z":
-                e, rest = m.z_deg, Monomial(m.t_deg, 0, m.u_degs)
-            else:
-                e = m.u_degs[idx - 2]
-                degs = list(m.u_degs)
-                degs[idx - 2] = 0
-                rest = Monomial(m.t_deg, m.z_deg, tuple(degs))
-            bucket = groups.setdefault(e, {})
+            rest = Monomial(m[:i] + (0,) + m[i + 1:])
+            bucket = groups.setdefault(m[i], {})
             bucket[rest] = bucket.get(rest, Fraction(0)) + c
         # stop at the largest exponent present: higher powers would be wasted products
         top = max(groups, default=0)
@@ -391,11 +363,8 @@ class Series:
 
     def grade_filter(self, pred: Callable[[int, int], bool]) -> "Series":
         """Keep the terms whose (t_deg, magnitude) satisfy the predicate."""
-        kept = {m: c for m, c in self._terms.items() if pred(m.t_deg, m.magnitude)}
-        result = Series.__new__(Series)
-        result.context = self.context
-        result._terms = kept
-        return result
+        kept = {m: c for m, c in self._terms.items() if pred(m[0], m.magnitude)}
+        return Series._trusted(self.context, kept)
 
     def restrict(
         self,
@@ -410,12 +379,9 @@ class Series:
         kept = {
             m: c
             for m, c in self._terms.items()
-            if m.t_deg <= tb and m.z_deg <= zb and m.magnitude <= mb
+            if m[0] <= tb and m[1] <= zb and m.magnitude <= mb
         }
-        result = Series.__new__(Series)
-        result.context = self.context
-        result._terms = kept
-        return result
+        return Series._trusted(self.context, kept)
 
     # -- transcendental operations ------------------------------------------
 
@@ -470,25 +436,14 @@ class Series:
         """
         out: dict[Monomial, Fraction] = {}
         for m, c in self._terms.items():
-            if m.t_deg == 0:
+            if m[0] == 0:
                 raise ValueError("series is not divisible by t")
-            out[Monomial(m.t_deg - 1, m.z_deg, m.u_degs)] = c
-        result = Series.__new__(Series)
-        result.context = self.context
-        result._terms = out
-        return result
+            out[Monomial((m[0] - 1,) + m[1:])] = c
+        return Series._trusted(self.context, out)
 
 
-def _term_text(m: Monomial, c: Fraction) -> str:
-    factors = []
-    if m.t_deg:
-        factors.append("t" + (f"^{m.t_deg}" if m.t_deg > 1 else ""))
-    if m.z_deg:
-        factors.append("z" + (f"^{m.z_deg}" if m.z_deg > 1 else ""))
-    for j, e in enumerate(m.u_degs):
-        if e:
-            factors.append(f"u{j + 2}" + (f"^{e}" if e > 1 else ""))
-    body = "*".join(factors)
+def _term_text(names: Sequence[str], m: Monomial, c: Fraction) -> str:
+    body = "*".join(v + (f"^{e}" if e > 1 else "") for v, e in zip(names, m) if e)
     if not body:
         return str(c)
     if c == 1:
@@ -537,25 +492,3 @@ def revert(f: Series) -> Series:
         g = nxt
     raise RuntimeError("reversion iteration did not stabilize")
 
-
-def lagrange_revert(f: Series) -> Series:
-    """Compositional inverse via the Lagrange coefficient formula.
-
-    [y^n] g = (1/n) [t^(n-1)] (t/f)^n.  Slower than revert(); kept as an
-    independent route for cross-checking.
-    """
-    ctx = f.context
-    t_monomial = ctx.monomial(t=1)
-    if not f.coefficient(t_monomial):
-        raise ValueError("reversion needs a nonzero linear t-coefficient")
-    ratio_inv = f.divided_by_t().inverse()  # t/f
-    g = Series.zero(ctx)
-    power = Series.one(ctx)
-    for n in range(1, ctx.t_max + 1):
-        power = power * ratio_inv
-        slice_n = power.t_coefficient(n - 1)
-        if slice_n.is_zero():
-            continue
-        t_n = Series.term(ctx, ctx.monomial(t=n), Fraction(1, n))
-        g = g + t_n * slice_n
-    return g

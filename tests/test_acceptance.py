@@ -26,7 +26,6 @@ from hypertrees.gf import (
     T_from_R,
     compute_C,
     count_by_profile,
-    egf_profile_coefficient,
     solve_R_fixed_point,
     table_terms,
     verify_identities,
@@ -35,13 +34,12 @@ from hypertrees.hypergraphs import (
     EdgeProfile,
     count_profile,
     count_sweep,
-    enumerate_hypergraphs,
     is_connected,
     is_hypertree,
     iter_profiles,
-    magnitude_law_violations,
 )
 from hypertrees.series import TruncationContext, first_difference
+from oracles import egf_profile_coefficient, enumerate_hypergraphs, magnitude_law_violations
 
 SEEDS = tuple(range(42, 62))
 

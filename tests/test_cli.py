@@ -323,3 +323,14 @@ def test_psi_bad_inputs(runner, tmp_path):
     result = runner.invoke(main, ["psi", zero_den])
     assert result.exit_code == 2
     assert "Error: bad Phi file: entry (1, 0) has a zero denominator" in result.stderr
+    # JSON numbers that are not integers are refused, not rounded or coerced
+    for entry in (
+        {"m": 1, "n": 0, "num": 1.5},
+        {"m": 1.9, "n": 0, "num": 1},
+        {"m": 1, "n": 0, "num": True},
+        {"m": "1", "n": 0, "num": 1},
+        {"m": 1, "n": 0, "num": 1, "den": 2.7},
+    ):
+        result = runner.invoke(main, ["psi", _write_phi(tmp_path, [entry])])
+        assert result.exit_code == 2, entry
+        assert "Error: bad Phi file: field " in result.stderr, entry

@@ -37,7 +37,7 @@ def assert_contract(runs):
 def test_verify_boundary_grid():
     def runs():
         for t, z, m_edge, trials, sub in itertools.product(
-            range(1, 4), range(0, 3), range(2, 6), (0, 1), (0, 1)
+            range(1, 4), range(-1, 3), range(1, 6), (0, 1), (0, 1)
         ):
             base = ["verify", "--t-max", t, "--z-max", z, "--max-edge-size", m_edge,
                     "--trials", trials, "--sub-trials", sub]
@@ -80,7 +80,7 @@ def phi_paths(tmp_path_factory):
 
 def test_psi_boundary_grid(phi_paths):
     def runs():
-        for path, t, z in itertools.product(phi_paths, range(0, 4), range(0, 4)):
+        for path, t, z in itertools.product(phi_paths, range(0, 4), range(-1, 4)):
             base = ["psi", path, "--t-max", t, "--z-max", z]
             yield base
             for order in sorted({-1, 0, t - 1, t}):

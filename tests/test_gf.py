@@ -16,7 +16,6 @@ from hypertrees.gf import (
     compute_R,
     compute_T,
     count_by_profile,
-    egf_profile_coefficient,
     render_table,
     render_table_line,
     rooted_count_by_edges,
@@ -25,8 +24,9 @@ from hypertrees.gf import (
     table_terms,
     verify_identities,
 )
-from hypertrees.hypergraphs import EdgeProfile, count_profile, oracle_polynomials
+from hypertrees.hypergraphs import EdgeProfile, count_profile
 from hypertrees.series import Series, TruncationContext
+from oracles import egf_profile_coefficient, oracle_polynomials
 
 CTX = TruncationContext(t_max=6, magnitude_max=6, max_edge_size=8)
 

@@ -1,7 +1,9 @@
-"""Byte-exact stdout of the README examples, ``verify --json`` and ``psi``.
+"""Byte-exact stdout and exit code of the README examples, ``verify`` and ``psi``.
 
 The fixtures under data/golden were recorded from the command line; any
-change to the printed text or JSON of these runs fails here.
+change to the printed text or JSON of these runs fails here.  The two
+``--inject-fault`` runs pin the failure text, ``first diff at Monomial(...)``
+included, and exit 1.
 """
 
 from pathlib import Path
@@ -16,18 +18,21 @@ GOLDEN = DATA / "golden"
 PHI_C00 = str(DATA / "phi-c00.json")
 
 CASES = [
-    (["count", "--n", "6", "--profile", "u2=3,u3=1"], "count-n6-u2-3-u3-1.txt"),
-    (["table", "--max-n", "4"], "table-max-n4.txt"),
-    (["oracle", "--n", "4", "--profile", "u2=1,u3=1"], "oracle-n4-u2-1-u3-1.txt"),
-    (["verify", "--t-max", "6", "--z-max", "6"], "verify-t6-z6.txt"),
-    (["verify", "--t-max", "6", "--z-max", "6", "--json"], "verify-json-t6-z6.json"),
-    (["psi", PHI_C00, "--t-max", "8", "--z-max", "8"], "psi-c00-t8-z8.txt"),
-    (["psi", PHI_C00, "--t-max", "8", "--z-max", "8", "--json"], "psi-json-c00-t8-z8.json"),
+    (["count", "--n", "6", "--profile", "u2=3,u3=1"], 0, "count-n6-u2-3-u3-1.txt"),
+    (["table", "--max-n", "4"], 0, "table-max-n4.txt"),
+    (["oracle", "--n", "4", "--profile", "u2=1,u3=1"], 0, "oracle-n4-u2-1-u3-1.txt"),
+    (["verify", "--t-max", "6", "--z-max", "6"], 0, "verify-t6-z6.txt"),
+    (["verify", "--t-max", "6", "--z-max", "6", "--json"], 0, "verify-json-t6-z6.json"),
+    (["verify", "--t-max", "6", "--z-max", "6", "--inject-fault"], 1, "verify-fault-t6-z6.txt"),
+    (["verify", "--t-max", "6", "--z-max", "6", "--inject-fault", "--json"], 1,
+     "verify-fault-json-t6-z6.json"),
+    (["psi", PHI_C00, "--t-max", "8", "--z-max", "8"], 0, "psi-c00-t8-z8.txt"),
+    (["psi", PHI_C00, "--t-max", "8", "--z-max", "8", "--json"], 0, "psi-json-c00-t8-z8.json"),
 ]
 
 
-@pytest.mark.parametrize("args,fixture", CASES, ids=[name for _, name in CASES])
-def test_stdout_matches_golden(args, fixture):
+@pytest.mark.parametrize("args,exit_code,fixture", CASES, ids=[name for *_, name in CASES])
+def test_stdout_matches_golden(args, exit_code, fixture):
     result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == exit_code, result.output
     assert result.stdout_bytes == (GOLDEN / fixture).read_bytes()

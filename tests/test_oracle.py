@@ -18,16 +18,14 @@ from hypertrees.hypergraphs import (
     assignment_count,
     count_profile,
     count_sweep,
-    enumerate_hypergraphs,
     format_hypergraph,
     is_connected,
     is_hypertree,
     iter_profiles,
-    magnitude_law_violations,
-    oracle_polynomials,
     parse_hypergraph,
 )
 from hypertrees.series import TruncationContext
+from oracles import enumerate_hypergraphs, magnitude_law_violations, oracle_polynomials
 
 DATA = Path(__file__).parent / "data"
 

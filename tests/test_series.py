@@ -18,9 +18,9 @@ from hypertrees.series import (
     Series,
     TruncationContext,
     first_difference,
-    lagrange_revert,
     revert,
 )
+from oracles import lagrange_revert
 
 CTX = TruncationContext(t_max=6, magnitude_max=5, max_edge_size=5)
 T = Series.variable(CTX, "t")
@@ -219,7 +219,7 @@ def test_revert_rejects_bad_input():
 PCTX = TruncationContext(t_max=4, magnitude_max=4, max_edge_size=4)
 
 _ADMISSIBLE = [
-    Monomial(t, 0, (a, b, c))
+    Monomial((t, 0, a, b, c))
     for t in range(PCTX.t_max + 1)
     for a in range(PCTX.magnitude_max + 1)
     for b in range(PCTX.magnitude_max // 2 + 1)

@@ -76,6 +76,3 @@ class StirlingTable:
     def row(self, n: int) -> tuple[int, ...]:
         self._grow(n)
         return tuple(self._rows[n])
-
-    def bell(self, n: int) -> int:
-        return sum(self.row(n))

@@ -22,6 +22,13 @@ anywhere.
 All three gradings are additive and non-negative, which is what makes
 truncation coherent: any product of admissible monomials that lands back
 inside the bounds can only have used admissible factors.
+
+Products, exp, log and inverse share one term-pair loop.  exp, log and
+inverse run on the total grade t + z + magnitude, which only the unit
+monomial has at 0: they solve for the grade-d piece of the result from
+the pieces below it (the Euler-operator recurrences), about one product's
+work in all.  Substitution and the polynomial sums in :mod:`hypertrees.gf`
+go through :meth:`Series.power_sum`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -227,11 +233,6 @@ class Series:
         self.context.require(m)
         return self._terms.get(m, Fraction(0))
 
-    def t_coefficient(self, k: int) -> "Series":
-        """The coefficient of t^k as a series in the remaining variables."""
-        out = {Monomial((0,) + m[1:]): c for m, c in self._terms.items() if m[0] == k}
-        return Series(self.context, out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -294,26 +295,12 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_context(other)
-        ctx = self.context
-        t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
-        # all three gradings are additive, so read each factor's once
-        left = [(m, m[0], m[1], m.magnitude, c) for m, c in self._terms.items()]
-        right = [(m, m[0], m[1], m.magnitude, c) for m, c in other._terms.items()]
+        left, right = _graded(self._terms), _graded(other._terms)
         if len(left) > len(right):
             left, right = right, left
         out: dict[Monomial, Fraction] = {}
-        for ma, ta, za, maga, ca in left:
-            for mb, tb, zb, magb, cb in right:
-                if maga + magb > mag_max or ta + tb > t_max or za + zb > z_max:
-                    continue
-                m = Monomial(map(add, ma, mb))
-                acc = out.get(m)
-                new = ca * cb if acc is None else acc + ca * cb
-                if new:
-                    out[m] = new
-                elif acc is not None:
-                    del out[m]
-        return Series._trusted(ctx, out)
+        _mul_into(out, left, right, self.context)
+        return Series._trusted(self.context, out)
 
     def __rmul__(self, other: Scalar) -> "Series":
         return self.__mul__(other)
@@ -393,6 +380,11 @@ class Series:
         non-constant monomial has t + z + magnitude >= 1, so
         self^(grade_bound + 1) is zero and grade_bound + 1 coefficients
         always reach the end of the truncated series.
+
+        This serves true polynomial sums: :meth:`substitute` and the
+        u-weighted sums of R in :mod:`hypertrees.gf`.  exp, log and inverse
+        use their graded recurrences, which cost about one product where a
+        full sum costs up to grade_bound + 1.
         """
         if self.constant_term:
             raise ValueError("power sums need a series with zero constant term")
@@ -407,26 +399,75 @@ class Series:
                 result = result + (power * c if k else c)  # self^0 = 1 needs no product
         return result
 
+    def _grade_pieces(self) -> list[list[_Term]]:
+        """Terms split by total grade t + z + magnitude, 0 .. grade_bound."""
+        pieces: list[list[_Term]] = [[] for _ in range(self.context.grade_bound + 1)]
+        for term in _graded(self._terms):
+            pieces[term[1] + term[2] + term[3]].append(term)
+        return pieces
+
     def exp(self) -> "Series":
-        """exp(f) for f with zero constant term."""
-        n = self.context.grade_bound + 1
-        return self.power_sum([Fraction(1, factorial(k)) for k in range(n)])
+        """exp(f) for f with zero constant term.
+
+        Grade by grade, d g_d = sum_{k=1..d} k f_k g_(d-k), with g_0 = 1.
+        """
+        if self.constant_term:
+            raise ValueError("power sums need a series with zero constant term")
+        ctx = self.context
+        kf = [[(m, t, z, mag, k * c) for m, t, z, mag, c in piece]
+              for k, piece in enumerate(self._grade_pieces())]
+        result = {ctx.unit_monomial(): Fraction(1)}
+        g = [_graded(result)]
+        for d in range(1, len(kf)):
+            out: dict[Monomial, Fraction] = {}
+            for k in range(1, d + 1):
+                _mul_into(out, kf[k], g[d - k], ctx)
+            g_d = {m: v / d for m, v in out.items()}
+            result.update(g_d)
+            g.append(_graded(g_d))
+        return Series._trusted(ctx, result)
 
     def log(self) -> "Series":
-        """log(f) for f with constant term 1."""
+        """log(f) for f with constant term 1.
+
+        Grade by grade, d L_d = d f_d - sum_{k=1..d-1} k L_k f_(d-k).
+        """
         if self.constant_term != 1:
             raise ValueError("log needs a series with constant term 1")
-        n = self.context.grade_bound + 1
-        coeffs = [Fraction((-1) ** (k + 1), k) if k else 0 for k in range(n)]
-        return (self - 1).power_sum(coeffs)
+        ctx = self.context
+        f = self._grade_pieces()
+        result: dict[Monomial, Fraction] = {}
+        neg_kL: list[list[_Term]] = [[]]  # -k L_k, so the product loop only adds
+        for d in range(1, len(f)):
+            out = {m: d * c for m, _, _, _, c in f[d]}
+            for k in range(1, d):
+                _mul_into(out, neg_kL[k], f[d - k], ctx)
+            result.update((m, v / d) for m, v in out.items())
+            neg_kL.append(_graded({m: -v for m, v in out.items()}))
+        return Series._trusted(ctx, result)
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse of a unit (nonzero constant term) series."""
+        """Multiplicative inverse of a unit (nonzero constant term) series.
+
+        With c = f_0, grade by grade g_d = -(1/c) sum_{k=1..d} f_k g_(d-k)
+        and g_0 = 1/c.
+        """
         c = self.constant_term
         if not c:
             raise ValueError("inverse needs a nonzero constant term")
-        n = self.context.grade_bound + 1
-        return (self / c - 1).power_sum([(-1) ** k for k in range(n)]) / c
+        ctx = self.context
+        scale = -1 / c
+        nf = [[(m, t, z, mag, a * scale) for m, t, z, mag, a in piece]
+              for piece in self._grade_pieces()]
+        result = {ctx.unit_monomial(): 1 / c}
+        g = [_graded(result)]
+        for d in range(1, len(nf)):
+            g_d: dict[Monomial, Fraction] = {}
+            for k in range(1, d + 1):
+                _mul_into(g_d, nf[k], g[d - k], ctx)
+            result.update(g_d)
+            g.append(_graded(g_d))
+        return Series._trusted(ctx, result)
 
     def divided_by_t(self) -> "Series":
         """Shift t-degrees down by one; every term must be divisible by t.
@@ -440,6 +481,40 @@ class Series:
                 raise ValueError("series is not divisible by t")
             out[Monomial((m[0] - 1,) + m[1:])] = c
         return Series._trusted(self.context, out)
+
+
+_Term = tuple[Monomial, int, int, int, Fraction]  # monomial, t, z, magnitude, coefficient
+
+
+def _graded(terms: Mapping[Monomial, Fraction]) -> list[_Term]:
+    """Terms with their three gradings read once, for :func:`_mul_into`."""
+    return [(m, m[0], m[1], m.magnitude, c) for m, c in terms.items()]
+
+
+def _mul_into(
+    out: dict[Monomial, Fraction],
+    left: Sequence[_Term],
+    right: Sequence[_Term],
+    ctx: TruncationContext,
+) -> None:
+    """Add every in-context product of a left and a right term into out.
+
+    This is the one term-pair loop: ``*``, exp, log and inverse all
+    multiply through it.  The gradings are additive, so the bound checks
+    need no monomial.
+    """
+    t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
+    for ma, ta, za, maga, ca in left:
+        for mb, tb, zb, magb, cb in right:
+            if maga + magb > mag_max or ta + tb > t_max or za + zb > z_max:
+                continue
+            m = Monomial(map(add, ma, mb))
+            acc = out.get(m)
+            new = ca * cb if acc is None else acc + ca * cb
+            if new:
+                out[m] = new
+            elif acc is not None:
+                del out[m]
 
 
 def _term_text(names: Sequence[str], m: Monomial, c: Fraction) -> str:

@@ -2,8 +2,9 @@
 
 Nothing in the library calls these: each one recomputes a result by a
 second, independent method (Lagrange inversion in place of fixed-point
-reversion, explicit enumeration in place of the counting kernel), so it
-lives with the tests that use it as a reference.
+reversion, explicit enumeration in place of the counting kernel, full
+power sums in place of the graded exp, log and inverse recurrences), so
+it lives with the tests that use it as a reference.
 """
 
 from __future__ import annotations
@@ -28,6 +29,36 @@ from hypertrees.hypergraphs import (
 from hypertrees.series import Monomial, Series, TruncationContext
 
 
+def t_coefficient(f: Series, k: int) -> Series:
+    """The coefficient of t^k in f as a series in the remaining variables."""
+    out = {Monomial((0,) + m[1:]): c for m, c in f.terms() if m[0] == k}
+    return Series(f.context, out)
+
+
+def exp_by_power_sum(f: Series) -> Series:
+    """exp(f) for f with zero constant term."""
+    n = f.context.grade_bound + 1
+    return f.power_sum([Fraction(1, factorial(k)) for k in range(n)])
+
+
+def log_by_power_sum(f: Series) -> Series:
+    """log(f) for f with constant term 1."""
+    if f.constant_term != 1:
+        raise ValueError("log needs a series with constant term 1")
+    n = f.context.grade_bound + 1
+    coeffs = [Fraction((-1) ** (k + 1), k) if k else 0 for k in range(n)]
+    return (f - 1).power_sum(coeffs)
+
+
+def inverse_by_power_sum(f: Series) -> Series:
+    """Multiplicative inverse of a unit (nonzero constant term) series."""
+    c = f.constant_term
+    if not c:
+        raise ValueError("inverse needs a nonzero constant term")
+    n = f.context.grade_bound + 1
+    return (f / c - 1).power_sum([(-1) ** k for k in range(n)]) / c
+
+
 def lagrange_revert(f: Series) -> Series:
     """Compositional inverse via the Lagrange coefficient formula.
 
@@ -43,7 +74,7 @@ def lagrange_revert(f: Series) -> Series:
     power = Series.one(ctx)
     for n in range(1, ctx.t_max + 1):
         power = power * ratio_inv
-        slice_n = power.t_coefficient(n - 1)
+        slice_n = t_coefficient(power, n - 1)
         if slice_n.is_zero():
             continue
         t_n = Series.term(ctx, ctx.monomial(t=n), Fraction(1, n))

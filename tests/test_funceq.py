@@ -90,6 +90,17 @@ def test_lhs_matches_reference_implementation(seed):
     assert got == reference
 
 
+@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+def test_lhs_k_sum_cut_at_t_max_is_exact(seed):
+    # the summands past k = t_max have t-degree > t_max, so cutting the sum
+    # there changes no coefficient, the top t-layer included
+    phi = random_phi(seed)
+    for K in range(CTX.t_max + 1):
+        small = TruncationContext(t_max=K, z_max=CTX.z_max, magnitude_max=0, max_edge_size=2)
+        big = TruncationContext(t_max=K + 1, z_max=CTX.z_max, magnitude_max=0, max_edge_size=2)
+        assert lhs_series(phi, small) == Series(small, lhs_series(phi, big).terms())
+
+
 # -- the coefficient array -------------------------------------------------------
 
 

@@ -2,10 +2,12 @@
 
 Frozen reference values come with an independent route next to them:
 reversions are re-checked by composing back, exp by its defining sum,
-and the two reversion algorithms are held against each other.
+the two reversion algorithms are held against each other, and the graded
+exp, log and inverse against their full power-sum twins.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -20,7 +22,13 @@ from hypertrees.series import (
     first_difference,
     revert,
 )
-from oracles import lagrange_revert
+from oracles import (
+    exp_by_power_sum,
+    inverse_by_power_sum,
+    lagrange_revert,
+    log_by_power_sum,
+    t_coefficient,
+)
 
 CTX = TruncationContext(t_max=6, magnitude_max=5, max_edge_size=5)
 T = Series.variable(CTX, "t")
@@ -105,9 +113,9 @@ def test_coefficient_in_and_out_of_context():
 
 def test_t_coefficient_slices():
     f = T * U2 + T * U3 + T**2
-    slice1 = f.t_coefficient(1)
+    slice1 = t_coefficient(f, 1)
     assert slice1 == U2 + U3
-    assert f.t_coefficient(5).is_zero()
+    assert t_coefficient(f, 5).is_zero()
 
 
 def test_derivative_basics():
@@ -314,3 +322,54 @@ def test_reversion_routes_agree(a, c1):
     g = revert(f)
     assert f.substitute("t", g) == t
     assert lagrange_revert(f) == g
+
+
+# -- graded recurrences against their power-sum twins ---------------------------
+
+_TWIN_CONTEXTS = [
+    TruncationContext(t_max=4, z_max=4, magnitude_max=0, max_edge_size=2),  # psi's shape
+    TruncationContext(t_max=3, z_max=0, magnitude_max=3, max_edge_size=4),
+    TruncationContext(t_max=2, z_max=2, magnitude_max=2, max_edge_size=3),
+    TruncationContext(t_max=0, z_max=0, magnitude_max=0, max_edge_size=2),  # grade bound 0
+]
+
+
+def _admissible(ctx):
+    ranges = [range(ctx.t_max + 1), range(ctx.z_max + 1)]
+    ranges += [range(ctx.magnitude_max // (i - 1) + 1) for i in range(2, ctx.max_edge_size + 1)]
+    return [m for m in map(Monomial, product(*ranges)) if ctx.admits(m)]
+
+
+def _twin_series(ctx):
+    terms = st.dictionaries(st.sampled_from(_admissible(ctx)), coeffs, max_size=8)
+    return terms.map(lambda t: Series(ctx, t))
+
+
+twin_cases = st.sampled_from(_TWIN_CONTEXTS).flatmap(_twin_series)
+units = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_cases, units)
+def test_graded_maps_equal_power_sums(f, c):
+    f0 = f - f.constant_term
+    assert f0.exp() == exp_by_power_sum(f0)
+    assert (1 + f0).log() == log_by_power_sum(1 + f0)
+    assert (c + f0).inverse() == inverse_by_power_sum(c + f0)
+
+
+@pytest.mark.parametrize(
+    "graded, twin, f",
+    [
+        (Series.exp, exp_by_power_sum, 1 + T),
+        (Series.log, log_by_power_sum, T),
+        (Series.log, log_by_power_sum, 2 + T),
+        (Series.inverse, inverse_by_power_sum, T + U2),
+    ],
+)
+def test_graded_maps_reject_like_power_sums(graded, twin, f):
+    with pytest.raises(ValueError) as new:
+        graded(f)
+    with pytest.raises(ValueError) as old:
+        twin(f)
+    assert str(new.value) == str(old.value)

@@ -23,12 +23,12 @@ All three gradings are additive and non-negative, which is what makes
 truncation coherent: any product of admissible monomials that lands back
 inside the bounds can only have used admissible factors.
 
-Products, exp, log and inverse share one term-pair loop.  exp, log and
-inverse run on the total grade t + z + magnitude, which only the unit
-monomial has at 0: they solve for the grade-d piece of the result from
-the pieces below it (the Euler-operator recurrences), about one product's
-work in all.  Substitution and the polynomial sums in :mod:`hypertrees.gf`
-go through :meth:`Series.power_sum`.
+Products, exp and log share one term-pair loop.  exp and log run on the
+total grade t + z + magnitude, which only the unit monomial has at 0:
+they solve for the grade-d piece of the result from the pieces below it
+(the Euler-operator recurrences), about one product's work in all, and
+inverse is exp(-log(f/c)) / c.  Substitution and the polynomial sums in
+:mod:`hypertrees.gf` go through :meth:`Series.power_sum`.
 """
 
 from __future__ import annotations
@@ -382,9 +382,9 @@ class Series:
         always reach the end of the truncated series.
 
         This serves true polynomial sums: :meth:`substitute` and the
-        u-weighted sums of R in :mod:`hypertrees.gf`.  exp, log and inverse
-        use their graded recurrences, which cost about one product where a
-        full sum costs up to grade_bound + 1.
+        u-weighted sums of R in :mod:`hypertrees.gf`.  exp and log use their
+        graded recurrences, which cost about one product where a full sum
+        costs up to grade_bound + 1, and inverse is built from the two.
         """
         if self.constant_term:
             raise ValueError("power sums need a series with zero constant term")
@@ -449,25 +449,12 @@ class Series:
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term) series.
 
-        With c = f_0, grade by grade g_d = -(1/c) sum_{k=1..d} f_k g_(d-k)
-        and g_0 = 1/c.
+        With c = f_0, 1/f = exp(-log(f/c)) / c.
         """
         c = self.constant_term
         if not c:
             raise ValueError("inverse needs a nonzero constant term")
-        ctx = self.context
-        scale = -1 / c
-        nf = [[(m, t, z, mag, a * scale) for m, t, z, mag, a in piece]
-              for piece in self._grade_pieces()]
-        result = {ctx.unit_monomial(): 1 / c}
-        g = [_graded(result)]
-        for d in range(1, len(nf)):
-            g_d: dict[Monomial, Fraction] = {}
-            for k in range(1, d + 1):
-                _mul_into(g_d, nf[k], g[d - k], ctx)
-            result.update(g_d)
-            g.append(_graded(g_d))
-        return Series._trusted(ctx, result)
+        return (-(self / c).log()).exp() / c
 
     def divided_by_t(self) -> "Series":
         """Shift t-degrees down by one; every term must be divisible by t.
@@ -499,8 +486,8 @@ def _mul_into(
 ) -> None:
     """Add every in-context product of a left and a right term into out.
 
-    This is the one term-pair loop: ``*``, exp, log and inverse all
-    multiply through it.  The gradings are additive, so the bound checks
+    This is the one term-pair loop: ``*``, exp and log all multiply
+    through it.  The gradings are additive, so the bound checks
     need no monomial.
     """
     t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max

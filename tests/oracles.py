@@ -3,8 +3,9 @@
 Nothing in the library calls these: each one recomputes a result by a
 second, independent method (Lagrange inversion in place of fixed-point
 reversion, explicit enumeration in place of the counting kernel, full
-power sums in place of the graded exp, log and inverse recurrences), so
-it lives with the tests that use it as a reference.
+power sums in place of the graded exp and log recurrences and the
+inverse built from them), so it lives with the tests that use it as a
+reference.
 """
 
 from __future__ import annotations

@@ -16,14 +16,12 @@ import click
 from . import __version__
 from .funceq import (
     PhiCoefficients,
-    diagonal_mismatches,
+    check_phi,
     hypertree_dictionary_report,
     lhs_series,
-    psi_from_phi,
     psi_uv_coefficients,
     random_phi,
     substituted_connected_gf,
-    verify_psi_form,
 )
 from .gf import (
     PipelineResult,
@@ -33,6 +31,7 @@ from .gf import (
     count_by_profile,
     rooted_count_by_edges,
     render_table,
+    solve_R_fixed_point,
     status_tag,
     table_terms,
     verify_identities,
@@ -211,25 +210,20 @@ def _run_verify(
         bad_C = P.C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
         bad_T = compute_T(bad_C)
         P = PipelineResult(ctx, bad_C, bad_T, compute_R(bad_T))
-    identity_report = verify_identities(P)
+    fixed = solve_R_fixed_point(ctx)
+    identity_report = verify_identities(P, fixed)
     payload["identities"] = identity_report.as_dict()
     lines.extend(identity_report.summary_lines())
 
-    dictionary_report = hypertree_dictionary_report(ctx)
+    dictionary_report = hypertree_dictionary_report(fixed)
     payload["dictionary"] = dictionary_report.as_dict()
     lines.extend(dictionary_report.summary_lines())
 
-    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
-    ctx_diag = TruncationContext(t_max=t_max, magnitude_max=0, max_edge_size=2)
     vanishing_ok = True
     diagonal_ok = True
     vanishing_rows = []
     for i in range(trials):
-        phi = random_phi(seed + i)
-        L = lhs_series(phi, ctx_tz)
-        report = verify_psi_form(L)
-        pair = psi_from_phi(phi.phi_series(ctx_diag), order=max(t_max - 1, 0))
-        mismatches = diagonal_mismatches(pair, L)
+        _, report, _, mismatches = check_phi(random_phi(seed + i), t_max, z_max, t_max - 1)
         vanishing_ok = vanishing_ok and report.ok
         diagonal_ok = diagonal_ok and not mismatches
         vanishing_rows.append(
@@ -363,12 +357,7 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         except (KeyError, ValueError, TypeError) as exc:
             raise click.UsageError(f"bad Phi file: {exc}") from exc
     c00, reduced = phi.without_constant()
-    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
-    L = lhs_series(reduced, ctx_tz)
-    vanishing = verify_psi_form(L)
-    ctx_diag = TruncationContext(t_max=order + 1, magnitude_max=0, max_edge_size=2)
-    pair = psi_from_phi(reduced.phi_series(ctx_diag), order=order)
-    mismatches = diagonal_mismatches(pair, L)
+    L, vanishing, pair, mismatches = check_phi(reduced, t_max, z_max, order)
     payload = {
         "log_t_scale": {"num": c00.numerator, "den": c00.denominator},
         "order": order,

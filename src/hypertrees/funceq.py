@@ -19,7 +19,8 @@ diagonal statements are invariant under that rescaling.
 
 The same machinery specializes to the hypergraph series: writing
 phi(w) = sum_j u_{j+1} w^j/(j+1)! makes the reversion pair reproduce the
-rooted and unrooted hypertree series R and T.
+rooted and unrooted hypertree series R and T.  Both sides of the pair
+come from :func:`hypertrees.gf.phi_maps`, the maps that build R and T.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import factorial
 from typing import Mapping
 
 from .combinat import StirlingTable
-from .gf import IdentityReport, T_from_R, identity_check, solve_R_fixed_point
+from .gf import IdentityReport, T_from_R, edge_symbol_phi, identity_check, phi_maps
 from .series import Series, TruncationContext, revert
 
 
@@ -58,14 +59,6 @@ class PhiCoefficients:
     @property
     def constant_term(self) -> Fraction:
         return self.coefficient(0, 0)
-
-    @property
-    def max_weight(self) -> int:
-        """The largest m + n over the support (0 for the zero array)."""
-        return max((m + n for (m, n) in self._entries), default=0)
-
-    def is_zero(self) -> bool:
-        return not self._entries
 
     def without_constant(self) -> tuple[Fraction, "PhiCoefficients"]:
         """(c00, reduced array); the reduction only rescales t in L."""
@@ -120,15 +113,18 @@ def _json_int(value: object, field: str) -> int:
     return value
 
 
-def random_phi(seed: int, max_weight: int = 4, include_constant: bool = False) -> PhiCoefficients:
-    """Deterministic fuzz array: for each (m, n) with m + n <= max_weight in
+_RANDOM_PHI_WEIGHT = 4
+
+
+def random_phi(seed: int, include_constant: bool = False) -> PhiCoefficients:
+    """Deterministic fuzz array: for each (m, n) with m + n <= 4 in
     lexicographic order, draw numerator from -2..2 and denominator from
     {1, 2, 3} with random.Random(seed).  The (0, 0) draw is made either way
     so the remaining coefficients do not depend on include_constant."""
     rng = random.Random(seed)
     entries: dict[tuple[int, int], Fraction] = {}
-    for m in range(max_weight + 1):
-        for n in range(max_weight - m + 1):
+    for m in range(_RANDOM_PHI_WEIGHT + 1):
+        for n in range(_RANDOM_PHI_WEIGHT - m + 1):
             num = rng.randint(-2, 2)
             den = rng.choice((1, 2, 3))
             if (m, n) == (0, 0) and not include_constant:
@@ -231,7 +227,6 @@ class PSeriesFamily:
     change k^l = sum_m S(l, m) m! binom(k, m).
     """
 
-    j_max: int
     coeffs: dict[tuple[int, int], Fraction]
 
     def p(self, m: int, i: int) -> Fraction:
@@ -269,13 +264,13 @@ def phi_to_P(phi: PhiCoefficients, j_max: int) -> PSeriesFamily:
                     total += table.stirling2(l, m) * factorial(m) * c
             if total:
                 coeffs[(m, i)] = total
-    return PSeriesFamily(j_max=j_max, coeffs=coeffs)
+    return PSeriesFamily(coeffs)
 
 
 def substituted_connected_gf(
-    phi: PhiCoefficients, ctx: TruncationContext, C: Series | None = None
+    phi: PhiCoefficients, ctx: TruncationContext, C: Series
 ) -> Series:
-    """Apply the substitution family to the connected-hypergraph series.
+    """Apply the substitution family to C, the connected-hypergraph series at ctx.
 
     Needs magnitude_max >= z_max: a dropped magnitude layer could only
     produce z-degrees beyond z_max, so nothing inside the window is lost.
@@ -285,10 +280,6 @@ def substituted_connected_gf(
         raise ValueError("constant term must be zero; use without_constant()")
     if ctx.magnitude_max < ctx.z_max:
         raise ValueError("need magnitude_max >= z_max for an exact substitution")
-    from .gf import compute_C
-
-    if C is None:
-        C = compute_C(ctx)
     family = phi_to_P(phi, j_max=ctx.z_max)
     g = C
     for m in range(2, ctx.max_edge_size + 1):
@@ -325,11 +316,9 @@ def psi_from_phi(phi: Series, order: int) -> PhiPsiPair:
         raise ValueError("context must hold t-degrees through order + 1")
     if phi.constant_term:
         raise ValueError("phi needs a zero constant term")
-    w = Series.variable(ctx, "t")
-    dphi = phi.derivative("t")
-    forward = w * (-(phi + w * dphi)).exp()
-    w_of_y = revert(forward)
-    y_psi = w_of_y - w_of_y * w_of_y * dphi.substitute("t", w_of_y)
+    exponent, y_psi_of_w = phi_maps(phi)
+    w_of_y = revert(Series.variable(ctx, "t") * (-exponent).exp())
+    y_psi = y_psi_of_w.substitute("t", w_of_y)
     psi = y_psi.divided_by_t().restrict(t_max=order)
     return PhiPsiPair(phi=phi, w=w_of_y, y_psi=y_psi, psi=psi, order=order)
 
@@ -350,19 +339,23 @@ def diagonal_mismatches(
     return out
 
 
-def edge_symbol_phi(ctx: TruncationContext) -> Series:
-    """phi(w) = sum_j u_{j+1} w^j/(j+1)!, the weights under which the
-    reversion pair carries the hypertree series."""
-    terms = {}
-    for j in range(1, ctx.max_edge_size):
-        terms[ctx.monomial(t=j, u={j + 1: 1})] = Fraction(1, factorial(j + 1))
-    return Series(ctx, terms)
+def check_phi(
+    phi: PhiCoefficients, t_max: int, z_max: int, order: int
+) -> tuple[Series, VanishingReport, PhiPsiPair, list[tuple[int, Fraction, Fraction]]]:
+    """(L, its vanishing report, the reversion pair, the diagonal mismatches)
+    for one reduced array: L through t^t_max z^z_max, psi through y^order."""
+    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
+    L = lhs_series(phi, ctx_tz)
+    ctx_diag = TruncationContext(t_max=order + 1, magnitude_max=0, max_edge_size=2)
+    pair = psi_from_phi(phi.phi_series(ctx_diag), order=order)
+    return L, verify_psi_form(L), pair, diagonal_mismatches(pair, L)
 
 
-def hypertree_dictionary_report(ctx: TruncationContext) -> IdentityReport:
+def hypertree_dictionary_report(R: Series) -> IdentityReport:
     """The reversion route against the fixed-point route: w(y) must equal
-    the rooted series R and w - w^2 phi'(w) the unrooted series T."""
-    R = solve_R_fixed_point(ctx)
+    the rooted series R from :func:`hypertrees.gf.solve_R_fixed_point` and
+    w - w^2 phi'(w) the unrooted series T."""
+    ctx = R.context
     T = T_from_R(R)
     pair = psi_from_phi(edge_symbol_phi(ctx), order=max(ctx.t_max - 1, 0))
     checks = (

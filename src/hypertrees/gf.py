@@ -10,7 +10,9 @@ vertices and u_i marking i-vertex edges.  Every monomial of the t^n/n!
 layer has magnitude at least n - 1, and the magnitude n - 1 layer T is
 the hypertree generating function.  R = t dT/dt marks a root vertex and
 satisfies the fixed point R = t * exp(sum_j u_{j+1} R^j / j!), from which
-T is recovered as R - sum_j (j-1) u_j R^j / j!.
+T is recovered as R - sum_j (j-1) u_j R^j / j!.  Both sums are one map
+each of the edge weights phi(w) = sum_j u_{j+1} w^j / (j+1)!, composed
+with R: phi + w phi' and w - w^2 phi'.
 
 Everything is exact; identities are verified as equalities of truncated
 series on the region where both sides are fully determined by the
@@ -73,7 +75,7 @@ def compute_T(C: Series) -> Series:
     ctx = C.context
     if ctx.magnitude_max < ctx.t_max - 1:
         raise ValueError("need magnitude_max >= t_max - 1 for a complete hypertree layer")
-    return C.grade_filter(lambda t_deg, mag: mag == t_deg - 1)
+    return Series(ctx, [(m, c) for m, c in C.terms() if m.magnitude == m.t_deg - 1])
 
 
 def compute_R(T: Series) -> Series:
@@ -81,18 +83,36 @@ def compute_R(T: Series) -> Series:
     return Series.variable(T.context, "t") * T.derivative("t")
 
 
+def edge_symbol_phi(ctx: TruncationContext) -> Series:
+    """phi(w) = sum_j u_{j+1} w^j/(j+1)!, the edge weights in the t-slot."""
+    terms = {}
+    for j in range(1, ctx.max_edge_size):
+        terms[ctx.monomial(t=j, u={j + 1: 1})] = Fraction(1, factorial(j + 1))
+    return Series(ctx, terms)
+
+
+def phi_maps(phi: Series) -> tuple[Series, Series]:
+    """(phi + w phi', w - w^2 phi') for phi in the t-slot, with w = t.
+
+    These are the two sides of the reversion pair y = w exp(-phi - w phi')
+    and y psi(y) = w - w^2 phi'.  Under :func:`edge_symbol_phi` they are
+    sum_j u_{j+1} w^j/j! and w - sum_j (j-1) u_j w^j/j!.
+    """
+    w = Series.variable(phi.context, "t")
+    w_dphi = w * phi.derivative("t")
+    return phi + w_dphi, w - w * w_dphi
+
+
 def rooted_edge_argument(R: Series) -> Series:
     """sum_j u_{j+1} R^j / j!, the exponent of the rooted fixed point.
 
-    j stops at the largest edge variable, at magnitude_max (u_{j+1} has
-    magnitude j) and at t_max - 1: R^j has t-degree at least j, so the
+    The map is cut at w^(t_max - 1): R^j has t-degree at least j, so the
     j = t_max term lands beyond t_max once the fixed point multiplies it
     by t, and the rooted-ratio check compares t-degrees up to t_max - 1.
     """
     ctx = R.context
-    j_top = min(ctx.max_edge_size - 1, ctx.t_max - 1, ctx.magnitude_max)
-    u = [Series.variable(ctx, f"u{j + 1}") / factorial(j) for j in range(1, j_top + 1)]
-    return R.power_sum([0] + u)
+    rooted, _ = phi_maps(edge_symbol_phi(ctx))
+    return rooted.restrict(t_max=ctx.t_max - 1).substitute("t", R)
 
 
 def solve_R_fixed_point(ctx: TruncationContext) -> Series:
@@ -111,10 +131,8 @@ def solve_R_fixed_point(ctx: TruncationContext) -> Series:
 
 def T_from_R(R: Series) -> Series:
     """Unrooted form: T = R - sum_{j>=2} (j-1) u_j R^j / j!."""
-    ctx = R.context
-    top = min(ctx.max_edge_size, ctx.t_max)
-    u = [Series.variable(ctx, f"u{j}") * Fraction(1 - j, factorial(j)) for j in range(2, top + 1)]
-    return R.power_sum([0, 1] + u)
+    _, unrooted = phi_maps(edge_symbol_phi(R.context))
+    return unrooted.substitute("t", R)
 
 
 @dataclass(frozen=True)
@@ -268,8 +286,11 @@ def identity_check(
     return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
 
 
-def verify_identities(P: PipelineResult) -> IdentityReport:
+def verify_identities(P: PipelineResult, fixed: Series) -> IdentityReport:
     """Exact structural identities tying C, T and R together.
+
+    fixed is :func:`solve_R_fixed_point` at P's context; the caller solves
+    it once and shares it with the dictionary report.
 
     Differentiating by u_j can only be trusted where the argument kept
     the extra magnitude j - 1, so the C-side checks shrink their
@@ -287,7 +308,7 @@ def verify_identities(P: PipelineResult) -> IdentityReport:
     t_dCdt = t * dCdt
     dCdu = {j: C.derivative(f"u{j}") for j in range(2, j_top + 1)}
 
-    rhs = (t * t) * (dCdt * dCdt + C.derivative("t").derivative("t")) / 2
+    rhs = (t * t) * (dCdt * dCdt + dCdt.derivative("t")) / 2
     checks.append(
         identity_check(
             "connected-2edge",
@@ -365,7 +386,6 @@ def verify_identities(P: PipelineResult) -> IdentityReport:
         )
     )
 
-    fixed = solve_R_fixed_point(ctx)
     checks.append(
         identity_check(
             "rooted-fixed-point",

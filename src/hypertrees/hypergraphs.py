@@ -86,10 +86,6 @@ class EdgeProfile:
             counts[size] = counts.get(size, 0) + int(value)
         return cls.from_dict(counts)
 
-    def count(self, size: int) -> int:
-        j = size - 2
-        return self.counts[j] if 0 <= j < len(self.counts) else 0
-
     def items(self) -> Iterator[tuple[int, int]]:
         for j, c in enumerate(self.counts):
             if c:
@@ -108,10 +104,6 @@ class EdgeProfile:
     @property
     def edge_count(self) -> int:
         return sum(self.counts)
-
-    @property
-    def max_size(self) -> int:
-        return len(self.counts) + 1 if self.counts else 0
 
     def factorial_norm(self) -> int:
         """The label-class size: the product of count! over the sizes."""

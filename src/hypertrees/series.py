@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -346,27 +346,20 @@ class Series:
         top = max(groups, default=0)
         return g.power_sum([Series(self.context, groups.get(e, ())) for e in range(top + 1)])
 
-    # -- truncation and filtering -------------------------------------------
-
-    def grade_filter(self, pred: Callable[[int, int], bool]) -> "Series":
-        """Keep the terms whose (t_deg, magnitude) satisfy the predicate."""
-        kept = {m: c for m, c in self._terms.items() if pred(m[0], m.magnitude)}
-        return Series._trusted(self.context, kept)
+    # -- truncation ---------------------------------------------------------
 
     def restrict(
         self,
         t_max: int | None = None,
-        z_max: int | None = None,
         magnitude_max: int | None = None,
     ) -> "Series":
-        """Drop terms beyond tighter bounds, keeping the same context."""
+        """Drop terms beyond tighter t or magnitude bounds, keeping the same context."""
         tb = self.context.t_max if t_max is None else t_max
-        zb = self.context.z_max if z_max is None else z_max
         mb = self.context.magnitude_max if magnitude_max is None else magnitude_max
         kept = {
             m: c
             for m, c in self._terms.items()
-            if m[0] <= tb and m[1] <= zb and m.magnitude <= mb
+            if m[0] <= tb and m.magnitude <= mb
         }
         return Series._trusted(self.context, kept)
 

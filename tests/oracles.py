@@ -4,8 +4,9 @@ Nothing in the library calls these: each one recomputes a result by a
 second, independent method (Lagrange inversion in place of fixed-point
 reversion, explicit enumeration in place of the counting kernel, full
 power sums in place of the graded exp and log recurrences and the
-inverse built from them), so it lives with the tests that use it as a
-reference.
+inverse built from them, hand-built coefficient lists in place of the
+maps derived from the edge weights phi), so it lives with the tests that
+use it as a reference.
 """
 
 from __future__ import annotations
@@ -58,6 +59,26 @@ def inverse_by_power_sum(f: Series) -> Series:
         raise ValueError("inverse needs a nonzero constant term")
     n = f.context.grade_bound + 1
     return (f / c - 1).power_sum([(-1) ** k for k in range(n)]) / c
+
+
+def rooted_edge_argument_by_power_sum(R: Series) -> Series:
+    """sum_j u_{j+1} R^j / j! from a hand-built coefficient list.
+
+    j stops at the largest edge variable, at magnitude_max (u_{j+1} has
+    magnitude j) and at t_max - 1.
+    """
+    ctx = R.context
+    j_top = min(ctx.max_edge_size - 1, ctx.t_max - 1, ctx.magnitude_max)
+    u = [Series.variable(ctx, f"u{j + 1}") / factorial(j) for j in range(1, j_top + 1)]
+    return R.power_sum([0] + u)
+
+
+def T_from_R_by_power_sum(R: Series) -> Series:
+    """T = R - sum_{j>=2} (j-1) u_j R^j / j! from a hand-built coefficient list."""
+    ctx = R.context
+    top = min(ctx.max_edge_size, ctx.t_max)
+    u = [Series.variable(ctx, f"u{j}") * Fraction(1 - j, factorial(j)) for j in range(2, top + 1)]
+    return R.power_sum([0, 1] + u)
 
 
 def lagrange_revert(f: Series) -> Series:

@@ -145,7 +145,8 @@ def test_c3_stirling_edge_counts(acceptance):
 
 def test_c4_identity_suite(acceptance, big_pipeline):
     start = time.monotonic()
-    report = verify_identities(big_pipeline)
+    fixed = solve_R_fixed_point(big_pipeline.context)
+    report = verify_identities(big_pipeline, fixed)
     keys = {c.key for c in report.checks}
     required = {
         "connected-2edge",
@@ -217,7 +218,7 @@ def test_c7_psi_diagonal_and_dictionary(acceptance, big_pipeline):
         L = lhs_series(phi, ctx_tz)
         pair = psi_from_phi(phi.phi_series(ctx_diag), order=5)
         ok = ok and diagonal_mismatches(pair, L) == []
-    dictionary = hypertree_dictionary_report(big_pipeline.context)
+    dictionary = hypertree_dictionary_report(solve_R_fixed_point(big_pipeline.context))
     ok = ok and dictionary.ok
     elapsed = time.monotonic() - start
     acceptance.check(

@@ -225,6 +225,24 @@ def test_verify_json_payload(runner):
     assert len(payload["substitution"]["rows"]) == 2
 
 
+def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
+    from hypertrees import cli, funceq, gf
+
+    real = gf.solve_R_fixed_point
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    for module in (gf, funceq, cli):
+        if getattr(module, "solve_R_fixed_point", None) is real:
+            monkeypatch.setattr(module, "solve_R_fixed_point", counted)
+    result = runner.invoke(main, VERIFY_SMALL)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
 def test_verify_inject_fault_fails(runner):
     result = runner.invoke(main, VERIFY_SMALL + ["--inject-fault"])
     assert result.exit_code == 1

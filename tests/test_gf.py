@@ -12,6 +12,7 @@ import pytest
 
 from hypertrees.gf import (
     PipelineResult,
+    T_from_R,
     compute_C,
     compute_R,
     compute_T,
@@ -19,6 +20,7 @@ from hypertrees.gf import (
     render_table,
     render_table_line,
     rooted_count_by_edges,
+    rooted_edge_argument,
     solve_R_fixed_point,
     specialize_all_ones,
     table_terms,
@@ -26,7 +28,13 @@ from hypertrees.gf import (
 )
 from hypertrees.hypergraphs import EdgeProfile, count_profile
 from hypertrees.series import Series, TruncationContext
-from oracles import egf_profile_coefficient, oracle_polynomials, t_coefficient
+from oracles import (
+    T_from_R_by_power_sum,
+    egf_profile_coefficient,
+    oracle_polynomials,
+    rooted_edge_argument_by_power_sum,
+    t_coefficient,
+)
 
 CTX = TruncationContext(t_max=6, magnitude_max=6, max_edge_size=8)
 
@@ -71,6 +79,26 @@ def test_fixed_point_route_matches_log_route(pipeline):
     R2 = solve_R_fixed_point(CTX)
     assert R2 == pipeline.R
     assert compute_R(pipeline.T) == pipeline.R
+
+
+# t_max, magnitude_max and max_edge_size each end the sums in turn
+TWIN_CONTEXTS = {
+    "t-binds": TruncationContext(t_max=3, magnitude_max=6, max_edge_size=8),
+    "magnitude-binds": TruncationContext(t_max=6, z_max=2, magnitude_max=2, max_edge_size=8),
+    "edge-size-binds": TruncationContext(t_max=6, magnitude_max=6, max_edge_size=3),
+    "M=2": TruncationContext(t_max=4, magnitude_max=4, max_edge_size=2),
+    "t_max=1": TruncationContext(t_max=1, magnitude_max=2, max_edge_size=4),
+}
+
+
+@pytest.mark.parametrize("ctx", TWIN_CONTEXTS.values(), ids=TWIN_CONTEXTS.keys())
+def test_phi_maps_equal_hand_built_sums(ctx):
+    t, z = Series.variable(ctx, "t"), Series.variable(ctx, "z")
+    u = [Series.variable(ctx, f"u{i}") for i in range(2, ctx.max_edge_size + 1)]
+    # the t-free terms keep every power of R alive, so a wrong cut in j shows
+    R = t + t * t * u[0] / 3 - 2 * t * z + sum(u) * Fraction(2, 7)
+    assert rooted_edge_argument(R) == rooted_edge_argument_by_power_sum(R)
+    assert T_from_R(R) == T_from_R_by_power_sum(R)
 
 
 # -- closed-form counts vs oracle ------------------------------------------------
@@ -146,7 +174,7 @@ def test_pipeline_matches_oracle_polynomials(pipeline):
 
 
 def test_identity_suite_all_green(pipeline):
-    report = verify_identities(pipeline)
+    report = verify_identities(pipeline, solve_R_fixed_point(CTX))
     assert report.ok, report.summary_lines()
     assert len(report.checks) == 18
     keys = {c.key for c in report.checks}

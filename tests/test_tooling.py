@@ -1,0 +1,32 @@
+"""perfbench's tracer wraps layer functions by name: each name must still exist.
+
+A renamed or deleted target makes every traced benchmark run fail, and
+only a traced run would show it; this check fails in the unit tests first.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _plan() -> tuple:
+    # executed from its source text, so nothing is cached or written under perfbench/
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module.PLAN
+
+
+@pytest.mark.parametrize("target", _plan(), ids=lambda target: target[0])
+def test_tracer_plan_target_resolves(target):
+    _, module_name, attr, _, _ = target
+    module = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        # the tracer reads class attributes through vars(), so inherited ones do not count
+        assert callable(vars(getattr(module, cls_name))[method])
+    else:
+        assert callable(getattr(module, attr))

@@ -5,8 +5,8 @@ The package has four layers:
 
 * :mod:`hypertrees.series` -- truncated multivariate power series over
   exact rationals, the arithmetic everything else runs on;
-* :mod:`hypertrees.hypergraphs` -- a brute-force enumeration oracle over
-  labeled hypergraphs, with a union-find counting kernel;
+* :mod:`hypertrees.hypergraphs` -- a brute-force oracle over labeled
+  hypergraphs, with a kernel that counts by component partitions;
 * :mod:`hypertrees.gf` -- the connected-hypergraph series, its hypertree
   layer, rooted fixed point, closed-form counts and identity suite;
 * :mod:`hypertrees.funceq` -- the log-exp functional equation, its

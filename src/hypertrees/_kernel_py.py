@@ -1,14 +1,18 @@
 """Pure-Python counting kernel behind the brute-force oracle.
 
-Given n labeled vertices and a list of edge sizes, walk every assignment of
-a vertex subset to each edge slot and classify it with a union-find pass:
-connected iff the merges reach n - 1, acyclic iff no edge ever touched two
-vertices already in one component.
+Given n labeled vertices and a list of edge sizes, fill the edge slots one
+at a time and carry, instead of each partial assignment, only what decides
+its class: the partition of the vertices into components (each vertex
+labeled with the smallest vertex of its block) and whether a cycle has
+been seen.  A state maps to the number of partial assignments that reach
+it.  An edge closes a cycle iff it touches fewer distinct components than
+it has vertices.  This is the transfer-matrix method (Stanley, EC1 4.7)
+over set partitions.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 KERNEL_NAME = "python"
 
@@ -30,32 +34,23 @@ def count_profile(n: int, sizes: tuple[int, ...]) -> tuple[int, int, int]:
         flag = 1 if n == 1 else 0
         return (1, flag, flag)
 
+    states = {(tuple(range(n)), False): 1}
+    for s, choices in zip(sizes, choice_lists):
+        after: dict[tuple[tuple[int, ...], bool], int] = {}
+        for (labels, cycle), ways in states.items():
+            for edge in choices:
+                roots = {labels[v] for v in edge}
+                low = min(roots)
+                merged = tuple(low if label in roots else label for label in labels)
+                key = (merged, cycle or len(roots) < s)
+                after[key] = after.get(key, 0) + ways
+        states = after
+
     connected = 0
     hypertree = 0
-    target = n - 1
-    parent = list(range(n))
-    for assignment in product(*choice_lists):
-        for v in range(n):
-            parent[v] = v
-        cycle = False
-        merges = 0
-        for edge in assignment:
-            r0 = edge[0]
-            while parent[r0] != r0:
-                parent[r0] = parent[parent[r0]]
-                r0 = parent[r0]
-            for j in range(1, len(edge)):
-                r = edge[j]
-                while parent[r] != r:
-                    parent[r] = parent[parent[r]]
-                    r = parent[r]
-                if r == r0:
-                    cycle = True
-                else:
-                    parent[r] = r0
-                    merges += 1
-        if merges == target:
-            connected += 1
+    for (labels, cycle), ways in states.items():
+        if not any(labels):  # one block: every vertex carries label 0
+            connected += ways
             if not cycle:
-                hypertree += 1
+                hypertree += ways
     return (total, connected, hypertree)

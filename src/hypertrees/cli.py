@@ -173,6 +173,8 @@ def oracle(
         raise click.UsageError("give exactly one of --profile or --max-magnitude")
     if max_magnitude is not None and max_magnitude < 0:
         raise click.UsageError("need --max-magnitude >= 0")
+    if budget < 0:
+        raise click.UsageError("need --budget >= 0")
     try:
         if profile_text is not None:
             rows = [count_profile(n, _parse_profile(profile_text), budget=budget)]

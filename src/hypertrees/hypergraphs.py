@@ -10,9 +10,10 @@ modules track with the u-variables.
 is_connected and is_hypertree below are deliberately literal: they walk
 the bipartite incidence graph (vertices on one side, edges on the other)
 and test reachability and acyclicity by depth-first search.  The counting
-kernel reproduces the same classification with a union-find pass; tests
-hold the two routes against each other, so the fast path never becomes
-the definition.
+kernel reaches the same classification by carrying component partitions
+and a cycle flag through the edge slots; tests hold it against these
+classifiers and a union-find pass over every assignment, so the fast path
+never becomes the definition.
 """
 
 from __future__ import annotations

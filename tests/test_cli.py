@@ -174,6 +174,14 @@ def test_oracle_budget_exit(runner):
     assert "budget" in result.output.lower() or "budget" in (result.stderr or "").lower()
 
 
+def test_oracle_negative_budget_is_a_usage_error(runner):
+    args = ["oracle", "--n", "3", "--max-magnitude", "1", "--budget"]
+    result = runner.invoke(main, args + ["-5"])
+    assert result.exit_code == 2
+    assert "need --budget >= 0" in result.output
+    assert runner.invoke(main, args + ["0"]).exit_code == 3
+
+
 def test_oracle_usage_errors(runner):
     assert runner.invoke(main, ["oracle"]).exit_code == 2
     assert runner.invoke(main, ["oracle", "--n", "3"]).exit_code == 2

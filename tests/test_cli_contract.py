@@ -108,7 +108,7 @@ def test_oracle_boundary_grid(tmp_path):
 
     def runs():
         for n in (-1, 0, 1, 2, 3, 4):
-            for budget, n_max in itertools.product((0, 1, 10_000), (0, 3)):
+            for budget, n_max in itertools.product((-1, 0, 1, 10_000), (0, 3)):
                 tail = ["--budget", budget, "--n-max", n_max]
                 yield ["oracle", "--n", n] + tail
                 for mag in (-1, 0, 1, 3):

@@ -1,7 +1,9 @@
 """Brute-force layer: enumeration, literal classification, counting kernel.
 
-The counting kernel (union-find) is never trusted alone: it is held
-against the literal BFS/DFS classifiers over full enumerations.
+The counting kernel (a transfer over component partitions) is never
+trusted alone: it is held against its literal twin, a union-find pass
+over every assignment, and against the BFS/DFS classifiers over full
+enumerations.
 """
 
 from fractions import Fraction
@@ -25,7 +27,12 @@ from hypertrees.hypergraphs import (
     parse_hypergraph,
 )
 from hypertrees.series import TruncationContext
-from oracles import enumerate_hypergraphs, magnitude_law_violations, oracle_polynomials
+from oracles import (
+    count_profile_by_enumeration,
+    enumerate_hypergraphs,
+    magnitude_law_violations,
+    oracle_polynomials,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,6 +161,10 @@ FROZEN_ROWS = [
     (4, "u2=1,u3=1", 24, 12, 12),
     (5, "u3=2", 100, 30, 30),
     (5, "u2=4", 10000, 3000, 3000),
+    # connected but never a hypertree: a kernel blind to cycles fails these
+    (3, "u2=3", 27, 24, 0),
+    (4, "u3=2", 16, 12, 0),
+    (4, "u2=1,u3=2", 96, 84, 0),
 ]
 
 
@@ -188,6 +199,31 @@ def test_kernels_agree_with_literal_classifiers():
                 connected,
                 hypertree,
             ), f"kernel disagrees with literal route at n={n} {profile}"
+
+
+TWIN_PROFILES = [
+    (n, profile)
+    for n, mag in [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (6, 4)]
+    for profile in iter_profiles(mag, max_size=n)
+]
+
+
+@pytest.mark.parametrize(
+    "n,profile", TWIN_PROFILES, ids=[f"n{n}-{p}" for n, p in TWIN_PROFILES]
+)
+def test_kernel_equals_enumeration_twin(n, profile):
+    sizes = profile.sizes()
+    assert _kernel_py.count_profile(n, sizes) == count_profile_by_enumeration(n, sizes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_kernel_ignores_slot_order(data):
+    n = data.draw(st.integers(1, 5))
+    sizes = tuple(data.draw(st.lists(st.integers(2, max(2, n)), max_size=4)))
+    shuffled = tuple(data.draw(st.permutations(sizes)))
+    expected = count_profile_by_enumeration(n, sizes)
+    assert _kernel_py.count_profile(n, shuffled) == expected
 
 
 def test_kernel_input_validation():

@@ -48,7 +48,7 @@ from .hypergraphs import (
     kernel_name,
     parse_hypergraph,
 )
-from .series import Series, TruncationContext, first_difference
+from .series import Monomial, Series, TruncationContext, first_difference
 
 EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 3
@@ -224,8 +224,10 @@ def _run_verify(
     vanishing_ok = True
     diagonal_ok = True
     vanishing_rows = []
+    trial_L = []
     for i in range(trials):
-        _, report, _, mismatches = check_phi(random_phi(seed + i), t_max, z_max, t_max - 1)
+        L, report, _, mismatches = check_phi(random_phi(seed + i), t_max, z_max, t_max - 1)
+        trial_L.append(L)
         vanishing_ok = vanishing_ok and report.ok
         diagonal_ok = diagonal_ok and not mismatches
         vanishing_rows.append(
@@ -251,9 +253,13 @@ def _run_verify(
     C_joint = compute_C(ctx_sub)
     substitution_ok = True
     sub_rows = []
+    pad = (0,) * (len(ctx_sub.names) - 2)  # L has no u-terms: widen the trial loop's L
     for i in range(sub_trials):
         phi = random_phi(seed + i)
-        direct = lhs_series(phi, ctx_sub)
+        if i < trials:
+            direct = Series(ctx_sub, [(Monomial(m[:2] + pad), c) for m, c in trial_L[i].terms()])
+        else:
+            direct = lhs_series(phi, ctx_sub)
         routed = substituted_connected_gf(phi, ctx_sub, C=C_joint)
         diff = first_difference(direct, routed)
         ok = diff is None

@@ -1,4 +1,4 @@
-"""Small exact combinatorial helpers: partitions, multinomials, Stirling numbers.
+"""Small exact combinatorial helpers: partitions and Stirling numbers.
 
 Partitions are represented as non-increasing tuples of positive parts;
 ``part_multiplicities`` recovers the multiset view used by edge profiles.
@@ -6,7 +6,6 @@ Partitions are represented as non-increasing tuples of positive parts;
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Iterator
 
 
@@ -36,16 +35,6 @@ def part_multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
     for p in parts:
         out[p] = out.get(p, 0) + 1
     return out
-
-
-def multinomial(n: int, parts: tuple[int, ...]) -> int:
-    """n! / (p1! p2! ...) for parts summing to n."""
-    if sum(parts) != n:
-        raise ValueError("multinomial parts must sum to n")
-    result = factorial(n)
-    for p in parts:
-        result //= factorial(p)
-    return result
 
 
 class StirlingTable:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .combinat import StirlingTable, multinomial, part_multiplicities, partitions
+from .combinat import StirlingTable, part_multiplicities, partitions
 from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
-from .series import Monomial, Series, TruncationContext, first_difference
+from .series import Series, TruncationContext, first_difference
 
 # the edge-derivative identities run for u2 .. u5 (fewer when max_edge_size < 5)
 _EDGE_CHECK_TOP = 5
@@ -157,27 +157,25 @@ class PipelineResult:
 def count_by_profile(n: int, profile: EdgeProfile) -> tuple[int, int]:
     """(rooted, unrooted) hypertree counts on 1..n for one edge profile.
 
-    Hypertrees with a_i edges of i + 1 vertices induce a partition of
-    n - 1 with a_i parts of size i; the rooted count is the multinomial
-    of that partition times prod_i n^{a_i} / a_i!.  Profiles off the
+    Hypertrees with a_s edges of s vertices induce a partition of n - 1
+    into a_s blocks of size s - 1, and the rooted count is
+
+        (n - 1)! * prod_s n^(a_s) / ((s - 1)!^(a_s) * a_s!).
+
+    Each partial quotient is a multinomial count of set partitions times
+    a power of n, so the integer divisions are exact.  Profiles off the
     magnitude n - 1 surface admit no hypertrees at all.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if profile.magnitude != n - 1:
         return (0, 0)
-    parts: list[int] = []
-    rooted = Fraction(1)
+    rooted = factorial(n - 1)
     for size, a in profile.items():
-        parts.extend([size - 1] * a)
-        rooted *= Fraction(n**a, factorial(a))
-    rooted *= multinomial(n - 1, tuple(parts))
-    if rooted.denominator != 1:
-        raise AssertionError(f"rooted count {rooted} is not an integer")
-    rooted_int = rooted.numerator
-    if rooted_int % n:
-        raise AssertionError(f"rooted count {rooted_int} not divisible by n = {n}")
-    return (rooted_int, rooted_int // n)
+        rooted = rooted // (factorial(size - 1) ** a * factorial(a)) * n**a
+    if rooted % n:
+        raise AssertionError(f"rooted count {rooted} not divisible by n = {n}")
+    return (rooted, rooted // n)
 
 
 def rooted_count_by_edges(n: int, k: int) -> int:
@@ -206,11 +204,7 @@ def specialize_all_ones(P: PipelineResult) -> tuple[Series, Series]:
     tctx = TruncationContext(t_max=ctx.t_max, z_max=0, magnitude_max=0, max_edge_size=2)
 
     def collapse(f: Series) -> Series:
-        out: dict[Monomial, Fraction] = {}
-        for m, c in f.terms():
-            key = tctx.monomial(t=m.t_deg)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Series(tctx, out)
+        return Series(tctx, [(tctx.monomial(t=m.t_deg), c) for m, c in f.terms()])
 
     return collapse(P.T), collapse(P.R)
 

@@ -23,10 +23,13 @@ All three gradings are additive and non-negative, which is what makes
 truncation coherent: any product of admissible monomials that lands back
 inside the bounds can only have used admissible factors.
 
-Products, exp and log share one term-pair loop.  exp and log run on the
-total grade t + z + magnitude, which only the unit monomial has at 0:
-they solve for the grade-d piece of the result from the pieces below it
-(the Euler-operator recurrences), about one product's work in all, and
+Products, exp and log share one term-pair loop on Python ints: each
+operand comes over one common denominator, sorted by magnitude so the
+loop stops at the first term past the magnitude bound, and each output
+monomial becomes one Fraction at the end.  exp and log run on the total
+grade t + z + magnitude, which only the unit monomial has at 0: they
+solve for the grade-d piece of the result from the pieces below it (the
+Euler-operator recurrences), about one product's work in all, and
 inverse is exp(-log(f/c)) / c.  Substitution and the polynomial sums in
 :mod:`hypertrees.gf` go through :meth:`Series.power_sum`.
 """
@@ -36,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from itertools import count
+from math import lcm
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -71,7 +76,7 @@ class Monomial(tuple):
 
     @property
     def magnitude(self) -> int:
-        return sum(i * e for i, e in enumerate(self[2:], start=1))
+        return sum(map(mul, self[2:], count(1)))
 
     def __repr__(self) -> str:
         return f"Monomial(t_deg={self[0]}, z_deg={self[1]}, u_degs={self[2:]})"
@@ -146,29 +151,23 @@ class Series:
     that violate the context bounds, so every stored term is admissible.
     """
 
-    __slots__ = ("context", "_terms")
+    __slots__ = ("context", "_terms", "_operand")
 
     def __init__(
         self,
         context: TruncationContext,
         terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = (),
     ) -> None:
-        data: dict[Monomial, Fraction] = {}
         width = len(context.names)
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
+        items = []
+        for m, c in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(m, Monomial):
                 raise TypeError(f"expected Monomial key, got {type(m).__name__}")
             if len(m) != width:
                 raise ValueError("monomial does not match the context's edge variables")
-            frac = Fraction(c)
-            if frac and context.admits(m):
-                acc = data.get(m)
-                new = frac if acc is None else acc + frac
-                if new:
-                    data[m] = new
-                elif acc is not None:
-                    del data[m]
+            items.append((m, Fraction(c)))
+        data: dict[Monomial, Fraction] = {}
+        _add_into(data, (item for item in items if context.admits(item[0])))
         self.context = context
         self._terms = data
 
@@ -261,13 +260,7 @@ class Series:
             return NotImplemented
         self._check_same_context(other)
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = out.get(m)
-            new = c if acc is None else acc + c
-            if new:
-                out[m] = new
-            elif acc is not None:
-                del out[m]
+        _add_into(out, other._terms.items())
         return Series._trusted(self.context, out)
 
     def __radd__(self, other: Scalar) -> "Series":
@@ -295,12 +288,20 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_context(other)
-        left, right = _graded(self._terms), _graded(other._terms)
-        if len(left) > len(right):
+        left, right = self._kernel_operand(), other._kernel_operand()
+        if len(left[1]) > len(right[1]):
             left, right = right, left
         out: dict[Monomial, Fraction] = {}
-        _mul_into(out, left, right, self.context)
+        _mul_into(out, [(left, right)], self.context)
         return Series._trusted(self.context, out)
+
+    def _kernel_operand(self) -> _Graded:
+        """The terms graded for :func:`_mul_into`, built on first use and kept."""
+        try:
+            return self._operand
+        except AttributeError:
+            self._operand = _graded(self._terms)
+            return self._operand
 
     def __rmul__(self, other: Scalar) -> "Series":
         return self.__mul__(other)
@@ -310,16 +311,6 @@ class Series:
         if not c:
             raise ZeroDivisionError("division of a series by zero")
         return self.__mul__(Fraction(1, 1) / c)
-
-    def __pow__(self, k: int) -> "Series":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers take non-negative integer exponents")
-        result = Series.one(self.context)
-        for _ in range(k):
-            result = result * self
-            if result.is_zero():
-                break
-        return result
 
     # -- calculus ----------------------------------------------------------
 
@@ -339,9 +330,7 @@ class Series:
         i = self.context.index(name)
         groups: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self._terms.items():
-            rest = Monomial(m[:i] + (0,) + m[i + 1:])
-            bucket = groups.setdefault(m[i], {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
+            groups.setdefault(m[i], {})[Monomial(m[:i] + (0,) + m[i + 1:])] = c
         # stop at the largest exponent present: higher powers would be wasted products
         top = max(groups, default=0)
         return g.power_sum([Series(self.context, groups.get(e, ())) for e in range(top + 1)])
@@ -356,11 +345,7 @@ class Series:
         """Drop terms beyond tighter t or magnitude bounds, keeping the same context."""
         tb = self.context.t_max if t_max is None else t_max
         mb = self.context.magnitude_max if magnitude_max is None else magnitude_max
-        kept = {
-            m: c
-            for m, c in self._terms.items()
-            if m[0] <= tb and m.magnitude <= mb
-        }
+        kept = {m: c for m, c in self._terms.items() if m[0] <= tb and m.magnitude <= mb}
         return Series._trusted(self.context, kept)
 
     # -- transcendental operations ------------------------------------------
@@ -392,11 +377,13 @@ class Series:
                 result = result + (power * c if k else c)  # self^0 = 1 needs no product
         return result
 
-    def _grade_pieces(self) -> list[list[_Term]]:
-        """Terms split by total grade t + z + magnitude, 0 .. grade_bound."""
-        pieces: list[list[_Term]] = [[] for _ in range(self.context.grade_bound + 1)]
-        for term in _graded(self._terms):
-            pieces[term[1] + term[2] + term[3]].append(term)
+    def _grade_pieces(self) -> list[_Graded]:
+        """Terms split by total grade t + z + magnitude, 0 .. grade_bound,
+        all over the series' one common denominator."""
+        den, terms = self._kernel_operand()
+        pieces: list[_Graded] = [(den, []) for _ in range(self.context.grade_bound + 1)]
+        for term in terms:
+            pieces[term[1] + term[2] + term[3]][1].append(term)
         return pieces
 
     def exp(self) -> "Series":
@@ -407,14 +394,13 @@ class Series:
         if self.constant_term:
             raise ValueError("power sums need a series with zero constant term")
         ctx = self.context
-        kf = [[(m, t, z, mag, k * c) for m, t, z, mag, c in piece]
-              for k, piece in enumerate(self._grade_pieces())]
+        kf = [(den, [(m, t, z, mag, k * n) for m, t, z, mag, n in piece])
+              for k, (den, piece) in enumerate(self._grade_pieces())]
         result = {ctx.unit_monomial(): Fraction(1)}
         g = [_graded(result)]
         for d in range(1, len(kf)):
             out: dict[Monomial, Fraction] = {}
-            for k in range(1, d + 1):
-                _mul_into(out, kf[k], g[d - k], ctx)
+            _mul_into(out, [(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
             g_d = {m: v / d for m, v in out.items()}
             result.update(g_d)
             g.append(_graded(g_d))
@@ -430,11 +416,10 @@ class Series:
         ctx = self.context
         f = self._grade_pieces()
         result: dict[Monomial, Fraction] = {}
-        neg_kL: list[list[_Term]] = [[]]  # -k L_k, so the product loop only adds
+        neg_kL: list[_Graded] = [(1, [])]  # -k L_k, so the product loop only adds
         for d in range(1, len(f)):
-            out = {m: d * c for m, _, _, _, c in f[d]}
-            for k in range(1, d):
-                _mul_into(out, neg_kL[k], f[d - k], ctx)
+            out = {m: d * self._terms[m] for m, *_ in f[d][1]}
+            _mul_into(out, [(neg_kL[k], f[d - k]) for k in range(1, d)], ctx)
             result.update((m, v / d) for m, v in out.items())
             neg_kL.append(_graded({m: -v for m, v in out.items()}))
         return Series._trusted(ctx, result)
@@ -463,38 +448,65 @@ class Series:
         return Series._trusted(self.context, out)
 
 
-_Term = tuple[Monomial, int, int, int, Fraction]  # monomial, t, z, magnitude, coefficient
+_Term = tuple[Monomial, int, int, int, int]  # monomial, t, z, magnitude, numerator
+_Graded = tuple[int, list[_Term]]  # common denominator, terms sorted by magnitude
 
 
-def _graded(terms: Mapping[Monomial, Fraction]) -> list[_Term]:
-    """Terms with their three gradings read once, for :func:`_mul_into`."""
-    return [(m, m[0], m[1], m.magnitude, c) for m, c in terms.items()]
+def _graded(terms: Mapping[Monomial, Fraction]) -> _Graded:
+    """Terms over their least common denominator D, for :func:`_mul_into`.
+
+    Each term carries its three gradings and the integer numerator c * D,
+    and the terms are sorted by magnitude.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    graded = [
+        (m, m[0], m[1], m.magnitude, c.numerator * (den // c.denominator))
+        for m, c in terms.items()
+    ]
+    graded.sort(key=itemgetter(3))
+    return den, graded
 
 
 def _mul_into(
     out: dict[Monomial, Fraction],
-    left: Sequence[_Term],
-    right: Sequence[_Term],
+    pairs: Sequence[tuple[_Graded, _Graded]],
     ctx: TruncationContext,
 ) -> None:
     """Add every in-context product of a left and a right term into out.
 
-    This is the one term-pair loop: ``*``, exp and log all multiply
-    through it.  The gradings are additive, so the bound checks
-    need no monomial.
+    This is the one term-pair loop that ``*``, exp and log multiply through.
+    Each pair of operands is scaled to the lcm D of the pairs' denominator
+    products, so the loop sums int numerators; the gradings are additive,
+    so the bound checks need no monomial.
     """
     t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
-    for ma, ta, za, maga, ca in left:
-        for mb, tb, zb, magb, cb in right:
-            if maga + magb > mag_max or ta + tb > t_max or za + zb > z_max:
-                continue
-            m = Monomial(map(add, ma, mb))
-            acc = out.get(m)
-            new = ca * cb if acc is None else acc + ca * cb
-            if new:
-                out[m] = new
-            elif acc is not None:
-                del out[m]
+    den = lcm(*(left[0] * right[0] for left, right in pairs))
+    sums: dict[Monomial, int] = {}
+    get = sums.get
+    for (left_den, left_terms), (right_den, right_terms) in pairs:
+        scale = den // (left_den * right_den)
+        for ma, ta, za, maga, na in left_terms:
+            na *= scale
+            mag_room, t_room, z_room = mag_max - maga, t_max - ta, z_max - za
+            for mb, tb, zb, magb, nb in right_terms:
+                if magb > mag_room:
+                    break  # the right terms are sorted by magnitude
+                if tb > t_room or zb > z_room:
+                    continue
+                m = Monomial(map(add, ma, mb))
+                sums[m] = get(m, 0) + na * nb
+    _add_into(out, ((m, Fraction(v, den)) for m, v in sums.items() if v))
+
+
+def _add_into(out: dict[Monomial, Fraction], items: Iterable[tuple[Monomial, Fraction]]) -> None:
+    """Add terms into out, keeping no zero coefficient."""
+    for m, c in items:
+        acc = out.get(m)
+        new = c if acc is None else acc + c
+        if new:
+            out[m] = new
+        elif acc is not None:
+            del out[m]
 
 
 def _term_text(names: Sequence[str], m: Monomial, c: Fraction) -> str:
@@ -535,9 +547,8 @@ def revert(f: Series) -> Series:
     c1 = f.coefficient(t_monomial)
     if not c1:
         raise ValueError("reversion needs a nonzero linear t-coefficient")
-    for m, _ in f.terms():
-        if m.t_deg == 0:
-            raise ValueError("reversion needs every term divisible by t")
+    if any(m[0] == 0 for m in f._terms):
+        raise ValueError("reversion needs every term divisible by t")
     h = f - c1 * y
     g = y / c1
     for _ in range(ctx.grade_bound + 2):

@@ -5,8 +5,10 @@ second, independent method (Lagrange inversion in place of fixed-point
 reversion, explicit enumeration in place of the counting kernel, full
 power sums in place of the graded exp and log recurrences and the
 inverse built from them, hand-built coefficient lists in place of the
-maps derived from the edge weights phi), so it lives with the tests that
-use it as a reference.
+maps derived from the edge weights phi, a Fraction per term pair in
+place of the integer product kernel, Fraction arithmetic in place of
+the integer closed-form counts), so it lives with the tests that use it
+as a reference.
 """
 
 from __future__ import annotations
@@ -29,6 +31,31 @@ from hypertrees.hypergraphs import (
     iter_profiles,
 )
 from hypertrees.series import Monomial, Series, TruncationContext
+
+
+def mul_by_term_pairs(f: Series, g: Series) -> Series:
+    """f * g by the literal double loop: one Fraction product per term pair,
+    kept when the context admits its monomial."""
+    ctx = f.context
+    out: dict[Monomial, Fraction] = {}
+    for ma, ca in f._terms.items():
+        for mb, cb in g._terms.items():
+            m = Monomial(a + b for a, b in zip(ma, mb))
+            if ctx.admits(m):
+                out[m] = out.get(m, Fraction(0)) + ca * cb
+    return Series(ctx, out)
+
+
+def power(f: Series, k: int) -> Series:
+    """f^k by k repeated products."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("series powers take non-negative integer exponents")
+    result = Series.one(f.context)
+    for _ in range(k):
+        result = result * f
+        if result.is_zero():
+            break
+    return result
 
 
 def t_coefficient(f: Series, k: int) -> Series:
@@ -102,6 +129,37 @@ def lagrange_revert(f: Series) -> Series:
         t_n = Series.term(ctx, ctx.monomial(t=n), Fraction(1, n))
         g = g + t_n * slice_n
     return g
+
+
+def multinomial(n: int, parts: tuple[int, ...]) -> int:
+    """n! / (p1! p2! ...) for parts summing to n."""
+    if sum(parts) != n:
+        raise ValueError("multinomial parts must sum to n")
+    result = factorial(n)
+    for p in parts:
+        result //= factorial(p)
+    return result
+
+
+def count_by_profile_by_fractions(n: int, profile: EdgeProfile) -> tuple[int, int]:
+    """(rooted, unrooted) hypertree counts: the multinomial of the induced
+    partition of n - 1 times prod_i n^{a_i} / a_i!, in Fractions."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if profile.magnitude != n - 1:
+        return (0, 0)
+    parts: list[int] = []
+    rooted = Fraction(1)
+    for size, a in profile.items():
+        parts.extend([size - 1] * a)
+        rooted *= Fraction(n**a, factorial(a))
+    rooted *= multinomial(n - 1, tuple(parts))
+    if rooted.denominator != 1:
+        raise AssertionError(f"rooted count {rooted} is not an integer")
+    rooted_int = rooted.numerator
+    if rooted_int % n:
+        raise AssertionError(f"rooted count {rooted_int} not divisible by n = {n}")
+    return (rooted_int, rooted_int // n)
 
 
 def egf_profile_coefficient(f: Series, n: int, profile: EdgeProfile) -> Fraction:

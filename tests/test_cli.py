@@ -251,6 +251,26 @@ def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("trials, sub_trials", [(3, 2), (1, 2), (0, 2), (2, 0)])
+def test_verify_expands_L_once_per_seed(runner, monkeypatch, trials, sub_trials):
+    from hypertrees import cli, funceq
+
+    real = funceq.lhs_series
+    calls = []
+
+    def counted(phi, ctx):
+        calls.append(ctx)
+        return real(phi, ctx)
+
+    for module in (funceq, cli):
+        if getattr(module, "lhs_series", None) is real:
+            monkeypatch.setattr(module, "lhs_series", counted)
+    args = VERIFY_SMALL + ["--trials", str(trials), "--sub-trials", str(sub_trials)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == max(trials, sub_trials)
+
+
 def test_verify_inject_fault_fails(runner):
     result = runner.invoke(main, VERIFY_SMALL + ["--inject-fault"])
     assert result.exit_code == 1

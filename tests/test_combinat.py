@@ -5,7 +5,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertrees.combinat import StirlingTable, multinomial, part_multiplicities, partitions
+from hypertrees.combinat import StirlingTable, part_multiplicities, partitions
+from oracles import multinomial
 
 
 def test_partitions_of_five_in_rev_lex_order():

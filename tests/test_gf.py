@@ -26,10 +26,11 @@ from hypertrees.gf import (
     table_terms,
     verify_identities,
 )
-from hypertrees.hypergraphs import EdgeProfile, count_profile
+from hypertrees.hypergraphs import EdgeProfile, count_profile, iter_profiles
 from hypertrees.series import Series, TruncationContext
 from oracles import (
     T_from_R_by_power_sum,
+    count_by_profile_by_fractions,
     egf_profile_coefficient,
     oracle_polynomials,
     rooted_edge_argument_by_power_sum,
@@ -113,6 +114,16 @@ def test_count_by_profile_examples():
     # off the magnitude surface: no hypertrees at all
     assert count_by_profile(4, EdgeProfile.parse("u2=1")) == (0, 0)
     assert count_by_profile(4, EdgeProfile.parse("u2=4")) == (0, 0)
+
+
+def test_count_by_profile_equals_fraction_twin():
+    # every profile up to magnitude n, on and off the magnitude n - 1 surface
+    checked = 0
+    for n in range(1, 15):
+        for profile in iter_profiles(n, max_size=n + 1):
+            assert count_by_profile(n, profile) == count_by_profile_by_fractions(n, profile)
+            checked += profile.magnitude == n - 1
+    assert checked == 373  # sum of the partition numbers p(0) .. p(13)
 
 
 def test_closed_form_matches_enumeration():

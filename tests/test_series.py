@@ -2,8 +2,9 @@
 
 Frozen reference values come with an independent route next to them:
 reversions are re-checked by composing back, exp by its defining sum,
-the two reversion algorithms are held against each other, and the graded
-exp, log and inverse against their full power-sum twins.
+the two reversion algorithms are held against each other, the integer
+product kernel against a Fraction per term pair, and the graded exp, log
+and inverse against their full power-sum twins.
 """
 
 from fractions import Fraction
@@ -27,6 +28,8 @@ from oracles import (
     inverse_by_power_sum,
     lagrange_revert,
     log_by_power_sum,
+    mul_by_term_pairs,
+    power,
     t_coefficient,
 )
 
@@ -81,6 +84,26 @@ def test_bound_zero_truncates_its_variable():
     assert not Series.variable(t_free, "z").is_zero()
 
 
+def test_magnitude_has_no_width_cap():
+    ctx = TruncationContext(t_max=1, magnitude_max=5000, max_edge_size=5000)
+
+    def literal(m):
+        return sum((i - 1) * e for i, e in enumerate(m) if i >= 2)
+
+    m = ctx.monomial(t=1, u={2: 3, 2500: 1, 5000: 1})
+    assert m.magnitude == literal(m) == 3 + 2499 + 4999
+    u = {i: Series.variable(ctx, f"u{i}") for i in (2, 3, 2500, 4999, 5000)}
+    f = u[5000] + u[2500] * Series.variable(ctx, "t")
+    g = u[2] + u[3] + u[4999]
+    product = f * g
+    assert product == mul_by_term_pairs(f, g)
+    # u5000 * u2 sits on the bound 5000; u5000 * u3, u5000 * u4999 and
+    # t u2500 * u4999 lie past it
+    assert product.n_terms == 3
+    assert product.coefficient(ctx.monomial(u={2: 1, 5000: 1})) == 1
+    assert all(m.magnitude == literal(m) <= 5000 for m, _ in product.terms())
+
+
 def test_mixing_contexts_raises():
     other = TruncationContext(t_max=6, magnitude_max=5, max_edge_size=6)
     with pytest.raises(ContextMismatchError):
@@ -91,20 +114,20 @@ def test_mixing_contexts_raises():
 
 
 def test_basic_ring_identities():
-    assert (1 + T) * (1 - T) == 1 - T**2
-    assert (T + U2) ** 2 == T**2 + 2 * T * U2 + U2**2
+    assert (1 + T) * (1 - T) == 1 - power(T, 2)
+    assert power(T + U2, 2) == power(T, 2) + 2 * T * U2 + power(U2, 2)
     assert T - T == Series.zero(CTX)
     assert (T * 3) / 3 == T
 
 
 def test_multiplication_truncates():
-    assert not (T**3 * T**3).is_zero()
-    assert (T**4 * T**3).is_zero()
-    assert (U2**3 * U2**3).is_zero()  # magnitude 6 > 5
+    assert not (power(T, 3) * power(T, 3)).is_zero()
+    assert (power(T, 4) * power(T, 3)).is_zero()
+    assert (power(U2, 3) * power(U2, 3)).is_zero()  # magnitude 6 > 5
 
 
 def test_coefficient_in_and_out_of_context():
-    f = (1 + T) ** 6
+    f = power(1 + T, 6)
     assert f.coefficient(mono(t=2)) == 15
     assert f.coefficient(mono(t=6)) == 1
     with pytest.raises(OutOfContextError):
@@ -112,22 +135,22 @@ def test_coefficient_in_and_out_of_context():
 
 
 def test_t_coefficient_slices():
-    f = T * U2 + T * U3 + T**2
+    f = T * U2 + T * U3 + power(T, 2)
     slice1 = t_coefficient(f, 1)
     assert slice1 == U2 + U3
     assert t_coefficient(f, 5).is_zero()
 
 
 def test_derivative_basics():
-    f = T**3 * U2
-    assert f.derivative("t") == 3 * T**2 * U2
-    assert f.derivative("u2") == T**3
+    f = power(T, 3) * U2
+    assert f.derivative("t") == 3 * power(T, 2) * U2
+    assert f.derivative("u2") == power(T, 3)
     assert f.derivative("u3").is_zero()
 
 
 def test_power_requires_non_negative_int():
     with pytest.raises(ValueError):
-        T ** (-1)
+        power(T, -1)
 
 
 # -- transcendental maps ------------------------------------------------------
@@ -168,7 +191,7 @@ def test_inverse_multiplies_to_one():
 
 
 def test_divided_by_t():
-    f = T * U2 + T**2
+    f = T * U2 + power(T, 2)
     assert f.divided_by_t() == U2 + T
     with pytest.raises(ValueError):
         (U2 + T).divided_by_t()
@@ -190,7 +213,7 @@ def test_substitute_rejects_constant_term():
 
 def test_revert_catalan():
     # g with g - g^2 = y counts binary plane trees: 1, 1, 2, 5, 14, 42
-    f = T - T**2
+    f = T - power(T, 2)
     g = revert(f)
     assert f.substitute("t", g) == T
     got = [g.coefficient(mono(t=k)) for k in range(1, 7)]
@@ -217,7 +240,7 @@ def test_revert_with_symbolic_coefficients():
 
 def test_revert_rejects_bad_input():
     with pytest.raises(ValueError):
-        revert(T**2)
+        revert(power(T, 2))
     with pytest.raises(ValueError):
         revert(T + U2)
 
@@ -356,6 +379,61 @@ def test_graded_maps_equal_power_sums(f, c):
     assert f0.exp() == exp_by_power_sum(f0)
     assert (1 + f0).log() == log_by_power_sum(1 + f0)
     assert (c + f0).inverse() == inverse_by_power_sum(c + f0)
+
+
+# -- the integer product kernel against its term-pair twin -----------------------
+
+_WIDE = TruncationContext(t_max=3, z_max=1, magnitude_max=40, max_edge_size=40)
+
+
+def _wide_admissible(ctx):
+    edges = [{}] + [{i: 1} for i in range(2, ctx.max_edge_size + 1)]
+    edges += [{i: 1, j: 1} for i in range(2, ctx.max_edge_size + 1) for j in range(2, i)]
+    edges += [{i: 2} for i in range(2, ctx.max_edge_size + 1)]
+    ms = (ctx.monomial(t=t, z=z, u=u)
+          for t in range(ctx.t_max + 1) for z in range(ctx.z_max + 1) for u in edges)
+    return [m for m in ms if ctx.admits(m)]
+
+
+# denominators up to 1000, with coprime ones drawn on purpose
+kernel_coeffs = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=1000),
+    st.sampled_from([Fraction(1, 997), Fraction(-3, 991), Fraction(7, 1000), Fraction(-5, 999)]),
+).filter(bool)
+
+
+_KERNEL_POOLS = {ctx: _admissible(ctx) for ctx in _TWIN_CONTEXTS}
+_KERNEL_POOLS[_WIDE] = _wide_admissible(_WIDE)
+
+
+def _kernel_triples(ctx):
+    terms = st.lists(st.tuples(st.sampled_from(_KERNEL_POOLS[ctx]), kernel_coeffs), max_size=10)
+    return st.tuples(st.just(ctx), terms, terms, terms)
+
+
+kernel_cases = st.sampled_from(list(_KERNEL_POOLS)).flatmap(_kernel_triples)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases, st.randoms(use_true_random=False))
+def test_product_kernel_equals_term_pairs(case, rnd):
+    ctx, a, b, c = case
+    f, g, h = Series(ctx, a), Series(ctx, b), Series(ctx, c)
+    products = [
+        (f, g),
+        (f, g + h),
+        (f + g, f - g),  # the cross terms f*g and -g*f cancel inside one product
+        (g - h, h - g),
+    ]
+    for x, y in products:
+        xy = x * y
+        assert xy == mul_by_term_pairs(x, y)
+        assert all(type(v) is Fraction and v for v in xy._terms.values())
+    assert f * (g + h) - f * h == f * g
+    assert (f + g) * (f - g) == f * f - g * g
+    rnd.shuffle(a)
+    rnd.shuffle(b)
+    assert Series(ctx, a) * Series(ctx, b) == f * g
 
 
 @pytest.mark.parametrize(

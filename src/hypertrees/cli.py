@@ -206,14 +206,14 @@ def _run_verify(
     lines: list[str] = []
     payload: dict = {}
 
-    ctx = TruncationContext(t_max=t_max, magnitude_max=magnitude_max, max_edge_size=max_edge_size)
+    ctx = TruncationContext(t_max=t_max, magnitude_max=magnitude_max)
     P = PipelineResult.compute(ctx)
     if inject_fault:
         bad_C = P.C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
         bad_T = compute_T(bad_C)
         P = PipelineResult(ctx, bad_C, bad_T, compute_R(bad_T))
     fixed = solve_R_fixed_point(ctx)
-    identity_report = verify_identities(P, fixed)
+    identity_report = verify_identities(P, fixed, max_edge_size)
     payload["identities"] = identity_report.as_dict()
     lines.extend(identity_report.summary_lines())
 
@@ -246,10 +246,7 @@ def _run_verify(
     status = status_tag(diagonal_ok, ran=trials > 0)
     lines.append(f"{status} psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})")
 
-    sub_size = max(max_edge_size, z_max + 1)
-    ctx_sub = TruncationContext(
-        t_max=t_max, z_max=z_max, magnitude_max=z_max, max_edge_size=sub_size
-    )
+    ctx_sub = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=z_max)
     C_joint = compute_C(ctx_sub)
     substitution_ok = True
     sub_rows = []

@@ -61,7 +61,3 @@ class StirlingTable:
             return 0
         self._grow(n)
         return self._rows[n][k]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        self._grow(n)
-        return tuple(self._rows[n])

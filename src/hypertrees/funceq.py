@@ -84,14 +84,6 @@ class PhiCoefficients:
         body = ", ".join(f"({m},{n}): {c}" for (m, n), c in self.items())
         return f"PhiCoefficients({{{body}}})"
 
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"m": m, "n": n, "num": c.numerator, "den": c.denominator}
-                for (m, n), c in self.items()
-            ]
-        }
-
     @classmethod
     def from_json(cls, data: Mapping) -> "PhiCoefficients":
         entries: dict[tuple[int, int], Fraction] = {}
@@ -229,9 +221,6 @@ class PSeriesFamily:
 
     coeffs: dict[tuple[int, int], Fraction]
 
-    def p(self, m: int, i: int) -> Fraction:
-        return self.coeffs.get((m, i), Fraction(0))
-
     def p_series(self, m: int, ctx: TruncationContext) -> Series:
         terms = {
             ctx.monomial(z=i): c for (mm, i), c in self.coeffs.items() if mm == m
@@ -292,9 +281,8 @@ def substituted_connected_gf(
 
 @dataclass(frozen=True)
 class PhiPsiPair:
-    """phi with its reversion data: w(y) and psi(y) = (w - w^2 phi'(w)) / y."""
+    """The reversion data of phi: w(y) and psi(y) = (w - w^2 phi'(w)) / y."""
 
-    phi: Series
     w: Series
     y_psi: Series
     psi: Series
@@ -320,7 +308,7 @@ def psi_from_phi(phi: Series, order: int) -> PhiPsiPair:
     w_of_y = revert(Series.variable(ctx, "t") * (-exponent).exp())
     y_psi = y_psi_of_w.substitute("t", w_of_y)
     psi = y_psi.divided_by_t().restrict(t_max=order)
-    return PhiPsiPair(phi=phi, w=w_of_y, y_psi=y_psi, psi=psi, order=order)
+    return PhiPsiPair(w=w_of_y, y_psi=y_psi, psi=psi, order=order)
 
 
 def diagonal_mismatches(
@@ -344,9 +332,9 @@ def check_phi(
 ) -> tuple[Series, VanishingReport, PhiPsiPair, list[tuple[int, Fraction, Fraction]]]:
     """(L, its vanishing report, the reversion pair, the diagonal mismatches)
     for one reduced array: L through t^t_max z^z_max, psi through y^order."""
-    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0, max_edge_size=2)
+    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)
     L = lhs_series(phi, ctx_tz)
-    ctx_diag = TruncationContext(t_max=order + 1, magnitude_max=0, max_edge_size=2)
+    ctx_diag = TruncationContext(t_max=order + 1, magnitude_max=0)
     pair = psi_from_phi(phi.phi_series(ctx_diag), order=order)
     return L, verify_psi_form(L), pair, diagonal_mismatches(pair, L)
 

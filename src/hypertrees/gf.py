@@ -30,19 +30,12 @@ from .combinat import StirlingTable, part_multiplicities, partitions
 from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
 from .series import Series, TruncationContext, first_difference
 
-# the edge-derivative identities run for u2 .. u5 (fewer when max_edge_size < 5)
+# the edge-derivative identities run for u2 .. u5 (fewer when the caller's
+# largest edge size is below 5)
 _EDGE_CHECK_TOP = 5
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-
-
-def _require_edge_variables_cover(ctx: TruncationContext) -> None:
-    if ctx.magnitude_max > ctx.max_edge_size - 1:
-        raise ValueError(
-            "too few edge variables: need max_edge_size - 1 >= magnitude_max "
-            "so no admissible edge variable is missing"
-        )
 
 
 def compute_C(ctx: TruncationContext) -> Series:
@@ -54,9 +47,8 @@ def compute_C(ctx: TruncationContext) -> Series:
 
     the number of labeled hypergraphs on 1..k with edge profile a over
     the label-class size and k!.  k runs to t_max and a through every
-    profile within magnitude_max and max_edge_size.
+    profile within magnitude_max.
     """
-    _require_edge_variables_cover(ctx)
     terms = {}
     for p in iter_profiles(ctx.magnitude_max, max_size=ctx.max_edge_size):
         u = dict(p.items())
@@ -121,7 +113,6 @@ def solve_R_fixed_point(ctx: TruncationContext) -> Series:
     Each pass extends exactness by one t-order, so t_max passes starting
     from the t-linear seed determine every admissible coefficient.
     """
-    _require_edge_variables_cover(ctx)
     t = Series.variable(ctx, "t")
     R = t
     for _ in range(ctx.t_max):
@@ -195,13 +186,12 @@ def specialize_all_ones(P: PipelineResult) -> tuple[Series, Series]:
     """(T, R) with every u_i set to 1, as plain series in t.
 
     Needs the full magnitude range per t-order, i.e. magnitude_max >=
-    t_max - 1, and edge variables enough that no admissible edge size
-    was dropped (both established by the pipeline preconditions).
+    t_max - 1, which :func:`compute_T` already requires.
     """
     ctx = P.context
     if ctx.magnitude_max < ctx.t_max - 1:
         raise ValueError("need magnitude_max >= t_max - 1 to specialize u = 1")
-    tctx = TruncationContext(t_max=ctx.t_max, z_max=0, magnitude_max=0, max_edge_size=2)
+    tctx = TruncationContext(t_max=ctx.t_max, z_max=0, magnitude_max=0)
 
     def collapse(f: Series) -> Series:
         return Series(tctx, [(tctx.monomial(t=m.t_deg), c) for m, c in f.terms()])
@@ -280,11 +270,14 @@ def identity_check(
     return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
 
 
-def verify_identities(P: PipelineResult, fixed: Series) -> IdentityReport:
+def verify_identities(P: PipelineResult, fixed: Series, largest_edge: int) -> IdentityReport:
     """Exact structural identities tying C, T and R together.
 
     fixed is :func:`solve_R_fixed_point` at P's context; the caller solves
-    it once and shares it with the dictionary report.
+    it once and shares it with the dictionary report.  The edge checks run
+    for u2 .. u_min(5, largest_edge); a u_j the context does not carry has
+    zero derivatives, so its checks compare zero with the truncated
+    right-hand side.
 
     Differentiating by u_j can only be trusted where the argument kept
     the extra magnitude j - 1, so the C-side checks shrink their
@@ -293,14 +286,17 @@ def verify_identities(P: PipelineResult, fixed: Series) -> IdentityReport:
     """
     ctx = P.context
     N, Q = ctx.t_max, ctx.magnitude_max
-    j_top = min(_EDGE_CHECK_TOP, ctx.max_edge_size)
+    j_top = min(_EDGE_CHECK_TOP, largest_edge)
     C, T, R = P.C, P.T, P.R
     t = Series.variable(ctx, "t")
     checks: list[IdentityCheck] = []
 
+    def d_du(f: Series, j: int) -> Series:
+        return f.derivative(f"u{j}") if j <= ctx.max_edge_size else Series.zero(ctx)
+
     dCdt = C.derivative("t")
     t_dCdt = t * dCdt
-    dCdu = {j: C.derivative(f"u{j}") for j in range(2, j_top + 1)}
+    dCdu = {j: d_du(C, j) for j in range(2, j_top + 1)}
 
     rhs = (t * t) * (dCdt * dCdt + dCdt.derivative("t")) / 2
     checks.append(
@@ -328,7 +324,7 @@ def verify_identities(P: PipelineResult, fixed: Series) -> IdentityReport:
             )
         )
 
-    dTdu = {j: T.derivative(f"u{j}") for j in range(2, max(j_top, ctx.max_edge_size) + 1)}
+    dTdu = {j: d_du(T, j) for j in range(2, max(j_top, ctx.max_edge_size) + 1)}
     checks.append(
         identity_check(
             "tree-2edge",

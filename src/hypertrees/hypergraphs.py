@@ -19,10 +19,10 @@ never becomes the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial
 from typing import Iterator
 
-from . import _kernel_py
 from .combinat import part_multiplicities, partitions
 
 DEFAULT_BUDGET = 10_000_000
@@ -42,7 +42,7 @@ class BudgetExceededError(RuntimeError):
 
 def kernel_name() -> str:
     """The counting kernel's name, as reported by ``oracle --json``."""
-    return _kernel_py.KERNEL_NAME
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -279,8 +279,57 @@ def count_profile(
     required = assignment_count(n, profile)
     if required > budget:
         raise BudgetExceededError(required, budget)
-    total, connected, hypertree = _kernel_py.count_profile(n, profile.sizes())
+    total, connected, hypertree = _count_by_partitions(n, profile.sizes())
     return CountRow(n, profile, total, connected, hypertree)
+
+
+def _count_by_partitions(n: int, sizes: tuple[int, ...]) -> tuple[int, int, int]:
+    """(total, connected, hypertree) counts over every assignment of the edge slots.
+
+    The slots are filled one at a time, and instead of each partial
+    assignment only what decides its class is carried: the partition of
+    the vertices into components (each vertex labeled with the smallest
+    vertex of its block) and whether a cycle has been seen.  A state maps
+    to the number of partial assignments that reach it.  An edge closes a
+    cycle iff it touches fewer distinct components than it has vertices.
+    This is the transfer-matrix method (Stanley, EC1 4.7) over set
+    partitions.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    sizes = tuple(int(s) for s in sizes)
+    if any(s < 2 for s in sizes):
+        raise ValueError("edges need at least 2 vertices")
+    choice_lists = [tuple(combinations(range(n), s)) for s in sizes]
+    total = 1
+    for choices in choice_lists:
+        total *= len(choices)
+    if total == 0:
+        return (0, 0, 0)
+    if not sizes:
+        flag = 1 if n == 1 else 0
+        return (1, flag, flag)
+
+    states = {(tuple(range(n)), False): 1}
+    for s, choices in zip(sizes, choice_lists):
+        after: dict[tuple[tuple[int, ...], bool], int] = {}
+        for (labels, cycle), ways in states.items():
+            for edge in choices:
+                roots = {labels[v] for v in edge}
+                low = min(roots)
+                merged = tuple(low if label in roots else label for label in labels)
+                key = (merged, cycle or len(roots) < s)
+                after[key] = after.get(key, 0) + ways
+        states = after
+
+    connected = 0
+    hypertree = 0
+    for (labels, cycle), ways in states.items():
+        if not any(labels):  # one block: every vertex carries label 0
+            connected += ways
+            if not cycle:
+                hypertree += ways
+    return (total, connected, hypertree)
 
 
 def count_sweep(
@@ -297,14 +346,8 @@ def count_sweep(
 # -- text fixture format ----------------------------------------------------
 
 
-def format_hypergraph(h: Hypergraph) -> str:
-    """First line n, then one edge per line as a space-separated vertex list."""
-    lines = [str(h.n)]
-    lines.extend(" ".join(str(v) for v in edge) for edge in h.edges)
-    return "\n".join(lines) + "\n"
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
+    """First line n, then one edge per line as a space-separated vertex list."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty hypergraph text")

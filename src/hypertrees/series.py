@@ -11,10 +11,12 @@ A monomial carries a *magnitude* grading::
 
 which matches the edge magnitude of the hypergraphs these series count.
 
-A :class:`TruncationContext` is four integers: the bounds ``t_max``,
-``z_max`` and ``magnitude_max``, and the largest edge size ``M``.  Every
-operation truncates its result to those bounds, so the algebra is closed
-and all stored coefficients are exact :class:`fractions.Fraction` values.
+A :class:`TruncationContext` is three integers: the bounds ``t_max``,
+``z_max`` and ``magnitude_max``.  An edge variable u_i has magnitude
+i - 1, so no u_i past M = magnitude_max + 1 can carry a term, and the
+edge variables are exactly ``u2 .. uM``.  Every operation truncates its
+result to the bounds, so the algebra is closed and all stored
+coefficients are exact :class:`fractions.Fraction` values.
 A bound of 0 leaves its variable in the set but truncates it away: with
 ``z_max = 0`` the series ``z`` is zero.  There is no floating point
 anywhere.
@@ -86,20 +88,22 @@ class Monomial(tuple):
 class TruncationContext:
     """Degree bounds under which all arithmetic is performed.
 
-    ``max_edge_size`` is the largest edge size M carried symbolically, so
-    the edge variables are ``u2 .. uM``.
+    The edge variables are ``u2 .. uM`` with M = :attr:`max_edge_size`,
+    the largest edge size whose variable fits under ``magnitude_max``.
     """
 
     t_max: int = 6
     z_max: int = 0
     magnitude_max: int = 6
-    max_edge_size: int = 8
 
     def __post_init__(self) -> None:
-        if self.max_edge_size < 2:
-            raise ValueError("max_edge_size must be at least 2")
         if min(self.t_max, self.z_max, self.magnitude_max) < 0:
             raise ValueError("truncation bounds must be non-negative")
+
+    @property
+    def max_edge_size(self) -> int:
+        """M = magnitude_max + 1: u_i has magnitude i - 1."""
+        return self.magnitude_max + 1
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -133,7 +137,7 @@ class TruncationContext:
         """Build a monomial, validating exponents against the edge variables."""
         if t < 0 or z < 0:
             raise ValueError("exponents must be non-negative")
-        degs = [t, z] + [0] * (self.max_edge_size - 1)
+        degs = [t, z] + [0] * self.magnitude_max
         if u:
             for i, e in u.items():
                 if e < 0:

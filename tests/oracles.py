@@ -58,6 +58,14 @@ def power(f: Series, k: int) -> Series:
     return result
 
 
+def narrow(f: Series, ctx: TruncationContext) -> Series:
+    """f truncated into ctx, which may carry fewer edge variables than f's
+    context: a term that uses a u_j past ctx's lies beyond its magnitude
+    bound, so it is dropped, not shortened."""
+    width = len(ctx.names)
+    return Series(ctx, [(Monomial(m[:width]), c) for m, c in f.terms() if not any(m[width:])])
+
+
 def t_coefficient(f: Series, k: int) -> Series:
     """The coefficient of t^k in f as a series in the remaining variables."""
     out = {Monomial((0,) + m[1:]): c for m, c in f.terms() if m[0] == k}
@@ -91,11 +99,10 @@ def inverse_by_power_sum(f: Series) -> Series:
 def rooted_edge_argument_by_power_sum(R: Series) -> Series:
     """sum_j u_{j+1} R^j / j! from a hand-built coefficient list.
 
-    j stops at the largest edge variable, at magnitude_max (u_{j+1} has
-    magnitude j) and at t_max - 1.
+    j stops at magnitude_max (u_{j+1} has magnitude j) and at t_max - 1.
     """
     ctx = R.context
-    j_top = min(ctx.max_edge_size - 1, ctx.t_max - 1, ctx.magnitude_max)
+    j_top = min(ctx.t_max - 1, ctx.magnitude_max)
     u = [Series.variable(ctx, f"u{j + 1}") / factorial(j) for j in range(1, j_top + 1)]
     return R.power_sum([0] + u)
 

@@ -55,7 +55,7 @@ TABLE_LINES = [
 
 @pytest.fixture(scope="module")
 def big_pipeline():
-    ctx = TruncationContext(t_max=6, magnitude_max=6, max_edge_size=8)
+    ctx = TruncationContext(t_max=6, magnitude_max=6)
     return PipelineResult.compute(ctx)
 
 
@@ -87,7 +87,7 @@ def test_c1_table_reproduction(acceptance, big_pipeline):
 
 def test_c2_quadruple_agreement(acceptance):
     start = time.monotonic()
-    ctx = TruncationContext(t_max=5, magnitude_max=4, max_edge_size=6)
+    ctx = TruncationContext(t_max=5, magnitude_max=4)
     P = PipelineResult.compute(ctx)
     T_fixed = T_from_R(solve_R_fixed_point(ctx))
     checked = 0
@@ -146,7 +146,7 @@ def test_c3_stirling_edge_counts(acceptance):
 def test_c4_identity_suite(acceptance, big_pipeline):
     start = time.monotonic()
     fixed = solve_R_fixed_point(big_pipeline.context)
-    report = verify_identities(big_pipeline, fixed)
+    report = verify_identities(big_pipeline, fixed, 8)
     keys = {c.key for c in report.checks}
     required = {
         "connected-2edge",
@@ -176,7 +176,7 @@ def test_c4_identity_suite(acceptance, big_pipeline):
 
 def test_c5_vanishing_pattern(acceptance):
     start = time.monotonic()
-    ctx = TruncationContext(t_max=6, z_max=6, magnitude_max=0, max_edge_size=2)
+    ctx = TruncationContext(t_max=6, z_max=6, magnitude_max=0)
     ok = True
     for seed in SEEDS:
         report = verify_psi_form(lhs_series(random_phi(seed), ctx))
@@ -193,7 +193,7 @@ def test_c5_vanishing_pattern(acceptance):
 
 def test_c6_substitution_equivalence(acceptance):
     start = time.monotonic()
-    ctx = TruncationContext(t_max=6, z_max=6, magnitude_max=6, max_edge_size=8)
+    ctx = TruncationContext(t_max=6, z_max=6, magnitude_max=6)
     C = compute_C(ctx)
     ok = True
     for seed in SEEDS[:5]:
@@ -210,8 +210,8 @@ def test_c6_substitution_equivalence(acceptance):
 
 def test_c7_psi_diagonal_and_dictionary(acceptance, big_pipeline):
     start = time.monotonic()
-    ctx_tz = TruncationContext(t_max=6, z_max=6, magnitude_max=0, max_edge_size=2)
-    ctx_diag = TruncationContext(t_max=6, magnitude_max=0, max_edge_size=2)
+    ctx_tz = TruncationContext(t_max=6, z_max=6, magnitude_max=0)
+    ctx_diag = TruncationContext(t_max=6, magnitude_max=0)
     ok = True
     for seed in SEEDS:
         phi = random_phi(seed)

@@ -290,6 +290,30 @@ def test_verify_bound_validation(runner):
     assert r.exit_code == 2
 
 
+def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
+    # no u_i past magnitude_max + 1 can carry a term, so a huge --max-edge-size
+    # changes nothing but the width of the printed check list, already 5 at M = 5
+    from hypertrees import cli, gf
+
+    real = gf.compute_C
+    contexts = []
+
+    def recorded(ctx):
+        contexts.append(ctx)
+        return real(ctx)
+
+    for module in (gf, cli):
+        monkeypatch.setattr(module, "compute_C", recorded)
+    args = ["verify", "--t-max", "4", "--z-max", "2", "--trials", "1", "--sub-trials", "1"]
+    small = runner.invoke(main, args + ["--max-edge-size", "5"])
+    huge = runner.invoke(main, args + ["--max-edge-size", "1000"])
+    assert small.exit_code == huge.exit_code == 0, huge.output
+    assert huge.stdout_bytes == small.stdout_bytes
+    assert len(contexts) == 4  # the pipeline and the substitution route, per run
+    for ctx in contexts:
+        assert ctx.names[2:] == tuple(f"u{i}" for i in range(2, ctx.magnitude_max + 2))
+
+
 def test_verify_without_z(runner):
     args = ["verify", "--t-max", "3", "--z-max", "0", "--max-edge-size", "4"]
     result = runner.invoke(main, args + ["--trials", "2", "--sub-trials", "1"])

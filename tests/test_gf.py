@@ -32,12 +32,13 @@ from oracles import (
     T_from_R_by_power_sum,
     count_by_profile_by_fractions,
     egf_profile_coefficient,
+    narrow,
     oracle_polynomials,
     rooted_edge_argument_by_power_sum,
     t_coefficient,
 )
 
-CTX = TruncationContext(t_max=6, magnitude_max=6, max_edge_size=8)
+CTX = TruncationContext(t_max=6, magnitude_max=6)
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +72,7 @@ def test_hypertree_layer_is_the_minimal_magnitude_slice(pipeline):
 
 def test_pipeline_requires_wide_enough_alphabet():
     with pytest.raises(ValueError):
-        compute_C(TruncationContext(t_max=4, magnitude_max=6, max_edge_size=4))
-    with pytest.raises(ValueError):
-        compute_T(compute_C(TruncationContext(t_max=6, magnitude_max=3, max_edge_size=8)))
+        compute_T(compute_C(TruncationContext(t_max=6, magnitude_max=3)))
 
 
 def test_fixed_point_route_matches_log_route(pipeline):
@@ -82,13 +81,11 @@ def test_fixed_point_route_matches_log_route(pipeline):
     assert compute_R(pipeline.T) == pipeline.R
 
 
-# t_max, magnitude_max and max_edge_size each end the sums in turn
+# t_max and magnitude_max each end the sums in turn
 TWIN_CONTEXTS = {
-    "t-binds": TruncationContext(t_max=3, magnitude_max=6, max_edge_size=8),
-    "magnitude-binds": TruncationContext(t_max=6, z_max=2, magnitude_max=2, max_edge_size=8),
-    "edge-size-binds": TruncationContext(t_max=6, magnitude_max=6, max_edge_size=3),
-    "M=2": TruncationContext(t_max=4, magnitude_max=4, max_edge_size=2),
-    "t_max=1": TruncationContext(t_max=1, magnitude_max=2, max_edge_size=4),
+    "t-binds": TruncationContext(t_max=3, magnitude_max=6),
+    "magnitude-binds": TruncationContext(t_max=6, z_max=2, magnitude_max=2),
+    "t_max=1": TruncationContext(t_max=1, magnitude_max=2),
 }
 
 
@@ -174,18 +171,18 @@ def test_egf_extraction_conventions(pipeline):
 
 def test_pipeline_matches_oracle_polynomials(pipeline):
     # full polynomial agreement (all magnitudes) for small n
-    octx = TruncationContext(t_max=4, magnitude_max=4, max_edge_size=8)
+    octx = TruncationContext(t_max=4, magnitude_max=4)
     for n in range(1, 5):
         C_n, T_n = oracle_polynomials(n, octx)
-        assert Series(octx, (t_coefficient(pipeline.C, n) * factorial(n)).terms()) == C_n
-        assert Series(octx, (t_coefficient(pipeline.T, n) * factorial(n)).terms()) == T_n
+        assert narrow(t_coefficient(pipeline.C, n) * factorial(n), octx) == C_n
+        assert narrow(t_coefficient(pipeline.T, n) * factorial(n), octx) == T_n
 
 
 # -- identity suite ---------------------------------------------------------------
 
 
 def test_identity_suite_all_green(pipeline):
-    report = verify_identities(pipeline, solve_R_fixed_point(CTX))
+    report = verify_identities(pipeline, solve_R_fixed_point(CTX), 8)
     assert report.ok, report.summary_lines()
     assert len(report.checks) == 18
     keys = {c.key for c in report.checks}

@@ -29,11 +29,12 @@ from oracles import (
     lagrange_revert,
     log_by_power_sum,
     mul_by_term_pairs,
+    narrow,
     power,
     t_coefficient,
 )
 
-CTX = TruncationContext(t_max=6, magnitude_max=5, max_edge_size=5)
+CTX = TruncationContext(t_max=6, magnitude_max=5)
 T = Series.variable(CTX, "t")
 U2 = Series.variable(CTX, "u2")
 U3 = Series.variable(CTX, "u3")
@@ -79,13 +80,13 @@ def test_bound_zero_truncates_its_variable():
     # z_max = 0 keeps z in the variable set but truncates it, like t at t_max = 0
     assert CTX.z_max == 0
     assert Series.variable(CTX, "z").is_zero()
-    t_free = TruncationContext(t_max=0, z_max=2, magnitude_max=0, max_edge_size=2)
+    t_free = TruncationContext(t_max=0, z_max=2, magnitude_max=0)
     assert Series.variable(t_free, "t").is_zero()
     assert not Series.variable(t_free, "z").is_zero()
 
 
 def test_magnitude_has_no_width_cap():
-    ctx = TruncationContext(t_max=1, magnitude_max=5000, max_edge_size=5000)
+    ctx = TruncationContext(t_max=1, magnitude_max=5000)
 
     def literal(m):
         return sum((i - 1) * e for i, e in enumerate(m) if i >= 2)
@@ -105,7 +106,7 @@ def test_magnitude_has_no_width_cap():
 
 
 def test_mixing_contexts_raises():
-    other = TruncationContext(t_max=6, magnitude_max=5, max_edge_size=6)
+    other = TruncationContext(t_max=6, z_max=1, magnitude_max=5)
     with pytest.raises(ContextMismatchError):
         T + Series.variable(other, "t")
 
@@ -223,7 +224,7 @@ def test_revert_catalan():
 
 def test_revert_rooted_labeled_trees():
     # inverse of t e^{-t} has [t^n] = n^{n-1}/n!
-    ctx = TruncationContext(t_max=6, magnitude_max=0, max_edge_size=2)
+    ctx = TruncationContext(t_max=6, magnitude_max=0)
     t = Series.variable(ctx, "t")
     g = revert(t * (-t).exp())
     for n in range(1, 7):
@@ -247,15 +248,16 @@ def test_revert_rejects_bad_input():
 
 # -- property tests -----------------------------------------------------------
 
-PCTX = TruncationContext(t_max=4, magnitude_max=4, max_edge_size=4)
+PCTX = TruncationContext(t_max=4, magnitude_max=4)
 
 _ADMISSIBLE = [
-    Monomial((t, 0, a, b, c))
+    Monomial((t, 0, a, b, c, d))
     for t in range(PCTX.t_max + 1)
     for a in range(PCTX.magnitude_max + 1)
     for b in range(PCTX.magnitude_max // 2 + 1)
     for c in range(PCTX.magnitude_max // 3 + 1)
-    if a + 2 * b + 3 * c <= PCTX.magnitude_max
+    for d in range(PCTX.magnitude_max // 4 + 1)
+    if a + 2 * b + 3 * c + 4 * d <= PCTX.magnitude_max
 ]
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -309,10 +311,10 @@ def test_exp_is_a_homomorphism(a, b):
 @settings(max_examples=60, deadline=None)
 @given(series_terms, series_terms)
 def test_truncation_coherence(a, b):
-    small = TruncationContext(t_max=2, magnitude_max=2, max_edge_size=4)
+    small = TruncationContext(t_max=2, magnitude_max=2)  # u2, u3 of PCTX's u2 .. u5
 
     def cut(f):
-        return Series(small, f.terms())
+        return narrow(f, small)
 
     f, g = build(a), build(b)
     assert cut(f * g) == cut(f) * cut(g)
@@ -350,10 +352,10 @@ def test_reversion_routes_agree(a, c1):
 # -- graded recurrences against their power-sum twins ---------------------------
 
 _TWIN_CONTEXTS = [
-    TruncationContext(t_max=4, z_max=4, magnitude_max=0, max_edge_size=2),  # psi's shape
-    TruncationContext(t_max=3, z_max=0, magnitude_max=3, max_edge_size=4),
-    TruncationContext(t_max=2, z_max=2, magnitude_max=2, max_edge_size=3),
-    TruncationContext(t_max=0, z_max=0, magnitude_max=0, max_edge_size=2),  # grade bound 0
+    TruncationContext(t_max=4, z_max=4, magnitude_max=0),  # psi's shape
+    TruncationContext(t_max=3, z_max=0, magnitude_max=3),
+    TruncationContext(t_max=2, z_max=2, magnitude_max=2),
+    TruncationContext(t_max=0, z_max=0, magnitude_max=0),  # grade bound 0
 ]
 
 
@@ -383,7 +385,7 @@ def test_graded_maps_equal_power_sums(f, c):
 
 # -- the integer product kernel against its term-pair twin -----------------------
 
-_WIDE = TruncationContext(t_max=3, z_max=1, magnitude_max=40, max_edge_size=40)
+_WIDE = TruncationContext(t_max=3, z_max=1, magnitude_max=40)
 
 
 def _wide_admissible(ctx):

@@ -3,11 +3,14 @@
 A renamed or deleted target makes every traced benchmark run fail, and
 only a traced run would show it; this check fails in the unit tests first.
 A name that still exists but is no longer called reads zero silently, so
-the oracle route is also checked by counting its calls.
+the oracle route and the series, gf and funceq targets of the verify, psi
+and table routes are also checked by counting their calls.
 """
 
 import importlib
+import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from hypertrees import hypergraphs
 from hypertrees.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PHI_C00 = str(Path(__file__).parent / "data" / "phi-c00.json")
 
 
 def _plan() -> tuple:
@@ -54,3 +58,68 @@ def test_oracle_sweep_routes_through_count_profile(monkeypatch):
     profiles = list(hypergraphs.iter_profiles(3, max_size=4))
     assert len(result.output.splitlines()) == len(profiles)
     assert [profile for _, profile in calls] == profiles
+
+
+_SERIES_OPS = {"series.mul", "series.add", "series.exp", "series.log", "series.substitute",
+               "series.revert"}
+
+# the series, gf and funceq spans perfbench reads on each route
+ROUTES = {
+    "verify": (
+        ["verify", "--t-max", "3", "--z-max", "3", "--trials", "1", "--sub-trials", "1"],
+        _SERIES_OPS | {"gf.compute_C", "gf.verify_identities", "gf.solve_R_fixed_point",
+                       "funceq.lhs_series", "funceq.psi_from_phi",
+                       "funceq.substituted_connected_gf", "funceq.hypertree_dictionary_report"},
+    ),
+    "psi": (
+        ["psi", PHI_C00, "--t-max", "3", "--z-max", "3"],
+        _SERIES_OPS | {"funceq.lhs_series", "funceq.psi_from_phi"},
+    ),
+    "table": (["table", "--max-n", "4"], {"gf.count_by_profile"}),
+}
+
+# Series.inverse has no caller in the package (tests and Lagrange reversion
+# use it), so no route reaches it; it stays a PLAN target until the benchmark
+# changes
+OFF_ROUTE = {"series.inverse"}
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count calls to every series, gf and funceq PLAN target, by-name imports included."""
+    calls: Counter = Counter()
+
+    def counted(span, fn):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for span, module_name, attr, _, _ in _plan():
+        if span.split(".")[0] not in ("series", "gf", "funceq"):
+            continue
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            cls = getattr(module, cls_name)
+            monkeypatch.setattr(cls, method, counted(span, vars(cls)[method]))
+            continue
+        orig = getattr(module, attr)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hypertrees") and getattr(mod, attr, None) is orig:
+                monkeypatch.setattr(mod, attr, counted(span, orig))
+    return calls
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_route_calls_every_layer_target_it_reads(monkeypatch, route):
+    args, expected = ROUTES[route]
+    calls = _count_calls(monkeypatch)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert {span for span in expected if not calls[span]} == set()
+
+
+def test_every_layer_target_has_a_route():
+    spans = {span for span, *_ in _plan() if span.split(".")[0] in ("series", "gf", "funceq")}
+    routed = set().union(*(expected for _, expected in ROUTES.values()))
+    assert spans == routed | OFF_ROUTE

@@ -26,8 +26,6 @@ from .funceq import (
 from .gf import (
     PipelineResult,
     compute_C,
-    compute_R,
-    compute_T,
     count_by_profile,
     rooted_count_by_edges,
     render_table,
@@ -48,7 +46,7 @@ from .hypergraphs import (
     kernel_name,
     parse_hypergraph,
 )
-from .series import Monomial, Series, TruncationContext, first_difference
+from .series import Monomial, Series, TruncationContext, first_difference, narrow
 
 EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 3
@@ -207,11 +205,13 @@ def _run_verify(
     payload: dict = {}
 
     ctx = TruncationContext(t_max=t_max, magnitude_max=magnitude_max)
-    P = PipelineResult.compute(ctx)
+    ctx_sub = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=z_max)
+    # C has no z terms: one C at the wider magnitude serves both contexts
+    C_all = compute_C(TruncationContext(t_max=t_max, magnitude_max=max(magnitude_max, z_max)))
+    C = narrow(C_all, ctx)
     if inject_fault:
-        bad_C = P.C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
-        bad_T = compute_T(bad_C)
-        P = PipelineResult(ctx, bad_C, bad_T, compute_R(bad_T))
+        C = C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
+    P = PipelineResult.from_C(C)
     fixed = solve_R_fixed_point(ctx)
     identity_report = verify_identities(P, fixed, max_edge_size)
     payload["identities"] = identity_report.as_dict()
@@ -246,8 +246,7 @@ def _run_verify(
     status = status_tag(diagonal_ok, ran=trials > 0)
     lines.append(f"{status} psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})")
 
-    ctx_sub = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=z_max)
-    C_joint = compute_C(ctx_sub)
+    C_joint = narrow(C_all, ctx_sub)
     substitution_ok = True
     sub_rows = []
     pad = (0,) * (len(ctx_sub.names) - 2)  # L has no u-terms: widen the trial loop's L

@@ -29,6 +29,7 @@ from math import factorial
 from .combinat import StirlingTable, part_multiplicities, partitions
 from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
 from .series import Series, TruncationContext, first_difference
+from .series import _EMPTY, _graded, _power_slices, _slice_sum, _t_coefficients
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
 # largest edge size is below 5)
@@ -95,29 +96,37 @@ def phi_maps(phi: Series) -> tuple[Series, Series]:
     return phi + w_dphi, w - w * w_dphi
 
 
-def rooted_edge_argument(R: Series) -> Series:
-    """sum_j u_{j+1} R^j / j!, the exponent of the rooted fixed point.
-
-    The map is cut at w^(t_max - 1): R^j has t-degree at least j, so the
-    j = t_max term lands beyond t_max once the fixed point multiplies it
-    by t, and the rooted-ratio check compares t-degrees up to t_max - 1.
-    """
-    ctx = R.context
-    rooted, _ = phi_maps(edge_symbol_phi(ctx))
-    return rooted.restrict(t_max=ctx.t_max - 1).substitute("t", R)
-
-
 def solve_R_fixed_point(ctx: TruncationContext) -> Series:
-    """Solve R = t * exp(sum_j u_{j+1} R^j / j!) by iteration from R = t.
+    """Solve R = t * exp(A(R)), A(w) = sum_j a_j w^j, one t-slice at a time.
 
-    Each pass extends exactness by one t-order, so t_max passes starting
-    from the t-linear seed determine every admissible coefficient.
+    a_j = u_{j+1} / j! is the w^j coefficient of the rooted map of
+    :func:`phi_maps`.  R_1 = t, and the slices of P_j = R^j, of A and of
+    E = exp(A) = R / t follow from those of R below them:
+
+        P_j[n] = sum_i R_i P_{j-1}[n-i],   A_n = sum_j a_j P_j[n],
+        n E_n = sum_k k A_k E_{n-k},       R_{n+1} = t E_n.
+
+    E_n is R_{n+1} / t, so R's slices stand in for E's.
     """
+    N = ctx.t_max
+    rooted, _ = phi_maps(edge_symbol_phi(ctx))
+    a = [_graded(c) for c in _t_coefficients(rooted)]
+    top = min(N - 1, ctx.magnitude_max)  # a_j has magnitude j and P_j[n] needs j <= n < N
+    powers = [[_EMPTY] * (N + 2) for _ in range(max(top, 1) + 1)]
+    R = powers[1]
     t = Series.variable(ctx, "t")
-    R = t
-    for _ in range(ctx.t_max):
-        R = t * rooted_edge_argument(R).exp()
-    return R
+    R[1] = t._kernel_operand()
+    result = dict(t._terms)
+    kA = [_EMPTY] * (N + 1)
+    for n in range(1, N):
+        _power_slices(powers, n, ctx)
+        A_n = _slice_sum([(a[j], powers[j][n]) for j in range(1, top + 1)], ctx)
+        kA[n] = _graded({m: n * c for m, c in A_n.items()})
+        R_next = _slice_sum([(kA[k], R[n + 1 - k]) for k in range(1, n + 1)], ctx)
+        R_next = {m: c / n for m, c in R_next.items()}
+        result.update(R_next)
+        R[n + 1] = _graded(R_next)
+    return Series._trusted(ctx, result)
 
 
 def T_from_R(R: Series) -> Series:
@@ -136,10 +145,9 @@ class PipelineResult:
     R: Series
 
     @classmethod
-    def compute(cls, ctx: TruncationContext) -> "PipelineResult":
-        C = compute_C(ctx)
+    def from_C(cls, C: Series) -> "PipelineResult":
         T = compute_T(C)
-        return cls(ctx, C, T, compute_R(T))
+        return cls(C.context, C, T, compute_R(T))
 
 
 # -- closed-form counts ------------------------------------------------------
@@ -386,13 +394,15 @@ def verify_identities(P: PipelineResult, fixed: Series, largest_edge: int) -> Id
             Q,
         )
     )
-    # R here is t dT/dt from log S, not the fixed point, so this stays independent
+    # R here is t dT/dt from log S, not the fixed point, so this stays independent;
+    # the rooted map composed with R, cut at w^(N - 1) like the comparison region
+    rooted, _ = phi_maps(edge_symbol_phi(ctx))
     checks.append(
         identity_check(
             "rooted-ratio",
             "R/t = exp(sum_j u_{j+1} R^j / j!)",
             R.divided_by_t(),
-            rooted_edge_argument(R).exp(),
+            rooted.restrict(t_max=N - 1).substitute("t", R).exp(),
             N - 1,
             Q,
         )

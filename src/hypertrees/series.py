@@ -34,6 +34,11 @@ solve for the grade-d piece of the result from the pieces below it (the
 Euler-operator recurrences), about one product's work in all, and
 inverse is exp(-log(f/c)) / c.  Substitution and the polynomial sums in
 :mod:`hypertrees.gf` go through :meth:`Series.power_sum`.
+
+:func:`revert` and the rooted fixed point of :mod:`hypertrees.gf` solve
+for one t-slice of the unknown at a time from the slices below it, each
+slice sum one call of the product loop: the schoolbook form of relaxed
+evaluation (van der Hoeven, "Relax, but don't be too lazy", 2002).
 """
 
 from __future__ import annotations
@@ -454,6 +459,7 @@ class Series:
 
 _Term = tuple[Monomial, int, int, int, int]  # monomial, t, z, magnitude, numerator
 _Graded = tuple[int, list[_Term]]  # common denominator, terms sorted by magnitude
+_Pairs = Sequence[tuple[_Graded, _Graded]]  # left and right operands of a product loop
 
 
 def _graded(terms: Mapping[Monomial, Fraction]) -> _Graded:
@@ -471,11 +477,7 @@ def _graded(terms: Mapping[Monomial, Fraction]) -> _Graded:
     return den, graded
 
 
-def _mul_into(
-    out: dict[Monomial, Fraction],
-    pairs: Sequence[tuple[_Graded, _Graded]],
-    ctx: TruncationContext,
-) -> None:
+def _mul_into(out: dict[Monomial, Fraction], pairs: _Pairs, ctx: TruncationContext) -> None:
     """Add every in-context product of a left and a right term into out.
 
     This is the one term-pair loop that ``*``, exp and log multiply through.
@@ -537,28 +539,75 @@ def first_difference(
     return None
 
 
+def narrow(f: Series, ctx: TruncationContext) -> Series:
+    """f truncated into ctx, which may carry fewer edge variables than f's
+    context: a term that uses a u_j past ctx's lies beyond its magnitude
+    bound, so it is dropped, not shortened."""
+    width = len(ctx.names)
+    kept = [(Monomial(m[:width]), c) for m, c in f._terms.items() if not any(m[width:])]
+    return Series(ctx, kept)
+
+
+# -- t-slices for the online solvers: an unknown's slices keep their t-exponent
+
+_EMPTY: _Graded = (1, [])
+
+
+def _t_coefficients(f: Series) -> list[dict[Monomial, Fraction]]:
+    """[t^k] f for k = 0 .. t_max, each as t-free terms."""
+    out: list[dict[Monomial, Fraction]] = [{} for _ in range(f.context.t_max + 1)]
+    for m, c in f._terms.items():
+        out[m[0]][Monomial((0,) + m[1:])] = c
+    return out
+
+
+def _slice_sum(pairs: _Pairs, ctx: TruncationContext) -> dict[Monomial, Fraction]:
+    """The sum of left * right over the pairs, in one :func:`_mul_into` call."""
+    out: dict[Monomial, Fraction] = {}
+    _mul_into(out, [(a, b) for a, b in pairs if a[1] and b[1]], ctx)
+    return out
+
+
+def _power_slices(powers: list[list[_Graded]], n: int, ctx: TruncationContext) -> None:
+    """Fill in slice n of x^j for every j >= 2, where powers[j] holds the
+    t-slices of x^j and powers[1] those of x.  x has no t^0 slice, so
+    [t^n] x^j = sum_{i>=1} x_i [t^(n-i)] x^(j-1) reads x below n only."""
+    x = powers[1]
+    for j in range(2, len(powers)):
+        prev = powers[j - 1]
+        powers[j][n] = _graded(_slice_sum([(x[i], prev[n - i]) for i in range(1, n)], ctx))
+
+
 def revert(f: Series) -> Series:
     """Compositional inverse in the t-variable slot.
 
     Requires f = t * (unit): every term divisible by t and a nonzero
-    linear coefficient.  Other variables ride along as coefficients.
-    The fixed-point iteration gains one order of total grade per step,
-    so it is run to the context grade bound and checked for stability.
+    linear coefficient.  Other variables ride along as coefficients, so
+    with f = sum_k f_k t^k the linear coefficient f_1 may carry z or u
+    terms.  g = f^(-1) is solved one t-slice at a time from f(g) = t:
+
+        g_n = f_1^(-1) ([n = 1] t - sum_{k>=2} f_k [t^n] g^k),
+
+    where [t^n] g^k reads only the slices of g below n.
     """
     ctx = f.context
-    y = Series.variable(ctx, "t")
-    t_monomial = ctx.monomial(t=1)
-    c1 = f.coefficient(t_monomial)
+    c1 = f.coefficient(ctx.monomial(t=1))
     if not c1:
         raise ValueError("reversion needs a nonzero linear t-coefficient")
     if any(m[0] == 0 for m in f._terms):
         raise ValueError("reversion needs every term divisible by t")
-    h = f - c1 * y
-    g = y / c1
-    for _ in range(ctx.grade_bound + 2):
-        nxt = (y - h.substitute("t", g)) / c1
-        if nxt == g:
-            return g
-        g = nxt
-    raise RuntimeError("reversion iteration did not stabilize")
-
+    f_k = _t_coefficients(f)
+    inv = Series._trusted(ctx, f_k[1]).inverse()
+    top = max(k for k, c in enumerate(f_k) if c)
+    # h_k = -f_k / f_1, so g_n = sum_{k>=2} h_k [t^n] g^k
+    h = {k: (-(inv * Series._trusted(ctx, f_k[k])))._kernel_operand() for k in range(2, top + 1)}
+    powers = [[_EMPTY] * (ctx.t_max + 1) for _ in range(top + 1)]
+    g_1 = Series.variable(ctx, "t") * inv
+    powers[1][1] = g_1._kernel_operand()
+    result = dict(g_1._terms)
+    for n in range(2, ctx.t_max + 1):
+        _power_slices(powers, n, ctx)
+        g_n = _slice_sum([(h[k], powers[k][n]) for k in range(2, top + 1)], ctx)
+        result.update(g_n)
+        powers[1][n] = _graded(g_n)
+    return Series._trusted(ctx, result)

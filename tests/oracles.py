@@ -1,12 +1,13 @@
 """Slow, literal routes that the tests hold the library against.
 
 Nothing in the library calls these: each one recomputes a result by a
-second, independent method (Lagrange inversion in place of fixed-point
-reversion, explicit enumeration in place of the counting kernel, full
-power sums in place of the graded exp and log recurrences and the
-inverse built from them, hand-built coefficient lists in place of the
-maps derived from the edge weights phi, a Fraction per term pair in
-place of the integer product kernel, Fraction arithmetic in place of
+second, independent method (Lagrange inversion in place of slice-by-slice
+reversion, full-precision passes in place of the slice-by-slice fixed
+point and reversion, explicit enumeration in place of the counting
+kernel, full power sums in place of the graded exp and log recurrences
+and the inverse built from them, hand-built coefficient lists in place
+of the maps derived from the edge weights phi, a Fraction per term pair
+in place of the integer product kernel, Fraction arithmetic in place of
 the integer closed-form counts), so it lives with the tests that use it
 as a reference.
 """
@@ -18,6 +19,7 @@ from itertools import combinations, product
 from math import factorial
 from typing import Iterator
 
+from hypertrees.gf import edge_symbol_phi, phi_maps
 from hypertrees.hypergraphs import (
     DEFAULT_BUDGET,
     DEFAULT_N_MAX,
@@ -56,14 +58,6 @@ def power(f: Series, k: int) -> Series:
         if result.is_zero():
             break
     return result
-
-
-def narrow(f: Series, ctx: TruncationContext) -> Series:
-    """f truncated into ctx, which may carry fewer edge variables than f's
-    context: a term that uses a u_j past ctx's lies beyond its magnitude
-    bound, so it is dropped, not shortened."""
-    width = len(ctx.names)
-    return Series(ctx, [(Monomial(m[:width]), c) for m, c in f.terms() if not any(m[width:])])
 
 
 def t_coefficient(f: Series, k: int) -> Series:
@@ -113,6 +107,57 @@ def T_from_R_by_power_sum(R: Series) -> Series:
     top = min(ctx.max_edge_size, ctx.t_max)
     u = [Series.variable(ctx, f"u{j}") * Fraction(1 - j, factorial(j)) for j in range(2, top + 1)]
     return R.power_sum([0, 1] + u)
+
+
+def rooted_edge_argument(R: Series) -> Series:
+    """sum_j u_{j+1} R^j / j!, the rooted map of the edge weights composed
+    with R by substitution.
+
+    The map is cut at w^(t_max - 1): R^j has t-degree at least j, so the
+    j = t_max term lands beyond t_max once the fixed point multiplies it
+    by t.
+    """
+    ctx = R.context
+    rooted, _ = phi_maps(edge_symbol_phi(ctx))
+    return rooted.restrict(t_max=ctx.t_max - 1).substitute("t", R)
+
+
+def solve_R_by_iteration(ctx: TruncationContext) -> Series:
+    """Solve R = t * exp(sum_j u_{j+1} R^j / j!) by iteration from R = t.
+
+    Each pass extends exactness by one t-order, so t_max passes starting
+    from the t-linear seed determine every admissible coefficient.
+    """
+    t = Series.variable(ctx, "t")
+    R = t
+    for _ in range(ctx.t_max):
+        R = t * rooted_edge_argument(R).exp()
+    return R
+
+
+def revert_by_iteration(f: Series) -> Series:
+    """Compositional inverse in the t-variable slot, by full-precision passes.
+
+    The fixed-point iteration g = (t - h(g)) / c1, with c1 the scalar
+    linear coefficient, gains one order of total grade per step, so it is
+    run to the context grade bound and checked for stability.
+    """
+    ctx = f.context
+    y = Series.variable(ctx, "t")
+    t_monomial = ctx.monomial(t=1)
+    c1 = f.coefficient(t_monomial)
+    if not c1:
+        raise ValueError("reversion needs a nonzero linear t-coefficient")
+    if any(m[0] == 0 for m in f._terms):
+        raise ValueError("reversion needs every term divisible by t")
+    h = f - c1 * y
+    g = y / c1
+    for _ in range(ctx.grade_bound + 2):
+        nxt = (y - h.substitute("t", g)) / c1
+        if nxt == g:
+            return g
+        g = nxt
+    raise RuntimeError("reversion iteration did not stabilize")
 
 
 def lagrange_revert(f: Series) -> Series:

@@ -56,7 +56,7 @@ TABLE_LINES = [
 @pytest.fixture(scope="module")
 def big_pipeline():
     ctx = TruncationContext(t_max=6, magnitude_max=6)
-    return PipelineResult.compute(ctx)
+    return PipelineResult.from_C(compute_C(ctx))
 
 
 def test_c1_table_reproduction(acceptance, big_pipeline):
@@ -88,7 +88,7 @@ def test_c1_table_reproduction(acceptance, big_pipeline):
 def test_c2_quadruple_agreement(acceptance):
     start = time.monotonic()
     ctx = TruncationContext(t_max=5, magnitude_max=4)
-    P = PipelineResult.compute(ctx)
+    P = PipelineResult.from_C(compute_C(ctx))
     T_fixed = T_from_R(solve_R_fixed_point(ctx))
     checked = 0
     ok = True

@@ -251,6 +251,24 @@ def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_computes_C_once(runner, monkeypatch):
+    # the pipeline and the substitution route narrow one C at the wider magnitude
+    from hypertrees import cli, gf
+
+    real = gf.compute_C
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    for module in (gf, cli):
+        monkeypatch.setattr(module, "compute_C", counted)
+    result = runner.invoke(main, VERIFY_SMALL)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("trials, sub_trials", [(3, 2), (1, 2), (0, 2), (2, 0)])
 def test_verify_expands_L_once_per_seed(runner, monkeypatch, trials, sub_trials):
     from hypertrees import cli, funceq
@@ -309,7 +327,7 @@ def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
     huge = runner.invoke(main, args + ["--max-edge-size", "1000"])
     assert small.exit_code == huge.exit_code == 0, huge.output
     assert huge.stdout_bytes == small.stdout_bytes
-    assert len(contexts) == 4  # the pipeline and the substitution route, per run
+    assert len(contexts) == 2  # one C per run serves the pipeline and the substitution route
     for ctx in contexts:
         assert ctx.names[2:] == tuple(f"u{i}" for i in range(2, ctx.magnitude_max + 2))
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypertrees.gf import (
     PipelineResult,
@@ -20,21 +21,21 @@ from hypertrees.gf import (
     render_table,
     render_table_line,
     rooted_count_by_edges,
-    rooted_edge_argument,
     solve_R_fixed_point,
     specialize_all_ones,
     table_terms,
     verify_identities,
 )
 from hypertrees.hypergraphs import EdgeProfile, count_profile, iter_profiles
-from hypertrees.series import Series, TruncationContext
+from hypertrees.series import Series, TruncationContext, narrow
 from oracles import (
     T_from_R_by_power_sum,
     count_by_profile_by_fractions,
     egf_profile_coefficient,
-    narrow,
     oracle_polynomials,
+    rooted_edge_argument,
     rooted_edge_argument_by_power_sum,
+    solve_R_by_iteration,
     t_coefficient,
 )
 
@@ -43,7 +44,7 @@ CTX = TruncationContext(t_max=6, magnitude_max=6)
 
 @pytest.fixture(scope="module")
 def pipeline():
-    return PipelineResult.compute(CTX)
+    return PipelineResult.from_C(compute_C(CTX))
 
 
 # -- pipeline structure ---------------------------------------------------------
@@ -79,6 +80,27 @@ def test_fixed_point_route_matches_log_route(pipeline):
     R2 = solve_R_fixed_point(CTX)
     assert R2 == pipeline.R
     assert compute_R(pipeline.T) == pipeline.R
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(TruncationContext, st.integers(0, 7), st.integers(0, 2), st.integers(0, 7)))
+@example(TruncationContext(t_max=3, magnitude_max=6))  # t_max binds
+@example(TruncationContext(t_max=7, magnitude_max=2))  # magnitude binds
+@example(TruncationContext(t_max=5, z_max=2, magnitude_max=5))  # z present
+@example(TruncationContext(t_max=0, magnitude_max=3))
+@example(TruncationContext(t_max=1, magnitude_max=3))
+@example(TruncationContext(t_max=5, magnitude_max=0))
+def test_fixed_point_slices_equal_iteration(ctx):
+    assert solve_R_fixed_point(ctx) == solve_R_by_iteration(ctx)
+
+
+@pytest.mark.parametrize("N, M, Z", [(6, 6, 3), (6, 3, 6), (6, 6, 0), (5, 7, 4), (4, 4, 4)])
+def test_narrowed_C_equals_direct(N, M, Z):
+    # verify computes C once at magnitude max(M, Z) and narrows it into both contexts
+    wide = compute_C(TruncationContext(t_max=N, magnitude_max=max(M, Z)))
+    for ctx in (TruncationContext(t_max=N, magnitude_max=M),
+                TruncationContext(t_max=N, z_max=Z, magnitude_max=Z)):
+        assert narrow(wide, ctx) == compute_C(ctx)
 
 
 # t_max and magnitude_max each end the sums in turn

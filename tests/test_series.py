@@ -21,6 +21,7 @@ from hypertrees.series import (
     Series,
     TruncationContext,
     first_difference,
+    narrow,
     revert,
 )
 from oracles import (
@@ -29,8 +30,8 @@ from oracles import (
     lagrange_revert,
     log_by_power_sum,
     mul_by_term_pairs,
-    narrow,
     power,
+    revert_by_iteration,
     t_coefficient,
 )
 
@@ -436,6 +437,53 @@ def test_product_kernel_equals_term_pairs(case, rnd):
     rnd.shuffle(a)
     rnd.shuffle(b)
     assert Series(ctx, a) * Series(ctx, b) == f * g
+
+
+# -- slice-by-slice reversion against its full-pass twin ---------------------------
+
+_REVERT_CONTEXTS = [
+    TruncationContext(t_max=3, z_max=0, magnitude_max=5),  # t_max binds
+    TruncationContext(t_max=5, z_max=1, magnitude_max=2),  # magnitude binds
+    TruncationContext(t_max=4, z_max=3, magnitude_max=0),  # z present, no edge variables
+    TruncationContext(t_max=3, z_max=2, magnitude_max=2),
+    TruncationContext(t_max=1, z_max=1, magnitude_max=2),
+    TruncationContext(t_max=0, z_max=1, magnitude_max=1),  # t is zero: both refuse
+]
+
+
+def _revert_case(ctx):
+    # terms of t-degree 1 besides t itself make f_1 a series in z and u; at
+    # t_max = 0 no term is divisible by t, and any f is refused
+    divisible = [m for m in _admissible(ctx) if m[0]] or _admissible(ctx)
+    rest = st.dictionaries(st.sampled_from(divisible), coeffs, max_size=6)
+    return st.tuples(st.just(ctx), units, rest, st.booleans())
+
+
+revert_cases = st.sampled_from(_REVERT_CONTEXTS).flatmap(_revert_case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(revert_cases)
+def test_revert_slices_equal_iteration(case):
+    ctx, c, rest, linear = case
+    f = c * Series.variable(ctx, "t") + (Series.zero(ctx) if linear else Series(ctx, rest))
+    try:
+        expected = revert_by_iteration(f)
+    except ValueError as exc:  # rest cancelled the linear term, or t_max = 0
+        with pytest.raises(type(exc)) as got:
+            revert(f)
+        assert str(got.value) == str(exc)
+        return
+    assert revert(f) == expected
+
+
+def test_revert_with_series_linear_coefficient():
+    ctx = TruncationContext(t_max=5, z_max=3, magnitude_max=3)
+    t, z, u2 = (Series.variable(ctx, name) for name in ("t", "z", "u2"))
+    f = t * (2 + z + 3 * u2) + t * t * (u2 - 1) + power(t, 3) * z / 2
+    g = revert(f)
+    assert g == revert_by_iteration(f)
+    assert f.substitute("t", g) == t
 
 
 @pytest.mark.parametrize(

@@ -60,8 +60,8 @@ def test_oracle_sweep_routes_through_count_profile(monkeypatch):
     assert [profile for _, profile in calls] == profiles
 
 
-_SERIES_OPS = {"series.mul", "series.add", "series.exp", "series.log", "series.substitute",
-               "series.revert"}
+_SERIES_OPS = {"series.mul", "series.add", "series.exp", "series.log", "series.inverse",
+               "series.substitute", "series.revert"}
 
 # the series, gf and funceq spans perfbench reads on each route
 ROUTES = {
@@ -77,11 +77,6 @@ ROUTES = {
     ),
     "table": (["table", "--max-n", "4"], {"gf.count_by_profile"}),
 }
-
-# Series.inverse has no caller in the package (tests and Lagrange reversion
-# use it), so no route reaches it; it stays a PLAN target until the benchmark
-# changes
-OFF_ROUTE = {"series.inverse"}
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -122,4 +117,4 @@ def test_route_calls_every_layer_target_it_reads(monkeypatch, route):
 def test_every_layer_target_has_a_route():
     spans = {span for span, *_ in _plan() if span.split(".")[0] in ("series", "gf", "funceq")}
     routed = set().union(*(expected for _, expected in ROUTES.values()))
-    assert spans == routed | OFF_ROUTE
+    assert spans == routed

@@ -58,6 +58,14 @@ def main() -> None:
     """Exact hypertree counts, brute-force oracles and identity checks."""
 
 
+def _require_bounds(t_max: int, z_max: int, magnitude_max: int) -> None:
+    """Refuse truncation bounds that no series context can hold."""
+    try:
+        TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=magnitude_max)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _parse_profile(text: str) -> EdgeProfile:
     try:
         return EdgeProfile.parse(text)
@@ -322,6 +330,7 @@ def verify(
         raise click.UsageError("need --max-edge-size > --magnitude-max")
     if max_edge_size < 2:
         raise click.UsageError("need --max-edge-size >= 2")
+    _require_bounds(t_max, z_max, max(magnitude_max, z_max))
     ok, payload, lines = _run_verify(
         t_max, z_max, magnitude_max, max_edge_size, seed, trials, sub_trials, inject_fault
     )
@@ -355,6 +364,7 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         order = t_max - 1
     if not 0 <= order <= t_max - 1:
         raise click.UsageError("need 0 <= --order <= t_max - 1")
+    _require_bounds(t_max, z_max, 0)
     with open(phi_file, "r", encoding="utf-8") as fh:
         try:
             phi = PhiCoefficients.from_json(json.load(fh))

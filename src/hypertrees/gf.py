@@ -110,7 +110,7 @@ def solve_R_fixed_point(ctx: TruncationContext) -> Series:
     """
     N = ctx.t_max
     rooted, _ = phi_maps(edge_symbol_phi(ctx))
-    a = [_graded(c) for c in _t_coefficients(rooted)]
+    a = [_graded(c, ctx) for c in _t_coefficients(rooted)]
     top = min(N - 1, ctx.magnitude_max)  # a_j has magnitude j and P_j[n] needs j <= n < N
     powers = [[_EMPTY] * (N + 2) for _ in range(max(top, 1) + 1)]
     R = powers[1]
@@ -121,11 +121,11 @@ def solve_R_fixed_point(ctx: TruncationContext) -> Series:
     for n in range(1, N):
         _power_slices(powers, n, ctx)
         A_n = _slice_sum([(a[j], powers[j][n]) for j in range(1, top + 1)], ctx)
-        kA[n] = _graded({m: n * c for m, c in A_n.items()})
+        kA[n] = _graded({m: n * c for m, c in A_n.items()}, ctx)
         R_next = _slice_sum([(kA[k], R[n + 1 - k]) for k in range(1, n + 1)], ctx)
         R_next = {m: c / n for m, c in R_next.items()}
         result.update(R_next)
-        R[n + 1] = _graded(R_next)
+        R[n + 1] = _graded(R_next, ctx)
     return Series._trusted(ctx, result)
 
 

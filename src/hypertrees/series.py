@@ -25,15 +25,25 @@ All three gradings are additive and non-negative, which is what makes
 truncation coherent: any product of admissible monomials that lands back
 inside the bounds can only have used admissible factors.
 
-Products, exp and log share one term-pair loop on Python ints: each
-operand comes over one common denominator, sorted by magnitude so the
-loop stops at the first term past the magnitude bound, and each output
-monomial becomes one Fraction at the end.  exp and log run on the total
-grade t + z + magnitude, which only the unit monomial has at 0: they
-solve for the grade-d piece of the result from the pieces below it (the
-Euler-operator recurrences), about one product's work in all, and
-inverse is exp(-log(f/c)) / c.  Substitution and the polynomial sums in
-:mod:`hypertrees.gf` go through :meth:`Series.power_sum`.
+Products, exp, log and substitution share one term-pair loop on Python
+ints.  Each operand comes over one common denominator, sorted by
+magnitude so the loop stops at the first term past the magnitude bound,
+and each monomial is also packed into one int with a fixed-width field
+per variable, wide enough for the context's largest bound.  An in-bounds
+product never carries out of a field, so the loop keys each product by
+the sum of two ints and builds no tuple; each output monomial is decoded
+and becomes one Fraction at the end (the packed exponent vectors of
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007).
+
+exp and log run on the total grade t + z + magnitude, which only the
+unit monomial has at 0: they solve for the grade-d piece of the result
+from the pieces below it (the Euler-operator recurrences), about one
+product's work in all, and inverse is exp(-log(f/c)) / c.  The grades
+stop at the sum of the bounds of the variables the operand uses, since
+products of its monomials never leave those variables.  Substitution
+groups the terms by the exponent e of the substituted variable and adds
+every group c_e times g^e in one call of the product loop.
 
 :func:`revert` and the rooted fixed point of :mod:`hypertrees.gf` solve
 for one t-slice of the unknown at a time from the slices below it, each
@@ -48,10 +58,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import lcm
-from operator import add, itemgetter, mul
-from typing import Iterable, Mapping, Sequence, Union
+from operator import itemgetter, mul
+from struct import Struct
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+# unsigned little-endian struct fields for packed monomial keys, narrowest first
+_KEY_FIELDS = ((0xFF, "B"), (0xFFFF, "H"), (0xFFFFFFFF, "I"), (0xFFFFFFFFFFFFFFFF, "Q"))
 
 
 class ContextMismatchError(ValueError):
@@ -104,6 +118,9 @@ class TruncationContext:
     def __post_init__(self) -> None:
         if min(self.t_max, self.z_max, self.magnitude_max) < 0:
             raise ValueError("truncation bounds must be non-negative")
+        top = max(self.t_max, self.z_max, self.magnitude_max)
+        if top > _KEY_FIELDS[-1][0]:
+            raise ValueError(f"truncation bound {top} exceeds the 64-bit exponent field")
 
     @property
     def max_edge_size(self) -> int:
@@ -114,6 +131,28 @@ class TruncationContext:
     def names(self) -> tuple[str, ...]:
         """Variable names in exponent-vector order: t, z, u2 .. uM."""
         return ("t", "z") + tuple(f"u{i}" for i in range(2, self.max_edge_size + 1))
+
+    @cached_property
+    def _key_codec(self) -> tuple[Callable[[Monomial], int], Callable[[int], Monomial]]:
+        """(encode, decode) between an admissible monomial and its packed key.
+
+        The key holds one unsigned field per variable, all as wide as the
+        largest bound: no admissible exponent exceeds it (u_i has magnitude
+        i - 1 >= 1), so the key of an admissible product is the sum of its
+        factors' keys, with no carry between fields.
+        """
+        top = max(self.t_max, self.z_max, self.magnitude_max)
+        code = next(code for limit, code in _KEY_FIELDS if top <= limit)
+        layout = Struct(f"<{len(self.names)}{code}")
+        pack, unpack, size, from_bytes = layout.pack, layout.unpack, layout.size, int.from_bytes
+
+        def encode(m: Monomial) -> int:
+            return from_bytes(pack(*m), "little")
+
+        def decode(key: int) -> Monomial:
+            return Monomial(unpack(key.to_bytes(size, "little")))
+
+        return encode, decode
 
     def index(self, name: str) -> int:
         """Position of a variable in the exponent vector."""
@@ -309,7 +348,7 @@ class Series:
         try:
             return self._operand
         except AttributeError:
-            self._operand = _graded(self._terms)
+            self._operand = _graded(self._terms, self.context)
             return self._operand
 
     def __rmul__(self, other: Scalar) -> "Series":
@@ -334,15 +373,32 @@ class Series:
         return Series._trusted(self.context, out)
 
     def substitute(self, name: str, g: "Series") -> "Series":
-        """Replace a variable by a series with zero constant term."""
+        """Replace a variable by a series with zero constant term.
+
+        With c_e the terms whose exponent of the variable is e, that
+        exponent set to 0, the result is sum_e c_e g^e: the e = 0 group
+        plus one :func:`_mul_into` call over the pairs (c_e, g^e).
+        """
         self._check_same_context(g)
-        i = self.context.index(name)
+        if g.constant_term:
+            raise ValueError("power sums need a series with zero constant term")
+        ctx = self.context
+        i = ctx.index(name)
         groups: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self._terms.items():
             groups.setdefault(m[i], {})[Monomial(m[:i] + (0,) + m[i + 1:])] = c
-        # stop at the largest exponent present: higher powers would be wasted products
-        top = max(groups, default=0)
-        return g.power_sum([Series(self.context, groups.get(e, ())) for e in range(top + 1)])
+        out = groups.pop(0, {})
+        pairs = []
+        power = g
+        for e in range(1, max(groups, default=0) + 1):
+            if e > 1:
+                power = power * g
+                if power.is_zero():
+                    break  # so is every higher power
+            if e in groups:
+                pairs.append((power._kernel_operand(), _graded(groups[e], ctx)))
+        _mul_into(out, pairs, ctx)
+        return Series._trusted(ctx, out)
 
     # -- truncation ---------------------------------------------------------
 
@@ -359,40 +415,22 @@ class Series:
 
     # -- transcendental operations ------------------------------------------
 
-    def power_sum(self, coeffs: Sequence[Scalar | Series]) -> "Series":
-        """sum_k coeffs[k] * self^k for a series with zero constant term.
-
-        Each coefficient is a scalar or a series.  The sum stops at the end
-        of coeffs or at the first power that truncates to zero.  Every
-        non-constant monomial has t + z + magnitude >= 1, so
-        self^(grade_bound + 1) is zero and grade_bound + 1 coefficients
-        always reach the end of the truncated series.
-
-        This serves true polynomial sums: :meth:`substitute` and the
-        u-weighted sums of R in :mod:`hypertrees.gf`.  exp and log use their
-        graded recurrences, which cost about one product where a full sum
-        costs up to grade_bound + 1, and inverse is built from the two.
-        """
-        if self.constant_term:
-            raise ValueError("power sums need a series with zero constant term")
-        result = Series.zero(self.context)
-        power = Series.one(self.context)
-        for k, c in enumerate(coeffs):
-            if k:
-                power = self if k == 1 else power * self
-                if power.is_zero():
-                    break
-            if c:
-                result = result + (power * c if k else c)  # self^0 = 1 needs no product
-        return result
-
     def _grade_pieces(self) -> list[_Graded]:
-        """Terms split by total grade t + z + magnitude, 0 .. grade_bound,
-        all over the series' one common denominator."""
+        """Terms split by total grade t + z + magnitude, all over the series'
+        one common denominator.
+
+        The grades run to the sum of the bounds of the variables the terms
+        use: products of these terms use no other variable, so exp and log
+        can reach no higher grade.
+        """
+        ctx = self.context
         den, terms = self._kernel_operand()
-        pieces: list[_Graded] = [(den, []) for _ in range(self.context.grade_bound + 1)]
+        top = (ctx.t_max * any(term[2] for term in terms)
+               + ctx.z_max * any(term[3] for term in terms)
+               + ctx.magnitude_max * any(term[4] for term in terms))
+        pieces: list[_Graded] = [(den, []) for _ in range(top + 1)]
         for term in terms:
-            pieces[term[1] + term[2] + term[3]][1].append(term)
+            pieces[term[2] + term[3] + term[4]][1].append(term)
         return pieces
 
     def exp(self) -> "Series":
@@ -403,16 +441,16 @@ class Series:
         if self.constant_term:
             raise ValueError("power sums need a series with zero constant term")
         ctx = self.context
-        kf = [(den, [(m, t, z, mag, k * n) for m, t, z, mag, n in piece])
+        kf = [(den, [(m, key, t, z, mag, k * n) for m, key, t, z, mag, n in piece])
               for k, (den, piece) in enumerate(self._grade_pieces())]
         result = {ctx.unit_monomial(): Fraction(1)}
-        g = [_graded(result)]
+        g = [_graded(result, ctx)]
         for d in range(1, len(kf)):
             out: dict[Monomial, Fraction] = {}
             _mul_into(out, [(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
             g_d = {m: v / d for m, v in out.items()}
             result.update(g_d)
-            g.append(_graded(g_d))
+            g.append(_graded(g_d, ctx))
         return Series._trusted(ctx, result)
 
     def log(self) -> "Series":
@@ -430,7 +468,7 @@ class Series:
             out = {m: d * self._terms[m] for m, *_ in f[d][1]}
             _mul_into(out, [(neg_kL[k], f[d - k]) for k in range(1, d)], ctx)
             result.update((m, v / d) for m, v in out.items())
-            neg_kL.append(_graded({m: -v for m, v in out.items()}))
+            neg_kL.append(_graded({m: -v for m, v in out.items()}, ctx))
         return Series._trusted(ctx, result)
 
     def inverse(self) -> "Series":
@@ -457,51 +495,56 @@ class Series:
         return Series._trusted(self.context, out)
 
 
-_Term = tuple[Monomial, int, int, int, int]  # monomial, t, z, magnitude, numerator
+_Term = tuple[Monomial, int, int, int, int, int]  # monomial, key, t, z, magnitude, numerator
 _Graded = tuple[int, list[_Term]]  # common denominator, terms sorted by magnitude
 _Pairs = Sequence[tuple[_Graded, _Graded]]  # left and right operands of a product loop
 
 
-def _graded(terms: Mapping[Monomial, Fraction]) -> _Graded:
+def _graded(terms: Mapping[Monomial, Fraction], ctx: TruncationContext) -> _Graded:
     """Terms over their least common denominator D, for :func:`_mul_into`.
 
-    Each term carries its three gradings and the integer numerator c * D,
+    Each term carries its monomial, the monomial packed into one int key
+    by the context, its three gradings and the integer numerator c * D,
     and the terms are sorted by magnitude.
     """
+    encode = ctx._key_codec[0]
     den = lcm(*(c.denominator for c in terms.values()))
     graded = [
-        (m, m[0], m[1], m.magnitude, c.numerator * (den // c.denominator))
+        (m, encode(m), m[0], m[1], m.magnitude, c.numerator * (den // c.denominator))
         for m, c in terms.items()
     ]
-    graded.sort(key=itemgetter(3))
+    graded.sort(key=itemgetter(4))
     return den, graded
 
 
 def _mul_into(out: dict[Monomial, Fraction], pairs: _Pairs, ctx: TruncationContext) -> None:
     """Add every in-context product of a left and a right term into out.
 
-    This is the one term-pair loop that ``*``, exp and log multiply through.
-    Each pair of operands is scaled to the lcm D of the pairs' denominator
-    products, so the loop sums int numerators; the gradings are additive,
-    so the bound checks need no monomial.
+    This is the one term-pair loop that ``*``, exp, log and substitution
+    multiply through.  Each pair of operands is scaled to the lcm D of the
+    pairs' denominator products, so the loop sums int numerators.  The
+    gradings are additive, so the bound checks need no monomial, and a pair
+    inside the bounds is keyed by the sum of the packed keys, so the loop
+    builds no monomial either: each output key is decoded once, at the end.
     """
     t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
     den = lcm(*(left[0] * right[0] for left, right in pairs))
-    sums: dict[Monomial, int] = {}
+    sums: dict[int, int] = {}
     get = sums.get
     for (left_den, left_terms), (right_den, right_terms) in pairs:
         scale = den // (left_den * right_den)
-        for ma, ta, za, maga, na in left_terms:
+        for _, ka, ta, za, maga, na in left_terms:
             na *= scale
             mag_room, t_room, z_room = mag_max - maga, t_max - ta, z_max - za
-            for mb, tb, zb, magb, nb in right_terms:
+            for _, kb, tb, zb, magb, nb in right_terms:
                 if magb > mag_room:
                     break  # the right terms are sorted by magnitude
                 if tb > t_room or zb > z_room:
                     continue
-                m = Monomial(map(add, ma, mb))
-                sums[m] = get(m, 0) + na * nb
-    _add_into(out, ((m, Fraction(v, den)) for m, v in sums.items() if v))
+                k = ka + kb
+                sums[k] = get(k, 0) + na * nb
+    decode = ctx._key_codec[1]
+    _add_into(out, ((decode(k), Fraction(v, den)) for k, v in sums.items() if v))
 
 
 def _add_into(out: dict[Monomial, Fraction], items: Iterable[tuple[Monomial, Fraction]]) -> None:
@@ -575,7 +618,7 @@ def _power_slices(powers: list[list[_Graded]], n: int, ctx: TruncationContext) -
     x = powers[1]
     for j in range(2, len(powers)):
         prev = powers[j - 1]
-        powers[j][n] = _graded(_slice_sum([(x[i], prev[n - i]) for i in range(1, n)], ctx))
+        powers[j][n] = _graded(_slice_sum([(x[i], prev[n - i]) for i in range(1, n)], ctx), ctx)
 
 
 def revert(f: Series) -> Series:
@@ -609,5 +652,5 @@ def revert(f: Series) -> Series:
         _power_slices(powers, n, ctx)
         g_n = _slice_sum([(h[k], powers[k][n]) for k in range(2, top + 1)], ctx)
         result.update(g_n)
-        powers[1][n] = _graded(g_n)
+        powers[1][n] = _graded(g_n, ctx)
     return Series._trusted(ctx, result)

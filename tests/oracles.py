@@ -4,12 +4,12 @@ Nothing in the library calls these: each one recomputes a result by a
 second, independent method (Lagrange inversion in place of slice-by-slice
 reversion, full-precision passes in place of the slice-by-slice fixed
 point and reversion, explicit enumeration in place of the counting
-kernel, full power sums in place of the graded exp and log recurrences
-and the inverse built from them, hand-built coefficient lists in place
-of the maps derived from the edge weights phi, a Fraction per term pair
-in place of the integer product kernel, Fraction arithmetic in place of
-the integer closed-form counts), so it lives with the tests that use it
-as a reference.
+kernel, full power sums in place of the graded exp and log recurrences,
+the inverse built from them and the one-call substitution, hand-built
+coefficient lists in place of the maps derived from the edge weights
+phi, a Fraction per term pair in place of the integer product kernel,
+Fraction arithmetic in place of the integer closed-form counts), so it
+lives with the tests that use it as a reference.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from hypertrees.gf import edge_symbol_phi, phi_maps
 from hypertrees.hypergraphs import (
@@ -32,7 +32,7 @@ from hypertrees.hypergraphs import (
     count_profile,
     iter_profiles,
 )
-from hypertrees.series import Monomial, Series, TruncationContext
+from hypertrees.series import Monomial, Scalar, Series, TruncationContext
 
 
 def mul_by_term_pairs(f: Series, g: Series) -> Series:
@@ -66,10 +66,46 @@ def t_coefficient(f: Series, k: int) -> Series:
     return Series(f.context, out)
 
 
+def power_sum(f: Series, coeffs: Sequence[Scalar | Series]) -> Series:
+    """sum_k coeffs[k] * f^k for f with zero constant term, one product
+    and one sum per power.
+
+    Each coefficient is a scalar or a series.  The sum stops at the end of
+    coeffs or at the first power that truncates to zero.  Every
+    non-constant monomial has t + z + magnitude >= 1, so f^(grade_bound + 1)
+    is zero and grade_bound + 1 coefficients always reach the end of the
+    truncated series.
+    """
+    if f.constant_term:
+        raise ValueError("power sums need a series with zero constant term")
+    result = Series.zero(f.context)
+    p = Series.one(f.context)
+    for k, c in enumerate(coeffs):
+        if k:
+            p = f if k == 1 else p * f
+            if p.is_zero():
+                break
+        if c:
+            result = result + (p * c if k else c)  # f^0 = 1 needs no product
+    return result
+
+
+def substitute_by_power_sum(f: Series, name: str, g: Series) -> Series:
+    """f with a variable replaced by g, as the power sum of g whose k-th
+    coefficient collects the terms of f with that variable to the k."""
+    f._check_same_context(g)
+    i = f.context.index(name)
+    groups: dict[int, dict[Monomial, Fraction]] = {}
+    for m, c in f._terms.items():
+        groups.setdefault(m[i], {})[Monomial(m[:i] + (0,) + m[i + 1:])] = c
+    top = max(groups, default=0)
+    return power_sum(g, [Series(f.context, groups.get(e, ())) for e in range(top + 1)])
+
+
 def exp_by_power_sum(f: Series) -> Series:
     """exp(f) for f with zero constant term."""
     n = f.context.grade_bound + 1
-    return f.power_sum([Fraction(1, factorial(k)) for k in range(n)])
+    return power_sum(f, [Fraction(1, factorial(k)) for k in range(n)])
 
 
 def log_by_power_sum(f: Series) -> Series:
@@ -78,7 +114,7 @@ def log_by_power_sum(f: Series) -> Series:
         raise ValueError("log needs a series with constant term 1")
     n = f.context.grade_bound + 1
     coeffs = [Fraction((-1) ** (k + 1), k) if k else 0 for k in range(n)]
-    return (f - 1).power_sum(coeffs)
+    return power_sum(f - 1, coeffs)
 
 
 def inverse_by_power_sum(f: Series) -> Series:
@@ -87,7 +123,7 @@ def inverse_by_power_sum(f: Series) -> Series:
     if not c:
         raise ValueError("inverse needs a nonzero constant term")
     n = f.context.grade_bound + 1
-    return (f / c - 1).power_sum([(-1) ** k for k in range(n)]) / c
+    return power_sum(f / c - 1, [(-1) ** k for k in range(n)]) / c
 
 
 def rooted_edge_argument_by_power_sum(R: Series) -> Series:
@@ -98,7 +134,7 @@ def rooted_edge_argument_by_power_sum(R: Series) -> Series:
     ctx = R.context
     j_top = min(ctx.t_max - 1, ctx.magnitude_max)
     u = [Series.variable(ctx, f"u{j + 1}") / factorial(j) for j in range(1, j_top + 1)]
-    return R.power_sum([0] + u)
+    return power_sum(R, [0] + u)
 
 
 def T_from_R_by_power_sum(R: Series) -> Series:
@@ -106,7 +142,7 @@ def T_from_R_by_power_sum(R: Series) -> Series:
     ctx = R.context
     top = min(ctx.max_edge_size, ctx.t_max)
     u = [Series.variable(ctx, f"u{j}") * Fraction(1 - j, factorial(j)) for j in range(2, top + 1)]
-    return R.power_sum([0, 1] + u)
+    return power_sum(R, [0, 1] + u)
 
 
 def rooted_edge_argument(R: Series) -> Series:

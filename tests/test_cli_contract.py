@@ -89,6 +89,22 @@ def test_psi_boundary_grid(phi_paths):
     assert_contract(runs())
 
 
+def test_bounds_past_the_exponent_field_are_usage_errors(phi_paths):
+    huge = 2**64
+    runs = [
+        ["verify", "--z-max", huge],
+        ["verify", "--t-max", huge, "--max-edge-size", huge + 2],
+        ["verify", "--magnitude-max", huge, "--max-edge-size", huge + 2],
+        ["psi", phi_paths[0], "--t-max", huge, "--order", 0],
+        ["psi", phi_paths[0], "--z-max", huge],
+    ]
+    runner = CliRunner()
+    for args in runs:
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 2, (args, result.output)
+        assert "exceeds the 64-bit exponent field" in result.output
+
+
 def test_oracle_boundary_grid(tmp_path):
     checks = {
         "sample": "4\n1 2\n2 3 4\n",

@@ -4,7 +4,8 @@ Frozen reference values come with an independent route next to them:
 reversions are re-checked by composing back, exp by its defining sum,
 the two reversion algorithms are held against each other, the integer
 product kernel against a Fraction per term pair, and the graded exp, log
-and inverse against their full power-sum twins.
+and inverse and the one-call substitution against their full power-sum
+twins.
 """
 
 from fractions import Fraction
@@ -32,6 +33,7 @@ from oracles import (
     mul_by_term_pairs,
     power,
     revert_by_iteration,
+    substitute_by_power_sum,
     t_coefficient,
 )
 
@@ -104,6 +106,18 @@ def test_magnitude_has_no_width_cap():
     assert product.n_terms == 3
     assert product.coefficient(ctx.monomial(u={2: 1, 5000: 1})) == 1
     assert all(m.magnitude == literal(m) <= 5000 for m, _ in product.terms())
+
+
+def test_bound_past_the_widest_key_field_is_refused():
+    # eight-byte key fields hold 2**64 - 1: an exponent there still multiplies exactly
+    ctx = TruncationContext(t_max=2**64 - 1, magnitude_max=0)
+    a = Series.term(ctx, ctx.monomial(t=2**63), 1)
+    b = Series.term(ctx, ctx.monomial(t=2**63 - 1), 3)
+    assert (a * b).terms() == [(ctx.monomial(t=2**64 - 1), 3)]
+    assert (a * a).is_zero()
+    for bound in ("t_max", "z_max", "magnitude_max"):
+        with pytest.raises(ValueError, match="64-bit exponent field"):
+            TruncationContext(**{bound: 2**64})
 
 
 def test_mixing_contexts_raises():
@@ -366,8 +380,22 @@ def _admissible(ctx):
     return [m for m in map(Monomial, product(*ranges)) if ctx.admits(m)]
 
 
+# operands over every variable, no t, z alone and no edge variable: exp and log
+# stop their grades at the bounds of the variables the operand uses
+_VARIABLE_SUBSETS = [
+    lambda m: True,
+    lambda m: not m[0],
+    lambda m: not m[0] and not any(m[2:]),
+    lambda m: not any(m[2:]),
+]
+
+
 def _twin_series(ctx):
-    terms = st.dictionaries(st.sampled_from(_admissible(ctx)), coeffs, max_size=8)
+    def over(uses):
+        pool = [m for m in _admissible(ctx) if uses(m)]
+        return st.dictionaries(st.sampled_from(pool), coeffs, max_size=8)
+
+    terms = st.sampled_from(_VARIABLE_SUBSETS).flatmap(over)
     return terms.map(lambda t: Series(ctx, t))
 
 
@@ -384,9 +412,58 @@ def test_graded_maps_equal_power_sums(f, c):
     assert (c + f0).inverse() == inverse_by_power_sum(c + f0)
 
 
+# -- one-call substitution against its power-sum twin ----------------------------
+
+_SUBSTITUTION_CONTEXTS = [
+    TruncationContext(t_max=3, z_max=2, magnitude_max=3),
+    TruncationContext(t_max=2, z_max=3, magnitude_max=2),
+]
+
+
+def _substitution_case(ctx):
+    pool = _admissible(ctx)
+    nonconstant = [m for m in pool if any(m)]
+    # an image of these monomials alone has its square past the bounds
+    early = [m for m in nonconstant if not ctx.admits(Monomial(2 * e for e in m))]
+    images = st.one_of(
+        st.dictionaries(st.sampled_from(nonconstant), coeffs, max_size=4),
+        st.dictionaries(st.sampled_from(early), coeffs, min_size=1, max_size=3),
+    )
+    f = st.dictionaries(st.sampled_from(pool), coeffs, max_size=10)
+    variable = st.sampled_from(range(len(ctx.names)))
+    return st.tuples(st.just(ctx), variable, st.booleans(), f, images)
+
+
+substitution_cases = st.sampled_from(_SUBSTITUTION_CONTEXTS).flatmap(_substitution_case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitution_cases)
+def test_substitute_equals_power_sum_twin(case):
+    # the other variables ride along in each exponent group: series
+    # coefficients with t, z and u terms
+    ctx, i, unused, f_terms, g_terms = case
+    if unused:
+        f_terms = {m: c for m, c in f_terms.items() if not m[i]}
+    f, g = Series(ctx, f_terms), Series(ctx, g_terms)
+    name = ctx.names[i]
+    assert f.substitute(name, g) == substitute_by_power_sum(f, name, g)
+
+
 # -- the integer product kernel against its term-pair twin -----------------------
 
 _WIDE = TruncationContext(t_max=3, z_max=1, magnitude_max=40)
+
+# the largest bound at the top of a one-byte key field, then one past it (two-byte
+# fields), in t, in z and in the magnitude, the last two with 255 and 256 edge variables
+_FIELD_TOP_CONTEXTS = [
+    TruncationContext(t_max=255, z_max=2, magnitude_max=2),
+    TruncationContext(t_max=2, z_max=255, magnitude_max=3),
+    TruncationContext(t_max=1, z_max=1, magnitude_max=255),
+    TruncationContext(t_max=256, z_max=1, magnitude_max=2),
+    TruncationContext(t_max=3, z_max=256, magnitude_max=1),
+    TruncationContext(t_max=1, z_max=2, magnitude_max=256),
+]
 
 
 def _wide_admissible(ctx):
@@ -395,6 +472,20 @@ def _wide_admissible(ctx):
     edges += [{i: 2} for i in range(2, ctx.max_edge_size + 1)]
     ms = (ctx.monomial(t=t, z=z, u=u)
           for t in range(ctx.t_max + 1) for z in range(ctx.z_max + 1) for u in edges)
+    return [m for m in ms if ctx.admits(m)]
+
+
+def _field_top_admissible(ctx):
+    # exponent pairs that sum to each bound b exactly and past it
+    def degs(b):
+        return sorted({d for d in (0, 1, b // 2, b - b // 2, b - 1, b) if d >= 0})
+
+    M = ctx.max_edge_size
+    edges = [{2: d} for d in degs(ctx.magnitude_max)]
+    edges += [{i: 1} for i in {3, M // 2 + 1, M - 1, M} if 3 <= i <= M]
+    edges += [{2: 1, M - 1: 1}] if M - 1 >= 3 else []
+    ms = (ctx.monomial(t=t, z=z, u=u)
+          for t in degs(ctx.t_max) for z in degs(ctx.z_max) for u in edges)
     return [m for m in ms if ctx.admits(m)]
 
 
@@ -407,6 +498,7 @@ kernel_coeffs = st.one_of(
 
 _KERNEL_POOLS = {ctx: _admissible(ctx) for ctx in _TWIN_CONTEXTS}
 _KERNEL_POOLS[_WIDE] = _wide_admissible(_WIDE)
+_KERNEL_POOLS.update((ctx, _field_top_admissible(ctx)) for ctx in _FIELD_TOP_CONTEXTS)
 
 
 def _kernel_triples(ctx):
@@ -484,6 +576,24 @@ def test_revert_with_series_linear_coefficient():
     g = revert(f)
     assert g == revert_by_iteration(f)
     assert f.substitute("t", g) == t
+
+
+@pytest.mark.parametrize("top", [255, 256])
+def test_graded_maps_and_revert_at_the_top_of_a_key_field(top):
+    # z^(top // 2) * z^(top - top // 2) lands on the largest bound: at 255 the
+    # top of a one-byte field, at 256 one past it
+    ctx = TruncationContext(t_max=3, z_max=top, magnitude_max=2)
+    t, u2 = Series.variable(ctx, "t"), Series.variable(ctx, "u2")
+
+    def z(e):
+        return Series.term(ctx, ctx.monomial(z=e), 1)
+
+    f0 = z(top // 2) / 3 + 2 * u2 * z(top - top // 2) - t * z(top - 1) + t * t * z(1) / 5
+    assert f0.exp() == exp_by_power_sum(f0)
+    assert (1 + f0).log() == log_by_power_sum(1 + f0)
+    assert (2 + f0).inverse() == inverse_by_power_sum(2 + f0)
+    f = t * (1 + f0)
+    assert revert(f) == revert_by_iteration(f)
 
 
 @pytest.mark.parametrize(

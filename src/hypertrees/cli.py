@@ -24,7 +24,6 @@ from .funceq import (
     substituted_connected_gf,
 )
 from .gf import (
-    PipelineResult,
     compute_C,
     count_by_profile,
     rooted_count_by_edges,
@@ -185,7 +184,7 @@ def oracle(
         if profile_text is not None:
             rows = [count_profile(n, _parse_profile(profile_text), budget=budget)]
         else:
-            rows = list(count_sweep(n, max_magnitude, budget=budget).rows)
+            rows = count_sweep(n, max_magnitude, budget=budget)
     except BudgetExceededError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_BUDGET)
@@ -219,9 +218,8 @@ def _run_verify(
     C = narrow(C_all, ctx)
     if inject_fault:
         C = C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
-    P = PipelineResult.from_C(C)
     fixed = solve_R_fixed_point(ctx)
-    identity_report = verify_identities(P, fixed, max_edge_size)
+    identity_report = verify_identities(C, fixed, max_edge_size)
     payload["identities"] = identity_report.as_dict()
     lines.extend(identity_report.summary_lines())
 

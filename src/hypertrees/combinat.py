@@ -37,27 +37,16 @@ def part_multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-class StirlingTable:
-    """Stirling set numbers S(n, k), grown on demand via the recurrence
-    S(n, k) = k * S(n-1, k) + S(n-1, k-1)."""
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = [[1]]
-
-    def _grow(self, n: int) -> None:
-        while len(self._rows) <= n:
-            prev = self._rows[-1]
-            m = len(self._rows)
-            row = [0] * (m + 1)
-            for k in range(1, m + 1):
-                above = prev[k] if k < len(prev) else 0
-                row[k] = k * above + prev[k - 1]
-            self._rows.append(row)
-
-    def stirling2(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("Stirling numbers need n, k >= 0")
-        if k > n:
-            return 0
-        self._grow(n)
-        return self._rows[n][k]
+def stirling2(n: int, k: int) -> int:
+    """Stirling set number S(n, k), one row at a time by the recurrence
+    S(n, k) = k * S(n-1, k) + S(n-1, k-1), keeping columns 0..k only."""
+    if n < 0 or k < 0:
+        raise ValueError("Stirling numbers need n, k >= 0")
+    if k > n:
+        return 0
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(n):
+        for i in range(k, 0, -1):
+            row[i] = i * row[i] + row[i - 1]
+        row[0] = 0
+    return row[k]

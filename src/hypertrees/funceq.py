@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .combinat import StirlingTable
+from .combinat import stirling2
 from .gf import IdentityReport, T_from_R, edge_symbol_phi, identity_check, phi_maps
 from .series import Series, TruncationContext, revert
 
@@ -133,8 +133,7 @@ def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
     """L = log(sum_k t^k/k! exp(k Phi(kz, z))), truncated to ctx.
 
     The k-th summand has t-degree exactly k, so the sum is cut at
-    k = t_max; a runtime assertion confirms the final summand only
-    touched the top t-coefficient.
+    k = t_max.
     """
     if phi.constant_term:
         raise ValueError(
@@ -153,16 +152,10 @@ def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
         front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
         return front * arg.exp()
 
-    partial = Series.zero(ctx)
-    for k in range(K):
-        partial = partial + summand(k)
-    full = partial + summand(K)
-    L = full.log()
-    if K >= 1:
-        settled = partial.log().restrict(t_max=K - 1)
-        if L.restrict(t_max=K - 1) != settled:
-            raise AssertionError("k-sum cut at t_max changed a settled coefficient")
-    return L
+    total = Series.zero(ctx)
+    for k in range(K + 1):
+        total = total + summand(k)
+    return total.log()
 
 
 @dataclass(frozen=True)
@@ -210,50 +203,20 @@ def psi_uv_coefficients(L: Series) -> list[tuple[int, int, Fraction]]:
 # -- the substitution family --------------------------------------------------
 
 
-@dataclass
-class PSeriesFamily:
-    """Coefficients p_{m,i} of the substitution images.
+def substitution_images(phi: PhiCoefficients, ctx: TruncationContext) -> dict[int, Series]:
+    """The image z^(m-1) P_m(z) of u_m for m = 1 .. z_max + 1.
 
-    u_m maps to z^{m-1} P_m(z) with P_m(z) = sum_i p_{m,i} z^i, and t maps
-    to t * exp(P_1(z)).  Derived from Phi by the falling-factorial basis
-    change k^l = sum_m S(l, m) m! binom(k, m).
+    Its z^j coefficient is m! sum_l S(l, m) c_{l-1, j-l+1}, from the
+    falling-factorial basis change k^l = sum_m S(l, m) m! binom(k, m):
+    the entry c_{ab} reaches z^(a+b) for every m <= a + 1.  m = 1 gives
+    P_1 itself, and t maps to t * exp(P_1(z)).
     """
-
-    coeffs: dict[tuple[int, int], Fraction]
-
-    def p_series(self, m: int, ctx: TruncationContext) -> Series:
-        terms = {
-            ctx.monomial(z=i): c for (mm, i), c in self.coeffs.items() if mm == m
-        }
-        return Series(ctx, terms)
-
-    def u_image(self, m: int, ctx: TruncationContext) -> Series:
-        z_shift = Series.term(ctx, ctx.monomial(z=m - 1), 1)
-        return z_shift * self.p_series(m, ctx)
-
-    def t_image(self, ctx: TruncationContext) -> Series:
-        p1 = self.p_series(1, ctx)
-        if p1.constant_term:
-            raise ValueError("t-image needs p_{1,0} = 0; reduce the array first")
-        return Series.variable(ctx, "t") * p1.exp()
-
-
-def phi_to_P(phi: PhiCoefficients, j_max: int) -> PSeriesFamily:
-    """Substitution coefficients p_{m,i} = m! sum_l S(l, m) c_{l-1, j-l+1},
-    where j = m + i - 1 runs through the z-weight of the image term."""
-    table = StirlingTable()
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for j in range(j_max + 1):
-        for m in range(1, j + 2):
-            i = j - m + 1
-            total = Fraction(0)
-            for l in range(m, j + 2):
-                c = phi.coefficient(l - 1, j - l + 1)
-                if c:
-                    total += table.stirling2(l, m) * factorial(m) * c
-            if total:
-                coeffs[(m, i)] = total
-    return PSeriesFamily(coeffs)
+    terms: dict[int, list] = {m: [] for m in range(1, ctx.z_max + 2)}
+    for (a, b), c in phi.items():
+        if a + b <= ctx.z_max:
+            for m in range(1, a + 2):
+                terms[m].append((ctx.monomial(z=a + b), factorial(m) * stirling2(a + 1, m) * c))
+    return {m: Series(ctx, items) for m, items in terms.items()}
 
 
 def substituted_connected_gf(
@@ -269,11 +232,11 @@ def substituted_connected_gf(
         raise ValueError("constant term must be zero; use without_constant()")
     if ctx.magnitude_max < ctx.z_max:
         raise ValueError("need magnitude_max >= z_max for an exact substitution")
-    family = phi_to_P(phi, j_max=ctx.z_max)
+    images = substitution_images(phi, ctx)
     g = C
     for m in range(2, ctx.max_edge_size + 1):
-        g = g.substitute(f"u{m}", family.u_image(m, ctx))
-    return g.substitute("t", family.t_image(ctx))
+        g = g.substitute(f"u{m}", images.get(m, Series.zero(ctx)))
+    return g.substitute("t", Series.variable(ctx, "t") * images[1].exp())
 
 
 # -- the reversion route --------------------------------------------------------

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .combinat import StirlingTable, part_multiplicities, partitions
+from .combinat import part_multiplicities, partitions, stirling2
 from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
-from .series import Series, TruncationContext, first_difference
-from .series import _EMPTY, _graded, _power_slices, _slice_sum, _t_coefficients
+from .series import Series, TruncationContext, exp_fixed_point, first_difference
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
 # largest edge size is below 5)
@@ -71,11 +70,6 @@ def compute_T(C: Series) -> Series:
     return Series(ctx, [(m, c) for m, c in C.terms() if m.magnitude == m.t_deg - 1])
 
 
-def compute_R(T: Series) -> Series:
-    """Rooted hypertrees: R = t * dT/dt."""
-    return Series.variable(T.context, "t") * T.derivative("t")
-
-
 def edge_symbol_phi(ctx: TruncationContext) -> Series:
     """phi(w) = sum_j u_{j+1} w^j/(j+1)!, the edge weights in the t-slot."""
     terms = {}
@@ -97,57 +91,19 @@ def phi_maps(phi: Series) -> tuple[Series, Series]:
 
 
 def solve_R_fixed_point(ctx: TruncationContext) -> Series:
-    """Solve R = t * exp(A(R)), A(w) = sum_j a_j w^j, one t-slice at a time.
+    """Solve R = t * exp(sum_j a_j R^j) with :func:`exp_fixed_point`.
 
     a_j = u_{j+1} / j! is the w^j coefficient of the rooted map of
-    :func:`phi_maps`.  R_1 = t, and the slices of P_j = R^j, of A and of
-    E = exp(A) = R / t follow from those of R below them:
-
-        P_j[n] = sum_i R_i P_{j-1}[n-i],   A_n = sum_j a_j P_j[n],
-        n E_n = sum_k k A_k E_{n-k},       R_{n+1} = t E_n.
-
-    E_n is R_{n+1} / t, so R's slices stand in for E's.
+    :func:`phi_maps`.
     """
-    N = ctx.t_max
     rooted, _ = phi_maps(edge_symbol_phi(ctx))
-    a = [_graded(c, ctx) for c in _t_coefficients(rooted)]
-    top = min(N - 1, ctx.magnitude_max)  # a_j has magnitude j and P_j[n] needs j <= n < N
-    powers = [[_EMPTY] * (N + 2) for _ in range(max(top, 1) + 1)]
-    R = powers[1]
-    t = Series.variable(ctx, "t")
-    R[1] = t._kernel_operand()
-    result = dict(t._terms)
-    kA = [_EMPTY] * (N + 1)
-    for n in range(1, N):
-        _power_slices(powers, n, ctx)
-        A_n = _slice_sum([(a[j], powers[j][n]) for j in range(1, top + 1)], ctx)
-        kA[n] = _graded({m: n * c for m, c in A_n.items()}, ctx)
-        R_next = _slice_sum([(kA[k], R[n + 1 - k]) for k in range(1, n + 1)], ctx)
-        R_next = {m: c / n for m, c in R_next.items()}
-        result.update(R_next)
-        R[n + 1] = _graded(R_next, ctx)
-    return Series._trusted(ctx, result)
+    return exp_fixed_point(rooted)
 
 
 def T_from_R(R: Series) -> Series:
     """Unrooted form: T = R - sum_{j>=2} (j-1) u_j R^j / j!."""
     _, unrooted = phi_maps(edge_symbol_phi(R.context))
     return unrooted.substitute("t", R)
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    """C, T and R computed from one context, tied by construction."""
-
-    context: TruncationContext
-    C: Series
-    T: Series
-    R: Series
-
-    @classmethod
-    def from_C(cls, C: Series) -> "PipelineResult":
-        T = compute_T(C)
-        return cls(C.context, C, T, compute_R(T))
 
 
 # -- closed-form counts ------------------------------------------------------
@@ -187,16 +143,16 @@ def rooted_count_by_edges(n: int, k: int) -> int:
         raise ValueError("need n >= 1")
     if k < 0 or k > max(n - 1, 0):
         return 0
-    return n**k * StirlingTable().stirling2(n - 1, k)
+    return n**k * stirling2(n - 1, k)
 
 
-def specialize_all_ones(P: PipelineResult) -> tuple[Series, Series]:
+def specialize_all_ones(T: Series, R: Series) -> tuple[Series, Series]:
     """(T, R) with every u_i set to 1, as plain series in t.
 
     Needs the full magnitude range per t-order, i.e. magnitude_max >=
     t_max - 1, which :func:`compute_T` already requires.
     """
-    ctx = P.context
+    ctx = T.context
     if ctx.magnitude_max < ctx.t_max - 1:
         raise ValueError("need magnitude_max >= t_max - 1 to specialize u = 1")
     tctx = TruncationContext(t_max=ctx.t_max, z_max=0, magnitude_max=0)
@@ -204,7 +160,7 @@ def specialize_all_ones(P: PipelineResult) -> tuple[Series, Series]:
     def collapse(f: Series) -> Series:
         return Series(tctx, [(tctx.monomial(t=m.t_deg), c) for m, c in f.terms()])
 
-    return collapse(P.T), collapse(P.R)
+    return collapse(T), collapse(R)
 
 
 # -- identity verification ----------------------------------------------------
@@ -278,10 +234,11 @@ def identity_check(
     return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
 
 
-def verify_identities(P: PipelineResult, fixed: Series, largest_edge: int) -> IdentityReport:
-    """Exact structural identities tying C, T and R together.
+def verify_identities(C: Series, fixed: Series, largest_edge: int) -> IdentityReport:
+    """Exact structural identities tying C, its hypertree layer T and the
+    rooted series R = t dT/dt together.
 
-    fixed is :func:`solve_R_fixed_point` at P's context; the caller solves
+    fixed is :func:`solve_R_fixed_point` at C's context; the caller solves
     it once and shares it with the dictionary report.  The edge checks run
     for u2 .. u_min(5, largest_edge); a u_j the context does not carry has
     zero derivatives, so its checks compare zero with the truncated
@@ -292,11 +249,12 @@ def verify_identities(P: PipelineResult, fixed: Series, largest_edge: int) -> Id
     comparison region accordingly; T is a complete polynomial per
     t-order, so its checks run on the full context region.
     """
-    ctx = P.context
+    ctx = C.context
     N, Q = ctx.t_max, ctx.magnitude_max
     j_top = min(_EDGE_CHECK_TOP, largest_edge)
-    C, T, R = P.C, P.T, P.R
     t = Series.variable(ctx, "t")
+    T = compute_T(C)
+    R = t * T.derivative("t")
     checks: list[IdentityCheck] = []
 
     def d_du(f: Series, j: int) -> Series:
@@ -418,7 +376,7 @@ def verify_identities(P: PipelineResult, fixed: Series, largest_edge: int) -> Id
         )
     )
 
-    T1, R1 = specialize_all_ones(P)
+    T1, R1 = specialize_all_ones(T, R)
     tvar = Series.variable(T1.context, "t")
     exp_R1 = R1.exp()
     checks.append(

@@ -102,10 +102,6 @@ class EdgeProfile:
     def magnitude(self) -> int:
         return sum((size - 1) * c for size, c in self.items())
 
-    @property
-    def edge_count(self) -> int:
-        return sum(self.counts)
-
     def factorial_norm(self) -> int:
         """The label-class size: the product of count! over the sizes."""
         out = 1
@@ -264,14 +260,6 @@ class CountRow:
         }
 
 
-@dataclass(frozen=True)
-class CountTable:
-    rows: tuple[CountRow, ...]
-
-    def as_dict(self) -> dict:
-        return {"rows": [r.as_dict() for r in self.rows]}
-
-
 def count_profile(
     n: int, profile: EdgeProfile, budget: int = DEFAULT_BUDGET
 ) -> CountRow:
@@ -334,13 +322,12 @@ def _count_by_partitions(n: int, sizes: tuple[int, ...]) -> tuple[int, int, int]
 
 def count_sweep(
     n: int, max_magnitude: int, budget: int = DEFAULT_BUDGET
-) -> CountTable:
+) -> list[CountRow]:
     """Count rows for every profile with magnitude <= max_magnitude."""
-    rows = [
+    return [
         count_profile(n, profile, budget=budget)
         for profile in iter_profiles(max_magnitude, max_size=n)
     ]
-    return CountTable(tuple(rows))
 
 
 # -- text fixture format ----------------------------------------------------

@@ -45,8 +45,8 @@ products of its monomials never leave those variables.  Substitution
 groups the terms by the exponent e of the substituted variable and adds
 every group c_e times g^e in one call of the product loop.
 
-:func:`revert` and the rooted fixed point of :mod:`hypertrees.gf` solve
-for one t-slice of the unknown at a time from the slices below it, each
+:func:`revert` and :func:`exp_fixed_point`, which solves R = t exp(a(R)),
+find one t-slice of the unknown at a time from the slices below it, each
 slice sum one call of the product loop: the schoolbook form of relaxed
 evaluation (van der Hoeven, "Relax, but don't be too lazy", 2002).
 """
@@ -168,10 +168,6 @@ class TruncationContext:
         if not self.admits(m):
             raise OutOfContextError(f"monomial {m} lies outside {self}")
 
-    @property
-    def grade_bound(self) -> int:
-        return self.t_max + self.z_max + self.magnitude_max
-
     def unit_monomial(self) -> Monomial:
         return Monomial((0,) * len(self.names))
 
@@ -213,6 +209,8 @@ class Series:
                 raise TypeError(f"expected Monomial key, got {type(m).__name__}")
             if len(m) != width:
                 raise ValueError("monomial does not match the context's edge variables")
+            if min(m) < 0:
+                raise ValueError(f"monomial {m} has a negative exponent")
             items.append((m, Fraction(c)))
         data: dict[Monomial, Fraction] = {}
         _add_into(data, (item for item in items if context.admits(item[0])))
@@ -446,9 +444,7 @@ class Series:
         result = {ctx.unit_monomial(): Fraction(1)}
         g = [_graded(result, ctx)]
         for d in range(1, len(kf)):
-            out: dict[Monomial, Fraction] = {}
-            _mul_into(out, [(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
-            g_d = {m: v / d for m, v in out.items()}
+            g_d = _exp_step(kf, g, d, ctx)
             result.update(g_d)
             g.append(_graded(g_d, ctx))
         return Series._trusted(ctx, result)
@@ -465,8 +461,8 @@ class Series:
         result: dict[Monomial, Fraction] = {}
         neg_kL: list[_Graded] = [(1, [])]  # -k L_k, so the product loop only adds
         for d in range(1, len(f)):
-            out = {m: d * self._terms[m] for m, *_ in f[d][1]}
-            _mul_into(out, [(neg_kL[k], f[d - k]) for k in range(1, d)], ctx)
+            out = _slice_sum([(neg_kL[k], f[d - k]) for k in range(1, d)], ctx)
+            _add_into(out, ((m, d * self._terms[m]) for m, *_ in f[d][1]))
             result.update((m, v / d) for m, v in out.items())
             neg_kL.append(_graded({m: -v for m, v in out.items()}, ctx))
         return Series._trusted(ctx, result)
@@ -547,6 +543,24 @@ def _mul_into(out: dict[Monomial, Fraction], pairs: _Pairs, ctx: TruncationConte
     _add_into(out, ((decode(k), Fraction(v, den)) for k, v in sums.items() if v))
 
 
+def _slice_sum(pairs: _Pairs, ctx: TruncationContext) -> dict[Monomial, Fraction]:
+    """The sum of left * right over the pairs, in one :func:`_mul_into` call,
+    or none when every pair has an empty side."""
+    out: dict[Monomial, Fraction] = {}
+    pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
+    if pairs:
+        _mul_into(out, pairs, ctx)
+    return out
+
+
+def _exp_step(kf: Sequence[_Graded], g: Sequence[_Graded], d: int,
+              ctx: TruncationContext) -> dict[Monomial, Fraction]:
+    """Piece d of g = exp(f) from k * f_k and the pieces of g below d:
+    d g_d = sum_{k=1..d} k f_k g_(d-k)."""
+    out = _slice_sum([(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
+    return {m: v / d for m, v in out.items()}
+
+
 def _add_into(out: dict[Monomial, Fraction], items: Iterable[tuple[Monomial, Fraction]]) -> None:
     """Add terms into out, keeping no zero coefficient."""
     for m, c in items:
@@ -604,19 +618,12 @@ def _t_coefficients(f: Series) -> list[dict[Monomial, Fraction]]:
     return out
 
 
-def _slice_sum(pairs: _Pairs, ctx: TruncationContext) -> dict[Monomial, Fraction]:
-    """The sum of left * right over the pairs, in one :func:`_mul_into` call."""
-    out: dict[Monomial, Fraction] = {}
-    _mul_into(out, [(a, b) for a, b in pairs if a[1] and b[1]], ctx)
-    return out
-
-
 def _power_slices(powers: list[list[_Graded]], n: int, ctx: TruncationContext) -> None:
-    """Fill in slice n of x^j for every j >= 2, where powers[j] holds the
-    t-slices of x^j and powers[1] those of x.  x has no t^0 slice, so
-    [t^n] x^j = sum_{i>=1} x_i [t^(n-i)] x^(j-1) reads x below n only."""
+    """Fill in slice n of x^j for 2 <= j <= n, where powers[j] holds the
+    t-slices of x^j and powers[1] those of x.  x has no t^0 slice, so x^j
+    has none below t^j and [t^n] x^j = sum_i x_i [t^(n-i)] x^(j-1) reads x below n."""
     x = powers[1]
-    for j in range(2, len(powers)):
+    for j in range(2, min(n, len(powers) - 1) + 1):
         prev = powers[j - 1]
         powers[j][n] = _graded(_slice_sum([(x[i], prev[n - i]) for i in range(1, n)], ctx), ctx)
 
@@ -653,4 +660,37 @@ def revert(f: Series) -> Series:
         g_n = _slice_sum([(h[k], powers[k][n]) for k in range(2, top + 1)], ctx)
         result.update(g_n)
         powers[1][n] = _graded(g_n, ctx)
+    return Series._trusted(ctx, result)
+
+
+def exp_fixed_point(a: Series) -> Series:
+    """Solve R = t * exp(a(R)) one t-slice at a time, for a in the t-slot.
+
+    a = sum_j a_j t^j needs every term divisible by t; its coefficients
+    may carry z and u terms.  R_1 = t, and the slices of P_j = R^j, of
+    A = a(R) and of E = exp(A) = R / t follow from those of R below them:
+
+        P_j[n] = sum_i R_i P_{j-1}[n-i],   A_n = sum_j a_j P_j[n],
+        n E_n = sum_k k A_k E_{n-k},       R_{n+1} = t E_n.
+
+    E_n is R_{n+1} / t, so R's slices stand in for E's.
+    """
+    ctx = a.context
+    if any(m[0] == 0 for m in a._terms):
+        raise ValueError("the fixed point needs every term of a divisible by t")
+    a_j = [_graded(c, ctx) for c in _t_coefficients(a)]
+    top = max((j for j, c in enumerate(a_j) if c[1]), default=1)
+    powers = [[_EMPTY] * (ctx.t_max + 2) for _ in range(top + 1)]
+    R = powers[1]
+    t = Series.variable(ctx, "t")
+    R[1] = t._kernel_operand()
+    result = dict(t._terms)
+    kA = [_EMPTY]
+    for n in range(1, ctx.t_max):
+        _power_slices(powers, n, ctx)
+        A_n = _slice_sum([(a_j[j], powers[j][n]) for j in range(1, top + 1)], ctx)
+        kA.append(_graded({m: n * c for m, c in A_n.items()}, ctx))
+        R_next = _exp_step(kA, R[1:], n, ctx)
+        result.update(R_next)
+        R[n + 1] = _graded(R_next, ctx)
     return Series._trusted(ctx, result)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hypertrees.gf import edge_symbol_phi, phi_maps
 from hypertrees.hypergraphs import (
@@ -25,7 +25,6 @@ from hypertrees.hypergraphs import (
     DEFAULT_N_MAX,
     BudgetExceededError,
     CountRow,
-    CountTable,
     EdgeProfile,
     Hypergraph,
     assignment_count,
@@ -46,6 +45,11 @@ def mul_by_term_pairs(f: Series, g: Series) -> Series:
             if ctx.admits(m):
                 out[m] = out.get(m, Fraction(0)) + ca * cb
     return Series(ctx, out)
+
+
+def grade_bound(ctx: TruncationContext) -> int:
+    """The largest total grade t + z + magnitude a monomial of ctx can have."""
+    return ctx.t_max + ctx.z_max + ctx.magnitude_max
 
 
 def power(f: Series, k: int) -> Series:
@@ -104,7 +108,7 @@ def substitute_by_power_sum(f: Series, name: str, g: Series) -> Series:
 
 def exp_by_power_sum(f: Series) -> Series:
     """exp(f) for f with zero constant term."""
-    n = f.context.grade_bound + 1
+    n = grade_bound(f.context) + 1
     return power_sum(f, [Fraction(1, factorial(k)) for k in range(n)])
 
 
@@ -112,7 +116,7 @@ def log_by_power_sum(f: Series) -> Series:
     """log(f) for f with constant term 1."""
     if f.constant_term != 1:
         raise ValueError("log needs a series with constant term 1")
-    n = f.context.grade_bound + 1
+    n = grade_bound(f.context) + 1
     coeffs = [Fraction((-1) ** (k + 1), k) if k else 0 for k in range(n)]
     return power_sum(f - 1, coeffs)
 
@@ -122,7 +126,7 @@ def inverse_by_power_sum(f: Series) -> Series:
     c = f.constant_term
     if not c:
         raise ValueError("inverse needs a nonzero constant term")
-    n = f.context.grade_bound + 1
+    n = grade_bound(f.context) + 1
     return power_sum(f / c - 1, [(-1) ** k for k in range(n)]) / c
 
 
@@ -188,7 +192,7 @@ def revert_by_iteration(f: Series) -> Series:
         raise ValueError("reversion needs every term divisible by t")
     h = f - c1 * y
     g = y / c1
-    for _ in range(ctx.grade_bound + 2):
+    for _ in range(grade_bound(ctx) + 2):
         nxt = (y - h.substitute("t", g)) / c1
         if nxt == g:
             return g
@@ -334,7 +338,7 @@ def count_profile_by_enumeration(n: int, sizes: tuple[int, ...]) -> tuple[int, i
     return (total, connected, hypertree)
 
 
-def magnitude_law_violations(rows: CountTable | tuple[CountRow, ...]) -> list[str]:
+def magnitude_law_violations(rows: Iterable[CountRow]) -> list[str]:
     """Check the magnitude law against brute-force counts.
 
     For every profile: connected hypergraphs need magnitude >= n - 1, and
@@ -342,7 +346,6 @@ def magnitude_law_violations(rows: CountTable | tuple[CountRow, ...]) -> list[st
     readable descriptions of any violations (empty means the law held).
     """
     out = []
-    rows = rows.rows if isinstance(rows, CountTable) else rows
     for row in rows:
         mag = row.profile.magnitude
         floor = row.n - 1
@@ -389,7 +392,7 @@ def oracle_polynomials(
         c_terms[m] = row.connected * norm
         if profile.magnitude == n - 1:
             t_terms[m] = row.hypertree * norm
-    violations = magnitude_law_violations(tuple(rows))
+    violations = magnitude_law_violations(rows)
     if violations:
         raise AssertionError("magnitude law failed: " + "; ".join(violations))
     return Series(ctx, c_terms), Series(ctx, t_terms)

@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertrees.combinat import StirlingTable, part_multiplicities, partitions
+from hypertrees.combinat import part_multiplicities, partitions, stirling2
 from oracles import multinomial
 
 
@@ -54,24 +54,24 @@ def test_multinomial_pair_is_binomial(a, b):
     assert multinomial(a + b, (a, b)) == comb(a + b, a)
 
 
-def _row(table, n):
-    return tuple(table.stirling2(n, k) for k in range(n + 1))
+def _row(n):
+    return tuple(stirling2(n, k) for k in range(n + 1))
 
 
 def test_stirling_small_table():
-    table = StirlingTable()
-    assert _row(table, 0) == (1,)
-    assert _row(table, 4) == (0, 1, 7, 6, 1)
-    assert _row(table, 5) == (0, 1, 15, 25, 10, 1)
-    assert table.stirling2(6, 3) == 90
-    assert table.stirling2(3, 5) == 0
+    assert _row(0) == (1,)
+    assert _row(4) == (0, 1, 7, 6, 1)
+    assert _row(5) == (0, 1, 15, 25, 10, 1)
+    assert stirling2(6, 3) == 90
+    assert stirling2(3, 5) == 0
     with pytest.raises(ValueError):
-        table.stirling2(-1, 0)
+        stirling2(-1, 0)
+    with pytest.raises(ValueError):
+        stirling2(0, -1)
 
 
 def test_bell_numbers():
-    table = StirlingTable()
-    assert [sum(_row(table, n)) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+    assert [sum(_row(n)) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,4 +79,4 @@ def test_bell_numbers():
 def test_stirling_by_inclusion_exclusion(n, k):
     # k! S(n, k) counts surjections onto a k-set
     surjections = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
-    assert factorial(k) * StirlingTable().stirling2(n, k) == surjections
+    assert factorial(k) * stirling2(n, k) == surjections

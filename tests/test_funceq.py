@@ -10,17 +10,17 @@ from math import comb, factorial
 
 import pytest
 
-from hypertrees.combinat import StirlingTable
+from hypertrees.combinat import stirling2
 from hypertrees.funceq import (
     PhiCoefficients,
     diagonal_mismatches,
     hypertree_dictionary_report,
     lhs_series,
-    phi_to_P,
     psi_from_phi,
     psi_uv_coefficients,
     random_phi,
     substituted_connected_gf,
+    substitution_images,
     verify_psi_form,
 )
 from hypertrees.gf import compute_C, edge_symbol_phi, solve_R_fixed_point
@@ -89,10 +89,11 @@ def test_lhs_matches_reference_implementation(seed):
     assert got == reference
 
 
-@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+@pytest.mark.parametrize("seed", [42, 43, 44, 45, 46])
 def test_lhs_k_sum_cut_at_t_max_is_exact(seed):
     # the summands past k = t_max have t-degree > t_max, so cutting the sum
-    # there changes no coefficient, the top t-layer included
+    # there changes no coefficient, the top t-layer included; lhs_series
+    # sums k = 0 .. t_max once and takes one log, and this is its check
     phi = random_phi(seed)
     for K in range(CTX.t_max + 1):
         small = TruncationContext(t_max=K, z_max=CTX.z_max, magnitude_max=0)
@@ -197,37 +198,50 @@ def test_psi_uv_mapping():
 
 
 def test_falling_factorial_basis_change():
-    # k^l = sum_m S(l, m) m! binom(k, m), the identity behind phi_to_P
-    table = StirlingTable()
+    # k^l = sum_m S(l, m) m! binom(k, m), the identity behind substitution_images
     for l in range(7):
         for k in range(7):
             rhs = sum(
-                table.stirling2(l, m) * factorial(m) * comb(k, m)
+                stirling2(l, m) * factorial(m) * comb(k, m)
                 for m in range(l + 1)
             )
             assert k**l == rhs
 
 
-def test_phi_to_P_single_entry():
-    family = phi_to_P(PhiCoefficients({(1, 0): 1}), j_max=3)
-    assert family.coeffs == {(1, 1): 1, (2, 0): 2}
+def test_substitution_images_single_entry():
+    # Phi = u: P_1 = z, and u2 maps to z P_2(z) = 2z
+    ctx = TruncationContext(t_max=3, z_max=3, magnitude_max=3)
+    z = Series.variable(ctx, "z")
+    images = substitution_images(PhiCoefficients({(1, 0): 1}), ctx)
+    assert images == {1: z, 2: 2 * z, 3: Series.zero(ctx), 4: Series.zero(ctx)}
 
 
-def test_phi_to_P_images():
+def test_substitution_images_mixed_entries():
+    # c_{12} u v^2 reaches z^3 for m <= 2; c_{21} u^2 v reaches z^3 for m <= 3
     ctx = TruncationContext(t_max=4, z_max=4, magnitude_max=4)
-    family = phi_to_P(PhiCoefficients({(1, 0): 1}), j_max=4)
-    u2_image = family.u_image(2, ctx)
+    phi = PhiCoefficients({(1, 2): Fraction(1, 3), (2, 1): -2})
+    images = substitution_images(phi, ctx)
+    z3 = ctx.monomial(z=3)
+    assert images[1] == Series.term(ctx, z3, Fraction(1, 3) - 2)  # 1! (S(2,1) c12 + S(3,1) c21)
+    assert images[2] == Series.term(ctx, z3, 2 * (Fraction(1, 3) - 2 * 3))  # S(3,2) = 3
+    assert images[3] == Series.term(ctx, z3, 6 * -2)
+    assert images[4] == images[5] == Series.zero(ctx)
+
+
+def test_substitution_maps_t_and_u():
+    ctx = TruncationContext(t_max=4, z_max=4, magnitude_max=4)
+    phi = PhiCoefficients({(1, 0): 1})
+    u2_image = substituted_connected_gf(phi, ctx, C=Series.variable(ctx, "u2"))
     assert u2_image == Series.term(ctx, ctx.monomial(z=1), 2)
-    t_image = family.t_image(ctx)
+    t_image = substituted_connected_gf(phi, ctx, C=Series.variable(ctx, "t"))
     # t * exp(z): coefficient of t z^2 is 1/2
     assert t_image.coefficient(ctx.monomial(t=1, z=2)) == Fraction(1, 2)
 
 
-def test_t_image_requires_reduced_array():
-    ctx = TruncationContext(t_max=3, z_max=3, magnitude_max=0)
-    family = phi_to_P(PhiCoefficients({(0, 0): 1}), j_max=2)
+def test_substitution_requires_reduced_array():
+    ctx = TruncationContext(t_max=3, z_max=3, magnitude_max=3)
     with pytest.raises(ValueError):
-        family.t_image(ctx)
+        substituted_connected_gf(PhiCoefficients({(0, 0): 1}), ctx, C=compute_C(ctx))
 
 
 def test_substitution_reproduces_lhs():

@@ -12,10 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypertrees.gf import (
-    PipelineResult,
     T_from_R,
     compute_C,
-    compute_R,
     compute_T,
     count_by_profile,
     render_table,
@@ -43,15 +41,25 @@ CTX = TruncationContext(t_max=6, magnitude_max=6)
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    return PipelineResult.from_C(compute_C(CTX))
+def C():
+    return compute_C(CTX)
+
+
+@pytest.fixture(scope="module")
+def T(C):
+    return compute_T(C)
+
+
+@pytest.fixture(scope="module")
+def R(T):
+    """Rooted hypertrees from the log route: R = t dT/dt."""
+    return Series.variable(CTX, "t") * T.derivative("t")
 
 
 # -- pipeline structure ---------------------------------------------------------
 
 
-def test_connected_series_starts_with_known_layers(pipeline):
-    C = pipeline.C
+def test_connected_series_starts_with_known_layers(C):
     assert C.coefficient(CTX.monomial(t=1)) == 1
     assert C.coefficient(CTX.monomial(t=2, u={2: 1})) == Fraction(1, 2)
     # two vertices, two labeled parallel 2-edges: 1/2! * 1/2!
@@ -59,16 +67,16 @@ def test_connected_series_starts_with_known_layers(pipeline):
     assert C.coefficient(CTX.monomial(t=3)) == 0
 
 
-def test_every_connected_term_has_magnitude_at_least_n_minus_1(pipeline):
-    for m, c in pipeline.C.terms():
+def test_every_connected_term_has_magnitude_at_least_n_minus_1(C):
+    for m, c in C.terms():
         assert m.magnitude >= m.t_deg - 1, (m, c)
 
 
-def test_hypertree_layer_is_the_minimal_magnitude_slice(pipeline):
-    for m, _ in pipeline.T.terms():
+def test_hypertree_layer_is_the_minimal_magnitude_slice(C, T):
+    for m, _ in T.terms():
         assert m.magnitude == m.t_deg - 1
-    # and it is exactly what grade-filtering C gives
-    assert compute_T(pipeline.C) == pipeline.T
+    # and it is exactly the magnitude t_deg - 1 slice of C
+    assert T == Series(CTX, [(m, c) for m, c in C.terms() if m.magnitude == m.t_deg - 1])
 
 
 def test_pipeline_requires_wide_enough_alphabet():
@@ -76,10 +84,8 @@ def test_pipeline_requires_wide_enough_alphabet():
         compute_T(compute_C(TruncationContext(t_max=6, magnitude_max=3)))
 
 
-def test_fixed_point_route_matches_log_route(pipeline):
-    R2 = solve_R_fixed_point(CTX)
-    assert R2 == pipeline.R
-    assert compute_R(pipeline.T) == pipeline.R
+def test_fixed_point_route_matches_log_route(R):
+    assert solve_R_fixed_point(CTX) == R
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,8 +176,8 @@ def test_rooted_count_by_edges_small():
     assert rooted_count_by_edges(2, 0) == 0
 
 
-def test_rooted_totals_match_all_ones_specialization(pipeline):
-    T1, R1 = specialize_all_ones(pipeline)
+def test_rooted_totals_match_all_ones_specialization(T, R):
+    T1, R1 = specialize_all_ones(T, R)
     tctx = T1.context
     for n in range(1, 7):
         total_rooted = sum(rooted_count_by_edges(n, k) for k in range(n))
@@ -182,29 +188,29 @@ def test_rooted_totals_match_all_ones_specialization(pipeline):
     assert got_T == [1, 1, 4, 29, 311, 4447]
 
 
-def test_egf_extraction_conventions(pipeline):
+def test_egf_extraction_conventions(T):
     profile = EdgeProfile.parse("u2=1,u3=1")
     # 12 hypertrees on 4 vertices with one 2-edge and one 3-edge
-    coeff = egf_profile_coefficient(pipeline.T, 4, profile)
+    coeff = egf_profile_coefficient(T, 4, profile)
     assert coeff == 12 * profile.factorial_norm()
-    T4 = t_coefficient(pipeline.T, 4) * factorial(4)
+    T4 = t_coefficient(T, 4) * factorial(4)
     assert T4.coefficient(CTX.monomial(u={2: 1, 3: 1})) == 12
 
 
-def test_pipeline_matches_oracle_polynomials(pipeline):
+def test_pipeline_matches_oracle_polynomials(C, T):
     # full polynomial agreement (all magnitudes) for small n
     octx = TruncationContext(t_max=4, magnitude_max=4)
     for n in range(1, 5):
         C_n, T_n = oracle_polynomials(n, octx)
-        assert narrow(t_coefficient(pipeline.C, n) * factorial(n), octx) == C_n
-        assert narrow(t_coefficient(pipeline.T, n) * factorial(n), octx) == T_n
+        assert narrow(t_coefficient(C, n) * factorial(n), octx) == C_n
+        assert narrow(t_coefficient(T, n) * factorial(n), octx) == T_n
 
 
 # -- identity suite ---------------------------------------------------------------
 
 
-def test_identity_suite_all_green(pipeline):
-    report = verify_identities(pipeline, solve_R_fixed_point(CTX), 8)
+def test_identity_suite_all_green(C):
+    report = verify_identities(C, solve_R_fixed_point(CTX), 8)
     assert report.ok, report.summary_lines()
     assert len(report.checks) == 18
     keys = {c.key for c in report.checks}

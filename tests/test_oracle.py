@@ -44,7 +44,7 @@ def test_profile_parse_and_str():
     assert p.counts == (2, 1)
     assert str(p) == "u2^2 u3"
     assert p.magnitude == 4
-    assert p.edge_count == 3
+    assert sum(p.counts) == 3
     assert p.sizes() == (2, 2, 3)
     assert EdgeProfile.parse("") == EdgeProfile()
     with pytest.raises(ValueError):

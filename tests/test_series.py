@@ -8,6 +8,7 @@ and inverse and the one-call substitution against their full power-sum
 twins.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -21,10 +22,13 @@ from hypertrees.series import (
     OutOfContextError,
     Series,
     TruncationContext,
+    exp_fixed_point,
     first_difference,
     narrow,
     revert,
 )
+from hypertrees import series
+from hypertrees.gf import solve_R_fixed_point
 from oracles import (
     exp_by_power_sum,
     inverse_by_power_sum,
@@ -118,6 +122,16 @@ def test_bound_past_the_widest_key_field_is_refused():
     for bound in ("t_max", "z_max", "magnitude_max"):
         with pytest.raises(ValueError, match="64-bit exponent field"):
             TruncationContext(**{bound: 2**64})
+
+
+@pytest.mark.parametrize("position", [0, 1, 2, 4])
+def test_negative_exponent_is_refused(position):
+    # a negative exponent would pass the upper-bound checks and break the key packing
+    degs = [0] * len(CTX.names)
+    degs[position] = -1
+    bad = Monomial(degs)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        Series(CTX, {bad: 1})
 
 
 def test_mixing_contexts_raises():
@@ -576,6 +590,43 @@ def test_revert_with_series_linear_coefficient():
     g = revert(f)
     assert g == revert_by_iteration(f)
     assert f.substitute("t", g) == t
+
+
+def test_exp_fixed_point_rooted_labeled_trees():
+    # R = t exp(R) counts rooted labeled trees: n^(n-1) on n vertices
+    R = exp_fixed_point(T)
+    assert [R.coefficient(mono(t=n)) * factorial(n) for n in range(1, 7)] == [
+        n ** (n - 1) for n in range(1, 7)
+    ]
+
+
+def test_exp_fixed_point_equals_iteration():
+    ctx = TruncationContext(t_max=5, z_max=3, magnitude_max=3)
+    t, z, u2 = (Series.variable(ctx, name) for name in ("t", "z", "u2"))
+    a = t * (z - 1) + t * t * u2 / 2 + power(t, 3) * z / 3 + power(t, 5)
+    R = t
+    for _ in range(ctx.t_max):
+        R = t * a.substitute("t", R).exp()
+    assert exp_fixed_point(a) == R
+    with pytest.raises(ValueError, match="divisible by t"):
+        exp_fixed_point(a + z)
+
+
+def test_slice_solvers_make_no_empty_kernel_call(monkeypatch):
+    # a slice sum whose pairs all have an empty side must not reach the kernel
+    sizes = []
+    kernel = series._mul_into
+
+    def recorded(out, pairs, ctx):
+        sizes.append(len(pairs))
+        kernel(out, pairs, ctx)
+
+    monkeypatch.setattr(series, "_mul_into", recorded)
+    ctx = TruncationContext(t_max=7, z_max=2, magnitude_max=7)
+    t, z, u2 = (Series.variable(ctx, name) for name in ("t", "z", "u2"))
+    revert(t * (1 + z) - t * t * u2 + power(t, 3) / 2)
+    solve_R_fixed_point(ctx)
+    assert sizes and 0 not in sizes
 
 
 @pytest.mark.parametrize("top", [255, 256])

@@ -5,8 +5,12 @@ only a traced run would show it; this check fails in the unit tests first.
 A name that still exists but is no longer called reads zero silently, so
 the oracle route and the series, gf and funceq targets of the verify, psi
 and table routes are also checked by counting their calls.
+
+The package modules also keep their private names to themselves: no module
+imports an underscore name from a sibling.
 """
 
+import ast
 import importlib
 import sys
 import types
@@ -19,7 +23,8 @@ from click.testing import CliRunner
 from hypertrees import hypergraphs
 from hypertrees.cli import main
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 PHI_C00 = str(Path(__file__).parent / "data" / "phi-c00.json")
 
 
@@ -118,3 +123,16 @@ def test_every_layer_target_has_a_route():
     spans = {span for span, *_ in _plan() if span.split(".")[0] in ("series", "gf", "funceq")}
     routed = set().union(*(expected for _, expected in ROUTES.values()))
     assert spans == routed
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # series.py alone knows the kernel's operand format, for one; dunder names are public
+    imported = []
+    for path in sorted((ROOT / "src" / "hypertrees").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("hypertrees")
+            ):
+                imported += [(path.name, a.name) for a in node.names
+                             if a.name.startswith("_") and not a.name.endswith("__")]
+    assert imported == []

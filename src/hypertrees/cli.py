@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(click's default), 3 when an enumeration would exceed its budget.  All
-rational values are emitted as exact num/den pairs or p/q strings; no
-floats appear anywhere.
+(click's default), 3 when the oracle's counting kernel would run past its
+budget.  All rational values are emitted as exact num/den pairs or p/q
+strings; no floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .gf import (
 )
 from .hypergraphs import (
     DEFAULT_BUDGET,
-    DEFAULT_N_MAX,
     BudgetExceededError,
     EdgeProfile,
     count_profile,
@@ -45,10 +44,12 @@ from .hypergraphs import (
     kernel_name,
     parse_hypergraph,
 )
-from .series import Monomial, Series, TruncationContext, first_difference, narrow
+from .series import Series, TruncationContext, first_difference, into_context
 
 EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 3
+POSITIVE = click.IntRange(min=1)
+NON_NEGATIVE = click.IntRange(min=0)
 
 
 @click.group()
@@ -73,14 +74,12 @@ def _parse_profile(text: str) -> EdgeProfile:
 
 
 @main.command()
-@click.option("--n", "n", type=int, required=True, help="number of labeled vertices")
+@click.option("--n", "n", type=POSITIVE, required=True, help="number of labeled vertices")
 @click.option("--profile", "profile_text", default=None, help="edge profile, e.g. u2=2,u3=1")
-@click.option("--edges", "edges", type=int, default=None, help="total number of edges")
+@click.option("--edges", "edges", type=NON_NEGATIVE, default=None, help="total number of edges")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) -> None:
     """Closed-form hypertree counts on n labeled vertices."""
-    if n < 1:
-        raise click.UsageError("need --n >= 1")
     if (profile_text is None) == (edges is None):
         raise click.UsageError("give exactly one of --profile or --edges")
     if profile_text is not None:
@@ -94,8 +93,6 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
         }
         text = f"n={n} profile={profile} rooted={rooted} unrooted={unrooted}"
     else:
-        if edges < 0:
-            raise click.UsageError("need --edges >= 0")
         rooted = rooted_count_by_edges(n, edges)
         payload = {"n": n, "edges": edges, "rooted": rooted, "unrooted": rooted // n}
         text = f"n={n} edges={edges} rooted={rooted} unrooted={rooted // n}"
@@ -103,12 +100,10 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
 
 
 @main.command()
-@click.option("--max-n", "max_n", type=int, default=6, show_default=True)
+@click.option("--max-n", "max_n", type=POSITIVE, default=6, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def table(max_n: int, as_json: bool) -> None:
     """Unrooted hypertree counts by edge profile, one line per vertex count."""
-    if max_n < 1:
-        raise click.UsageError("need --max-n >= 1")
     if as_json:
         rows = [
             {
@@ -127,13 +122,12 @@ def table(max_n: int, as_json: bool) -> None:
 
 
 @main.command()
-@click.option("--n", "n", type=int, default=None, help="number of labeled vertices")
+@click.option("--n", "n", type=POSITIVE, default=None, help="number of labeled vertices")
 @click.option("--profile", "profile_text", default=None, help="edge profile, e.g. u2=2")
-@click.option("--max-magnitude", "max_magnitude", type=int, default=None,
+@click.option("--max-magnitude", "max_magnitude", type=NON_NEGATIVE, default=None,
               help="sweep every profile up to this magnitude")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="largest enumeration size accepted")
-@click.option("--n-max", "n_max", type=int, default=DEFAULT_N_MAX, show_default=True)
+@click.option("--budget", type=NON_NEGATIVE, default=DEFAULT_BUDGET, show_default=True,
+              help="most counting-kernel steps accepted per profile")
 @click.option("--check", "check_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="classify one hypergraph from a text file")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
@@ -142,7 +136,6 @@ def oracle(
     profile_text: str | None,
     max_magnitude: int | None,
     budget: int,
-    n_max: int,
     check_path: str | None,
     as_json: bool,
 ) -> None:
@@ -170,16 +163,8 @@ def oracle(
         return
     if n is None:
         raise click.UsageError("need --n (or --check FILE)")
-    if n < 1:
-        raise click.UsageError("need --n >= 1")
-    if n > n_max:
-        raise click.UsageError(f"--n {n} exceeds --n-max {n_max}")
     if (profile_text is None) == (max_magnitude is None):
         raise click.UsageError("give exactly one of --profile or --max-magnitude")
-    if max_magnitude is not None and max_magnitude < 0:
-        raise click.UsageError("need --max-magnitude >= 0")
-    if budget < 0:
-        raise click.UsageError("need --budget >= 0")
     try:
         if profile_text is not None:
             rows = [count_profile(n, _parse_profile(profile_text), budget=budget)]
@@ -215,7 +200,7 @@ def _run_verify(
     ctx_sub = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=z_max)
     # C has no z terms: one C at the wider magnitude serves both contexts
     C_all = compute_C(TruncationContext(t_max=t_max, magnitude_max=max(magnitude_max, z_max)))
-    C = narrow(C_all, ctx)
+    C = into_context(C_all, ctx)
     if inject_fault:
         C = C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
     fixed = solve_R_fixed_point(ctx)
@@ -252,14 +237,13 @@ def _run_verify(
     status = status_tag(diagonal_ok, ran=trials > 0)
     lines.append(f"{status} psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})")
 
-    C_joint = narrow(C_all, ctx_sub)
+    C_joint = into_context(C_all, ctx_sub)
     substitution_ok = True
     sub_rows = []
-    pad = (0,) * (len(ctx_sub.names) - 2)  # L has no u-terms: widen the trial loop's L
     for i in range(sub_trials):
         phi = random_phi(seed + i)
         if i < trials:
-            direct = Series(ctx_sub, [(Monomial(m[:2] + pad), c) for m, c in trial_L[i].terms()])
+            direct = into_context(trial_L[i], ctx_sub)
         else:
             direct = lhs_series(phi, ctx_sub)
         routed = substituted_connected_gf(phi, ctx_sub, C=C_joint)
@@ -292,14 +276,15 @@ def _run_verify(
 
 
 @main.command()
-@click.option("--t-max", "t_max", type=int, default=6, show_default=True)
-@click.option("--z-max", "z_max", type=int, default=6, show_default=True)
+@click.option("--t-max", "t_max", type=POSITIVE, default=6, show_default=True)
+@click.option("--z-max", "z_max", type=NON_NEGATIVE, default=6, show_default=True)
 @click.option("--magnitude-max", "magnitude_max", type=int, default=None,
               help="defaults to --t-max")
-@click.option("--max-edge-size", "max_edge_size", type=int, default=8, show_default=True)
+@click.option("--max-edge-size", "max_edge_size", type=click.IntRange(min=2), default=8,
+              show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--sub-trials", "sub_trials", type=int, default=5, show_default=True,
+@click.option("--trials", type=NON_NEGATIVE, default=20, show_default=True)
+@click.option("--sub-trials", "sub_trials", type=NON_NEGATIVE, default=5, show_default=True,
               help="seeded arrays pushed through the substitution route")
 @click.option("--inject-fault", "inject_fault", is_flag=True, hidden=True,
               help="flip one coefficient before checking (negative control)")
@@ -316,18 +301,12 @@ def verify(
     as_json: bool,
 ) -> None:
     """Run the full identity suite at the configured truncation."""
-    if t_max < 1 or z_max < 0:
-        raise click.UsageError("need --t-max >= 1 and --z-max >= 0")
-    if trials < 0 or sub_trials < 0:
-        raise click.UsageError("need --trials >= 0 and --sub-trials >= 0")
     if magnitude_max is None:
         magnitude_max = t_max
     if magnitude_max < t_max - 1:
         raise click.UsageError("need --magnitude-max >= t_max - 1")
     if max_edge_size - 1 < magnitude_max:
         raise click.UsageError("need --max-edge-size > --magnitude-max")
-    if max_edge_size < 2:
-        raise click.UsageError("need --max-edge-size >= 2")
     _require_bounds(t_max, z_max, max(magnitude_max, z_max))
     ok, payload, lines = _run_verify(
         t_max, z_max, magnitude_max, max_edge_size, seed, trials, sub_trials, inject_fault
@@ -344,8 +323,8 @@ def verify(
 
 @main.command()
 @click.argument("phi_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--t-max", "t_max", type=int, default=6, show_default=True)
-@click.option("--z-max", "z_max", type=int, default=6, show_default=True)
+@click.option("--t-max", "t_max", type=POSITIVE, default=6, show_default=True)
+@click.option("--z-max", "z_max", type=NON_NEGATIVE, default=6, show_default=True)
 @click.option("--order", type=int, default=None, help="defaults to t_max - 1")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool) -> None:
@@ -354,10 +333,6 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
     PHI_FILE holds JSON of the form
     {"entries": [{"m": 0, "n": 1, "num": 1, "den": 2}, ...]}.
     """
-    if t_max < 1:
-        raise click.UsageError("need --t-max >= 1")
-    if z_max < 0:
-        raise click.UsageError("need --z-max >= 0")
     if order is None:
         order = t_max - 1
     if not 0 <= order <= t_max - 1:

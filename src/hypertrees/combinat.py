@@ -1,7 +1,7 @@
 """Small exact combinatorial helpers: partitions and Stirling numbers.
 
-Partitions are represented as non-increasing tuples of positive parts;
-``part_multiplicities`` recovers the multiset view used by edge profiles.
+A partition is its multiplicity vector: entry i counts the parts of size
+i + 1, with no trailing zeros, which is the layout of an edge profile.
 """
 
 from __future__ import annotations
@@ -10,31 +10,36 @@ from typing import Iterator
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with parts bounded by max_part, largest part first.
+    """Partitions of n with parts bounded by max_part, as multiplicity vectors.
 
-    The stream is in reverse lexicographic order: (n), (n-1, 1), ...,
-    (1,) * n.  partitions(0) yields the single empty partition.
+    The stream is in reverse lexicographic order of the parts: the parts
+    (n), (n-1, 1), ..., (1,) * n come as (0, ..., 0, 1), (1, 0, ..., 1),
+    ..., (n,).  partitions(0) yields the single empty partition ().
     """
     if n < 0:
         raise ValueError("partitions need n >= 0")
-    first = n if max_part is None else min(n, max_part)
-
-    def rec(remaining: int, bound: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
+    top = n if max_part is None else min(n, max_part)
+    if top < 1:  # only n = 0 has a partition then, the empty one
+        if n == 0:
+            yield ()
+        return
+    counts = [0] * top
+    k, free = top, n
+    while True:
+        # spread `free` over parts of size <= k: as many k's as fit, then the rest
+        counts[k - 1] += free // k
+        if free % k:
+            counts[free % k - 1] += 1
+        while not counts[-1]:
+            counts.pop()
+        yield tuple(counts)
+        # the next partition: the smallest part above 1 loses one, and the 1s go with it
+        k = next((i for i in range(1, len(counts)) if counts[i]), 0)
+        if not k:
             return
-        for part in range(min(remaining, bound), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, first if n else 0, ())
-
-
-def part_multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
-    """Map each part size to its multiplicity."""
-    out: dict[int, int] = {}
-    for p in parts:
-        out[p] = out.get(p, 0) + 1
-    return out
+        free = k + 1 + counts[0]
+        counts[k] -= 1
+        counts[0] = 0
 
 
 def stirling2(n: int, k: int) -> int:

@@ -108,20 +108,18 @@ def _json_int(value: object, field: str) -> int:
 _RANDOM_PHI_WEIGHT = 4
 
 
-def random_phi(seed: int, include_constant: bool = False) -> PhiCoefficients:
+def random_phi(seed: int) -> PhiCoefficients:
     """Deterministic fuzz array: for each (m, n) with m + n <= 4 in
     lexicographic order, draw numerator from -2..2 and denominator from
-    {1, 2, 3} with random.Random(seed).  The (0, 0) draw is made either way
-    so the remaining coefficients do not depend on include_constant."""
+    {1, 2, 3} with random.Random(seed).  The array has no constant entry,
+    but the (0, 0) draw is still made, so each seed keeps its array."""
     rng = random.Random(seed)
     entries: dict[tuple[int, int], Fraction] = {}
     for m in range(_RANDOM_PHI_WEIGHT + 1):
         for n in range(_RANDOM_PHI_WEIGHT - m + 1):
             num = rng.randint(-2, 2)
             den = rng.choice((1, 2, 3))
-            if (m, n) == (0, 0) and not include_constant:
-                continue
-            if num:
+            if num and (m, n) != (0, 0):
                 entries[(m, n)] = Fraction(num, den)
     return PhiCoefficients(entries)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .combinat import part_multiplicities, partitions, stirling2
+from .combinat import partitions, stirling2
 from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
 from .series import Series, TruncationContext, exp_fixed_point, first_difference
 
@@ -415,10 +415,8 @@ def table_terms(n: int) -> list[tuple[EdgeProfile, int]]:
     if n < 1:
         raise ValueError("need n >= 1")
     out = []
-    for parts in partitions(n - 1):
-        profile = EdgeProfile.from_dict(
-            {p + 1: a for p, a in part_multiplicities(parts).items()}
-        )
+    for counts in partitions(n - 1):
+        profile = EdgeProfile(counts)
         _, unrooted = count_by_profile(n, profile)
         out.append((profile, unrooted))
     return out

@@ -20,21 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator
 
-from .combinat import part_multiplicities, partitions
+from .combinat import partitions
 
+# counting-kernel steps per profile, one per component label written
 DEFAULT_BUDGET = 10_000_000
-DEFAULT_N_MAX = 6
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the hypergraph budget."""
+    """Raised before a kernel slot whose work would take the count past the budget."""
 
     def __init__(self, required: int, budget: int) -> None:
         super().__init__(
-            f"enumeration needs {required} hypergraphs, over the budget of {budget}"
+            f"counting needs at least {required} kernel steps, over the budget of {budget}"
         )
         self.required = required
         self.budget = budget
@@ -121,9 +121,8 @@ def iter_profiles(max_magnitude: int, max_size: int) -> Iterator[EdgeProfile]:
     """All profiles with magnitude <= max_magnitude and sizes <= max_size,
     ordered by magnitude, then by reverse lexicographic partition."""
     for mag in range(max_magnitude + 1):
-        for parts in partitions(mag, max_part=max_size - 1):
-            mult = part_multiplicities(parts)
-            yield EdgeProfile.from_dict({p + 1: a for p, a in mult.items()})
+        for counts in partitions(mag, max_part=max_size - 1):
+            yield EdgeProfile(counts)
 
 
 @dataclass(frozen=True)
@@ -263,15 +262,14 @@ class CountRow:
 def count_profile(
     n: int, profile: EdgeProfile, budget: int = DEFAULT_BUDGET
 ) -> CountRow:
-    """Classify every hypergraph with this profile through the counting kernel."""
-    required = assignment_count(n, profile)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-    total, connected, hypertree = _count_by_partitions(n, profile.sizes())
-    return CountRow(n, profile, total, connected, hypertree)
+    """Classify every hypergraph with this profile through the counting kernel,
+    which refuses to run past budget steps."""
+    return CountRow(n, profile, *_count_by_partitions(n, profile.sizes(), budget))
 
 
-def _count_by_partitions(n: int, sizes: tuple[int, ...]) -> tuple[int, int, int]:
+def _count_by_partitions(
+    n: int, sizes: tuple[int, ...], budget: int = DEFAULT_BUDGET
+) -> tuple[int, int, int]:
     """(total, connected, hypertree) counts over every assignment of the edge slots.
 
     The slots are filled one at a time, and instead of each partial
@@ -282,24 +280,28 @@ def _count_by_partitions(n: int, sizes: tuple[int, ...]) -> tuple[int, int, int]
     cycle iff it touches fewer distinct components than it has vertices.
     This is the transfer-matrix method (Stanley, EC1 4.7) over set
     partitions.
+
+    A slot of size s merges each state with each of its C(n, s) edges into
+    a new n-tuple of labels: len(states) * C(n, s) * n steps, added up
+    before the slot runs.  Past budget, BudgetExceededError is raised
+    before the slot builds its list of edges.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     sizes = tuple(int(s) for s in sizes)
     if any(s < 2 for s in sizes):
         raise ValueError("edges need at least 2 vertices")
-    choice_lists = [tuple(combinations(range(n), s)) for s in sizes]
-    total = 1
-    for choices in choice_lists:
-        total *= len(choices)
+    total = prod(comb(n, s) for s in sizes)
     if total == 0:
         return (0, 0, 0)
-    if not sizes:
-        flag = 1 if n == 1 else 0
-        return (1, flag, flag)
 
-    states = {(tuple(range(n)), False): 1}
-    for s, choices in zip(sizes, choice_lists):
+    states = {(range(n), False): 1}  # each vertex v its own block, labeled v
+    steps = 0
+    for s in sizes:
+        steps += len(states) * comb(n, s) * n
+        if steps > budget:
+            raise BudgetExceededError(steps, budget)
+        choices = tuple(combinations(range(n), s))
         after: dict[tuple[tuple[int, ...], bool], int] = {}
         for (labels, cycle), ways in states.items():
             for edge in choices:

@@ -379,7 +379,7 @@ class Series:
         """
         self._check_same_context(g)
         if g.constant_term:
-            raise ValueError("power sums need a series with zero constant term")
+            raise ValueError("substitute needs an image with zero constant term")
         ctx = self.context
         i = ctx.index(name)
         groups: dict[int, dict[Monomial, Fraction]] = {}
@@ -437,7 +437,7 @@ class Series:
         Grade by grade, d g_d = sum_{k=1..d} k f_k g_(d-k), with g_0 = 1.
         """
         if self.constant_term:
-            raise ValueError("power sums need a series with zero constant term")
+            raise ValueError("exp needs a series with zero constant term")
         ctx = self.context
         kf = [(den, [(m, key, t, z, mag, k * n) for m, key, t, z, mag, n in piece])
               for k, (den, piece) in enumerate(self._grade_pieces())]
@@ -596,12 +596,14 @@ def first_difference(
     return None
 
 
-def narrow(f: Series, ctx: TruncationContext) -> Series:
-    """f truncated into ctx, which may carry fewer edge variables than f's
-    context: a term that uses a u_j past ctx's lies beyond its magnitude
-    bound, so it is dropped, not shortened."""
+def into_context(f: Series, ctx: TruncationContext) -> Series:
+    """f truncated into ctx, whose edge variables may be fewer or more than
+    f's context has.  A term that uses a u_j past ctx's lies beyond its
+    magnitude bound, so it is dropped, not shortened; the u_j that only ctx
+    has get exponent 0."""
     width = len(ctx.names)
-    kept = [(Monomial(m[:width]), c) for m, c in f._terms.items() if not any(m[width:])]
+    pad = (0,) * (width - len(f.context.names))
+    kept = [(Monomial(m[:width] + pad), c) for m, c in f._terms.items() if not any(m[width:])]
     return Series(ctx, kept)
 
 

@@ -4,26 +4,26 @@ Nothing in the library calls these: each one recomputes a result by a
 second, independent method (Lagrange inversion in place of slice-by-slice
 reversion, full-precision passes in place of the slice-by-slice fixed
 point and reversion, explicit enumeration in place of the counting
-kernel, full power sums in place of the graded exp and log recurrences,
-the inverse built from them and the one-call substitution, hand-built
-coefficient lists in place of the maps derived from the edge weights
-phi, a Fraction per term pair in place of the integer product kernel,
-Fraction arithmetic in place of the integer closed-form counts), so it
-lives with the tests that use it as a reference.
+kernel and of its step meter, part tuples by recursion in place of the
+multiplicity-vector partition stream, full power sums in place of the
+graded exp and log recurrences, the inverse built from them and the
+one-call substitution, hand-built coefficient lists in place of the maps
+derived from the edge weights phi, a Fraction per term pair in place of
+the integer product kernel, Fraction arithmetic in place of the integer
+closed-form counts), so it lives with the tests that use it as a
+reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from hypertrees.gf import edge_symbol_phi, phi_maps
 from hypertrees.hypergraphs import (
     DEFAULT_BUDGET,
-    DEFAULT_N_MAX,
-    BudgetExceededError,
     CountRow,
     EdgeProfile,
     Hypergraph,
@@ -108,6 +108,8 @@ def substitute_by_power_sum(f: Series, name: str, g: Series) -> Series:
 
 def exp_by_power_sum(f: Series) -> Series:
     """exp(f) for f with zero constant term."""
+    if f.constant_term:
+        raise ValueError("exp needs a series with zero constant term")
     n = grade_bound(f.context) + 1
     return power_sum(f, [Fraction(1, factorial(k)) for k in range(n)])
 
@@ -260,25 +262,24 @@ def egf_profile_coefficient(f: Series, n: int, profile: EdgeProfile) -> Fraction
     return f.coefficient(m) * factorial(n) * profile.factorial_norm()
 
 
+ENUMERATION_N_MAX = 6
+
+
 def enumerate_hypergraphs(
-    n: int,
-    profile: EdgeProfile,
-    budget: int = DEFAULT_BUDGET,
-    n_max: int = DEFAULT_N_MAX,
+    n: int, profile: EdgeProfile, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Hypergraph]:
     """Stream every labeled hypergraph with the given profile, deterministically.
 
     Order: edge slots by size ascending then label, each slot running
     through the lexicographically sorted vertex subsets.  Never samples;
-    raises BudgetExceededError up front when the full count is over budget.
+    raises ValueError up front when n is over ENUMERATION_N_MAX or the
+    number of hypergraphs over budget.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > n_max:
-        raise ValueError(f"n = {n} exceeds the configured n_max = {n_max}")
+    if not 1 <= n <= ENUMERATION_N_MAX:
+        raise ValueError(f"need 1 <= n <= {ENUMERATION_N_MAX}, got {n}")
     required = assignment_count(n, profile)
     if required > budget:
-        raise BudgetExceededError(required, budget)
+        raise ValueError(f"enumeration needs {required} hypergraphs, over the budget of {budget}")
     choice_lists = [
         list(combinations(range(1, n + 1), size)) for size in profile.sizes()
     ]
@@ -336,6 +337,46 @@ def count_profile_by_enumeration(n: int, sizes: tuple[int, ...]) -> tuple[int, i
             if not cycle:
                 hypertree += 1
     return (total, connected, hypertree)
+
+
+def kernel_steps_by_enumeration(n: int, sizes: tuple[int, ...]) -> list[int]:
+    """The counting kernel's running step count after each slot, from the
+    states counted literally: before slot j, the distinct (vertex partition,
+    cycle seen) pairs that the assignments of the slots before j reach.
+    Slot j then costs that many states times C(n, s_j) edges times n labels."""
+    out = []
+    steps = 0
+    for j, s in enumerate(sizes):
+        states = set()
+        for assignment in product(*(combinations(range(n), r) for r in sizes[:j])):
+            blocks = [{v} for v in range(n)]
+            cycle = False
+            for edge in assignment:
+                touched = [b for b in blocks if b & set(edge)]
+                cycle = cycle or len(touched) < len(edge)
+                blocks = [b for b in blocks if b not in touched] + [set().union(*touched)]
+            states.add((frozenset(map(frozenset, blocks)), cycle))
+        steps += len(states) * comb(n, s) * n
+        out.append(steps)
+    return out
+
+
+def partitions_as_parts(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with parts bounded by max_part, as non-increasing
+    tuples of parts, by recursion on the largest part: reverse
+    lexicographic order, (n), (n-1, 1), ..., (1,) * n."""
+    if n < 0:
+        raise ValueError("partitions need n >= 0")
+    first = n if max_part is None else min(n, max_part)
+
+    def rec(remaining: int, bound: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(remaining, bound), 0, -1):
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(n, first if n else 0, ())
 
 
 def magnitude_law_violations(rows: Iterable[CountRow]) -> list[str]:

@@ -178,8 +178,22 @@ def test_oracle_negative_budget_is_a_usage_error(runner):
     args = ["oracle", "--n", "3", "--max-magnitude", "1", "--budget"]
     result = runner.invoke(main, args + ["-5"])
     assert result.exit_code == 2
-    assert "need --budget >= 0" in result.output
+    assert "Invalid value for '--budget': -5 is not in the range x>=0." in result.stderr
+    assert result.stdout == ""
     assert runner.invoke(main, args + ["0"]).exit_code == 3
+
+
+def test_oracle_budget_prices_the_kernel_not_the_hypergraphs(runner):
+    # 170,859,375 slot assignments, but a few thousand kernel steps
+    result = runner.invoke(main, ["oracle", "--n", "6", "--profile", "u2=7"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "n=6 profile=u2^7 all=170859375 connected=105840000 hypertree=0\n"
+    # no cap on n: the budget prices it, and refuses a first slot of C(1000, 3) edges
+    assert runner.invoke(main, ["oracle", "--n", "7", "--profile", "u2=1"]).exit_code == 0
+    result = runner.invoke(main, ["oracle", "--n", "1000", "--profile", "u3=1"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "kernel steps, over the budget of 10000000" in result.stderr
 
 
 def test_oracle_usage_errors(runner):
@@ -192,11 +206,38 @@ def test_oracle_usage_errors(runner):
         ).exit_code
         == 2
     )
-    assert (
-        runner.invoke(main, ["oracle", "--n", "5", "--n-max", "4", "--profile", "u2=1"]).exit_code
-        == 2
-    )
+    result = runner.invoke(main, ["oracle", "--n", "5", "--n-max", "4", "--profile", "u2=1"])
+    assert result.exit_code == 2
+    assert "No such option '--n-max'" in result.stderr
     assert runner.invoke(main, ["oracle", "--n", "3", "--max-magnitude", "-1"]).exit_code == 2
+    assert runner.invoke(main, ["oracle", "--check", SAMPLE, "--n", "0"]).exit_code == 2
+
+
+ONE_SIDED = [
+    ("count", "--n", "0", ["--edges", "1"]),
+    ("count", "--edges", "-1", ["--n", "3"]),
+    ("table", "--max-n", "0", []),
+    ("oracle", "--n", "0", ["--profile", "u2=1"]),
+    ("oracle", "--max-magnitude", "-1", ["--n", "3"]),
+    ("oracle", "--budget", "-1", ["--n", "3", "--profile", "u2=1"]),
+    ("verify", "--t-max", "0", []),
+    ("verify", "--z-max", "-1", []),
+    ("verify", "--trials", "-1", []),
+    ("verify", "--sub-trials", "-1", []),
+    ("verify", "--max-edge-size", "1", ["--magnitude-max", "0", "--t-max", "1"]),
+    ("psi", "--t-max", "0", [SAMPLE]),
+    ("psi", "--z-max", "-1", [SAMPLE]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,option,value,rest", ONE_SIDED, ids=[f"{c}{o}" for c, o, _, _ in ONE_SIDED]
+)
+def test_one_sided_bounds_are_declared_ranges(runner, command, option, value, rest):
+    result = runner.invoke(main, [command, option, value] + rest)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}': {value} is not in the range x>=" in result.stderr
+    assert result.stdout == ""
 
 
 # -- verify -----------------------------------------------------------------------

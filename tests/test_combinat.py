@@ -5,39 +5,46 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertrees.combinat import part_multiplicities, partitions, stirling2
-from oracles import multinomial
+from hypertrees.combinat import partitions, stirling2
+from oracles import multinomial, partitions_as_parts
+
+
+def multiplicities(parts):
+    """The multiplicity vector of a partition: entry i counts the parts of size i + 1."""
+    return tuple(parts.count(size) for size in range(1, max(parts, default=0) + 1))
 
 
 def test_partitions_of_five_in_rev_lex_order():
     assert list(partitions(5)) == [
-        (5,),
-        (4, 1),
-        (3, 2),
-        (3, 1, 1),
-        (2, 2, 1),
-        (2, 1, 1, 1),
-        (1, 1, 1, 1, 1),
+        (0, 0, 0, 0, 1),  # 5
+        (1, 0, 0, 1),  # 4 + 1
+        (0, 1, 1),  # 3 + 2
+        (2, 0, 1),  # 3 + 1 + 1
+        (1, 2),  # 2 + 2 + 1
+        (3, 1),  # 2 + 1 + 1 + 1
+        (5,),  # 1 + 1 + 1 + 1 + 1
     ]
 
 
 def test_partitions_edge_cases():
     assert list(partitions(0)) == [()]
-    assert list(partitions(3, max_part=2)) == [(2, 1), (1, 1, 1)]
+    assert list(partitions(3, max_part=2)) == [(1, 1), (3,)]
     assert list(partitions(3, max_part=0)) == []
     with pytest.raises(ValueError):
         list(partitions(-1))
+
+
+def test_partitions_match_the_part_tuple_twin():
+    for n in range(26):
+        for max_part in [None, *range(-1, n + 2)]:
+            twin = [multiplicities(p) for p in partitions_as_parts(n, max_part)]
+            assert list(partitions(n, max_part)) == twin, (n, max_part)
 
 
 def test_partition_counts_match_known_sequence():
     # number of partitions of n: 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42
     counts = [sum(1 for _ in partitions(n)) for n in range(11)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-
-
-def test_part_multiplicities():
-    assert part_multiplicities((3, 2, 2, 1)) == {3: 1, 2: 2, 1: 1}
-    assert part_multiplicities(()) == {}
 
 
 def test_multinomial_values():

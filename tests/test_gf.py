@@ -25,7 +25,7 @@ from hypertrees.gf import (
     verify_identities,
 )
 from hypertrees.hypergraphs import EdgeProfile, count_profile, iter_profiles
-from hypertrees.series import Series, TruncationContext, narrow
+from hypertrees.series import Series, TruncationContext, into_context
 from oracles import (
     T_from_R_by_power_sum,
     count_by_profile_by_fractions,
@@ -106,7 +106,7 @@ def test_narrowed_C_equals_direct(N, M, Z):
     wide = compute_C(TruncationContext(t_max=N, magnitude_max=max(M, Z)))
     for ctx in (TruncationContext(t_max=N, magnitude_max=M),
                 TruncationContext(t_max=N, z_max=Z, magnitude_max=Z)):
-        assert narrow(wide, ctx) == compute_C(ctx)
+        assert into_context(wide, ctx) == compute_C(ctx)
 
 
 # t_max and magnitude_max each end the sums in turn
@@ -202,8 +202,17 @@ def test_pipeline_matches_oracle_polynomials(C, T):
     octx = TruncationContext(t_max=4, magnitude_max=4)
     for n in range(1, 5):
         C_n, T_n = oracle_polynomials(n, octx)
-        assert narrow(t_coefficient(C, n) * factorial(n), octx) == C_n
-        assert narrow(t_coefficient(T, n) * factorial(n), octx) == T_n
+        assert into_context(t_coefficient(C, n) * factorial(n), octx) == C_n
+        assert into_context(t_coefficient(T, n) * factorial(n), octx) == T_n
+    # and every n <= 7 at magnitude <= 6, where the kernel meets profiles such as
+    # (7, u2^6) with 85,766,121 slot assignments
+    wide = TruncationContext(t_max=7, magnitude_max=6)
+    C7 = compute_C(wide)
+    T7 = compute_T(C7)
+    for n in range(1, 8):
+        C_n, T_n = oracle_polynomials(n, wide)
+        assert t_coefficient(C7, n) * factorial(n) == C_n
+        assert t_coefficient(T7, n) * factorial(n) == T_n
 
 
 # -- identity suite ---------------------------------------------------------------

@@ -7,11 +7,13 @@ enumerations.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertrees import hypergraphs
 from hypertrees.hypergraphs import (
     BudgetExceededError,
     EdgeProfile,
@@ -27,8 +29,10 @@ from hypertrees.hypergraphs import (
 )
 from hypertrees.series import TruncationContext
 from oracles import (
+    ENUMERATION_N_MAX,
     count_profile_by_enumeration,
     enumerate_hypergraphs,
+    kernel_steps_by_enumeration,
     magnitude_law_violations,
     oracle_polynomials,
 )
@@ -140,14 +144,44 @@ def test_enumeration_is_deterministic_and_complete():
 
 def test_budget_is_enforced_up_front():
     profile = EdgeProfile.parse("u2=7")
-    with pytest.raises(BudgetExceededError) as exc:
+    with pytest.raises(ValueError, match="needs 10000000 hypergraphs, over the budget of 1000000"):
         list(enumerate_hypergraphs(5, profile, budget=10**6))
-    assert exc.value.required == 10**7
-    assert exc.value.budget == 10**6
-    with pytest.raises(BudgetExceededError):
-        count_profile(5, profile, budget=10**6)
+    # the kernel's budget counts its steps, n per (state, edge) pair of a slot
+    profile = EdgeProfile.parse("u2=5")
+    steps = kernel_steps_by_enumeration(5, profile.sizes())[-1]
+    with pytest.raises(BudgetExceededError, match="kernel steps") as exc:
+        count_profile(5, profile, budget=steps - 1)
+    assert exc.value.required == steps
+    assert exc.value.budget == steps - 1
+    assert count_profile(5, profile, budget=steps).total == 10**5
     with pytest.raises(ValueError):
-        list(enumerate_hypergraphs(7, EdgeProfile()))  # over default n_max
+        list(enumerate_hypergraphs(ENUMERATION_N_MAX + 1, EdgeProfile()))
+
+
+METERED = [(4, (2, 2, 2, 2)), (5, (2, 2, 3, 3)), (5, (2, 3, 4)), (3, (3, 2, 2)), (2, (2,))]
+
+
+@pytest.mark.parametrize("n,sizes", METERED, ids=[f"n{n}-{s}" for n, s in METERED])
+def test_kernel_refuses_a_slot_before_building_it(monkeypatch, n, sizes):
+    running = kernel_steps_by_enumeration(n, sizes)
+    built = []
+
+    def recorded(pool, r):
+        built.append(r)
+        return combinations(pool, r)
+
+    monkeypatch.setattr(hypergraphs, "combinations", recorded)
+    for budget in sorted({0, 1} | {s + d for s in running for d in (-1, 0, 1)}):
+        built.clear()
+        within = [s for s in running if s <= budget]
+        if len(within) == len(sizes):
+            assert _count_by_partitions(n, sizes, budget) == count_profile_by_enumeration(n, sizes)
+        else:
+            with pytest.raises(BudgetExceededError) as exc:
+                _count_by_partitions(n, sizes, budget)
+            assert exc.value.required == running[len(within)] > budget
+        # every slot that ran kept the count within budget, and no refused one built a list
+        assert built == list(sizes[: len(within)])
 
 
 # -- counting kernel ------------------------------------------------------------

@@ -24,7 +24,7 @@ from hypertrees.series import (
     TruncationContext,
     exp_fixed_point,
     first_difference,
-    narrow,
+    into_context,
     revert,
 )
 from hypertrees import series
@@ -193,7 +193,7 @@ def test_exp_matches_defining_sum():
 
 
 def test_exp_rejects_constant_term():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exp needs a series with zero constant term"):
         (1 + T).exp()
 
 
@@ -220,6 +220,23 @@ def test_inverse_multiplies_to_one():
         T.inverse()
 
 
+def test_into_context_widens_and_narrows():
+    tz = TruncationContext(t_max=3, z_max=2, magnitude_max=0)
+    wide = TruncationContext(t_max=2, z_max=2, magnitude_max=2)
+    t, z = Series.variable(tz, "t"), Series.variable(tz, "z")
+    f = 1 + t * z + 3 * power(t, 3)
+    g = into_context(f, wide)
+    # the edge variables only `wide` has get exponent 0; t^3 is past its t bound
+    wt, wz = Series.variable(wide, "t"), Series.variable(wide, "z")
+    assert g == 1 + wt * wz
+    assert g.coefficient(wide.monomial(t=1, z=1)) == 1
+    assert into_context(g, tz) == f - 3 * power(t, 3)
+    # compared in the wider context, a stray u-term still shows as a difference
+    stray = g + Series.variable(wide, "u2") * wt
+    assert first_difference(g, stray) is not None
+    assert into_context(stray, tz) == into_context(g, tz)  # u2 is past tz's alphabet
+
+
 def test_divided_by_t():
     f = T * U2 + power(T, 2)
     assert f.divided_by_t() == U2 + T
@@ -234,7 +251,7 @@ def test_substitute_zero_series_kills_variable():
 
 
 def test_substitute_rejects_constant_term():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="substitute needs an image with zero constant term"):
         T.substitute("t", 1 + T)
 
 
@@ -343,7 +360,7 @@ def test_truncation_coherence(a, b):
     small = TruncationContext(t_max=2, magnitude_max=2)  # u2, u3 of PCTX's u2 .. u5
 
     def cut(f):
-        return narrow(f, small)
+        return into_context(f, small)
 
     f, g = build(a), build(b)
     assert cut(f * g) == cut(f) * cut(g)

@@ -1,15 +1,21 @@
-"""Command line interface.
+"""Command line interface, and the only module that formats results.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(click's default), 3 when the oracle's counting kernel would run past its
-budget.  All rational values are emitted as exact num/den pairs or p/q
-strings; no floats appear anywhere.
+The library returns plain data; this module turns it into text or JSON.
+A verdict is True, False, or None for a check that ran no cases: its
+text tag is ``ok``, ``FAIL`` or ``skip`` and its JSON ``"ok"`` is
+true, false or null.  Exit codes: 0 on success, 1 when a verification
+fails, 2 on usage errors (click's default), 3 when the oracle's counting
+kernel would run past its budget.  All rational values are emitted as
+exact num/den pairs or p/q strings; no floats appear anywhere.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
 
 import click
 
@@ -24,12 +30,12 @@ from .funceq import (
     substituted_connected_gf,
 )
 from .gf import (
+    IdentityCheck,
     compute_C,
     count_by_profile,
     rooted_count_by_edges,
     render_table,
     solve_R_fixed_point,
-    status_tag,
     table_terms,
     verify_identities,
 )
@@ -73,6 +79,13 @@ def _parse_profile(text: str) -> EdgeProfile:
         raise click.UsageError(str(exc)) from exc
 
 
+def _emit(payload: dict, lines: list[str], as_json: bool, ok: bool = True) -> None:
+    """Print the JSON payload or the text lines, then exit 1 on a failed check."""
+    click.echo(json.dumps(payload) if as_json else "\n".join(lines))
+    if not ok:
+        sys.exit(EXIT_VERIFY_FAILED)
+
+
 @main.command()
 @click.option("--n", "n", type=POSITIVE, required=True, help="number of labeled vertices")
 @click.option("--profile", "profile_text", default=None, help="edge profile, e.g. u2=2,u3=1")
@@ -96,7 +109,7 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
         rooted = rooted_count_by_edges(n, edges)
         payload = {"n": n, "edges": edges, "rooted": rooted, "unrooted": rooted // n}
         text = f"n={n} edges={edges} rooted={rooted} unrooted={rooted // n}"
-    click.echo(json.dumps(payload) if as_json else text)
+    _emit(payload, [text], as_json)
 
 
 @main.command()
@@ -127,7 +140,7 @@ def table(max_n: int, as_json: bool) -> None:
 @click.option("--max-magnitude", "max_magnitude", type=NON_NEGATIVE, default=None,
               help="sweep every profile up to this magnitude")
 @click.option("--budget", type=NON_NEGATIVE, default=DEFAULT_BUDGET, show_default=True,
-              help="most counting-kernel steps accepted per profile")
+              help="most counting-kernel steps accepted per run")
 @click.option("--check", "check_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="classify one hypergraph from a text file")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
@@ -153,13 +166,9 @@ def oracle(
             "connected": is_connected(h),
             "hypertree": is_hypertree(h),
         }
-        if as_json:
-            click.echo(json.dumps(payload))
-        else:
-            click.echo(
-                f"n={h.n} profile={h.profile()} magnitude={h.edge_magnitude} "
-                f"connected={payload['connected']} hypertree={payload['hypertree']}"
-            )
+        text = (f"n={h.n} profile={h.profile()} magnitude={h.edge_magnitude} "
+                f"connected={payload['connected']} hypertree={payload['hypertree']}")
+        _emit(payload, [text], as_json)
         return
     if n is None:
         raise click.UsageError("need --n (or --check FILE)")
@@ -183,7 +192,62 @@ def oracle(
             )
 
 
-def _run_verify(
+_TAG = {True: "ok  ", False: "FAIL", None: "skip"}
+
+
+def _verdict(oks: Iterable[bool | None]) -> bool | None:
+    """All of the verdicts that ran; None when none ran."""
+    ran = [ok for ok in oks if ok is not None]
+    return all(ran) if ran else None
+
+
+@dataclass(frozen=True)
+class Section:
+    """One verdict of a report, True, False or None when it ran no cases,
+    with its JSON value and its text lines."""
+
+    ok: bool | None
+    value: dict
+    lines: list[str]
+
+
+def _rational(c: Fraction) -> dict:
+    return {"num": c.numerator, "den": c.denominator}
+
+
+def _identity_section(checks: tuple[IdentityCheck, ...]) -> Section:
+    rows, lines = [], []
+    for c in checks:
+        ok = c.ok if c.ran else None
+        rows.append({
+            "key": c.key,
+            "formula": c.formula,
+            "ok": ok,
+            "region": {"t_max": c.t_bound, "magnitude_max": c.magnitude_bound},
+            "first_diff": c.first_diff,
+        })
+        region = f"[t<={c.t_bound}, magnitude<={c.magnitude_bound}]"
+        line = f"{_TAG[ok]} {c.key:28s} {region} {c.formula}"
+        lines.append(line + (f"  first diff at {c.first_diff}" if c.first_diff else ""))
+    ok = _verdict(row["ok"] for row in rows)
+    return Section(ok, {"ok": ok, "checks": rows}, lines)
+
+
+def _trial_section(oks: list[bool], text: str, **fields) -> Section:
+    """One verdict over seeded arrays, one ok per array: skip when there were none."""
+    ok = _verdict(oks)
+    return Section(ok, {"ok": ok, "trials": len(oks), **fields}, [f"{_TAG[ok]} {text}"])
+
+
+def _vanishing(violations: list[tuple[int, int, Fraction]], t_max: int, z_max: int) -> dict:
+    return {
+        "ok": not violations,
+        "region": {"t_max": t_max, "z_max": z_max},
+        "violations": [{"t": a, "z": b, **_rational(c)} for a, b, c in violations],
+    }
+
+
+def _verify_sections(
     t_max: int,
     z_max: int,
     magnitude_max: int,
@@ -192,10 +256,7 @@ def _run_verify(
     trials: int,
     sub_trials: int,
     inject_fault: bool,
-) -> tuple[bool, dict, list[str]]:
-    lines: list[str] = []
-    payload: dict = {}
-
+) -> dict[str, Section]:
     ctx = TruncationContext(t_max=t_max, magnitude_max=magnitude_max)
     ctx_sub = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=z_max)
     # C has no z terms: one C at the wider magnitude serves both contexts
@@ -204,75 +265,49 @@ def _run_verify(
     if inject_fault:
         C = C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
     fixed = solve_R_fixed_point(ctx)
-    identity_report = verify_identities(C, fixed, max_edge_size)
-    payload["identities"] = identity_report.as_dict()
-    lines.extend(identity_report.summary_lines())
+    identities = _identity_section(verify_identities(C, fixed, max_edge_size))
+    dictionary = _identity_section(hypertree_dictionary_report(fixed))
 
-    dictionary_report = hypertree_dictionary_report(fixed)
-    payload["dictionary"] = dictionary_report.as_dict()
-    lines.extend(dictionary_report.summary_lines())
-
-    vanishing_ok = True
-    diagonal_ok = True
-    vanishing_rows = []
-    trial_L = []
+    vanishing_rows, trial_L = [], []
     for i in range(trials):
-        L, report, _, mismatches = check_phi(random_phi(seed + i), t_max, z_max, t_max - 1)
+        L, violations, _, mismatches = check_phi(random_phi(seed + i), t_max, z_max, t_max - 1)
         trial_L.append(L)
-        vanishing_ok = vanishing_ok and report.ok
-        diagonal_ok = diagonal_ok and not mismatches
-        vanishing_rows.append(
-            {
-                "seed": seed + i,
-                "vanishing": report.as_dict(),
-                "diagonal_mismatches": [
-                    {"power": p, "psi": str(a), "lhs": str(b)} for p, a, b in mismatches
-                ],
-            }
-        )
-    payload["vanishing"] = {"ok": vanishing_ok, "trials": trials, "rows": vanishing_rows}
-    payload["diagonal"] = {"ok": diagonal_ok, "trials": trials}
-    status = status_tag(vanishing_ok, ran=trials > 0)
-    lines.append(f"{status} vanishing pattern over {trials} seeded arrays [t<={t_max}, z<={z_max}]")
-    status = status_tag(diagonal_ok, ran=trials > 0)
-    lines.append(f"{status} psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})")
+        vanishing_rows.append({
+            "seed": seed + i,
+            "vanishing": _vanishing(violations, t_max, z_max),
+            "diagonal_mismatches": [
+                {"power": p, "psi": str(a), "lhs": str(b)} for p, a, b in mismatches
+            ],
+        })
 
     C_joint = into_context(C_all, ctx_sub)
-    substitution_ok = True
     sub_rows = []
     for i in range(sub_trials):
         phi = random_phi(seed + i)
-        if i < trials:
-            direct = into_context(trial_L[i], ctx_sub)
-        else:
-            direct = lhs_series(phi, ctx_sub)
-        routed = substituted_connected_gf(phi, ctx_sub, C=C_joint)
-        diff = first_difference(direct, routed)
-        ok = diff is None
-        substitution_ok = substitution_ok and ok
-        sub_rows.append(
-            {
-                "seed": seed + i,
-                "ok": ok,
-                "first_diff": None if ok else str(diff[0]),
-            }
-        )
-    payload["substitution"] = {"ok": substitution_ok, "trials": sub_trials, "rows": sub_rows}
-    status = status_tag(substitution_ok, ran=sub_trials > 0)
-    lines.append(
-        f"{status} substitution route over {sub_trials} seeded arrays "
-        f"[t<={t_max}, z<={z_max}]"
-    )
+        direct = into_context(trial_L[i], ctx_sub) if i < trials else lhs_series(phi, ctx_sub)
+        diff = first_difference(direct, substituted_connected_gf(phi, ctx_sub, C=C_joint))
+        first_diff = None if diff is None else str(diff[0])
+        sub_rows.append({"seed": seed + i, "ok": diff is None, "first_diff": first_diff})
 
-    ok = (
-        identity_report.ok
-        and dictionary_report.ok
-        and vanishing_ok
-        and diagonal_ok
-        and substitution_ok
-    )
-    payload["ok"] = ok
-    return ok, payload, lines
+    region = f"[t<={t_max}, z<={z_max}]"
+    return {
+        "identities": identities,
+        "dictionary": dictionary,
+        "vanishing": _trial_section(
+            [row["vanishing"]["ok"] for row in vanishing_rows],
+            f"vanishing pattern over {trials} seeded arrays {region}",
+            rows=vanishing_rows,
+        ),
+        "diagonal": _trial_section(
+            [not row["diagonal_mismatches"] for row in vanishing_rows],
+            f"psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})",
+        ),
+        "substitution": _trial_section(
+            [row["ok"] for row in sub_rows],
+            f"substitution route over {sub_trials} seeded arrays {region}",
+            rows=sub_rows,
+        ),
+    }
 
 
 @main.command()
@@ -308,17 +343,14 @@ def verify(
     if max_edge_size - 1 < magnitude_max:
         raise click.UsageError("need --max-edge-size > --magnitude-max")
     _require_bounds(t_max, z_max, max(magnitude_max, z_max))
-    ok, payload, lines = _run_verify(
+    sections = _verify_sections(
         t_max, z_max, magnitude_max, max_edge_size, seed, trials, sub_trials, inject_fault
     )
-    if as_json:
-        click.echo(json.dumps(payload))
-    else:
-        for line in lines:
-            click.echo(line)
-        click.echo("all checks passed" if ok else "verification FAILED")
-    if not ok:
-        sys.exit(EXIT_VERIFY_FAILED)
+    ok = all(section.ok is not False for section in sections.values())
+    payload = {name: section.value for name, section in sections.items()} | {"ok": ok}
+    lines = [line for section in sections.values() for line in section.lines]
+    lines.append("all checks passed" if ok else "verification FAILED")
+    _emit(payload, lines, as_json, ok)
 
 
 @main.command()
@@ -344,35 +376,23 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         except (KeyError, ValueError, TypeError) as exc:
             raise click.UsageError(f"bad Phi file: {exc}") from exc
     c00, reduced = phi.without_constant()
-    L, vanishing, pair, mismatches = check_phi(reduced, t_max, z_max, order)
+    L, violations, pair, mismatches = check_phi(reduced, t_max, z_max, order)
+    lines = [f"log t-scale: {c00} (t -> t * exp({c00}))"] if c00 else []
+    psi_rows = []
+    for m, c in pair.psi.terms():
+        psi_rows.append({"power": m.t_deg, **_rational(c)})
+        lines.append(f"psi[{m.t_deg}] = {c.numerator}/{c.denominator}")
+    lines.append(f"vanishing FAILED: {violations}" if violations else "vanishing ok")
+    lines.append(f"diagonal FAILED: {mismatches}" if mismatches else "diagonal ok")
     payload = {
-        "log_t_scale": {"num": c00.numerator, "den": c00.denominator},
+        "log_t_scale": _rational(c00),
         "order": order,
-        "psi": [
-            {"power": m.t_deg, "num": c.numerator, "den": c.denominator}
-            for m, c in pair.psi.terms()
-        ],
-        "psi_uv": [
-            {"u": a, "v": b, "num": c.numerator, "den": c.denominator}
-            for a, b, c in psi_uv_coefficients(L)
-        ],
-        "vanishing": vanishing.as_dict(),
+        "psi": psi_rows,
+        "psi_uv": [{"u": a, "v": b, **_rational(c)} for a, b, c in psi_uv_coefficients(L)],
+        "vanishing": _vanishing(violations, t_max, z_max),
         "diagonal_ok": not mismatches,
     }
-    ok = vanishing.ok and not mismatches
-    if as_json:
-        click.echo(json.dumps(payload))
-    else:
-        if c00:
-            click.echo(f"log t-scale: {c00} (t -> t * exp({c00}))")
-        for entry in payload["psi"]:
-            click.echo(f"psi[{entry['power']}] = {entry['num']}/{entry['den']}")
-        click.echo(
-            "vanishing ok" if vanishing.ok else f"vanishing FAILED: {vanishing.violations}"
-        )
-        click.echo("diagonal ok" if not mismatches else f"diagonal FAILED: {mismatches}")
-    if not ok:
-        sys.exit(EXIT_VERIFY_FAILED)
+    _emit(payload, lines, as_json, ok=not violations and not mismatches)
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ from math import factorial
 from typing import Mapping
 
 from .combinat import stirling2
-from .gf import IdentityReport, T_from_R, edge_symbol_phi, identity_check, phi_maps
-from .series import Series, TruncationContext, revert
+from .gf import IdentityCheck, T_from_R, edge_symbol_phi, identity_check, phi_maps
+from .series import Monomial, Series, TruncationContext, revert
 
 
 class PhiCoefficients:
@@ -156,46 +156,20 @@ def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
     return total.log()
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    """Support check for L = t * Psi(tz, z): every stored term must have
-    t_deg >= 1 and z_deg >= t_deg - 1."""
-
-    ok: bool
-    violations: tuple[tuple[int, int, Fraction], ...]  # (t_deg, z_deg, coeff)
-    t_max: int
-    z_max: int
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "region": {"t_max": self.t_max, "z_max": self.z_max},
-            "violations": [
-                {"t": a, "z": b, "num": c.numerator, "den": c.denominator}
-                for a, b, c in self.violations
-            ],
-        }
+def _outside_psi_form(m: Monomial) -> bool:
+    """t^a z^b is outside the support of t * Psi(tz, z) when a = 0 or b < a - 1."""
+    return m.t_deg == 0 or m.z_deg < m.t_deg - 1
 
 
-def verify_psi_form(L: Series) -> VanishingReport:
-    violations = []
-    for m, c in L.terms():
-        if m.t_deg == 0 or m.z_deg < m.t_deg - 1:
-            violations.append((m.t_deg, m.z_deg, c))
-    return VanishingReport(
-        not violations, tuple(violations), L.context.t_max, L.context.z_max
-    )
+def verify_psi_form(L: Series) -> list[tuple[int, int, Fraction]]:
+    """The terms of L outside t * Psi(tz, z), as (t_deg, z_deg, coefficient)."""
+    return [(m.t_deg, m.z_deg, c) for m, c in L.terms() if _outside_psi_form(m)]
 
 
 def psi_uv_coefficients(L: Series) -> list[tuple[int, int, Fraction]]:
     """Read Psi(u, v) off L through u^n v^m <-> t^{n+1} z^{n+m}."""
-    out = []
-    for m, c in L.terms():
-        if m.t_deg == 0 or m.z_deg < m.t_deg - 1:
-            continue
-        n = m.t_deg - 1
-        out.append((n, m.z_deg - n, c))
-    return out
+    return [(m.t_deg - 1, m.z_deg - m.t_deg + 1, c) for m, c in L.terms()
+            if not _outside_psi_form(m)]
 
 
 # -- the substitution family --------------------------------------------------
@@ -290,8 +264,10 @@ def diagonal_mismatches(
 
 def check_phi(
     phi: PhiCoefficients, t_max: int, z_max: int, order: int
-) -> tuple[Series, VanishingReport, PhiPsiPair, list[tuple[int, Fraction, Fraction]]]:
-    """(L, its vanishing report, the reversion pair, the diagonal mismatches)
+) -> tuple[
+    Series, list[tuple[int, int, Fraction]], PhiPsiPair, list[tuple[int, Fraction, Fraction]]
+]:
+    """(L, its vanishing violations, the reversion pair, the diagonal mismatches)
     for one reduced array: L through t^t_max z^z_max, psi through y^order."""
     ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)
     L = lhs_series(phi, ctx_tz)
@@ -300,14 +276,14 @@ def check_phi(
     return L, verify_psi_form(L), pair, diagonal_mismatches(pair, L)
 
 
-def hypertree_dictionary_report(R: Series) -> IdentityReport:
+def hypertree_dictionary_report(R: Series) -> tuple[IdentityCheck, ...]:
     """The reversion route against the fixed-point route: w(y) must equal
     the rooted series R from :func:`hypertrees.gf.solve_R_fixed_point` and
     w - w^2 phi'(w) the unrooted series T."""
     ctx = R.context
     T = T_from_R(R)
     pair = psi_from_phi(edge_symbol_phi(ctx), order=max(ctx.t_max - 1, 0))
-    checks = (
+    return (
         identity_check(
             "dictionary-rooted",
             "w(y) = R under phi = sum u_{j+1} w^j/(j+1)!",
@@ -325,4 +301,3 @@ def hypertree_dictionary_report(R: Series) -> IdentityReport:
             ctx.magnitude_max,
         ),
     )
-    return IdentityReport(checks)

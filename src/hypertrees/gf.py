@@ -166,13 +166,6 @@ def specialize_all_ones(T: Series, R: Series) -> tuple[Series, Series]:
 # -- identity verification ----------------------------------------------------
 
 
-def status_tag(ok: bool, ran: bool) -> str:
-    """The verdict column of a summary line; a check that ran no cases reads skip."""
-    if not ran:
-        return "skip"
-    return "ok  " if ok else "FAIL"
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     key: str
@@ -182,37 +175,10 @@ class IdentityCheck:
     magnitude_bound: int
     first_diff: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "formula": self.formula,
-            "ok": self.ok,
-            "region": {"t_max": self.t_bound, "magnitude_max": self.magnitude_bound},
-            "first_diff": self.first_diff,
-        }
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[IdentityCheck, ...]
-
     @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.checks:
-            status = status_tag(c.ok, ran=c.t_bound >= 0 and c.magnitude_bound >= 0)
-            region = f"t<={c.t_bound}, magnitude<={c.magnitude_bound}"
-            line = f"{status} {c.key:28s} [{region}] {c.formula}"
-            if c.first_diff:
-                line += f"  first diff at {c.first_diff}"
-            lines.append(line)
-        return lines
+    def ran(self) -> bool:
+        """False when a negative bound leaves the comparison region empty."""
+        return self.t_bound >= 0 and self.magnitude_bound >= 0
 
 
 def identity_check(
@@ -223,7 +189,6 @@ def identity_check(
     t_bound: int,
     magnitude_bound: int,
 ) -> IdentityCheck:
-    # negative bounds leave an empty comparison region: vacuously ok
     a = lhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
     b = rhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
     diff = first_difference(a, b)
@@ -234,7 +199,7 @@ def identity_check(
     return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
 
 
-def verify_identities(C: Series, fixed: Series, largest_edge: int) -> IdentityReport:
+def verify_identities(C: Series, fixed: Series, largest_edge: int) -> tuple[IdentityCheck, ...]:
     """Exact structural identities tying C, its hypertree layer T and the
     rooted series R = t dT/dt together.
 
@@ -400,7 +365,7 @@ def verify_identities(C: Series, fixed: Series, largest_edge: int) -> IdentityRe
         )
     )
 
-    return IdentityReport(tuple(checks))
+    return tuple(checks)
 
 
 # -- displayed coefficient table ----------------------------------------------

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .combinat import partitions
 
-# counting-kernel steps per profile, one per component label written
+# counting-kernel steps per run, one per component label written
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -237,13 +237,14 @@ def assignment_count(n: int, profile: EdgeProfile) -> int:
 
 @dataclass(frozen=True)
 class CountRow:
-    """Classification counts for one (n, profile) cell."""
+    """Classification counts for one (n, profile) cell, and the kernel steps they took."""
 
     n: int
     profile: EdgeProfile
     total: int
     connected: int
     hypertree: int
+    steps: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.hypertree <= self.connected <= self.total:
@@ -260,17 +261,17 @@ class CountRow:
 
 
 def count_profile(
-    n: int, profile: EdgeProfile, budget: int = DEFAULT_BUDGET
+    n: int, profile: EdgeProfile, budget: int = DEFAULT_BUDGET, spent: int = 0
 ) -> CountRow:
     """Classify every hypergraph with this profile through the counting kernel,
-    which refuses to run past budget steps."""
-    return CountRow(n, profile, *_count_by_partitions(n, profile.sizes(), budget))
+    which refuses to take the run past budget steps, spent of them already used."""
+    return CountRow(n, profile, *_count_by_partitions(n, profile.sizes(), budget, spent))
 
 
 def _count_by_partitions(
-    n: int, sizes: tuple[int, ...], budget: int = DEFAULT_BUDGET
-) -> tuple[int, int, int]:
-    """(total, connected, hypertree) counts over every assignment of the edge slots.
+    n: int, sizes: tuple[int, ...], budget: int = DEFAULT_BUDGET, spent: int = 0
+) -> tuple[int, int, int, int]:
+    """(total, connected, hypertree, steps) over every assignment of the edge slots.
 
     The slots are filled one at a time, and instead of each partial
     assignment only what decides its class is carried: the partition of
@@ -282,9 +283,9 @@ def _count_by_partitions(
     partitions.
 
     A slot of size s merges each state with each of its C(n, s) edges into
-    a new n-tuple of labels: len(states) * C(n, s) * n steps, added up
-    before the slot runs.  Past budget, BudgetExceededError is raised
-    before the slot builds its list of edges.
+    a new n-tuple of labels: len(states) * C(n, s) * n steps, added to
+    the spent ones before the slot runs.  Past budget, BudgetExceededError
+    is raised before the slot builds its list of edges.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -293,10 +294,10 @@ def _count_by_partitions(
         raise ValueError("edges need at least 2 vertices")
     total = prod(comb(n, s) for s in sizes)
     if total == 0:
-        return (0, 0, 0)
+        return (0, 0, 0, 0)
 
     states = {(range(n), False): 1}  # each vertex v its own block, labeled v
-    steps = 0
+    steps = spent
     for s in sizes:
         steps += len(states) * comb(n, s) * n
         if steps > budget:
@@ -319,17 +320,20 @@ def _count_by_partitions(
             connected += ways
             if not cycle:
                 hypertree += ways
-    return (total, connected, hypertree)
+    return (total, connected, hypertree, steps - spent)
 
 
 def count_sweep(
     n: int, max_magnitude: int, budget: int = DEFAULT_BUDGET
 ) -> list[CountRow]:
-    """Count rows for every profile with magnitude <= max_magnitude."""
-    return [
-        count_profile(n, profile, budget=budget)
-        for profile in iter_profiles(max_magnitude, max_size=n)
-    ]
+    """Count rows for every profile with magnitude <= max_magnitude, within
+    one budget of kernel steps for the whole sweep."""
+    rows: list[CountRow] = []
+    spent = 0
+    for profile in iter_profiles(max_magnitude, max_size=n):
+        rows.append(count_profile(n, profile, budget=budget, spent=spent))
+        spent += rows[-1].steps
+    return rows
 
 
 # -- text fixture format ----------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end command line checks through click's test runner."""
 
+import itertools
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +12,7 @@ from hypertrees import __version__
 from hypertrees.cli import main
 
 SAMPLE = os.path.join(os.path.dirname(__file__), "data", "sample5.txt")
+PHI_C00 = os.path.join(os.path.dirname(__file__), "data", "phi-c00.json")
 
 
 @pytest.fixture()
@@ -172,6 +175,20 @@ def test_oracle_budget_exit(runner):
     )
     assert result.exit_code == 3
     assert "budget" in result.output.lower() or "budget" in (result.stderr or "").lower()
+
+
+def test_oracle_budget_meters_the_whole_sweep(runner):
+    # every profile fits in 20,000 kernel steps (the largest takes 9,900),
+    # the 27 of them together take 55,155
+    args = ["oracle", "--n", "5", "--max-magnitude", "6", "--budget"]
+    result = runner.invoke(main, args + ["20000"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "over the budget of 20000" in result.stderr
+    assert runner.invoke(main, args + ["55154"]).exit_code == 3
+    result = runner.invoke(main, args + ["55155"])
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == 27
 
 
 def test_oracle_negative_budget_is_a_usage_error(runner):
@@ -390,7 +407,74 @@ def test_verify_zero_trials_reports_skip(runner):
     assert lines[-2].startswith("skip substitution route over 0 seeded arrays")
 
 
+TAG_OF = {True: "ok  ", False: "FAIL", None: "skip"}
+
+
+def _text_and_json(runner, args):
+    text = runner.invoke(main, args)
+    as_json = runner.invoke(main, args + ["--json"])
+    assert text.exit_code == as_json.exit_code, (args, text.output, as_json.output)
+    return text, json.loads(as_json.stdout), as_json.exit_code
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "inject-fault"])
+def test_verify_text_and_json_give_the_same_verdicts(runner, fault):
+    for t_max, z_max, trials, sub_trials in itertools.product(
+        range(1, 4), range(0, 2), range(0, 2), range(0, 2)
+    ):
+        args = ["verify", "--t-max", str(t_max), "--z-max", str(z_max),
+                "--trials", str(trials), "--sub-trials", str(sub_trials)]
+        text, payload, exit_code = _text_and_json(runner, args + ["--inject-fault"] * fault)
+        verdicts = [check["ok"] for check in payload["identities"]["checks"]]
+        verdicts += [check["ok"] for check in payload["dictionary"]["checks"]]
+        verdicts += [payload[name]["ok"] for name in ("vanishing", "diagonal", "substitution")]
+        *lines, last = text.stdout.splitlines()
+        assert [line[:4] for line in lines] == [TAG_OF[ok] for ok in verdicts], args
+        assert last == ("all checks passed" if payload["ok"] else "verification FAILED")
+        assert exit_code == (0 if payload["ok"] else 1)
+        # a section reads ok only over the checks that ran, and null when none did
+        for name in ("identities", "dictionary"):
+            ran = [c["ok"] for c in payload[name]["checks"] if c["ok"] is not None]
+            assert payload[name]["ok"] == (all(ran) if ran else None)
+        assert payload["vanishing"]["ok"] == payload["diagonal"]["ok"] == (
+            None if trials == 0 else True)
+        assert payload["substitution"]["ok"] == (None if sub_trials == 0 else True)
+        assert payload["ok"] == all(ok is not False for ok in verdicts)
+
+
 # -- psi --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("violations, mismatches", [
+    ([], []),
+    ([(0, 1, Fraction(1, 2))], []),
+    ([], [(1, Fraction(2), Fraction(3))]),
+    ([(0, 1, Fraction(1, 2))], [(1, Fraction(2), Fraction(3))]),
+])
+def test_psi_text_and_json_give_the_same_verdicts(runner, monkeypatch, violations, mismatches):
+    # the reduced array always has the psi form, so failures are planted after check_phi
+    from hypertrees import cli
+
+    real = cli.check_phi
+
+    def planted(*args):
+        L, found, pair, diagonal = real(*args)
+        assert (found, diagonal) == ([], [])
+        return L, violations, pair, mismatches
+
+    monkeypatch.setattr(cli, "check_phi", planted)
+    text, payload, exit_code = _text_and_json(runner, ["psi", PHI_C00, "--t-max", "4"])
+    *_, vanishing_line, diagonal_line = text.stdout.splitlines()
+    assert vanishing_line.startswith("vanishing ok" if payload["vanishing"]["ok"]
+                                     else "vanishing FAILED: ")
+    assert diagonal_line.startswith("diagonal ok" if payload["diagonal_ok"]
+                                    else "diagonal FAILED: ")
+    assert payload["vanishing"]["ok"] == (not violations)
+    assert payload["vanishing"]["violations"] == [
+        {"t": a, "z": b, "num": c.numerator, "den": c.denominator} for a, b, c in violations
+    ]
+    assert payload["diagonal_ok"] == (not mismatches)
+    assert exit_code == (1 if violations or mismatches else 0)
 
 
 def _write_phi(tmp_path, entries):

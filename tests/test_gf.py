@@ -219,10 +219,10 @@ def test_pipeline_matches_oracle_polynomials(C, T):
 
 
 def test_identity_suite_all_green(C):
-    report = verify_identities(C, solve_R_fixed_point(CTX), 8)
-    assert report.ok, report.summary_lines()
-    assert len(report.checks) == 18
-    keys = {c.key for c in report.checks}
+    checks = verify_identities(C, solve_R_fixed_point(CTX), 8)
+    assert all(c.ok and c.ran for c in checks), [c for c in checks if not c.ok]
+    assert len(checks) == 18
+    keys = {c.key for c in checks}
     assert "connected-2edge" in keys
     assert "magnitude-balance" in keys
     assert "rooted-fixed-point" in keys
@@ -238,13 +238,21 @@ def test_identity_check_reports_first_difference():
 
 
 def test_identity_check_empty_region_is_vacuous():
-    from hypertrees.gf import IdentityReport, identity_check
+    from hypertrees.cli import _identity_section
+    from hypertrees.gf import identity_check
 
     t = Series.variable(CTX, "t")
     check = identity_check("probe", "empty", t, 2 * t, CTX.t_max, -1)
     assert check.ok
-    # vacuous, so the summary line must not read ok
-    assert IdentityReport((check,)).summary_lines()[0].startswith("skip probe")
+    assert not check.ran
+    # vacuous, so neither the summary line nor the JSON may read ok
+    section = _identity_section((check,))
+    assert section.lines[0].startswith("skip probe")
+    assert section.ok is None
+    assert section.value == {"ok": None, "checks": [{
+        "key": "probe", "formula": "empty", "ok": None,
+        "region": {"t_max": CTX.t_max, "magnitude_max": -1}, "first_diff": None,
+    }]}
 
 
 # -- displayed table ---------------------------------------------------------------

@@ -136,3 +136,23 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 imported += [(path.name, a.name) for a in node.names
                              if a.name.startswith("_") and not a.name.endswith("__")]
     assert imported == []
+
+
+def test_only_the_cli_knows_the_report_format():
+    # the math modules return plain data; cli.py alone turns it into JSON or text
+    importers, renderers = [], []
+    for path in sorted((ROOT / "src" / "hypertrees").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                modules = []
+            importers += [(path.name, m) for m in modules
+                          if m.split(".")[0] in ("json", "click") and path.name != "cli.py"]
+            if path.name in ("gf.py", "funceq.py") and isinstance(node, ast.FunctionDef):
+                if node.name in ("as_dict", "summary_lines"):
+                    renderers.append((path.name, node.name))
+    assert importers == []
+    assert renderers == []

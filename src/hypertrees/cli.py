@@ -215,6 +215,10 @@ def _rational(c: Fraction) -> dict:
     return {"num": c.numerator, "den": c.denominator}
 
 
+def _pq(c: Fraction) -> str:
+    return f"{c.numerator}/{c.denominator}"
+
+
 def _identity_section(checks: tuple[IdentityCheck, ...]) -> Section:
     rows, lines = [], []
     for c in checks:
@@ -260,13 +264,13 @@ def _verify_sections(
     ctx = TruncationContext(t_max=t_max, magnitude_max=magnitude_max)
     ctx_sub = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=z_max)
     # C has no z terms: one C at the wider magnitude serves both contexts
-    C_all = compute_C(TruncationContext(t_max=t_max, magnitude_max=max(magnitude_max, z_max)))
+    ctx_all = TruncationContext(t_max=t_max, magnitude_max=max(magnitude_max, z_max))
+    C_all = compute_C(ctx_all)
+    if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
+        C_all = C_all + Series.term(ctx_all, ctx_all.monomial(t=2, u={2: 1}), 1)
     C = into_context(C_all, ctx)
-    if inject_fault:
-        C = C + Series.term(ctx, ctx.monomial(t=2, u={2: 1}), 1)
-    fixed = solve_R_fixed_point(ctx)
-    identities = _identity_section(verify_identities(C, fixed, max_edge_size))
-    dictionary = _identity_section(hypertree_dictionary_report(fixed))
+    identities = _identity_section(verify_identities(C, solve_R_fixed_point(ctx), max_edge_size))
+    dictionary = _identity_section(hypertree_dictionary_report(C))
 
     vanishing_rows, trial_L = [], []
     for i in range(trials):
@@ -276,7 +280,7 @@ def _verify_sections(
             "seed": seed + i,
             "vanishing": _vanishing(violations, t_max, z_max),
             "diagonal_mismatches": [
-                {"power": p, "psi": str(a), "lhs": str(b)} for p, a, b in mismatches
+                {"power": p, "psi": _rational(a), "lhs": _rational(b)} for p, a, b in mismatches
             ],
         })
 
@@ -342,6 +346,8 @@ def verify(
         raise click.UsageError("need --magnitude-max >= t_max - 1")
     if max_edge_size - 1 < magnitude_max:
         raise click.UsageError("need --max-edge-size > --magnitude-max")
+    if inject_fault and t_max < 2:
+        raise click.UsageError("--inject-fault needs --t-max >= 2 to plant its term")
     _require_bounds(t_max, z_max, max(magnitude_max, z_max))
     sections = _verify_sections(
         t_max, z_max, magnitude_max, max_edge_size, seed, trials, sub_trials, inject_fault
@@ -381,9 +387,11 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
     psi_rows = []
     for m, c in pair.psi.terms():
         psi_rows.append({"power": m.t_deg, **_rational(c)})
-        lines.append(f"psi[{m.t_deg}] = {c.numerator}/{c.denominator}")
-    lines.append(f"vanishing FAILED: {violations}" if violations else "vanishing ok")
-    lines.append(f"diagonal FAILED: {mismatches}" if mismatches else "diagonal ok")
+        lines.append(f"psi[{m.t_deg}] = {_pq(c)}")
+    vanishing = ", ".join(f"t^{a} z^{b}: {_pq(c)}" for a, b, c in violations)
+    diagonal = ", ".join(f"y^{n}: psi {_pq(a)} vs L {_pq(b)}" for n, a, b in mismatches)
+    lines.append(f"vanishing FAILED: {vanishing}" if violations else "vanishing ok")
+    lines.append(f"diagonal FAILED: {diagonal}" if mismatches else "diagonal ok")
     payload = {
         "log_t_scale": _rational(c00),
         "order": order,

@@ -32,7 +32,7 @@ from math import factorial
 from typing import Mapping
 
 from .combinat import stirling2
-from .gf import IdentityCheck, T_from_R, edge_symbol_phi, identity_check, phi_maps
+from .gf import IdentityCheck, compute_T, edge_symbol_phi, identity_check, phi_maps
 from .series import Monomial, Series, TruncationContext, revert
 
 
@@ -276,12 +276,13 @@ def check_phi(
     return L, verify_psi_form(L), pair, diagonal_mismatches(pair, L)
 
 
-def hypertree_dictionary_report(R: Series) -> tuple[IdentityCheck, ...]:
-    """The reversion route against the fixed-point route: w(y) must equal
-    the rooted series R from :func:`hypertrees.gf.solve_R_fixed_point` and
-    w - w^2 phi'(w) the unrooted series T."""
-    ctx = R.context
-    T = T_from_R(R)
+def hypertree_dictionary_report(C: Series) -> tuple[IdentityCheck, ...]:
+    """The reversion route against the connected-hypergraph series C = log S:
+    w(y) must equal the rooted series R = t dT/dt and w - w^2 phi'(w) the
+    unrooted series T, both read off C's hypertree layer."""
+    ctx = C.context
+    T = compute_T(C)
+    R = Series.variable(ctx, "t") * T.derivative("t")
     pair = psi_from_phi(edge_symbol_phi(ctx), order=max(ctx.t_max - 1, 0))
     return (
         identity_check(

@@ -28,7 +28,7 @@ from math import factorial
 
 from .combinat import partitions, stirling2
 from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
-from .series import Series, TruncationContext, exp_fixed_point, first_difference
+from .series import Series, TruncationContext, first_difference, revert
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
 # largest edge size is below 5)
@@ -91,13 +91,16 @@ def phi_maps(phi: Series) -> tuple[Series, Series]:
 
 
 def solve_R_fixed_point(ctx: TruncationContext) -> Series:
-    """Solve R = t * exp(sum_j a_j R^j) with :func:`exp_fixed_point`.
+    """Solve R = t * exp(a(R)) for a = sum_j u_{j+1} w^j / j!, the rooted
+    map of :func:`phi_maps`, by reverting t * exp(-a(t)).
 
-    a_j = u_{j+1} / j! is the w^j coefficient of the rooted map of
-    :func:`phi_maps`.
+    R / exp(a(R)) = t says that R is the compositional inverse of
+    w * exp(-a(w)).  At t_max = 0 the series t, and so R, is zero.
     """
+    if not ctx.t_max:
+        return Series.zero(ctx)
     rooted, _ = phi_maps(edge_symbol_phi(ctx))
-    return exp_fixed_point(rooted)
+    return revert(Series.variable(ctx, "t") * (-rooted).exp())
 
 
 def T_from_R(R: Series) -> Series:
@@ -203,8 +206,7 @@ def verify_identities(C: Series, fixed: Series, largest_edge: int) -> tuple[Iden
     """Exact structural identities tying C, its hypertree layer T and the
     rooted series R = t dT/dt together.
 
-    fixed is :func:`solve_R_fixed_point` at C's context; the caller solves
-    it once and shares it with the dictionary report.  The edge checks run
+    fixed is :func:`solve_R_fixed_point` at C's context.  The edge checks run
     for u2 .. u_min(5, largest_edge); a u_j the context does not carry has
     zero derivatives, so its checks compare zero with the truncated
     right-hand side.

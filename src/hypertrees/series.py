@@ -45,10 +45,10 @@ products of its monomials never leave those variables.  Substitution
 groups the terms by the exponent e of the substituted variable and adds
 every group c_e times g^e in one call of the product loop.
 
-:func:`revert` and :func:`exp_fixed_point`, which solves R = t exp(a(R)),
-find one t-slice of the unknown at a time from the slices below it, each
-slice sum one call of the product loop: the schoolbook form of relaxed
-evaluation (van der Hoeven, "Relax, but don't be too lazy", 2002).
+:func:`revert` finds one t-slice of the inverse at a time from the
+slices below it, each slice sum one call of the product loop: the
+schoolbook form of relaxed evaluation (van der Hoeven, "Relax, but
+don't be too lazy", 2002).
 """
 
 from __future__ import annotations
@@ -444,7 +444,8 @@ class Series:
         result = {ctx.unit_monomial(): Fraction(1)}
         g = [_graded(result, ctx)]
         for d in range(1, len(kf)):
-            g_d = _exp_step(kf, g, d, ctx)
+            out = _slice_sum([(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
+            g_d = {m: v / d for m, v in out.items()}
             result.update(g_d)
             g.append(_graded(g_d, ctx))
         return Series._trusted(ctx, result)
@@ -553,14 +554,6 @@ def _slice_sum(pairs: _Pairs, ctx: TruncationContext) -> dict[Monomial, Fraction
     return out
 
 
-def _exp_step(kf: Sequence[_Graded], g: Sequence[_Graded], d: int,
-              ctx: TruncationContext) -> dict[Monomial, Fraction]:
-    """Piece d of g = exp(f) from k * f_k and the pieces of g below d:
-    d g_d = sum_{k=1..d} k f_k g_(d-k)."""
-    out = _slice_sum([(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
-    return {m: v / d for m, v in out.items()}
-
-
 def _add_into(out: dict[Monomial, Fraction], items: Iterable[tuple[Monomial, Fraction]]) -> None:
     """Add terms into out, keeping no zero coefficient."""
     for m, c in items:
@@ -607,9 +600,7 @@ def into_context(f: Series, ctx: TruncationContext) -> Series:
     return Series(ctx, kept)
 
 
-# -- t-slices for the online solvers: an unknown's slices keep their t-exponent
-
-_EMPTY: _Graded = (1, [])
+# -- reversion, one t-slice at a time: each slice keeps its t-exponent
 
 
 def _t_coefficients(f: Series) -> list[dict[Monomial, Fraction]]:
@@ -618,16 +609,6 @@ def _t_coefficients(f: Series) -> list[dict[Monomial, Fraction]]:
     for m, c in f._terms.items():
         out[m[0]][Monomial((0,) + m[1:])] = c
     return out
-
-
-def _power_slices(powers: list[list[_Graded]], n: int, ctx: TruncationContext) -> None:
-    """Fill in slice n of x^j for 2 <= j <= n, where powers[j] holds the
-    t-slices of x^j and powers[1] those of x.  x has no t^0 slice, so x^j
-    has none below t^j and [t^n] x^j = sum_i x_i [t^(n-i)] x^(j-1) reads x below n."""
-    x = powers[1]
-    for j in range(2, min(n, len(powers) - 1) + 1):
-        prev = powers[j - 1]
-        powers[j][n] = _graded(_slice_sum([(x[i], prev[n - i]) for i in range(1, n)], ctx), ctx)
 
 
 def revert(f: Series) -> Series:
@@ -640,7 +621,8 @@ def revert(f: Series) -> Series:
 
         g_n = f_1^(-1) ([n = 1] t - sum_{k>=2} f_k [t^n] g^k),
 
-    where [t^n] g^k reads only the slices of g below n.
+    where [t^n] g^k reads only the slices of g below n: g has no t^0
+    slice, so g^k has none below t^k and [t^n] g^k = sum_i g_i [t^(n-i)] g^(k-1).
     """
     ctx = f.context
     c1 = f.coefficient(ctx.monomial(t=1))
@@ -653,46 +635,19 @@ def revert(f: Series) -> Series:
     top = max(k for k, c in enumerate(f_k) if c)
     # h_k = -f_k / f_1, so g_n = sum_{k>=2} h_k [t^n] g^k
     h = {k: (-(inv * Series._trusted(ctx, f_k[k])))._kernel_operand() for k in range(2, top + 1)}
-    powers = [[_EMPTY] * (ctx.t_max + 1) for _ in range(top + 1)]
+    empty: _Graded = (1, [])
+    powers = [[empty] * (ctx.t_max + 1) for _ in range(top + 1)]  # powers[k][n] = [t^n] g^k
+    g = powers[1]
     g_1 = Series.variable(ctx, "t") * inv
-    powers[1][1] = g_1._kernel_operand()
+    g[1] = g_1._kernel_operand()
     result = dict(g_1._terms)
     for n in range(2, ctx.t_max + 1):
-        _power_slices(powers, n, ctx)
+        for k in range(2, min(n, top) + 1):
+            prev = powers[k - 1]
+            slice_n = _slice_sum([(g[i], prev[n - i]) for i in range(1, n)], ctx)
+            powers[k][n] = _graded(slice_n, ctx)
         g_n = _slice_sum([(h[k], powers[k][n]) for k in range(2, top + 1)], ctx)
         result.update(g_n)
-        powers[1][n] = _graded(g_n, ctx)
+        g[n] = _graded(g_n, ctx)
     return Series._trusted(ctx, result)
 
-
-def exp_fixed_point(a: Series) -> Series:
-    """Solve R = t * exp(a(R)) one t-slice at a time, for a in the t-slot.
-
-    a = sum_j a_j t^j needs every term divisible by t; its coefficients
-    may carry z and u terms.  R_1 = t, and the slices of P_j = R^j, of
-    A = a(R) and of E = exp(A) = R / t follow from those of R below them:
-
-        P_j[n] = sum_i R_i P_{j-1}[n-i],   A_n = sum_j a_j P_j[n],
-        n E_n = sum_k k A_k E_{n-k},       R_{n+1} = t E_n.
-
-    E_n is R_{n+1} / t, so R's slices stand in for E's.
-    """
-    ctx = a.context
-    if any(m[0] == 0 for m in a._terms):
-        raise ValueError("the fixed point needs every term of a divisible by t")
-    a_j = [_graded(c, ctx) for c in _t_coefficients(a)]
-    top = max((j for j, c in enumerate(a_j) if c[1]), default=1)
-    powers = [[_EMPTY] * (ctx.t_max + 2) for _ in range(top + 1)]
-    R = powers[1]
-    t = Series.variable(ctx, "t")
-    R[1] = t._kernel_operand()
-    result = dict(t._terms)
-    kA = [_EMPTY]
-    for n in range(1, ctx.t_max):
-        _power_slices(powers, n, ctx)
-        A_n = _slice_sum([(a_j[j], powers[j][n]) for j in range(1, top + 1)], ctx)
-        kA.append(_graded({m: n * c for m, c in A_n.items()}, ctx))
-        R_next = _exp_step(kA, R[1:], n, ctx)
-        result.update(R_next)
-        R[n + 1] = _graded(R_next, ctx)
-    return Series._trusted(ctx, result)

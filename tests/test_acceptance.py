@@ -210,7 +210,7 @@ def test_c6_substitution_equivalence(acceptance):
     )
 
 
-def test_c7_psi_diagonal_and_dictionary(acceptance):
+def test_c7_psi_diagonal_and_dictionary(acceptance, big_C):
     start = time.monotonic()
     ctx_tz = TruncationContext(t_max=6, z_max=6, magnitude_max=0)
     ctx_diag = TruncationContext(t_max=6, magnitude_max=0)
@@ -220,7 +220,7 @@ def test_c7_psi_diagonal_and_dictionary(acceptance):
         L = lhs_series(phi, ctx_tz)
         pair = psi_from_phi(phi.phi_series(ctx_diag), order=5)
         ok = ok and diagonal_mismatches(pair, L) == []
-    dictionary = hypertree_dictionary_report(solve_R_fixed_point(BIG_CTX))
+    dictionary = hypertree_dictionary_report(big_C)
     ok = ok and all(c.ok and c.ran for c in dictionary)
     elapsed = time.monotonic() - start
     acceptance.check(

@@ -353,6 +353,26 @@ def test_verify_inject_fault_fails(runner):
     assert "FAIL" in result.output
 
 
+def test_verify_inject_fault_reaches_the_dictionary(runner):
+    # the dictionary reads R and T off C, so the planted term of C fails both its checks
+    args = ["verify", "--t-max", "4", "--z-max", "2", "--inject-fault", "--json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.stdout)
+    assert payload["dictionary"]["ok"] is False
+    assert [c["ok"] for c in payload["dictionary"]["checks"]] == [False, False]
+
+
+def test_verify_inject_fault_refused_below_t_max_2(runner):
+    # t^2 u2 lies outside a t_max = 1 context, so the flag could plant nothing
+    args = ["verify", "--t-max", "1", "--z-max", "0", "--trials", "0", "--sub-trials", "0"]
+    assert runner.invoke(main, args).exit_code == 0
+    result = runner.invoke(main, args + ["--inject-fault"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "--inject-fault needs --t-max >= 2" in result.stderr
+
+
 def test_verify_bound_validation(runner):
     r = runner.invoke(main, ["verify", "--t-max", "4", "--magnitude-max", "2"])
     assert r.exit_code == 2
@@ -419,8 +439,9 @@ def _text_and_json(runner, args):
 
 @pytest.mark.parametrize("fault", [False, True], ids=["clean", "inject-fault"])
 def test_verify_text_and_json_give_the_same_verdicts(runner, fault):
+    # --inject-fault is refused below t_max = 2, where it could plant nothing
     for t_max, z_max, trials, sub_trials in itertools.product(
-        range(1, 4), range(0, 2), range(0, 2), range(0, 2)
+        range(1 + fault, 4), range(0, 2), range(0, 2), range(0, 2)
     ):
         args = ["verify", "--t-max", str(t_max), "--z-max", str(z_max),
                 "--trials", str(trials), "--sub-trials", str(sub_trials)]
@@ -438,8 +459,32 @@ def test_verify_text_and_json_give_the_same_verdicts(runner, fault):
             assert payload[name]["ok"] == (all(ran) if ran else None)
         assert payload["vanishing"]["ok"] == payload["diagonal"]["ok"] == (
             None if trials == 0 else True)
-        assert payload["substitution"]["ok"] == (None if sub_trials == 0 else True)
+        # the planted t^2 u2 reaches the substitution route once z can carry u2
+        assert payload["substitution"]["ok"] == (
+            None if sub_trials == 0 else not (fault and z_max >= 1))
         assert payload["ok"] == all(ok is not False for ok in verdicts)
+
+
+def test_verify_json_writes_diagonal_mismatches_as_rationals(runner, monkeypatch):
+    # the seeded arrays always agree on the diagonal, so a mismatch is planted after check_phi
+    from hypertrees import cli
+
+    real = cli.check_phi
+
+    def planted(*args):
+        L, violations, pair, mismatches = real(*args)
+        assert mismatches == []
+        return L, violations, pair, [(1, Fraction(2), Fraction(-3, 4))]
+
+    monkeypatch.setattr(cli, "check_phi", planted)
+    args = ["verify", "--t-max", "3", "--z-max", "2", "--trials", "1", "--sub-trials", "0"]
+    result = runner.invoke(main, args + ["--json"])
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.stdout)
+    assert payload["diagonal"]["ok"] is False
+    assert payload["vanishing"]["rows"][0]["diagonal_mismatches"] == [
+        {"power": 1, "psi": {"num": 2, "den": 1}, "lhs": {"num": -3, "den": 4}}
+    ]
 
 
 # -- psi --------------------------------------------------------------------------
@@ -469,6 +514,10 @@ def test_psi_text_and_json_give_the_same_verdicts(runner, monkeypatch, violation
                                      else "vanishing FAILED: ")
     assert diagonal_line.startswith("diagonal ok" if payload["diagonal_ok"]
                                     else "diagonal FAILED: ")
+    # rationals print as p/q, like the psi[k] rows, never as Python reprs
+    assert "Fraction(" not in text.stdout
+    assert ("t^0 z^1: 1/2" in vanishing_line) == bool(violations)
+    assert ("y^1: psi 2/1 vs L 3/1" in diagonal_line) == bool(mismatches)
     assert payload["vanishing"]["ok"] == (not violations)
     assert payload["vanishing"]["violations"] == [
         {"t": a, "z": b, "num": c.numerator, "den": c.denominator} for a, b, c in violations

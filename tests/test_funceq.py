@@ -23,7 +23,7 @@ from hypertrees.funceq import (
     substitution_images,
     verify_psi_form,
 )
-from hypertrees.gf import compute_C, edge_symbol_phi, solve_R_fixed_point
+from hypertrees.gf import compute_C, edge_symbol_phi
 from hypertrees.series import Series, TruncationContext, first_difference
 
 CTX = TruncationContext(t_max=5, z_max=5, magnitude_max=0)
@@ -313,6 +313,10 @@ def test_edge_symbol_phi_shape():
 
 def test_dictionary_reproduces_hypertree_series():
     ctx = TruncationContext(t_max=5, magnitude_max=5)
-    checks = hypertree_dictionary_report(solve_R_fixed_point(ctx))
+    C = compute_C(ctx)
+    checks = hypertree_dictionary_report(C)
     assert all(c.ok and c.ran for c in checks), [c for c in checks if not c.ok]
     assert [c.key for c in checks] == ["dictionary-rooted", "dictionary-unrooted"]
+    # R and T are read off C, so one wrong term of its hypertree layer fails both
+    planted = C + Series.term(ctx, ctx.monomial(t=3, u={2: 2}), 1)
+    assert [c.ok for c in hypertree_dictionary_report(planted)] == [False, False]

@@ -22,7 +22,6 @@ from hypertrees.series import (
     OutOfContextError,
     Series,
     TruncationContext,
-    exp_fixed_point,
     first_difference,
     into_context,
     revert,
@@ -610,23 +609,23 @@ def test_revert_with_series_linear_coefficient():
 
 
 def test_exp_fixed_point_rooted_labeled_trees():
-    # R = t exp(R) counts rooted labeled trees: n^(n-1) on n vertices
-    R = exp_fixed_point(T)
+    # R = t exp(R) counts rooted labeled trees: n^(n-1) on n vertices; R is
+    # the inverse of w exp(-w)
+    R = revert(T * (-T).exp())
     assert [R.coefficient(mono(t=n)) * factorial(n) for n in range(1, 7)] == [
         n ** (n - 1) for n in range(1, 7)
     ]
 
 
 def test_exp_fixed_point_equals_iteration():
+    # R = t exp(a(R)) is the inverse of w exp(-a(w))
     ctx = TruncationContext(t_max=5, z_max=3, magnitude_max=3)
     t, z, u2 = (Series.variable(ctx, name) for name in ("t", "z", "u2"))
     a = t * (z - 1) + t * t * u2 / 2 + power(t, 3) * z / 3 + power(t, 5)
     R = t
     for _ in range(ctx.t_max):
         R = t * a.substitute("t", R).exp()
-    assert exp_fixed_point(a) == R
-    with pytest.raises(ValueError, match="divisible by t"):
-        exp_fixed_point(a + z)
+    assert revert(t * (-a).exp()) == R
 
 
 def test_slice_solvers_make_no_empty_kernel_call(monkeypatch):

@@ -34,7 +34,7 @@ from .gf import (
     compute_C,
     count_by_profile,
     rooted_count_by_edges,
-    render_table,
+    render_table_line,
     solve_R_fixed_point,
     table_terms,
     verify_identities,
@@ -130,8 +130,8 @@ def table(max_n: int, as_json: bool) -> None:
         ]
         click.echo(json.dumps({"rows": rows}))
     else:
-        for line in render_table(max_n):
-            click.echo(line)
+        for n in range(1, max_n + 1):
+            click.echo(render_table_line(n))
 
 
 @main.command()

@@ -24,22 +24,24 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
             yield ()
         return
     counts = [0] * top
-    k, free = top, n
+    k, free, length = top, n, top  # counts[length - 1] is the largest part's count
     while True:
         # spread `free` over parts of size <= k: as many k's as fit, then the rest
         counts[k - 1] += free // k
         if free % k:
             counts[free % k - 1] += 1
-        while not counts[-1]:
-            counts.pop()
-        yield tuple(counts)
+        yield tuple(counts[:length])
         # the next partition: the smallest part above 1 loses one, and the 1s go with it
-        k = next((i for i in range(1, len(counts)) if counts[i]), 0)
-        if not k:
+        for k in range(1, length):
+            if counts[k]:
+                break
+        else:
             return
         free = k + 1 + counts[0]
         counts[k] -= 1
         counts[0] = 0
+        if not counts[k] and k == length - 1:
+            length = k
 
 
 def stirling2(n: int, k: int) -> int:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .combinat import partitions, stirling2
-from .hypergraphs import EdgeProfile, assignment_count, iter_profiles
+from .combinat import stirling2
+from .hypergraphs import EdgeProfile, assignment_count, iter_profiles, profiles
 from .series import Series, TruncationContext, first_difference, revert
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
@@ -116,23 +116,32 @@ def count_by_profile(n: int, profile: EdgeProfile) -> tuple[int, int]:
     """(rooted, unrooted) hypertree counts on 1..n for one edge profile.
 
     Hypertrees with a_s edges of s vertices induce a partition of n - 1
-    into a_s blocks of size s - 1, and the rooted count is
+    into a_s blocks of size s - 1.  With k = sum_s a_s edges the rooted
+    count is a multinomial count of set partitions times n^k:
 
-        (n - 1)! * prod_s n^(a_s) / ((s - 1)!^(a_s) * a_s!).
+        (n - 1)! * n^k / prod_s ((s - 1)!^(a_s) * a_s!).
 
-    Each partial quotient is a multinomial count of set partitions times
-    a power of n, so the integer divisions are exact.  Profiles off the
-    magnitude n - 1 surface admit no hypertrees at all.
+    One pass over the counts sums the magnitude and k and builds the
+    denominator; one divmod then gives the count, and a non-zero
+    remainder, or a rooted count that n does not divide, raises.
+    Profiles off the magnitude n - 1 surface admit no hypertrees at all.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if profile.magnitude != n - 1:
+    magnitude = edges = 0
+    denominator = 1
+    for i, a in enumerate(profile.counts, 1):  # a edges of i + 1 vertices
+        if a:
+            magnitude += i * a
+            if magnitude >= n:  # off the surface, before a factorial outgrows n
+                return (0, 0)
+            edges += a
+            denominator *= factorial(i) ** a * factorial(a)
+    if magnitude != n - 1:
         return (0, 0)
-    rooted = factorial(n - 1)
-    for size, a in profile.items():
-        rooted = rooted // (factorial(size - 1) ** a * factorial(a)) * n**a
-    if rooted % n:
-        raise AssertionError(f"rooted count {rooted} not divisible by n = {n}")
+    rooted, rest = divmod(factorial(n - 1) * n**edges, denominator)
+    if rest or rooted % n:
+        raise AssertionError(f"count of {profile} on n = {n} is not a multiple of n")
     return (rooted, rooted // n)
 
 
@@ -376,28 +385,31 @@ def verify_identities(C: Series, fixed: Series, largest_edge: int) -> tuple[Iden
 def table_terms(n: int) -> list[tuple[EdgeProfile, int]]:
     """Unrooted hypertree counts for [t^n/n!] T, one term per edge profile.
 
-    Profiles run through the partitions of n - 1 in reverse lexicographic
-    order, a part of size i standing for an edge of i + 1 vertices.
+    The profiles are profiles(n - 1), the partitions of n - 1 in reverse
+    lexicographic order: each lies on the magnitude n - 1 surface, so
+    each count is positive.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    out = []
-    for counts in partitions(n - 1):
-        profile = EdgeProfile(counts)
-        _, unrooted = count_by_profile(n, profile)
-        out.append((profile, unrooted))
-    return out
+    return [(profile, count_by_profile(n, profile)[1]) for profile in profiles(n - 1)]
+
+
+# each rendered factor such as u₅³, by (exponent, size)
+_PIECES: dict[tuple[int, int], str] = {}
 
 
 def _pretty_monomial(profile: EdgeProfile) -> str:
-    factors = sorted(profile.items(), key=lambda item: (item[1], item[0]))
-    parts = []
-    for size, e in factors:
-        text = "u" + str(size).translate(_SUBSCRIPT)
-        if e > 1:
-            text += str(e).translate(_SUPERSCRIPT)
-        parts.append(text)
-    return "".join(parts)
+    pieces = []
+    for pair in sorted([(e, i + 2) for i, e in enumerate(profile.counts) if e]):
+        piece = _PIECES.get(pair)
+        if piece is None:
+            e, size = pair
+            piece = "u" + str(size).translate(_SUBSCRIPT)
+            if e > 1:
+                piece += str(e).translate(_SUPERSCRIPT)
+            _PIECES[pair] = piece
+        pieces.append(piece)
+    return "".join(pieces)
 
 
 def render_table_line(n: int) -> str:
@@ -405,8 +417,6 @@ def render_table_line(n: int) -> str:
     t_power = "t" if n == 1 else "t" + str(n).translate(_SUPERSCRIPT)
     pieces = []
     for profile, coeff in table_terms(n):
-        if coeff == 0:
-            continue
         body = _pretty_monomial(profile)
         if not body:
             pieces.append(str(coeff))
@@ -415,7 +425,3 @@ def render_table_line(n: int) -> str:
         else:
             pieces.append(f"{coeff}{body}")
     return f"[{t_power}/{n}!]T = " + " + ".join(pieces)
-
-
-def render_table(max_n: int) -> list[str]:
-    return [render_table_line(n) for n in range(1, max_n + 1)]

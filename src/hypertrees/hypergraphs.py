@@ -52,12 +52,12 @@ class EdgeProfile:
     counts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError("edge counts must be non-negative")
-        trimmed = self.counts
-        while trimmed and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        object.__setattr__(self, "counts", tuple(int(c) for c in trimmed))
+        counts = tuple(int(c) for c in self.counts)  # converted before it is trimmed
+        if counts != tuple(self.counts) or any(c < 0 for c in counts):
+            raise ValueError("edge counts must be non-negative integers")
+        while counts and counts[-1] == 0:
+            counts = counts[:-1]
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_dict(cls, counts: dict[int, int]) -> "EdgeProfile":
@@ -117,12 +117,21 @@ class EdgeProfile:
         return " ".join(parts) if parts else "1"
 
 
+def profiles(magnitude: int, max_size: int | None = None) -> Iterator[EdgeProfile]:
+    """The profiles of one magnitude with sizes <= max_size, in the order of
+    partitions(magnitude), whose vectors are already canonical (non-negative
+    ints, no trailing zeros): so each profile skips the constructor's checks."""
+    for counts in partitions(magnitude, None if max_size is None else max_size - 1):
+        profile = object.__new__(EdgeProfile)
+        object.__setattr__(profile, "counts", counts)
+        yield profile
+
+
 def iter_profiles(max_magnitude: int, max_size: int) -> Iterator[EdgeProfile]:
     """All profiles with magnitude <= max_magnitude and sizes <= max_size,
     ordered by magnitude, then by reverse lexicographic partition."""
     for mag in range(max_magnitude + 1):
-        for counts in partitions(mag, max_part=max_size - 1):
-            yield EdgeProfile(counts)
+        yield from profiles(mag, max_size)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ graded exp and log recurrences, the inverse built from them and the
 one-call substitution, hand-built coefficient lists in place of the maps
 derived from the edge weights phi, a Fraction per term pair in place of
 the integer product kernel, Fraction arithmetic in place of the integer
-closed-form counts), so it lives with the tests that use it as a
+closed-form counts, a key-sorted factor list rebuilt per call in place of
+the cached table pieces), so it lives with the tests that use it as a
 reference.
 """
 
@@ -254,6 +255,23 @@ def count_by_profile_by_fractions(n: int, profile: EdgeProfile) -> tuple[int, in
     if rooted_int % n:
         raise AssertionError(f"rooted count {rooted_int} not divisible by n = {n}")
     return (rooted_int, rooted_int // n)
+
+
+_SUBSCRIPT_DIGITS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+_SUPERSCRIPT_DIGITS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def pretty_monomial_by_sort_key(profile: EdgeProfile) -> str:
+    """The table's monomial text, e.g. u₂u₃u₄²: factors by ascending
+    exponent, then size, each built afresh."""
+    factors = sorted(profile.items(), key=lambda item: (item[1], item[0]))
+    parts = []
+    for size, e in factors:
+        text = "u" + str(size).translate(_SUBSCRIPT_DIGITS)
+        if e > 1:
+            text += str(e).translate(_SUPERSCRIPT_DIGITS)
+        parts.append(text)
+    return "".join(parts)
 
 
 def egf_profile_coefficient(f: Series, n: int, profile: EdgeProfile) -> Fraction:

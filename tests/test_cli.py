@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from hypertrees import __version__
 from hypertrees.cli import main
+from hypertrees.gf import render_table_line
 
 SAMPLE = os.path.join(os.path.dirname(__file__), "data", "sample5.txt")
 PHI_C00 = os.path.join(os.path.dirname(__file__), "data", "phi-c00.json")
@@ -84,6 +85,9 @@ def test_table_text(runner):
     assert lines[0] == "[t/1!]T = 1"
     assert lines[3].endswith("= u₄ + 12u₂u₃ + 16u₂³")
     assert len(lines) == 4
+    # the default bound, one rendered line per vertex count
+    default = runner.invoke(main, ["table"]).output.splitlines()
+    assert default == [render_table_line(n) for n in range(1, 7)]
 
 
 def test_table_json(runner):

@@ -13,10 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypertrees.gf import (
     T_from_R,
+    _pretty_monomial,
     compute_C,
     compute_T,
     count_by_profile,
-    render_table,
     render_table_line,
     rooted_count_by_edges,
     solve_R_fixed_point,
@@ -31,6 +31,7 @@ from oracles import (
     count_by_profile_by_fractions,
     egf_profile_coefficient,
     oracle_polynomials,
+    pretty_monomial_by_sort_key,
     rooted_edge_argument,
     rooted_edge_argument_by_power_sum,
     solve_R_by_iteration,
@@ -139,16 +140,19 @@ def test_count_by_profile_examples():
     # off the magnitude surface: no hypertrees at all
     assert count_by_profile(4, EdgeProfile.parse("u2=1")) == (0, 0)
     assert count_by_profile(4, EdgeProfile.parse("u2=4")) == (0, 0)
+    # decided before any factorial of a count grows past n
+    assert count_by_profile(3, EdgeProfile((1, 10**9))) == (0, 0)
+    assert count_by_profile(3, EdgeProfile((0,) * 10**6 + (1,))) == (0, 0)
 
 
 def test_count_by_profile_equals_fraction_twin():
     # every profile up to magnitude n, on and off the magnitude n - 1 surface
     checked = 0
-    for n in range(1, 15):
+    for n in range(1, 25):
         for profile in iter_profiles(n, max_size=n + 1):
             assert count_by_profile(n, profile) == count_by_profile_by_fractions(n, profile)
             checked += profile.magnitude == n - 1
-    assert checked == 373  # sum of the partition numbers p(0) .. p(13)
+    assert checked == 5763  # sum of the partition numbers p(0) .. p(23)
 
 
 def test_closed_form_matches_enumeration():
@@ -272,7 +276,13 @@ def test_render_table_lines():
         render_table_line(5)
         == "[t⁵/5!]T = u₅ + 20u₂u₄ + 15u₃² + 150u₃u₂² + 125u₂⁴"
     )
-    assert len(render_table(6)) == 6
+
+
+def test_pretty_monomial_equals_sort_key_twin():
+    # twice over, so the second pass reads every factor from the cache
+    for _ in range(2):
+        for profile in iter_profiles(20, max_size=21):
+            assert _pretty_monomial(profile) == pretty_monomial_by_sort_key(profile)
 
 
 def test_render_table_line_n6_value():

@@ -1,4 +1,5 @@
-"""Byte-exact stdout and exit code of the README examples, ``verify`` and ``psi``.
+"""Byte-exact stdout and exit code of the README examples, ``verify``, ``psi``
+and ``table`` to n = 12, as text and as JSON.
 
 The fixtures under data/golden were recorded from the command line; any
 change to the printed text or JSON of these runs fails here.  The two
@@ -20,6 +21,8 @@ PHI_C00 = str(DATA / "phi-c00.json")
 CASES = [
     (["count", "--n", "6", "--profile", "u2=3,u3=1"], 0, "count-n6-u2-3-u3-1.txt"),
     (["table", "--max-n", "4"], 0, "table-max-n4.txt"),
+    (["table", "--max-n", "12"], 0, "table-max-n12.txt"),
+    (["table", "--max-n", "12", "--json"], 0, "table-json-max-n12.json"),
     (["oracle", "--n", "4", "--profile", "u2=1,u3=1"], 0, "oracle-n4-u2-1-u3-1.txt"),
     (["verify", "--t-max", "6", "--z-max", "6"], 0, "verify-t6-z6.txt"),
     (["verify", "--t-max", "6", "--z-max", "6", "--json"], 0, "verify-json-t6-z6.json"),

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertrees import hypergraphs
+from hypertrees.combinat import partitions
 from hypertrees.hypergraphs import (
     BudgetExceededError,
     EdgeProfile,
@@ -26,6 +27,7 @@ from hypertrees.hypergraphs import (
     is_hypertree,
     iter_profiles,
     parse_hypergraph,
+    profiles,
 )
 from hypertrees.series import TruncationContext
 from oracles import (
@@ -61,6 +63,31 @@ def test_profile_normalizes_trailing_zeros():
     assert EdgeProfile((1, 0, 0)) == EdgeProfile((1,))
     assert EdgeProfile.from_dict({4: 1}).counts == (0, 0, 1)
     assert EdgeProfile.from_sizes((3, 2, 3)) == EdgeProfile((1, 2))
+
+
+def test_profile_rejects_non_integral_counts():
+    # converted before it is trimmed: (0.5,) neither becomes an untrimmed (0,) nor a u2
+    for counts in [(0.5,), (1.5,), (1, 0.5), (2, 0, 1e-9)]:
+        with pytest.raises(ValueError):
+            EdgeProfile(counts)
+    with pytest.raises(ValueError):
+        EdgeProfile.from_dict({2: 2.7})
+    whole = EdgeProfile((2.0, 1.0, 0.0))
+    assert whole == EdgeProfile((2, 1))
+    assert [type(c) for c in whole.counts] == [int, int]
+
+
+def test_profiles_equal_validated_partitions():
+    # the stream skips the constructor's checks; the constructor is its twin
+    for m in range(21):
+        for max_size in [None, *range(1, m + 3)]:
+            max_part = None if max_size is None else max_size - 1
+            got = list(profiles(m, max_size))
+            assert got == [EdgeProfile(c) for c in partitions(m, max_part)], (m, max_size)
+            for profile in got:
+                assert type(profile.counts) is tuple
+                assert all(type(c) is int for c in profile.counts)
+                assert not profile.counts or profile.counts[-1]
 
 
 def test_iter_profiles_ordered_by_magnitude():

@@ -117,18 +117,12 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def table(max_n: int, as_json: bool) -> None:
     """Unrooted hypertree counts by edge profile, one line per vertex count."""
-    if as_json:
-        rows = [
-            {
-                "n": n,
-                "terms": [
-                    {"profile": p.as_dict(), "coefficient": c}
-                    for p, c in table_terms(n)
-                ],
-            }
-            for n in range(1, max_n + 1)
-        ]
-        click.echo(json.dumps({"rows": rows}))
+    if as_json:  # streamed one row at a time, in json.dumps' own layout
+        click.echo('{"rows": [', nl=False)
+        for n in range(1, max_n + 1):
+            terms = [{"profile": p.as_dict(), "coefficient": c} for p, c in table_terms(n)]
+            click.echo((", " if n > 1 else "") + json.dumps({"n": n, "terms": terms}), nl=False)
+        click.echo("]}")
     else:
         for n in range(1, max_n + 1):
             click.echo(render_table_line(n))
@@ -269,8 +263,9 @@ def _verify_sections(
     if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
         C_all = C_all + Series.term(ctx_all, ctx_all.monomial(t=2, u={2: 1}), 1)
     C = into_context(C_all, ctx)
-    identities = _identity_section(verify_identities(C, solve_R_fixed_point(ctx), max_edge_size))
-    dictionary = _identity_section(hypertree_dictionary_report(C))
+    fixed = solve_R_fixed_point(ctx)
+    identities = _identity_section(verify_identities(C, fixed, max_edge_size))
+    dictionary = _identity_section(hypertree_dictionary_report(C, fixed))
 
     vanishing_rows, trial_L = [], []
     for i in range(trials):
@@ -382,10 +377,10 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         except (KeyError, ValueError, TypeError) as exc:
             raise click.UsageError(f"bad Phi file: {exc}") from exc
     c00, reduced = phi.without_constant()
-    L, violations, pair, mismatches = check_phi(reduced, t_max, z_max, order)
+    L, violations, psi_series, mismatches = check_phi(reduced, t_max, z_max, order)
     lines = [f"log t-scale: {c00} (t -> t * exp({c00}))"] if c00 else []
     psi_rows = []
-    for m, c in pair.psi.terms():
+    for m, c in psi_series.terms():
         psi_rows.append({"power": m.t_deg, **_rational(c)})
         lines.append(f"psi[{m.t_deg}] = {_pq(c)}")
     vanishing = ", ".join(f"t^{a} z^{b}: {_pq(c)}" for a, b, c in violations)

@@ -17,22 +17,22 @@ transcendental factor e^c00, so every routine here works with the reduced
 array and the CLI reports c00 as a log-scale for t; the vanishing and
 diagonal statements are invariant under that rescaling.
 
-The same machinery specializes to the hypergraph series: writing
-phi(w) = sum_j u_{j+1} w^j/(j+1)! makes the reversion pair reproduce the
-rooted and unrooted hypertree series R and T.  Both sides of the pair
-come from :func:`hypertrees.gf.phi_maps`, the maps that build R and T.
+The same reversion specializes to the hypergraph series: under the edge
+weights phi(w) = sum_j u_{j+1} w^j/(j+1)! it is the rooted fixed point
+w(y) = R of :func:`hypertrees.gf.solve_R_fixed_point`, and w - w^2 phi'(w)
+is the unrooted series T.  The hypertree dictionary reads that one
+reversion; it does not revert again.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
 from .combinat import stirling2
-from .gf import IdentityCheck, compute_T, edge_symbol_phi, identity_check, phi_maps
+from .gf import IdentityCheck, T_from_R, compute_T, identity_check, phi_maps
 from .series import Monomial, Series, TruncationContext, revert
 
 
@@ -214,48 +214,32 @@ def substituted_connected_gf(
 # -- the reversion route --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiPsiPair:
-    """The reversion data of phi: w(y) and psi(y) = (w - w^2 phi'(w)) / y."""
-
-    w: Series
-    y_psi: Series
-    psi: Series
-    order: int
-
-
-def psi_from_phi(phi: Series, order: int) -> PhiPsiPair:
-    """Invert y = w exp(-phi(w) - w phi'(w)) and read off psi.
+def psi_from_phi(phi: Series) -> Series:
+    """Invert y = w exp(-phi(w) - w phi'(w)) and read off psi(y) = (w - w^2 phi'(w)) / y.
 
     phi lives in the t-slot of its context (other variables may ride
-    along as symbolic coefficients) and needs a zero constant term.  The
-    context must hold order + 1 t-degrees so that psi is exact through
-    y^order.
+    along as symbolic coefficients) and needs a zero constant term.  psi
+    is exact through y^(t_max - 1), one degree below the context, so the
+    context must hold t_max >= 1.
     """
     ctx = phi.context
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if ctx.t_max < order + 1:
-        raise ValueError("context must hold t-degrees through order + 1")
+    if ctx.t_max < 1:
+        raise ValueError("context must hold t_max >= 1")
     if phi.constant_term:
         raise ValueError("phi needs a zero constant term")
     exponent, y_psi_of_w = phi_maps(phi)
     w_of_y = revert(Series.variable(ctx, "t") * (-exponent).exp())
-    y_psi = y_psi_of_w.substitute("t", w_of_y)
-    psi = y_psi.divided_by_t().restrict(t_max=order)
-    return PhiPsiPair(w=w_of_y, y_psi=y_psi, psi=psi, order=order)
+    return y_psi_of_w.substitute("t", w_of_y).divided_by_t()
 
 
-def diagonal_mismatches(
-    pair: PhiPsiPair, L: Series
-) -> list[tuple[int, Fraction, Fraction]]:
-    """Compare [y^n] psi with [t^{n+1} z^n] L for n through pair.order."""
-    ctx1 = pair.psi.context
+def diagonal_mismatches(psi: Series, L: Series) -> list[tuple[int, Fraction, Fraction]]:
+    """Compare [y^n] psi with [t^{n+1} z^n] L for n through psi's top power."""
+    ctx1 = psi.context
     ctx2 = L.context
     out = []
-    top = min(pair.order, ctx2.t_max - 1, ctx2.z_max)
+    top = min(ctx1.t_max - 1, ctx2.t_max - 1, ctx2.z_max)
     for n in range(top + 1):
-        a = pair.psi.coefficient(ctx1.monomial(t=n))
+        a = psi.coefficient(ctx1.monomial(t=n))
         b = L.coefficient(ctx2.monomial(t=n + 1, z=n))
         if a != b:
             out.append((n, a, b))
@@ -265,30 +249,33 @@ def diagonal_mismatches(
 def check_phi(
     phi: PhiCoefficients, t_max: int, z_max: int, order: int
 ) -> tuple[
-    Series, list[tuple[int, int, Fraction]], PhiPsiPair, list[tuple[int, Fraction, Fraction]]
+    Series, list[tuple[int, int, Fraction]], Series, list[tuple[int, Fraction, Fraction]]
 ]:
-    """(L, its vanishing violations, the reversion pair, the diagonal mismatches)
-    for one reduced array: L through t^t_max z^z_max, psi through y^order."""
+    """(L, its vanishing violations, psi, the diagonal mismatches) for one
+    reduced array: L through t^t_max z^z_max, psi through y^order."""
     ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)
     L = lhs_series(phi, ctx_tz)
-    ctx_diag = TruncationContext(t_max=order + 1, magnitude_max=0)
-    pair = psi_from_phi(phi.phi_series(ctx_diag), order=order)
-    return L, verify_psi_form(L), pair, diagonal_mismatches(pair, L)
+    psi = psi_from_phi(phi.phi_series(TruncationContext(t_max=order + 1, magnitude_max=0)))
+    return L, verify_psi_form(L), psi, diagonal_mismatches(psi, L)
 
 
-def hypertree_dictionary_report(C: Series) -> tuple[IdentityCheck, ...]:
-    """The reversion route against the connected-hypergraph series C = log S:
-    w(y) must equal the rooted series R = t dT/dt and w - w^2 phi'(w) the
-    unrooted series T, both read off C's hypertree layer."""
+def hypertree_dictionary_report(C: Series, fixed: Series) -> tuple[IdentityCheck, ...]:
+    """The reversion route against the connected-hypergraph series C = log S.
+
+    fixed is :func:`hypertrees.gf.solve_R_fixed_point` at C's context: the
+    reversion w(y) under phi = sum u_{j+1} w^j/(j+1)!.  It must equal the
+    rooted series R = t dT/dt, and w - w^2 phi'(w), which is
+    :func:`hypertrees.gf.T_from_R` of it, the unrooted series T, both read
+    off C's hypertree layer.
+    """
     ctx = C.context
     T = compute_T(C)
     R = Series.variable(ctx, "t") * T.derivative("t")
-    pair = psi_from_phi(edge_symbol_phi(ctx), order=max(ctx.t_max - 1, 0))
     return (
         identity_check(
             "dictionary-rooted",
             "w(y) = R under phi = sum u_{j+1} w^j/(j+1)!",
-            pair.w,
+            fixed,
             R,
             ctx.t_max,
             ctx.magnitude_max,
@@ -296,7 +283,7 @@ def hypertree_dictionary_report(C: Series) -> tuple[IdentityCheck, ...]:
         identity_check(
             "dictionary-unrooted",
             "w - w^2 phi'(w) = T under the same weights",
-            pair.y_psi,
+            T_from_R(fixed),
             T,
             ctx.t_max,
             ctx.magnitude_max,

@@ -52,8 +52,12 @@ class EdgeProfile:
     counts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)  # converted before it is trimmed
-        if counts != tuple(self.counts) or any(c < 0 for c in counts):
+        try:
+            counts = tuple(int(c) for c in self.counts)  # converted before it is trimmed
+            ok = counts == tuple(self.counts) and all(c >= 0 for c in counts)
+        except (TypeError, ValueError, OverflowError):  # int() of None, nan and inf
+            ok = False
+        if not ok:
             raise ValueError("edge counts must be non-negative integers")
         while counts and counts[-1] == 0:
             counts = counts[:-1]

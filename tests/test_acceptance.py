@@ -218,9 +218,9 @@ def test_c7_psi_diagonal_and_dictionary(acceptance, big_C):
     for seed in SEEDS:
         phi = random_phi(seed)
         L = lhs_series(phi, ctx_tz)
-        pair = psi_from_phi(phi.phi_series(ctx_diag), order=5)
-        ok = ok and diagonal_mismatches(pair, L) == []
-    dictionary = hypertree_dictionary_report(big_C)
+        psi = psi_from_phi(phi.phi_series(ctx_diag))
+        ok = ok and diagonal_mismatches(psi, L) == []
+    dictionary = hypertree_dictionary_report(big_C, solve_R_fixed_point(BIG_CTX))
     ok = ok and all(c.ok and c.ran for c in dictionary)
     elapsed = time.monotonic() - start
     acceptance.check(

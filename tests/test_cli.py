@@ -99,6 +99,24 @@ def test_table_json(runner):
     assert {"profile": {"u2": 1, "u3": 1}, "coefficient": 12} in rows[3]["terms"]
 
 
+def test_table_json_streams_rows(runner, monkeypatch):
+    # each row is printed as it is built: a failure at the last n finds the first printed
+    from hypertrees import cli
+
+    real = cli.table_terms
+
+    def failing_last(n):
+        if n == 3:
+            raise RuntimeError("row 3")
+        return real(n)
+
+    monkeypatch.setattr(cli, "table_terms", failing_last)
+    result = runner.invoke(main, ["table", "--max-n", "3", "--json"])
+    assert isinstance(result.exception, RuntimeError)
+    first = json.dumps({"n": 1, "terms": [{"profile": {}, "coefficient": 1}]})
+    assert result.output.startswith('{"rows": [' + first + ", ")
+
+
 def test_table_rejects_bad_bound(runner):
     assert runner.invoke(main, ["table", "--max-n", "0"]).exit_code == 2
 
@@ -295,37 +313,41 @@ def test_verify_json_payload(runner):
     assert len(payload["substitution"]["rows"]) == 2
 
 
-def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
-    from hypertrees import cli, funceq, gf
-
-    real = gf.solve_R_fixed_point
+def _count_calls(monkeypatch, name, modules):
+    """Wrap the function ``name`` in every module that holds it, by-name
+    imports included, and return the list each call appends to."""
+    real = getattr(modules[0], name)
     calls = []
 
-    def counted(ctx):
-        calls.append(ctx)
-        return real(ctx)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    for module in (gf, funceq, cli):
-        if getattr(module, "solve_R_fixed_point", None) is real:
-            monkeypatch.setattr(module, "solve_R_fixed_point", counted)
+    for module in modules:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
+    from hypertrees import cli, funceq, gf, series
+
+    solves = _count_calls(monkeypatch, "solve_R_fixed_point", (gf, funceq, cli))
+    reverts = _count_calls(monkeypatch, "revert", (series, gf, funceq, cli))
     result = runner.invoke(main, VERIFY_SMALL)
     assert result.exit_code == 0, result.output
-    assert len(calls) == 1
+    assert len(solves) == 1
+    # one reversion per seeded array for psi, and the fixed point's, which
+    # the dictionary reads instead of reverting the edge weights again
+    trials = int(VERIFY_SMALL[VERIFY_SMALL.index("--trials") + 1])
+    assert len(reverts) == trials + 1
 
 
 def test_verify_computes_C_once(runner, monkeypatch):
     # the pipeline and the substitution route narrow one C at the wider magnitude
     from hypertrees import cli, gf
 
-    real = gf.compute_C
-    calls = []
-
-    def counted(ctx):
-        calls.append(ctx)
-        return real(ctx)
-
-    for module in (gf, cli):
-        monkeypatch.setattr(module, "compute_C", counted)
+    calls = _count_calls(monkeypatch, "compute_C", (gf, cli))
     result = runner.invoke(main, VERIFY_SMALL)
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
@@ -335,16 +357,7 @@ def test_verify_computes_C_once(runner, monkeypatch):
 def test_verify_expands_L_once_per_seed(runner, monkeypatch, trials, sub_trials):
     from hypertrees import cli, funceq
 
-    real = funceq.lhs_series
-    calls = []
-
-    def counted(phi, ctx):
-        calls.append(ctx)
-        return real(phi, ctx)
-
-    for module in (funceq, cli):
-        if getattr(module, "lhs_series", None) is real:
-            monkeypatch.setattr(module, "lhs_series", counted)
+    calls = _count_calls(monkeypatch, "lhs_series", (funceq, cli))
     args = VERIFY_SMALL + ["--trials", str(trials), "--sub-trials", str(sub_trials)]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output

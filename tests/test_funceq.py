@@ -23,8 +23,8 @@ from hypertrees.funceq import (
     substitution_images,
     verify_psi_form,
 )
-from hypertrees.gf import compute_C, edge_symbol_phi
-from hypertrees.series import Series, TruncationContext, first_difference
+from hypertrees.gf import T_from_R, compute_C, compute_T, edge_symbol_phi, solve_R_fixed_point
+from hypertrees.series import Series, TruncationContext, first_difference, revert
 
 CTX = TruncationContext(t_max=5, z_max=5, magnitude_max=0)
 
@@ -269,9 +269,10 @@ def test_substitution_requires_magnitude_headroom():
 
 def test_psi_of_zero_phi_is_one():
     ctx = TruncationContext(t_max=4, magnitude_max=0)
-    pair = psi_from_phi(Series.zero(ctx), order=3)
-    assert pair.w == Series.variable(ctx, "t")
-    assert pair.psi == Series.one(ctx)
+    t = Series.variable(ctx, "t")
+    # phi = 0 reverts y = w itself, so w(y) = y and psi = (w - 0) / y = 1
+    assert revert(t) == t
+    assert psi_from_phi(Series.zero(ctx)) == Series.one(ctx)
 
 
 def test_diagonal_matches_lhs_for_seeded_arrays():
@@ -279,26 +280,35 @@ def test_diagonal_matches_lhs_for_seeded_arrays():
     for seed in range(60, 70):
         phi = random_phi(seed)
         L = lhs_series(phi, CTX)
-        pair = psi_from_phi(phi.phi_series(ctx1), order=4)
-        assert diagonal_mismatches(pair, L) == [], seed
+        psi = psi_from_phi(phi.phi_series(ctx1))
+        assert diagonal_mismatches(psi, L) == [], seed
 
 
 def test_diagonal_detects_corruption():
     phi = random_phi(5)
     L = lhs_series(phi, CTX)
     ctx1 = TruncationContext(t_max=5, magnitude_max=0)
-    pair = psi_from_phi(phi.phi_series(ctx1), order=4)
+    psi = psi_from_phi(phi.phi_series(ctx1))
     bad = L + Series.term(CTX, CTX.monomial(t=3, z=2), Fraction(1, 7))
-    mism = diagonal_mismatches(pair, bad)
+    mism = diagonal_mismatches(psi, bad)
     assert [(power, a - b) for power, a, b in mism] == [(2, Fraction(-1, 7))]
 
 
 def test_psi_from_phi_validates():
-    ctx = TruncationContext(t_max=3, magnitude_max=0)
+    with pytest.raises(ValueError):  # psi through y^(t_max - 1) needs t_max >= 1
+        psi_from_phi(Series.zero(TruncationContext(t_max=0, magnitude_max=0)))
     with pytest.raises(ValueError):
-        psi_from_phi(Series.zero(ctx), order=3)  # needs t_max >= order + 1
-    with pytest.raises(ValueError):
-        psi_from_phi(Series.one(ctx), order=2)  # constant term
+        psi_from_phi(Series.one(TruncationContext(t_max=3, magnitude_max=0)))  # constant term
+
+
+def test_psi_from_phi_carries_edge_symbols():
+    # the u-variables ride along as coefficients: under the edge weights, psi is T / t
+    ctx = TruncationContext(t_max=5, magnitude_max=5)
+    psi = psi_from_phi(edge_symbol_phi(ctx))
+    assert psi == T_from_R(solve_R_fixed_point(ctx)).divided_by_t().restrict(t_max=4)
+    assert psi == compute_T(compute_C(ctx)).divided_by_t().restrict(t_max=4)
+    # the 3 labeled paths on 3 vertices, over 3!
+    assert psi.coefficient(ctx.monomial(t=2, u={2: 2})) == Fraction(1, 2)
 
 
 # -- the hypertree dictionary --------------------------------------------------------
@@ -314,9 +324,10 @@ def test_edge_symbol_phi_shape():
 def test_dictionary_reproduces_hypertree_series():
     ctx = TruncationContext(t_max=5, magnitude_max=5)
     C = compute_C(ctx)
-    checks = hypertree_dictionary_report(C)
+    fixed = solve_R_fixed_point(ctx)
+    checks = hypertree_dictionary_report(C, fixed)
     assert all(c.ok and c.ran for c in checks), [c for c in checks if not c.ok]
     assert [c.key for c in checks] == ["dictionary-rooted", "dictionary-unrooted"]
     # R and T are read off C, so one wrong term of its hypertree layer fails both
     planted = C + Series.term(ctx, ctx.monomial(t=3, u={2: 2}), 1)
-    assert [c.ok for c in hypertree_dictionary_report(planted)] == [False, False]
+    assert [c.ok for c in hypertree_dictionary_report(planted, fixed)] == [False, False]

@@ -72,6 +72,10 @@ def test_profile_rejects_non_integral_counts():
             EdgeProfile(counts)
     with pytest.raises(ValueError):
         EdgeProfile.from_dict({2: 2.7})
+    # counts int() itself refuses get the same error, not int()'s own
+    for bad in [float("inf"), None, float("nan")]:
+        with pytest.raises(ValueError, match="^edge counts must be non-negative integers$"):
+            EdgeProfile((bad,))
     whole = EdgeProfile((2.0, 1.0, 0.0))
     assert whole == EdgeProfile((2, 1))
     assert [type(c) for c in whole.counts] == [int, int]

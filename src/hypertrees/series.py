@@ -25,16 +25,17 @@ All three gradings are additive and non-negative, which is what makes
 truncation coherent: any product of admissible monomials that lands back
 inside the bounds can only have used admissible factors.
 
-Products, exp, log and substitution share one term-pair loop on Python
-ints.  Each operand comes over one common denominator, sorted by
-magnitude so the loop stops at the first term past the magnitude bound,
-and each monomial is also packed into one int with a fixed-width field
-per variable, wide enough for the context's largest bound.  An in-bounds
-product never carries out of a field, so the loop keys each product by
-the sum of two ints and builds no tuple; each output monomial is decoded
-and becomes one Fraction at the end (the packed exponent vectors of
-Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors", CASC 2007).
+A series stores each term under one int key: a field per variable and a
+top field for the magnitude, each as many bits wide as the context's
+largest bound needs.  No admissible exponent or magnitude exceeds that
+bound, so the key of an in-bounds product is the sum of its factors'
+keys, with no carry, and key order is magnitude order.  Products, exp,
+log and substitution share one term-pair loop on these keys, each
+operand over one common denominator, that stops at the first term past
+the magnitude bound and makes one Fraction per output term (the packed
+exponent vectors of Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  A
+:class:`Monomial` is built only at the public edge.
 
 exp and log run on the total grade t + z + magnitude, which only the
 unit monomial has at 0: they solve for the grade-d piece of the result
@@ -58,14 +59,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import lcm
-from operator import itemgetter, mul
-from struct import Struct
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import mul
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
-
-# unsigned little-endian struct fields for packed monomial keys, narrowest first
-_KEY_FIELDS = ((0xFF, "B"), (0xFFFF, "H"), (0xFFFFFFFF, "I"), (0xFFFFFFFFFFFFFFFF, "Q"))
 
 
 class ContextMismatchError(ValueError):
@@ -119,7 +116,7 @@ class TruncationContext:
         if min(self.t_max, self.z_max, self.magnitude_max) < 0:
             raise ValueError("truncation bounds must be non-negative")
         top = max(self.t_max, self.z_max, self.magnitude_max)
-        if top > _KEY_FIELDS[-1][0]:
+        if top > 2**64 - 1:
             raise ValueError(f"truncation bound {top} exceeds the 64-bit exponent field")
 
     @property
@@ -133,26 +130,29 @@ class TruncationContext:
         return ("t", "z") + tuple(f"u{i}" for i in range(2, self.max_edge_size + 1))
 
     @cached_property
-    def _key_codec(self) -> tuple[Callable[[Monomial], int], Callable[[int], Monomial]]:
-        """(encode, decode) between an admissible monomial and its packed key.
+    def _fields(self) -> tuple[int, int, int]:
+        """(width, mask, shift of the top field) of the packed keys.
 
-        The key holds one unsigned field per variable, all as wide as the
-        largest bound: no admissible exponent exceeds it (u_i has magnitude
-        i - 1 >= 1), so the key of an admissible product is the sum of its
-        factors' keys, with no carry between fields.
+        Variable i owns the field at bit width * i, and the top field holds
+        the magnitude.  Every field is as wide as the largest bound, which
+        no admissible exponent or magnitude exceeds (u_i has magnitude
+        i - 1 >= 1).
         """
-        top = max(self.t_max, self.z_max, self.magnitude_max)
-        code = next(code for limit, code in _KEY_FIELDS if top <= limit)
-        layout = Struct(f"<{len(self.names)}{code}")
-        pack, unpack, size, from_bytes = layout.pack, layout.unpack, layout.size, int.from_bytes
+        width = max(self.t_max, self.z_max, self.magnitude_max, 1).bit_length()
+        return width, (1 << width) - 1, width * len(self.names)
 
-        def encode(m: Monomial) -> int:
-            return from_bytes(pack(*m), "little")
+    def _unit(self, i: int) -> int:
+        """The key of the variable at position i: 1 for t, and u_i adds
+        i - 1 to the top field."""
+        width, _, top = self._fields
+        return (1 << width * i) + (max(i - 1, 0) << top)
 
-        def decode(key: int) -> Monomial:
-            return Monomial(unpack(key.to_bytes(size, "little")))
+    def _key(self, m: Monomial) -> int:
+        return sum(e * self._unit(i) for i, e in enumerate(m) if e)
 
-        return encode, decode
+    def _monomial(self, key: int) -> Monomial:
+        width, mask, top = self._fields
+        return Monomial([key >> shift & mask for shift in range(0, top, width)])
 
     def index(self, name: str) -> int:
         """Position of a variable in the exponent vector."""
@@ -167,9 +167,6 @@ class TruncationContext:
     def require(self, m: Monomial) -> None:
         if not self.admits(m):
             raise OutOfContextError(f"monomial {m} lies outside {self}")
-
-    def unit_monomial(self) -> Monomial:
-        return Monomial((0,) * len(self.names))
 
     def monomial(
         self, t: int = 0, z: int = 0, u: Mapping[int, int] | None = None
@@ -189,7 +186,8 @@ class TruncationContext:
 
 
 class Series:
-    """An immutable truncated power series: a finite Monomial -> Fraction map.
+    """An immutable truncated power series: a finite Monomial -> Fraction map,
+    stored under the context's packed keys.
 
     Construction drops zero coefficients and silently truncates monomials
     that violate the context bounds, so every stored term is admissible.
@@ -212,13 +210,13 @@ class Series:
             if min(m) < 0:
                 raise ValueError(f"monomial {m} has a negative exponent")
             items.append((m, Fraction(c)))
-        data: dict[Monomial, Fraction] = {}
-        _add_into(data, (item for item in items if context.admits(item[0])))
+        data: dict[int, Fraction] = {}
+        _add_into(data, ((context._key(m), c) for m, c in items if context.admits(m)))
         self.context = context
         self._terms = data
 
     @staticmethod
-    def _trusted(context: TruncationContext, terms: dict[Monomial, Fraction]) -> "Series":
+    def _trusted(context: TruncationContext, terms: dict[int, Fraction]) -> "Series":
         """Wrap terms that are already admissible, nonzero and Fraction-valued."""
         result = Series.__new__(Series)
         result.context = context
@@ -237,7 +235,7 @@ class Series:
 
     @classmethod
     def constant(cls, context: TruncationContext, value: Scalar) -> "Series":
-        return cls(context, {context.unit_monomial(): Fraction(value)})
+        return cls(context, {context.monomial(): Fraction(value)})
 
     @classmethod
     def variable(cls, context: TruncationContext, name: str) -> "Series":
@@ -263,11 +261,12 @@ class Series:
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(self.context.unit_monomial(), Fraction(0))
+        return self._terms.get(0, Fraction(0))
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """All terms in canonical order: sorted by exponent vector."""
-        return sorted(self._terms.items())
+        decode = self.context._monomial
+        return sorted((decode(key), c) for key, c in self._terms.items())
 
     def coefficient(self, m: Monomial) -> Fraction:
         """Exact coefficient of an in-context monomial.
@@ -275,8 +274,10 @@ class Series:
         Raises OutOfContextError for monomials beyond the truncation bounds,
         where the stored value 0 would be indistinguishable from truncation.
         """
+        if len(m) != len(self.context.names):
+            raise ValueError("monomial does not match the context's edge variables")
         self.context.require(m)
-        return self._terms.get(m, Fraction(0))
+        return self._terms.get(self.context._key(m), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
@@ -337,7 +338,7 @@ class Series:
         left, right = self._kernel_operand(), other._kernel_operand()
         if len(left[1]) > len(right[1]):
             left, right = right, left
-        out: dict[Monomial, Fraction] = {}
+        out: dict[int, Fraction] = {}
         _mul_into(out, [(left, right)], self.context)
         return Series._trusted(self.context, out)
 
@@ -362,13 +363,15 @@ class Series:
 
     def derivative(self, name: str) -> "Series":
         """Partial derivative; the result is truncated to the same context."""
-        i = self.context.index(name)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            e = m[i]
+        ctx = self.context
+        i = ctx.index(name)
+        shift, mask, unit = ctx._fields[0] * i, ctx._fields[1], ctx._unit(i)
+        out: dict[int, Fraction] = {}
+        for key, c in self._terms.items():
+            e = key >> shift & mask
             if e:
-                out[Monomial(m[:i] + (e - 1,) + m[i + 1:])] = c * e
-        return Series._trusted(self.context, out)
+                out[key - unit] = c * e
+        return Series._trusted(ctx, out)
 
     def substitute(self, name: str, g: "Series") -> "Series":
         """Replace a variable by a series with zero constant term.
@@ -382,9 +385,11 @@ class Series:
             raise ValueError("substitute needs an image with zero constant term")
         ctx = self.context
         i = ctx.index(name)
-        groups: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self._terms.items():
-            groups.setdefault(m[i], {})[Monomial(m[:i] + (0,) + m[i + 1:])] = c
+        shift, mask, unit = ctx._fields[0] * i, ctx._fields[1], ctx._unit(i)
+        groups: dict[int, dict[int, Fraction]] = {}
+        for key, c in self._terms.items():
+            e = key >> shift & mask
+            groups.setdefault(e, {})[key - e * unit] = c
         out = groups.pop(0, {})
         pairs = []
         power = g
@@ -408,7 +413,8 @@ class Series:
         """Drop terms beyond tighter t or magnitude bounds, keeping the same context."""
         tb = self.context.t_max if t_max is None else t_max
         mb = self.context.magnitude_max if magnitude_max is None else magnitude_max
-        kept = {m: c for m, c in self._terms.items() if m[0] <= tb and m.magnitude <= mb}
+        _, mask, top = self.context._fields
+        kept = {key: c for key, c in self._terms.items() if key & mask <= tb and key >> top <= mb}
         return Series._trusted(self.context, kept)
 
     # -- transcendental operations ------------------------------------------
@@ -423,12 +429,12 @@ class Series:
         """
         ctx = self.context
         den, terms = self._kernel_operand()
-        top = (ctx.t_max * any(term[2] for term in terms)
-               + ctx.z_max * any(term[3] for term in terms)
-               + ctx.magnitude_max * any(term[4] for term in terms))
+        top = (ctx.t_max * any(term[1] for term in terms)
+               + ctx.z_max * any(term[2] for term in terms)
+               + ctx.magnitude_max * any(term[3] for term in terms))
         pieces: list[_Graded] = [(den, []) for _ in range(top + 1)]
         for term in terms:
-            pieces[term[2] + term[3] + term[4]][1].append(term)
+            pieces[term[1] + term[2] + term[3]][1].append(term)
         return pieces
 
     def exp(self) -> "Series":
@@ -439,13 +445,13 @@ class Series:
         if self.constant_term:
             raise ValueError("exp needs a series with zero constant term")
         ctx = self.context
-        kf = [(den, [(m, key, t, z, mag, k * n) for m, key, t, z, mag, n in piece])
+        kf = [(den, [(key, t, z, mag, k * n) for key, t, z, mag, n in piece])
               for k, (den, piece) in enumerate(self._grade_pieces())]
-        result = {ctx.unit_monomial(): Fraction(1)}
+        result = {0: Fraction(1)}
         g = [_graded(result, ctx)]
         for d in range(1, len(kf)):
             out = _slice_sum([(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
-            g_d = {m: v / d for m, v in out.items()}
+            g_d = {key: v / d for key, v in out.items()}
             result.update(g_d)
             g.append(_graded(g_d, ctx))
         return Series._trusted(ctx, result)
@@ -459,13 +465,13 @@ class Series:
             raise ValueError("log needs a series with constant term 1")
         ctx = self.context
         f = self._grade_pieces()
-        result: dict[Monomial, Fraction] = {}
+        result: dict[int, Fraction] = {}
         neg_kL: list[_Graded] = [(1, [])]  # -k L_k, so the product loop only adds
         for d in range(1, len(f)):
             out = _slice_sum([(neg_kL[k], f[d - k]) for k in range(1, d)], ctx)
-            _add_into(out, ((m, d * self._terms[m]) for m, *_ in f[d][1]))
-            result.update((m, v / d) for m, v in out.items())
-            neg_kL.append(_graded({m: -v for m, v in out.items()}, ctx))
+            _add_into(out, ((key, d * self._terms[key]) for key, *_ in f[d][1]))
+            result.update((key, v / d) for key, v in out.items())
+            neg_kL.append(_graded({key: -v for key, v in out.items()}, ctx))
         return Series._trusted(ctx, result)
 
     def inverse(self) -> "Series":
@@ -484,45 +490,45 @@ class Series:
         The top degree t_max of the result is not populated by any
         operation that produced the input, so callers own that bookkeeping.
         """
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            if m[0] == 0:
+        mask = self.context._fields[1]
+        out: dict[int, Fraction] = {}
+        for key, c in self._terms.items():
+            if not key & mask:
                 raise ValueError("series is not divisible by t")
-            out[Monomial((m[0] - 1,) + m[1:])] = c
+            out[key - 1] = c  # t's unit
         return Series._trusted(self.context, out)
 
 
-_Term = tuple[Monomial, int, int, int, int, int]  # monomial, key, t, z, magnitude, numerator
-_Graded = tuple[int, list[_Term]]  # common denominator, terms sorted by magnitude
+_Term = tuple[int, int, int, int, int]  # key, t, z, magnitude, numerator
+_Graded = tuple[int, list[_Term]]  # common denominator, terms sorted by key and so by magnitude
 _Pairs = Sequence[tuple[_Graded, _Graded]]  # left and right operands of a product loop
 
 
-def _graded(terms: Mapping[Monomial, Fraction], ctx: TruncationContext) -> _Graded:
+def _graded(terms: Mapping[int, Fraction], ctx: TruncationContext) -> _Graded:
     """Terms over their least common denominator D, for :func:`_mul_into`.
 
-    Each term carries its monomial, the monomial packed into one int key
-    by the context, its three gradings and the integer numerator c * D,
-    and the terms are sorted by magnitude.
+    Each term carries its key, the three gradings read from the key's t, z
+    and magnitude fields and the integer numerator c * D, and the terms
+    are sorted by key.
     """
-    encode = ctx._key_codec[0]
+    width, mask, top = ctx._fields
     den = lcm(*(c.denominator for c in terms.values()))
     graded = [
-        (m, encode(m), m[0], m[1], m.magnitude, c.numerator * (den // c.denominator))
-        for m, c in terms.items()
+        (key, key & mask, key >> width & mask, key >> top, c.numerator * (den // c.denominator))
+        for key, c in terms.items()
     ]
-    graded.sort(key=itemgetter(4))
+    graded.sort()  # the keys are distinct, so only they are compared
     return den, graded
 
 
-def _mul_into(out: dict[Monomial, Fraction], pairs: _Pairs, ctx: TruncationContext) -> None:
+def _mul_into(out: dict[int, Fraction], pairs: _Pairs, ctx: TruncationContext) -> None:
     """Add every in-context product of a left and a right term into out.
 
     This is the one term-pair loop that ``*``, exp, log and substitution
     multiply through.  Each pair of operands is scaled to the lcm D of the
     pairs' denominator products, so the loop sums int numerators.  The
     gradings are additive, so the bound checks need no monomial, and a pair
-    inside the bounds is keyed by the sum of the packed keys, so the loop
-    builds no monomial either: each output key is decoded once, at the end.
+    inside the bounds is keyed by the sum of the two keys.
     """
     t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
     den = lcm(*(left[0] * right[0] for left, right in pairs))
@@ -530,39 +536,38 @@ def _mul_into(out: dict[Monomial, Fraction], pairs: _Pairs, ctx: TruncationConte
     get = sums.get
     for (left_den, left_terms), (right_den, right_terms) in pairs:
         scale = den // (left_den * right_den)
-        for _, ka, ta, za, maga, na in left_terms:
+        for ka, ta, za, maga, na in left_terms:
             na *= scale
             mag_room, t_room, z_room = mag_max - maga, t_max - ta, z_max - za
-            for _, kb, tb, zb, magb, nb in right_terms:
+            for kb, tb, zb, magb, nb in right_terms:
                 if magb > mag_room:
                     break  # the right terms are sorted by magnitude
                 if tb > t_room or zb > z_room:
                     continue
                 k = ka + kb
                 sums[k] = get(k, 0) + na * nb
-    decode = ctx._key_codec[1]
-    _add_into(out, ((decode(k), Fraction(v, den)) for k, v in sums.items() if v))
+    _add_into(out, ((k, Fraction(v, den)) for k, v in sums.items() if v))
 
 
-def _slice_sum(pairs: _Pairs, ctx: TruncationContext) -> dict[Monomial, Fraction]:
+def _slice_sum(pairs: _Pairs, ctx: TruncationContext) -> dict[int, Fraction]:
     """The sum of left * right over the pairs, in one :func:`_mul_into` call,
     or none when every pair has an empty side."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[int, Fraction] = {}
     pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
     if pairs:
         _mul_into(out, pairs, ctx)
     return out
 
 
-def _add_into(out: dict[Monomial, Fraction], items: Iterable[tuple[Monomial, Fraction]]) -> None:
-    """Add terms into out, keeping no zero coefficient."""
-    for m, c in items:
-        acc = out.get(m)
+def _add_into(out: dict[int, Fraction], items: Iterable[tuple[int, Fraction]]) -> None:
+    """Add keyed terms into out, keeping no zero coefficient."""
+    for key, c in items:
+        acc = out.get(key)
         new = c if acc is None else acc + c
         if new:
-            out[m] = new
+            out[key] = new
         elif acc is not None:
-            del out[m]
+            del out[key]
 
 
 def _term_text(names: Sequence[str], m: Monomial, c: Fraction) -> str:
@@ -580,13 +585,10 @@ def first_difference(
     """The canonically first monomial where two series differ, or None."""
     if a.context != b.context:
         raise ContextMismatchError("cannot compare series from different contexts")
-    keys = set(a._terms) | set(b._terms)
-    for m in sorted(keys):
-        ca = a._terms.get(m, Fraction(0))
-        cb = b._terms.get(m, Fraction(0))
-        if ca != cb:
-            return (m, ca, cb)
-    return None
+    ta, tb, zero = a._terms, b._terms, Fraction(0)
+    decode = a.context._monomial
+    diffs = (k for k in ta.keys() | tb.keys() if ta.get(k) != tb.get(k))
+    return min(((decode(k), ta.get(k, zero), tb.get(k, zero)) for k in diffs), default=None)
 
 
 def into_context(f: Series, ctx: TruncationContext) -> Series:
@@ -596,19 +598,12 @@ def into_context(f: Series, ctx: TruncationContext) -> Series:
     has get exponent 0."""
     width = len(ctx.names)
     pad = (0,) * (width - len(f.context.names))
-    kept = [(Monomial(m[:width] + pad), c) for m, c in f._terms.items() if not any(m[width:])]
-    return Series(ctx, kept)
+    decode = f.context._monomial
+    ms = ((decode(key), c) for key, c in f._terms.items())
+    return Series(ctx, [(Monomial(m[:width] + pad), c) for m, c in ms if not any(m[width:])])
 
 
 # -- reversion, one t-slice at a time: each slice keeps its t-exponent
-
-
-def _t_coefficients(f: Series) -> list[dict[Monomial, Fraction]]:
-    """[t^k] f for k = 0 .. t_max, each as t-free terms."""
-    out: list[dict[Monomial, Fraction]] = [{} for _ in range(f.context.t_max + 1)]
-    for m, c in f._terms.items():
-        out[m[0]][Monomial((0,) + m[1:])] = c
-    return out
 
 
 def revert(f: Series) -> Series:
@@ -628,9 +623,13 @@ def revert(f: Series) -> Series:
     c1 = f.coefficient(ctx.monomial(t=1))
     if not c1:
         raise ValueError("reversion needs a nonzero linear t-coefficient")
-    if any(m[0] == 0 for m in f._terms):
-        raise ValueError("reversion needs every term divisible by t")
-    f_k = _t_coefficients(f)
+    mask = ctx._fields[1]
+    f_k: list[dict[int, Fraction]] = [{} for _ in range(ctx.t_max + 1)]  # [t^k] f, t-free
+    for key, c in f._terms.items():
+        k = key & mask
+        if not k:
+            raise ValueError("reversion needs every term divisible by t")
+        f_k[k][key - k] = c
     inv = Series._trusted(ctx, f_k[1]).inverse()
     top = max(k for k, c in enumerate(f_k) if c)
     # h_k = -f_k / f_1, so g_n = sum_{k>=2} h_k [t^n] g^k

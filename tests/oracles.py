@@ -9,10 +9,12 @@ multiplicity-vector partition stream, full power sums in place of the
 graded exp and log recurrences, the inverse built from them and the
 one-call substitution, hand-built coefficient lists in place of the maps
 derived from the edge weights phi, a Fraction per term pair in place of
-the integer product kernel, Fraction arithmetic in place of the integer
-closed-form counts, a key-sorted factor list rebuilt per call in place of
-the cached table pieces), so it lives with the tests that use it as a
-reference.
+the integer product kernel, sliced exponent tuples in place of the key
+arithmetic of derivative, restrict and divided_by_t, Fraction arithmetic
+in place of the integer closed-form counts, a key-sorted factor list
+rebuilt per call in place of the cached table pieces), so it lives with
+the tests that use it as a reference.  The twins read a series only
+through its public API, so they stay independent of its store.
 """
 
 from __future__ import annotations
@@ -40,12 +42,35 @@ def mul_by_term_pairs(f: Series, g: Series) -> Series:
     kept when the context admits its monomial."""
     ctx = f.context
     out: dict[Monomial, Fraction] = {}
-    for ma, ca in f._terms.items():
-        for mb, cb in g._terms.items():
+    for ma, ca in f.terms():
+        for mb, cb in g.terms():
             m = Monomial(a + b for a, b in zip(ma, mb))
             if ctx.admits(m):
                 out[m] = out.get(m, Fraction(0)) + ca * cb
     return Series(ctx, out)
+
+
+def derivative_by_slicing(f: Series, name: str) -> Series:
+    """The partial derivative, one exponent tuple sliced per term."""
+    i = f.context.index(name)
+    out = [(Monomial(m[:i] + (m[i] - 1,) + m[i + 1:]), c * m[i]) for m, c in f.terms() if m[i]]
+    return Series(f.context, out)
+
+
+def restrict_by_slicing(f: Series, t_max: int | None = None,
+                        magnitude_max: int | None = None) -> Series:
+    """f without its terms past tighter t or magnitude bounds, read off each
+    exponent tuple."""
+    tb = f.context.t_max if t_max is None else t_max
+    mb = f.context.magnitude_max if magnitude_max is None else magnitude_max
+    return Series(f.context, [(m, c) for m, c in f.terms() if m[0] <= tb and m.magnitude <= mb])
+
+
+def divided_by_t_by_slicing(f: Series) -> Series:
+    """f / t, one exponent tuple sliced per term."""
+    if any(m[0] == 0 for m, _ in f.terms()):
+        raise ValueError("series is not divisible by t")
+    return Series(f.context, [(Monomial((m[0] - 1,) + m[1:]), c) for m, c in f.terms()])
 
 
 def grade_bound(ctx: TruncationContext) -> int:
@@ -101,7 +126,7 @@ def substitute_by_power_sum(f: Series, name: str, g: Series) -> Series:
     f._check_same_context(g)
     i = f.context.index(name)
     groups: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in f._terms.items():
+    for m, c in f.terms():
         groups.setdefault(m[i], {})[Monomial(m[:i] + (0,) + m[i + 1:])] = c
     top = max(groups, default=0)
     return power_sum(g, [Series(f.context, groups.get(e, ())) for e in range(top + 1)])
@@ -191,7 +216,7 @@ def revert_by_iteration(f: Series) -> Series:
     c1 = f.coefficient(t_monomial)
     if not c1:
         raise ValueError("reversion needs a nonzero linear t-coefficient")
-    if any(m[0] == 0 for m in f._terms):
+    if any(m[0] == 0 for m, _ in f.terms()):
         raise ValueError("reversion needs every term divisible by t")
     h = f - c1 * y
     g = y / c1

@@ -5,7 +5,8 @@ reversions are re-checked by composing back, exp by its defining sum,
 the two reversion algorithms are held against each other, the integer
 product kernel against a Fraction per term pair, and the graded exp, log
 and inverse and the one-call substitution against their full power-sum
-twins.
+twins, and the key arithmetic of derivative, restrict and divided_by_t
+against exponent tuples sliced term by term.
 """
 
 import re
@@ -29,12 +30,15 @@ from hypertrees.series import (
 from hypertrees import series
 from hypertrees.gf import solve_R_fixed_point
 from oracles import (
+    derivative_by_slicing,
+    divided_by_t_by_slicing,
     exp_by_power_sum,
     inverse_by_power_sum,
     lagrange_revert,
     log_by_power_sum,
     mul_by_term_pairs,
     power,
+    restrict_by_slicing,
     revert_by_iteration,
     substitute_by_power_sum,
     t_coefficient,
@@ -161,6 +165,10 @@ def test_coefficient_in_and_out_of_context():
     assert f.coefficient(mono(t=6)) == 1
     with pytest.raises(OutOfContextError):
         f.coefficient(mono(t=7))
+    # a monomial of another width would read a neighbouring term's key
+    for m in ((2, 0), mono(t=2) + (0,)):
+        with pytest.raises(ValueError, match="does not match the context's edge variables"):
+            f.coefficient(Monomial(m))
 
 
 def test_t_coefficient_slices():
@@ -480,13 +488,43 @@ def test_substitute_equals_power_sum_twin(case):
     assert f.substitute(name, g) == substitute_by_power_sum(f, name, g)
 
 
+# -- key arithmetic against sliced exponent tuples ---------------------------------
+
+cuts = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitution_cases, cuts, cuts)
+def test_key_arithmetic_equals_slicing_twins(case, t_cut, magnitude_cut):
+    ctx, i, _, f_terms, _ = case
+    f = Series(ctx, f_terms)
+    name = ctx.names[i]
+    assert f.derivative(name) == derivative_by_slicing(f, name)
+    assert f.restrict(t_cut, magnitude_cut) == restrict_by_slicing(f, t_cut, magnitude_cut)
+    divisible = Series(ctx, {m: c for m, c in f_terms.items() if m[0]})
+    assert divisible.divided_by_t() == divided_by_t_by_slicing(divisible)
+    if f != divisible:  # a term free of t
+        with pytest.raises(ValueError, match="not divisible by t"):
+            f.divided_by_t()
+        with pytest.raises(ValueError, match="not divisible by t"):
+            divided_by_t_by_slicing(f)
+
+
 # -- the integer product kernel against its term-pair twin -----------------------
 
 _WIDE = TruncationContext(t_max=3, z_max=1, magnitude_max=40)
 
-# the largest bound at the top of a one-byte key field, then one past it (two-byte
-# fields), in t, in z and in the magnitude, the last two with 255 and 256 edge variables
+# the largest bound at the top of a key field (all ones), then one past it (a field
+# one bit wider), in t, in z and in the magnitude, the magnitude at 255 and 256 with
+# 255 and 256 edge variables; at 1, 7 and 255 a product fills the magnitude field
 _FIELD_TOP_CONTEXTS = [
+    TruncationContext(t_max=1, z_max=1, magnitude_max=1),
+    TruncationContext(t_max=3, z_max=2, magnitude_max=1),
+    TruncationContext(t_max=2, z_max=4, magnitude_max=3),
+    TruncationContext(t_max=1, z_max=2, magnitude_max=7),
+    TruncationContext(t_max=8, z_max=1, magnitude_max=2),
+    TruncationContext(t_max=2, z_max=15, magnitude_max=3),
+    TruncationContext(t_max=3, z_max=1, magnitude_max=16),
     TruncationContext(t_max=255, z_max=2, magnitude_max=2),
     TruncationContext(t_max=2, z_max=255, magnitude_max=3),
     TruncationContext(t_max=1, z_max=1, magnitude_max=255),
@@ -553,7 +591,7 @@ def test_product_kernel_equals_term_pairs(case, rnd):
     for x, y in products:
         xy = x * y
         assert xy == mul_by_term_pairs(x, y)
-        assert all(type(v) is Fraction and v for v in xy._terms.values())
+        assert all(type(v) is Fraction and v for _, v in xy.terms())
     assert f * (g + h) - f * h == f * g
     assert (f + g) * (f - g) == f * f - g * g
     rnd.shuffle(a)
@@ -645,17 +683,17 @@ def test_slice_solvers_make_no_empty_kernel_call(monkeypatch):
     assert sizes and 0 not in sizes
 
 
-@pytest.mark.parametrize("top", [255, 256])
+@pytest.mark.parametrize("top", [1, 3, 4, 7, 8, 15, 16, 255, 256])
 def test_graded_maps_and_revert_at_the_top_of_a_key_field(top):
-    # z^(top // 2) * z^(top - top // 2) lands on the largest bound: at 255 the
-    # top of a one-byte field, at 256 one past it
-    ctx = TruncationContext(t_max=3, z_max=top, magnitude_max=2)
+    # z^(top - top // 2) * z^(top // 2) lands on the largest bound: at 1, 3, 7,
+    # 15 and 255 the top of a field, at 4, 8, 16 and 256 one past it
+    ctx = TruncationContext(t_max=min(3, top), z_max=top, magnitude_max=min(2, top))
     t, u2 = Series.variable(ctx, "t"), Series.variable(ctx, "u2")
 
     def z(e):
         return Series.term(ctx, ctx.monomial(z=e), 1)
 
-    f0 = z(top // 2) / 3 + 2 * u2 * z(top - top // 2) - t * z(top - 1) + t * t * z(1) / 5
+    f0 = z(top - top // 2) / 3 + 2 * u2 * z(top // 2) - t * z(top - 1) + t * t * z(1) / 5
     assert f0.exp() == exp_by_power_sum(f0)
     assert (1 + f0).log() == log_by_power_sum(1 + f0)
     assert (2 + f0).inverse() == inverse_by_power_sum(2 + f0)

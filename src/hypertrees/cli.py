@@ -72,9 +72,9 @@ def _require_bounds(t_max: int, z_max: int, magnitude_max: int) -> None:
         raise click.UsageError(str(exc)) from exc
 
 
-def _parse_profile(text: str) -> EdgeProfile:
+def _parse_profile(text: str, n: int) -> EdgeProfile:
     try:
-        return EdgeProfile.parse(text)
+        return EdgeProfile.parse(text, n)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -96,7 +96,7 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
     if (profile_text is None) == (edges is None):
         raise click.UsageError("give exactly one of --profile or --edges")
     if profile_text is not None:
-        profile = _parse_profile(profile_text)
+        profile = _parse_profile(profile_text, n)
         rooted, unrooted = count_by_profile(n, profile)
         payload = {
             "n": n,
@@ -170,7 +170,7 @@ def oracle(
         raise click.UsageError("give exactly one of --profile or --max-magnitude")
     try:
         if profile_text is not None:
-            rows = [count_profile(n, _parse_profile(profile_text), budget=budget)]
+            rows = [count_profile(n, _parse_profile(profile_text, n), budget=budget)]
         else:
             rows = count_sweep(n, max_magnitude, budget=budget)
     except BudgetExceededError as exc:

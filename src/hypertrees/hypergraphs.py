@@ -78,8 +78,9 @@ class EdgeProfile:
         return cls.from_dict(out)
 
     @classmethod
-    def parse(cls, text: str) -> "EdgeProfile":
-        """Parse the CLI syntax 'u2=2,u3=1'; an empty string is the empty profile."""
+    def parse(cls, text: str, max_size: int) -> "EdgeProfile":
+        """Parse the CLI syntax 'u2=2,u3=1'; an empty string is the empty profile.
+        A size past max_size, the vertex count, is refused before any counts are built."""
         counts: dict[int, int] = {}
         for chunk in filter(None, (p.strip() for p in text.split(","))):
             name, _, value = chunk.partition("=")
@@ -88,6 +89,8 @@ class EdgeProfile:
             size = int(name[1:])
             if size < 2:
                 raise ValueError("edge sizes start at 2")
+            if size > max_size:
+                raise ValueError(f"an edge of u{size} has more vertices than n = {max_size}")
             counts[size] = counts.get(size, 0) + int(value)
         return cls.from_dict(counts)
 

@@ -15,8 +15,8 @@ A :class:`TruncationContext` is three integers: the bounds ``t_max``,
 ``z_max`` and ``magnitude_max``.  An edge variable u_i has magnitude
 i - 1, so no u_i past M = magnitude_max + 1 can carry a term, and the
 edge variables are exactly ``u2 .. uM``.  Every operation truncates its
-result to the bounds, so the algebra is closed and all stored
-coefficients are exact :class:`fractions.Fraction` values.
+result to the bounds, so the algebra is closed and every coefficient
+is an exact rational number.
 A bound of 0 leaves its variable in the set but truncates it away: with
 ``z_max = 0`` the series ``z`` is zero.  There is no floating point
 anywhere.
@@ -29,13 +29,16 @@ A series stores each term under one int key: a field per variable and a
 top field for the magnitude, each as many bits wide as the context's
 largest bound needs.  No admissible exponent or magnitude exceeds that
 bound, so the key of an in-bounds product is the sum of its factors'
-keys, with no carry, and key order is magnitude order.  Products, exp,
-log and substitution share one term-pair loop on these keys, each
-operand over one common denominator, that stops at the first term past
-the magnitude bound and makes one Fraction per output term (the packed
+keys, with no carry, and key order is magnitude order (the packed
 exponent vectors of Monagan and Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  A
-:class:`Monomial` is built only at the public edge.
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  The
+coefficients are int numerators over one common denominator, kept in
+lowest terms (the integer polynomial over one denominator of FLINT's
+fmpq_poly: Hart, "FLINT: Fast Library for Number Theory", ICMS 2010).
+Products, exp, log, substitution and reversion share one term-pair
+loop on these keys that sums int numerators and stops at the first term
+past the magnitude bound.  A :class:`Monomial` and a
+:class:`fractions.Fraction` are built only at the public edge.
 
 exp and log run on the total grade t + z + magnitude, which only the
 unit monomial has at 0: they solve for the grade-d piece of the result
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -187,13 +190,14 @@ class TruncationContext:
 
 class Series:
     """An immutable truncated power series: a finite Monomial -> Fraction map,
-    stored under the context's packed keys.
+    stored as int numerators under the context's packed keys over one common
+    denominator, in lowest terms.
 
     Construction drops zero coefficients and silently truncates monomials
     that violate the context bounds, so every stored term is admissible.
     """
 
-    __slots__ = ("context", "_terms", "_operand")
+    __slots__ = ("context", "_den", "_terms", "_operand")
 
     def __init__(
         self,
@@ -210,18 +214,13 @@ class Series:
             if min(m) < 0:
                 raise ValueError(f"monomial {m} has a negative exponent")
             items.append((m, Fraction(c)))
-        data: dict[int, Fraction] = {}
-        _add_into(data, ((context._key(m), c) for m, c in items if context.admits(m)))
-        self.context = context
-        self._terms = data
-
-    @staticmethod
-    def _trusted(context: TruncationContext, terms: dict[int, Fraction]) -> "Series":
-        """Wrap terms that are already admissible, nonzero and Fraction-valued."""
-        result = Series.__new__(Series)
-        result.context = context
-        result._terms = terms
-        return result
+        kept = [(context._key(m), c) for m, c in items if context.admits(m)]
+        den = lcm(*(c.denominator for _, c in kept))
+        nums: dict[int, int] = {}
+        for key, c in kept:
+            nums[key] = nums.get(key, 0) + c.numerator * (den // c.denominator)
+        reduced = _reduced(context, den, nums)
+        self.context, self._den, self._terms = context, reduced._den, reduced._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -261,12 +260,12 @@ class Series:
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """All terms in canonical order: sorted by exponent vector."""
-        decode = self.context._monomial
-        return sorted((decode(key), c) for key, c in self._terms.items())
+        decode, den = self.context._monomial, self._den
+        return sorted((decode(key), Fraction(v, den)) for key, v in self._terms.items())
 
     def coefficient(self, m: Monomial) -> Fraction:
         """Exact coefficient of an in-context monomial.
@@ -277,12 +276,13 @@ class Series:
         if len(m) != len(self.context.names):
             raise ValueError("monomial does not match the context's edge variables")
         self.context.require(m)
-        return self._terms.get(self.context._key(m), Fraction(0))
+        return Fraction(self._terms.get(self.context._key(m), 0), self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.context == other.context and self._terms == other._terms
+        return (self.context == other.context and self._den == other._den
+                and self._terms == other._terms)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -306,15 +306,13 @@ class Series:
         elif not isinstance(other, Series):
             return NotImplemented
         self._check_same_context(other)
-        out = dict(self._terms)
-        _add_into(out, other._terms.items())
-        return Series._trusted(self.context, out)
+        return _sum([self, other])
 
     def __radd__(self, other: Scalar) -> "Series":
         return self.__add__(other)
 
     def __neg__(self) -> "Series":
-        return Series._trusted(self.context, {m: -c for m, c in self._terms.items()})
+        return _reduced(self.context, self._den, {key: -v for key, v in self._terms.items()})
 
     def __sub__(self, other: "Series" | Scalar) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -327,28 +325,33 @@ class Series:
         return self.__neg__().__add__(other)
 
     def __mul__(self, other: "Series" | Scalar) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Series._trusted(
-                self.context, {m: v * c for m, v in self._terms.items()} if c else {}
-            )
+        if isinstance(other, (int, Fraction)):  # both carry numerator and denominator
+            num = other.numerator
+            nums = {key: v * num for key, v in self._terms.items()}
+            return _reduced(self.context, self._den * other.denominator, nums)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_context(other)
-        left, right = self._kernel_operand(), other._kernel_operand()
-        if len(left[1]) > len(right[1]):
-            left, right = right, left
-        out: dict[int, Fraction] = {}
-        _mul_into(out, [(left, right)], self.context)
-        return Series._trusted(self.context, out)
+        if self.n_terms > other.n_terms:
+            return _mul([(other, self)], self.context)
+        return _mul([(self, other)], self.context)
 
-    def _kernel_operand(self) -> _Graded:
-        """The terms graded for :func:`_mul_into`, built on first use and kept."""
+    def _kernel_operand(self) -> list[_Term]:
+        """The terms as :func:`_mul` reads them, built on first use and kept.
+
+        Each term carries its key, the three gradings read from the key's t,
+        z and magnitude fields and its numerator, and the terms are sorted
+        by key.
+        """
         try:
             return self._operand
         except AttributeError:
-            self._operand = _graded(self._terms, self.context)
-            return self._operand
+            width, mask, top = self.context._fields
+            terms = [(key, key & mask, key >> width & mask, key >> top, v)
+                     for key, v in self._terms.items()]
+            terms.sort()  # the keys are distinct, so only they are compared
+            self._operand = terms
+            return terms
 
     def __rmul__(self, other: Scalar) -> "Series":
         return self.__mul__(other)
@@ -366,31 +369,31 @@ class Series:
         ctx = self.context
         i = ctx.index(name)
         shift, mask, unit = ctx._fields[0] * i, ctx._fields[1], ctx._unit(i)
-        out: dict[int, Fraction] = {}
-        for key, c in self._terms.items():
+        out: dict[int, int] = {}
+        for key, v in self._terms.items():
             e = key >> shift & mask
             if e:
-                out[key - unit] = c * e
-        return Series._trusted(ctx, out)
+                out[key - unit] = v * e
+        return _reduced(ctx, self._den, out)
 
     def substitute(self, name: str, g: "Series") -> "Series":
         """Replace a variable by a series with zero constant term.
 
         With c_e the terms whose exponent of the variable is e, that
         exponent set to 0, the result is sum_e c_e g^e: the e = 0 group
-        plus one :func:`_mul_into` call over the pairs (c_e, g^e).
+        plus one :func:`_mul` call over the pairs (g^e, c_e).
         """
         self._check_same_context(g)
-        if g.constant_term:
+        if 0 in g._terms:
             raise ValueError("substitute needs an image with zero constant term")
         ctx = self.context
         i = ctx.index(name)
         shift, mask, unit = ctx._fields[0] * i, ctx._fields[1], ctx._unit(i)
-        groups: dict[int, dict[int, Fraction]] = {}
-        for key, c in self._terms.items():
+        groups: dict[int, dict[int, int]] = {}
+        for key, v in self._terms.items():
             e = key >> shift & mask
-            groups.setdefault(e, {})[key - e * unit] = c
-        out = groups.pop(0, {})
+            groups.setdefault(e, {})[key - e * unit] = v
+        free = _reduced(ctx, self._den, groups.pop(0, {}))
         pairs = []
         power = g
         for e in range(1, max(groups, default=0) + 1):
@@ -399,9 +402,8 @@ class Series:
                 if power.is_zero():
                     break  # so is every higher power
             if e in groups:
-                pairs.append((power._kernel_operand(), _graded(groups[e], ctx)))
-        _mul_into(out, pairs, ctx)
-        return Series._trusted(ctx, out)
+                pairs.append((power, _reduced(ctx, self._den, groups[e])))
+        return _sum([free, _mul(pairs, ctx)])
 
     # -- truncation ---------------------------------------------------------
 
@@ -414,65 +416,63 @@ class Series:
         tb = self.context.t_max if t_max is None else t_max
         mb = self.context.magnitude_max if magnitude_max is None else magnitude_max
         _, mask, top = self.context._fields
-        kept = {key: c for key, c in self._terms.items() if key & mask <= tb and key >> top <= mb}
-        return Series._trusted(self.context, kept)
+        kept = {key: v for key, v in self._terms.items() if key & mask <= tb and key >> top <= mb}
+        return _reduced(self.context, self._den, kept)
 
     # -- transcendental operations ------------------------------------------
 
-    def _grade_pieces(self) -> list[_Graded]:
-        """Terms split by total grade t + z + magnitude, all over the series'
-        one common denominator.
+    def _grade_pieces(self) -> tuple[list["Series"], list["Series"]]:
+        """The terms split by total grade t + z + magnitude, and each piece
+        times its grade.
 
         The grades run to the sum of the bounds of the variables the terms
         use: products of these terms use no other variable, so exp and log
         can reach no higher grade.
         """
         ctx = self.context
-        den, terms = self._kernel_operand()
+        terms = self._kernel_operand()
         top = (ctx.t_max * any(term[1] for term in terms)
                + ctx.z_max * any(term[2] for term in terms)
                + ctx.magnitude_max * any(term[3] for term in terms))
-        pieces: list[_Graded] = [(den, []) for _ in range(top + 1)]
-        for term in terms:
-            pieces[term[1] + term[2] + term[3]][1].append(term)
-        return pieces
+        pieces: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        for key, t, z, mag, v in terms:
+            pieces[t + z + mag][key] = v
+        weighted = [{key: d * v for key, v in p.items()} for d, p in enumerate(pieces)]
+        return ([_reduced(ctx, self._den, p) for p in pieces],
+                [_reduced(ctx, self._den, p) for p in weighted])
 
     def exp(self) -> "Series":
         """exp(f) for f with zero constant term.
 
         Grade by grade, d g_d = sum_{k=1..d} k f_k g_(d-k), with g_0 = 1.
         """
-        if self.constant_term:
+        if 0 in self._terms:
             raise ValueError("exp needs a series with zero constant term")
         ctx = self.context
-        kf = [(den, [(key, t, z, mag, k * n) for key, t, z, mag, n in piece])
-              for k, (den, piece) in enumerate(self._grade_pieces())]
-        result = {0: Fraction(1)}
-        g = [_graded(result, ctx)]
+        _, kf = self._grade_pieces()
+        g = [Series.one(ctx)]
         for d in range(1, len(kf)):
-            out = _slice_sum([(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
-            g_d = {key: v / d for key, v in out.items()}
-            result.update(g_d)
-            g.append(_graded(g_d, ctx))
-        return Series._trusted(ctx, result)
+            dg = _mul([(kf[k], g[d - k]) for k in range(1, d + 1)], ctx)
+            g.append(_reduced(ctx, dg._den * d, dg._terms))
+        return _sum(g)
 
     def log(self) -> "Series":
         """log(f) for f with constant term 1.
 
-        Grade by grade, d L_d = d f_d - sum_{k=1..d-1} k L_k f_(d-k).
+        Grade by grade, d L_d = d f_d - sum_{k=1..d-1} k L_k f_(d-k), where
+        d f_d enters the product loop as the pair (1, d f_d).
         """
-        if self.constant_term != 1:
+        if self._terms.get(0) != self._den:
             raise ValueError("log needs a series with constant term 1")
         ctx = self.context
-        f = self._grade_pieces()
-        result: dict[int, Fraction] = {}
-        neg_kL: list[_Graded] = [(1, [])]  # -k L_k, so the product loop only adds
+        f, kf = self._grade_pieces()
+        one, zero = Series.one(ctx), Series.zero(ctx)
+        L, neg_kL = [zero], [zero]
         for d in range(1, len(f)):
-            out = _slice_sum([(neg_kL[k], f[d - k]) for k in range(1, d)], ctx)
-            _add_into(out, ((key, d * self._terms[key]) for key, *_ in f[d][1]))
-            result.update((key, v / d) for key, v in out.items())
-            neg_kL.append(_graded({key: -v for key, v in out.items()}, ctx))
-        return Series._trusted(ctx, result)
+            dL = _mul([(one, kf[d])] + [(neg_kL[k], f[d - k]) for k in range(1, d)], ctx)
+            L.append(_reduced(ctx, dL._den * d, dL._terms))
+            neg_kL.append(-dL)  # -k L_k, so the product loop only adds
+        return _sum(L)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse of a unit (nonzero constant term) series.
@@ -491,52 +491,66 @@ class Series:
         operation that produced the input, so callers own that bookkeeping.
         """
         mask = self.context._fields[1]
-        out: dict[int, Fraction] = {}
-        for key, c in self._terms.items():
+        out: dict[int, int] = {}
+        for key, v in self._terms.items():
             if not key & mask:
                 raise ValueError("series is not divisible by t")
-            out[key - 1] = c  # t's unit
-        return Series._trusted(self.context, out)
+            out[key - 1] = v  # t's unit
+        return _reduced(self.context, self._den, out)
 
 
 _Term = tuple[int, int, int, int, int]  # key, t, z, magnitude, numerator
-_Graded = tuple[int, list[_Term]]  # common denominator, terms sorted by key and so by magnitude
-_Pairs = Sequence[tuple[_Graded, _Graded]]  # left and right operands of a product loop
 
 
-def _graded(terms: Mapping[int, Fraction], ctx: TruncationContext) -> _Graded:
-    """Terms over their least common denominator D, for :func:`_mul_into`.
+def _reduced(ctx: TruncationContext, den: int, nums: Mapping[int, int]) -> Series:
+    """The series with numerators nums over den, in the store's one form: no
+    zero numerator, and den and the numerators divided by their gcd.
 
-    Each term carries its key, the three gradings read from the key's t, z
-    and magnitude fields and the integer numerator c * D, and the terms
-    are sorted by key.
+    In this form den is the lcm of the terms' own reduced denominators, so
+    the numerators are a product operand as they stand, with no rescaling.
     """
-    width, mask, top = ctx._fields
-    den = lcm(*(c.denominator for c in terms.values()))
-    graded = [
-        (key, key & mask, key >> width & mask, key >> top, c.numerator * (den // c.denominator))
-        for key, c in terms.items()
-    ]
-    graded.sort()  # the keys are distinct, so only they are compared
-    return den, graded
+    nums = {key: v for key, v in nums.items() if v}
+    g = gcd(den, *nums.values())
+    out = Series.__new__(Series)
+    out.context, out._den = ctx, den // g
+    out._terms = {key: v // g for key, v in nums.items()} if g > 1 else nums
+    return out
 
 
-def _mul_into(out: dict[int, Fraction], pairs: _Pairs, ctx: TruncationContext) -> None:
-    """Add every in-context product of a left and a right term into out.
-
-    This is the one term-pair loop that ``*``, exp, log and substitution
-    multiply through.  Each pair of operands is scaled to the lcm D of the
-    pairs' denominator products, so the loop sums int numerators.  The
-    gradings are additive, so the bound checks need no monomial, and a pair
-    inside the bounds is keyed by the sum of the two keys.
-    """
-    t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
-    den = lcm(*(left[0] * right[0] for left, right in pairs))
+def _sum(parts: Sequence[Series]) -> Series:
+    """The sum of series of one context, each scaled to the lcm of their
+    denominators."""
+    den = lcm(*(p._den for p in parts))
     sums: dict[int, int] = {}
     get = sums.get
-    for (left_den, left_terms), (right_den, right_terms) in pairs:
-        scale = den // (left_den * right_den)
-        for ka, ta, za, maga, na in left_terms:
+    for p in parts:
+        scale = den // p._den
+        for key, v in p._terms.items():
+            sums[key] = get(key, 0) + v * scale
+    return _reduced(parts[0].context, den, sums)
+
+
+def _mul(pairs: Iterable[tuple[Series, Series]], ctx: TruncationContext) -> Series:
+    """The sum of left * right over the pairs.
+
+    This is the one term-pair loop that ``*``, exp, log, substitution and
+    revert multiply through.  Pairs with an empty side are dropped before
+    it starts.  Each pair's numerators are scaled to the lcm D of the
+    pairs' denominator products, so the loop sums ints over D.  The
+    gradings are additive, so the bound checks need no monomial, and a
+    pair inside the bounds is keyed by the sum of the two keys.
+    """
+    pairs = [(a, b) for a, b in pairs if a and b]
+    if not pairs:
+        return Series.zero(ctx)
+    t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    sums: dict[int, int] = {}
+    get = sums.get
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        right_terms = b._kernel_operand()
+        for ka, ta, za, maga, na in a._kernel_operand():
             na *= scale
             mag_room, t_room, z_room = mag_max - maga, t_max - ta, z_max - za
             for kb, tb, zb, magb, nb in right_terms:
@@ -546,28 +560,7 @@ def _mul_into(out: dict[int, Fraction], pairs: _Pairs, ctx: TruncationContext) -
                     continue
                 k = ka + kb
                 sums[k] = get(k, 0) + na * nb
-    _add_into(out, ((k, Fraction(v, den)) for k, v in sums.items() if v))
-
-
-def _slice_sum(pairs: _Pairs, ctx: TruncationContext) -> dict[int, Fraction]:
-    """The sum of left * right over the pairs, in one :func:`_mul_into` call,
-    or none when every pair has an empty side."""
-    out: dict[int, Fraction] = {}
-    pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
-    if pairs:
-        _mul_into(out, pairs, ctx)
-    return out
-
-
-def _add_into(out: dict[int, Fraction], items: Iterable[tuple[int, Fraction]]) -> None:
-    """Add keyed terms into out, keeping no zero coefficient."""
-    for key, c in items:
-        acc = out.get(key)
-        new = c if acc is None else acc + c
-        if new:
-            out[key] = new
-        elif acc is not None:
-            del out[key]
+    return _reduced(ctx, den, sums)
 
 
 def _term_text(names: Sequence[str], m: Monomial, c: Fraction) -> str:
@@ -585,10 +578,11 @@ def first_difference(
     """The canonically first monomial where two series differ, or None."""
     if a.context != b.context:
         raise ContextMismatchError("cannot compare series from different contexts")
-    ta, tb, zero = a._terms, b._terms, Fraction(0)
+    ta, tb, da, db = a._terms, b._terms, a._den, b._den
     decode = a.context._monomial
-    diffs = (k for k in ta.keys() | tb.keys() if ta.get(k) != tb.get(k))
-    return min(((decode(k), ta.get(k, zero), tb.get(k, zero)) for k in diffs), default=None)
+    diffs = (k for k in ta.keys() | tb.keys() if ta.get(k, 0) * db != tb.get(k, 0) * da)
+    return min(((decode(k), Fraction(ta.get(k, 0), da), Fraction(tb.get(k, 0), db))
+                for k in diffs), default=None)
 
 
 def into_context(f: Series, ctx: TruncationContext) -> Series:
@@ -599,7 +593,7 @@ def into_context(f: Series, ctx: TruncationContext) -> Series:
     width = len(ctx.names)
     pad = (0,) * (width - len(f.context.names))
     decode = f.context._monomial
-    ms = ((decode(key), c) for key, c in f._terms.items())
+    ms = ((decode(key), Fraction(v, f._den)) for key, v in f._terms.items())
     return Series(ctx, [(Monomial(m[:width] + pad), c) for m, c in ms if not any(m[width:])])
 
 
@@ -620,33 +614,27 @@ def revert(f: Series) -> Series:
     slice, so g^k has none below t^k and [t^n] g^k = sum_i g_i [t^(n-i)] g^(k-1).
     """
     ctx = f.context
-    c1 = f.coefficient(ctx.monomial(t=1))
-    if not c1:
+    ctx.require(ctx.monomial(t=1))
+    if not f._terms.get(1):  # the key of t
         raise ValueError("reversion needs a nonzero linear t-coefficient")
     mask = ctx._fields[1]
-    f_k: list[dict[int, Fraction]] = [{} for _ in range(ctx.t_max + 1)]  # [t^k] f, t-free
-    for key, c in f._terms.items():
+    f_k: list[dict[int, int]] = [{} for _ in range(ctx.t_max + 1)]  # [t^k] f, t-free
+    for key, v in f._terms.items():
         k = key & mask
         if not k:
             raise ValueError("reversion needs every term divisible by t")
-        f_k[k][key - k] = c
-    inv = Series._trusted(ctx, f_k[1]).inverse()
+        f_k[k][key - k] = v
+    inv = _reduced(ctx, f._den, f_k[1]).inverse()
     top = max(k for k, c in enumerate(f_k) if c)
     # h_k = -f_k / f_1, so g_n = sum_{k>=2} h_k [t^n] g^k
-    h = {k: (-(inv * Series._trusted(ctx, f_k[k])))._kernel_operand() for k in range(2, top + 1)}
-    empty: _Graded = (1, [])
-    powers = [[empty] * (ctx.t_max + 1) for _ in range(top + 1)]  # powers[k][n] = [t^n] g^k
+    h = {k: -(inv * _reduced(ctx, f._den, f_k[k])) for k in range(2, top + 1)}
+    zero = Series.zero(ctx)
+    powers = [[zero] * (ctx.t_max + 1) for _ in range(top + 1)]  # powers[k][n] = [t^n] g^k
     g = powers[1]
-    g_1 = Series.variable(ctx, "t") * inv
-    g[1] = g_1._kernel_operand()
-    result = dict(g_1._terms)
+    g[1] = Series.variable(ctx, "t") * inv
     for n in range(2, ctx.t_max + 1):
         for k in range(2, min(n, top) + 1):
             prev = powers[k - 1]
-            slice_n = _slice_sum([(g[i], prev[n - i]) for i in range(1, n)], ctx)
-            powers[k][n] = _graded(slice_n, ctx)
-        g_n = _slice_sum([(h[k], powers[k][n]) for k in range(2, top + 1)], ctx)
-        result.update(g_n)
-        g[n] = _graded(g_n, ctx)
-    return Series._trusted(ctx, result)
-
+            powers[k][n] = _mul([(g[i], prev[n - i]) for i in range(1, n)], ctx)
+        g[n] = _mul([(h[k], powers[k][n]) for k in range(2, top + 1)], ctx)
+    return _sum(g)

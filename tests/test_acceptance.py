@@ -74,7 +74,7 @@ def test_c1_table_reproduction(acceptance, big_C):
     for profile, coeff in terms:
         slot_labeled = egf_profile_coefficient(big_T, 6, profile)
         six_ok = six_ok and coeff * profile.factorial_norm() == slot_labeled
-    probe = EdgeProfile.parse("u2=3,u3=1")
+    probe = EdgeProfile.parse("u2=3,u3=1", 6)
     row = count_profile(6, probe)
     six_ok = six_ok and dict(terms)[probe] == 2160
     six_ok = six_ok and row.hypertree == 2160 * probe.factorial_norm()
@@ -242,10 +242,10 @@ def test_c8_magnitude_lemma(acceptance):
     instances = 0
     spot = [(n, p) for n in range(1, 5) for p in iter_profiles(4, max_size=n)]
     spot += [
-        (5, EdgeProfile.parse("u2=4")),
-        (5, EdgeProfile.parse("u3=2")),
-        (5, EdgeProfile.parse("u3=1,u4=1")),
-        (5, EdgeProfile.parse("u5=1")),
+        (5, EdgeProfile.parse("u2=4", 5)),
+        (5, EdgeProfile.parse("u3=2", 5)),
+        (5, EdgeProfile.parse("u3=1,u4=1", 5)),
+        (5, EdgeProfile.parse("u5=1", 5)),
     ]
     for n, profile in spot:
         mag = profile.magnitude

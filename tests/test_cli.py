@@ -75,6 +75,16 @@ def test_count_usage_errors(runner):
     )
 
 
+@pytest.mark.parametrize("command", ["count", "oracle"])
+def test_edge_larger_than_n_is_a_usage_error(runner, command):
+    # refused before a counts vector as long as the edge size is built
+    result = runner.invoke(main, [command, "--n", "5", "--profile", "u10000000=1"])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.endswith("\nError: an edge of u10000000 has more vertices than n = 5\n")
+
+
 # -- table ------------------------------------------------------------------------
 
 

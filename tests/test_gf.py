@@ -133,13 +133,13 @@ def test_phi_maps_equal_hand_built_sums(ctx):
 
 def test_count_by_profile_examples():
     assert count_by_profile(1, EdgeProfile()) == (1, 1)
-    assert count_by_profile(3, EdgeProfile.parse("u2=2")) == (9, 3)
-    assert count_by_profile(3, EdgeProfile.parse("u3=1")) == (3, 1)
-    assert count_by_profile(4, EdgeProfile.parse("u2=3")) == (64, 16)
-    assert count_by_profile(6, EdgeProfile.parse("u2=3,u3=1")) == (12960, 2160)
+    assert count_by_profile(3, EdgeProfile.parse("u2=2", 3)) == (9, 3)
+    assert count_by_profile(3, EdgeProfile.parse("u3=1", 3)) == (3, 1)
+    assert count_by_profile(4, EdgeProfile.parse("u2=3", 4)) == (64, 16)
+    assert count_by_profile(6, EdgeProfile.parse("u2=3,u3=1", 6)) == (12960, 2160)
     # off the magnitude surface: no hypertrees at all
-    assert count_by_profile(4, EdgeProfile.parse("u2=1")) == (0, 0)
-    assert count_by_profile(4, EdgeProfile.parse("u2=4")) == (0, 0)
+    assert count_by_profile(4, EdgeProfile.parse("u2=1", 4)) == (0, 0)
+    assert count_by_profile(4, EdgeProfile.parse("u2=4", 4)) == (0, 0)
     # decided before any factorial of a count grows past n
     assert count_by_profile(3, EdgeProfile((1, 10**9))) == (0, 0)
     assert count_by_profile(3, EdgeProfile((0,) * 10**6 + (1,))) == (0, 0)
@@ -193,7 +193,7 @@ def test_rooted_totals_match_all_ones_specialization(T, R):
 
 
 def test_egf_extraction_conventions(T):
-    profile = EdgeProfile.parse("u2=1,u3=1")
+    profile = EdgeProfile.parse("u2=1,u3=1", 4)
     # 12 hypertrees on 4 vertices with one 2-edge and one 3-edge
     coeff = egf_profile_coefficient(T, 4, profile)
     assert coeff == 12 * profile.factorial_norm()

@@ -46,17 +46,19 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_profile_parse_and_str():
-    p = EdgeProfile.parse("u2=2, u3=1")
+    p = EdgeProfile.parse("u2=2, u3=1", 3)
     assert p.counts == (2, 1)
     assert str(p) == "u2^2 u3"
     assert p.magnitude == 4
     assert sum(p.counts) == 3
     assert p.sizes() == (2, 2, 3)
-    assert EdgeProfile.parse("") == EdgeProfile()
+    assert EdgeProfile.parse("", 2) == EdgeProfile()
     with pytest.raises(ValueError):
-        EdgeProfile.parse("v2=1")
+        EdgeProfile.parse("v2=1", 3)
     with pytest.raises(ValueError):
-        EdgeProfile.parse("u1=1")
+        EdgeProfile.parse("u1=1", 3)
+    with pytest.raises(ValueError, match="u4 has more vertices than n = 3"):
+        EdgeProfile.parse("u2=1,u4=1", 3)
 
 
 def test_profile_normalizes_trailing_zeros():
@@ -105,7 +107,7 @@ def test_iter_profiles_ordered_by_magnitude():
 
 
 def test_factorial_norm():
-    assert EdgeProfile.parse("u2=3,u3=2").factorial_norm() == 12
+    assert EdgeProfile.parse("u2=3,u3=2", 3).factorial_norm() == 12
     assert EdgeProfile().factorial_norm() == 1
 
 
@@ -115,7 +117,7 @@ def test_factorial_norm():
 def test_sample_fixture_matches_worked_example():
     h = parse_hypergraph((DATA / "sample5.txt").read_text())
     assert h.n == 5
-    assert h.profile() == EdgeProfile.parse("u2=4,u3=3")
+    assert h.profile() == EdgeProfile.parse("u2=4,u3=3", 5)
     assert h.edge_magnitude == 10
     assert is_connected(h)
     assert not is_hypertree(h)
@@ -166,7 +168,7 @@ def test_format_parse_round_trip():
 
 
 def test_enumeration_is_deterministic_and_complete():
-    profile = EdgeProfile.parse("u2=1,u3=1")
+    profile = EdgeProfile.parse("u2=1,u3=1", 4)
     first = list(enumerate_hypergraphs(4, profile))
     second = list(enumerate_hypergraphs(4, profile))
     assert first == second
@@ -174,11 +176,11 @@ def test_enumeration_is_deterministic_and_complete():
 
 
 def test_budget_is_enforced_up_front():
-    profile = EdgeProfile.parse("u2=7")
+    profile = EdgeProfile.parse("u2=7", 5)
     with pytest.raises(ValueError, match="needs 10000000 hypergraphs, over the budget of 1000000"):
         list(enumerate_hypergraphs(5, profile, budget=10**6))
     # the kernel's budget counts its steps, n per (state, edge) pair of a slot
-    profile = EdgeProfile.parse("u2=5")
+    profile = EdgeProfile.parse("u2=5", 5)
     steps = kernel_steps_by_enumeration(5, profile.sizes())[-1]
     with pytest.raises(BudgetExceededError, match="kernel steps") as exc:
         count_profile(5, profile, budget=steps - 1)
@@ -254,7 +256,7 @@ FROZEN_ROWS = [
 
 @pytest.mark.parametrize("n,text,total,connected,hypertree", FROZEN_ROWS)
 def test_frozen_counts(n, text, total, connected, hypertree):
-    row = count_profile(n, EdgeProfile.parse(text))
+    row = count_profile(n, EdgeProfile.parse(text, n))
     assert (row.total, row.connected, row.hypertree) == (total, connected, hypertree)
 
 
@@ -334,9 +336,9 @@ def test_law_checker_flags_planted_violations():
     from hypertrees.hypergraphs import CountRow
 
     bad = (
-        CountRow(3, EdgeProfile.parse("u2=1"), 3, 1, 0),  # connected below n-1
-        CountRow(3, EdgeProfile.parse("u2=2"), 9, 6, 5),  # hypertree != connected
-        CountRow(3, EdgeProfile.parse("u2=3"), 27, 26, 1),  # hypertree above n-1
+        CountRow(3, EdgeProfile.parse("u2=1", 3), 3, 1, 0),  # connected below n-1
+        CountRow(3, EdgeProfile.parse("u2=2", 3), 9, 6, 5),  # hypertree != connected
+        CountRow(3, EdgeProfile.parse("u2=3", 3), 27, 26, 1),  # hypertree above n-1
     )
     assert len(magnitude_law_violations(bad)) == 3
 
@@ -345,7 +347,7 @@ def test_count_row_orders_counts():
     from hypertrees.hypergraphs import CountRow
 
     with pytest.raises(ValueError):
-        CountRow(3, EdgeProfile.parse("u2=2"), 9, 6, 7)
+        CountRow(3, EdgeProfile.parse("u2=2", 3), 9, 6, 7)
 
 
 # -- oracle polynomials ----------------------------------------------------------
@@ -372,7 +374,7 @@ def test_oracle_polynomials_small():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 40))
 def test_enumerated_hypergraphs_are_canonical(n, skip):
-    profile = EdgeProfile.parse("u2=1,u3=1") if n >= 3 else EdgeProfile.parse("u2=2")
+    profile = EdgeProfile.parse("u2=1,u3=1", n) if n >= 3 else EdgeProfile.parse("u2=2", n)
     stream = enumerate_hypergraphs(n, profile)
     h = None
     for _ in range(skip % assignment_count(n, profile) + 1):

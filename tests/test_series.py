@@ -10,9 +10,10 @@ against exponent tuples sliced term by term.
 """
 
 import re
+import sys
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,6 +322,13 @@ def build(terms) -> Series:
     return Series(PCTX, terms)
 
 
+def assert_canonical(*results: Series) -> None:
+    # every result is stored in the one form that construction gives: in
+    # lowest terms over one denominator, with no zero numerator
+    for r in results:
+        assert Series(r.context, r.terms()) == r
+
+
 @settings(max_examples=60, deadline=None)
 @given(series_terms, series_terms, series_terms)
 def test_ring_axioms(a, b, c):
@@ -445,9 +453,11 @@ units = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 @given(twin_cases, units)
 def test_graded_maps_equal_power_sums(f, c):
     f0 = f - f.constant_term
-    assert f0.exp() == exp_by_power_sum(f0)
-    assert (1 + f0).log() == log_by_power_sum(1 + f0)
-    assert (c + f0).inverse() == inverse_by_power_sum(c + f0)
+    exp, log, inverse = f0.exp(), (1 + f0).log(), (c + f0).inverse()
+    assert exp == exp_by_power_sum(f0)
+    assert log == log_by_power_sum(1 + f0)
+    assert inverse == inverse_by_power_sum(c + f0)
+    assert_canonical(f0, exp, log, inverse, f * c, f / c)
 
 
 # -- one-call substitution against its power-sum twin ----------------------------
@@ -485,7 +495,9 @@ def test_substitute_equals_power_sum_twin(case):
         f_terms = {m: c for m, c in f_terms.items() if not m[i]}
     f, g = Series(ctx, f_terms), Series(ctx, g_terms)
     name = ctx.names[i]
-    assert f.substitute(name, g) == substitute_by_power_sum(f, name, g)
+    substituted = f.substitute(name, g)
+    assert substituted == substitute_by_power_sum(f, name, g)
+    assert_canonical(substituted)
 
 
 # -- key arithmetic against sliced exponent tuples ---------------------------------
@@ -499,10 +511,13 @@ def test_key_arithmetic_equals_slicing_twins(case, t_cut, magnitude_cut):
     ctx, i, _, f_terms, _ = case
     f = Series(ctx, f_terms)
     name = ctx.names[i]
-    assert f.derivative(name) == derivative_by_slicing(f, name)
-    assert f.restrict(t_cut, magnitude_cut) == restrict_by_slicing(f, t_cut, magnitude_cut)
+    derivative, restricted = f.derivative(name), f.restrict(t_cut, magnitude_cut)
+    assert derivative == derivative_by_slicing(f, name)
+    assert restricted == restrict_by_slicing(f, t_cut, magnitude_cut)
     divisible = Series(ctx, {m: c for m, c in f_terms.items() if m[0]})
-    assert divisible.divided_by_t() == divided_by_t_by_slicing(divisible)
+    divided = divisible.divided_by_t()
+    assert divided == divided_by_t_by_slicing(divisible)
+    assert_canonical(derivative, restricted, divided)
     if f != divisible:  # a term free of t
         with pytest.raises(ValueError, match="not divisible by t"):
             f.divided_by_t()
@@ -592,6 +607,7 @@ def test_product_kernel_equals_term_pairs(case, rnd):
         xy = x * y
         assert xy == mul_by_term_pairs(x, y)
         assert all(type(v) is Fraction and v for _, v in xy.terms())
+        assert_canonical(x, y, xy)
     assert f * (g + h) - f * h == f * g
     assert (f + g) * (f - g) == f * f - g * g
     rnd.shuffle(a)
@@ -634,7 +650,9 @@ def test_revert_slices_equal_iteration(case):
             revert(f)
         assert str(got.value) == str(exc)
         return
-    assert revert(f) == expected
+    g = revert(f)
+    assert g == expected
+    assert_canonical(g)
 
 
 def test_revert_with_series_linear_coefficient():
@@ -667,15 +685,16 @@ def test_exp_fixed_point_equals_iteration():
 
 
 def test_slice_solvers_make_no_empty_kernel_call(monkeypatch):
-    # a slice sum whose pairs all have an empty side must not reach the kernel
+    # a slice sum whose pairs all have an empty side must not start the
+    # term-pair loop, which begins with the lcm of its pairs' denominators
     sizes = []
-    kernel = series._mul_into
 
-    def recorded(out, pairs, ctx):
-        sizes.append(len(pairs))
-        kernel(out, pairs, ctx)
+    def recorded(*dens):
+        if sys._getframe(1).f_code is series._mul.__code__:
+            sizes.append(len(dens))
+        return lcm(*dens)
 
-    monkeypatch.setattr(series, "_mul_into", recorded)
+    monkeypatch.setattr(series, "lcm", recorded)
     ctx = TruncationContext(t_max=7, z_max=2, magnitude_max=7)
     t, z, u2 = (Series.variable(ctx, name) for name in ("t", "z", "u2"))
     revert(t * (1 + z) - t * t * u2 + power(t, 3) / 2)

@@ -159,14 +159,15 @@ def test_only_the_cli_knows_the_report_format():
 
 
 def test_only_series_reads_the_term_store():
-    # a series' keyed terms and its graded operand are series.py's own format;
-    # everything else, the test twins included, reads terms() and coefficient()
+    # a series' keyed numerators, their common denominator and its graded operand
+    # are series.py's own format; everything else, the test twins included, reads
+    # terms() and coefficient()
     readers = []
     paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     for path in paths:
         if path == ROOT / "src" / "hypertrees" / "series.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_operand"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_den", "_operand"):
                 readers.append((path.name, node.lineno, node.attr))
     assert readers == []

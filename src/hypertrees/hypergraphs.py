@@ -9,24 +9,33 @@ modules track with the u-variables.
 
 is_connected and is_hypertree below are deliberately literal: they walk
 the bipartite incidence graph (vertices on one side, edges on the other)
-and test reachability and acyclicity by depth-first search.  The counting
-kernel reaches the same classification by carrying component partitions
-and a cycle flag through the edge slots; tests hold it against these
-classifiers and a union-find pass over every assignment, so the fast path
-never becomes the definition.
+and test reachability and acyclicity by depth-first search.
+
+The counting kernel does not classify hypergraphs one by one.  It counts
+orbit types: it carries the block sizes of the component partition and a
+cycle flag through the edge slots, with the number of partial assignments
+that reach each type, because every edge is drawn from all C(n, s) vertex
+subsets alike.  It shares nothing with log S, the rooted fixed point or
+the closed form.  Tests hold it against the transfer over labeled set
+partitions that it lumps, against a union-find pass over every assignment
+and against these classifiers, so the fast path never becomes the
+definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator
 
 from .combinat import partitions
 
-# counting-kernel steps per run, one per component label written
-DEFAULT_BUDGET = 10_000_000
+# counting-kernel steps per run, one per (state, move) pair
+DEFAULT_BUDGET = 1_000_000
+
+# a kernel state's partition type: (block size, multiplicity) pairs, largest size first
+_Blocks = tuple[tuple[int, int], ...]
 
 
 class BudgetExceededError(RuntimeError):
@@ -281,27 +290,26 @@ def count_profile(
 ) -> CountRow:
     """Classify every hypergraph with this profile through the counting kernel,
     which refuses to take the run past budget steps, spent of them already used."""
-    return CountRow(n, profile, *_count_by_partitions(n, profile.sizes(), budget, spent))
+    return CountRow(n, profile, *_count_by_types(n, profile.sizes(), budget, spent))
 
 
-def _count_by_partitions(
+def _count_by_types(
     n: int, sizes: tuple[int, ...], budget: int = DEFAULT_BUDGET, spent: int = 0
 ) -> tuple[int, int, int, int]:
     """(total, connected, hypertree, steps) over every assignment of the edge slots.
 
     The slots are filled one at a time, and instead of each partial
-    assignment only what decides its class is carried: the partition of
-    the vertices into components (each vertex labeled with the smallest
-    vertex of its block) and whether a cycle has been seen.  A state maps
-    to the number of partial assignments that reach it.  An edge closes a
-    cycle iff it touches fewer distinct components than it has vertices.
-    This is the transfer-matrix method (Stanley, EC1 4.7) over set
-    partitions.
+    assignment only what decides its class is carried: the block sizes of
+    its component partition and whether a cycle has been seen.  A state
+    maps to the number of partial assignments that reach it.  This is the
+    transfer-matrix method (Stanley, EC1 4.7) on the chain of component
+    partitions, lumped by its S_n symmetry (Kemeny and Snell, Finite Markov
+    Chains, 1960): every edge is drawn from all C(n, s) subsets alike, so
+    the ways to reach a partition depend only on its block sizes.
 
-    A slot of size s merges each state with each of its C(n, s) edges into
-    a new n-tuple of labels: len(states) * C(n, s) * n steps, added to
-    the spent ones before the slot runs.  Past budget, BudgetExceededError
-    is raised before the slot builds its list of edges.
+    A slot costs one step per (state, move) pair, added to the spent steps
+    state by state before the slot runs; BudgetExceededError is raised as
+    soon as the count passes budget, before the slot's first state moves.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -312,31 +320,88 @@ def _count_by_partitions(
     if total == 0:
         return (0, 0, 0, 0)
 
-    states = {(range(n), False): 1}  # each vertex v its own block, labeled v
+    states = {(((1, n),), False): 1}  # n singleton blocks, no cycle
     steps = spent
     for s in sizes:
-        steps += len(states) * comb(n, s) * n
-        if steps > budget:
-            raise BudgetExceededError(steps, budget)
-        choices = tuple(combinations(range(n), s))
-        after: dict[tuple[tuple[int, ...], bool], int] = {}
-        for (labels, cycle), ways in states.items():
-            for edge in choices:
-                roots = {labels[v] for v in edge}
-                low = min(roots)
-                merged = tuple(low if label in roots else label for label in labels)
-                key = (merged, cycle or len(roots) < s)
-                after[key] = after.get(key, 0) + ways
+        slot = []
+        for (blocks, cycle), ways in states.items():
+            moves = _moves(blocks, s)
+            steps += len(moves)
+            if steps > budget:
+                raise BudgetExceededError(steps, budget)
+            slot.append((cycle, ways, moves))
+        after: dict[tuple[_Blocks, bool], int] = {}
+        for cycle, ways, moves in slot:
+            for blocks, closes, count in moves:
+                key = (blocks, cycle or closes)
+                after[key] = after.get(key, 0) + ways * count
         states = after
 
-    connected = 0
-    hypertree = 0
-    for (labels, cycle), ways in states.items():
-        if not any(labels):  # one block: every vertex carries label 0
-            connected += ways
-            if not cycle:
-                hypertree += ways
-    return (total, connected, hypertree, steps - spent)
+    one = ((n, 1),)
+    hypertree = states.get((one, False), 0)
+    return (total, hypertree + states.get((one, True), 0), hypertree, steps - spent)
+
+
+@lru_cache(maxsize=4096)  # every (type, size) key of a sweep to n = 16 fits
+def _moves(blocks: _Blocks, s: int) -> tuple[tuple[_Blocks, bool, int], ...]:
+    """Every way an s-edge meets a partition with these blocks, as (blocks
+    after, closes a cycle, number of edges).
+
+    An edge that takes k_i >= 1 vertices from block i merges the blocks it
+    touches and closes a cycle iff some k_i >= 2.  The edges are counted
+    per class of equal blocks: t of a class's m blocks of size b, hit by K
+    vertices in all and each at least once, are C(m, t) [x^K] ((1+x)^b - 1)^t
+    edge parts, and the t-vector of the classes fixes the blocks after.
+    """
+    # (vertices left, t per class so far, closes): edge parts; placed once none is left
+    partial = {(s, (), False): 1}
+    placed: dict[tuple[int, tuple[int, ...], bool], int] = {}
+    room = sum(b * m for b, m in blocks)
+    for b, m in blocks:
+        room -= b * m  # the vertices of the classes after this one
+        hits = _class_hits(b, m, s)
+        grown: dict[tuple[int, tuple[int, ...], bool], int] = {}
+        for (left, taken, closes), count in partial.items():
+            for k in range(max(0, left - room), min(left, len(hits) - 1) + 1):
+                for t, ways in hits[k]:
+                    key = (left - k, taken + (t,), closes or k > t)
+                    into = grown if k < left else placed
+                    into[key] = into.get(key, 0) + count * ways
+        partial = grown
+    out: dict[tuple[_Blocks, bool], int] = {}
+    for (_, taken, closes), count in placed.items():
+        key = (_merged(blocks, taken), closes)
+        out[key] = out.get(key, 0) + count
+    return tuple((after, closes, count) for (after, closes), count in out.items())
+
+
+def _class_hits(b: int, m: int, most: int) -> list[list[tuple[int, int]]]:
+    """hits[K] lists (t, ways) for the K <= most vertices taken from t of m
+    blocks of size b, each of the t hit at least once."""
+    q = [comb(b, j + 1) for j in range(b)]  # ((1+x)^b - 1) / x
+    poly = [1]  # q^t, cut at degree most - t: [x^(t+j)] ((1+x)^b - 1)^t is poly[j]
+    hits: list[list[tuple[int, int]]] = [[] for _ in range(min(b * m, most) + 1)]
+    for t in range(min(m, most) + 1):
+        pick = comb(m, t)
+        for j, ways in enumerate(poly):
+            hits[t + j].append((t, pick * ways))
+        nxt = [0] * min(len(poly) + b - 1, most - t)  # q^(t+1), cut at degree most - t - 1
+        for i, c in enumerate(poly):
+            for j, w in enumerate(q[: len(nxt) - i]):
+                nxt[i + j] += c * w
+        poly = nxt
+    return hits
+
+
+def _merged(blocks: _Blocks, taken: tuple[int, ...]) -> _Blocks:
+    """The blocks after an edge that touched taken[i] blocks of class i merges them."""
+    counts = dict(blocks)
+    size = 0
+    for (b, _), t in zip(blocks, taken):
+        counts[b] -= t
+        size += b * t
+    counts[size] = counts.get(size, 0) + 1
+    return tuple(sorted(((b, m) for b, m in counts.items() if m), reverse=True))
 
 
 def count_sweep(

@@ -357,10 +357,11 @@ class Series:
         return self.__mul__(other)
 
     def __truediv__(self, other: Scalar) -> "Series":
-        c = Fraction(other)
-        if not c:
+        if not isinstance(other, (int, Fraction)):  # as in __mul__: no float, no string
+            return NotImplemented
+        if not other:
             raise ZeroDivisionError("division of a series by zero")
-        return self.__mul__(Fraction(1, 1) / c)
+        return self.__mul__(Fraction(other.denominator, other.numerator))
 
     # -- calculus ----------------------------------------------------------
 

@@ -3,8 +3,9 @@
 Nothing in the library calls these: each one recomputes a result by a
 second, independent method (Lagrange inversion in place of slice-by-slice
 reversion, full-precision passes in place of the slice-by-slice fixed
-point and reversion, explicit enumeration in place of the counting
-kernel and of its step meter, part tuples by recursion in place of the
+point and reversion, the transfer over labeled set partitions in place
+of the block-size-type counting kernel, explicit enumeration in place of
+both kernels and of the step meter, part tuples by recursion in place of the
 multiplicity-vector partition stream, full power sums in place of the
 graded exp and log recurrences, the inverse built from them and the
 one-call substitution, hand-built coefficient lists in place of the maps
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from hypertrees.gf import edge_symbol_phi, phi_maps
 from hypertrees.hypergraphs import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     CountRow,
     EdgeProfile,
     Hypergraph,
@@ -382,24 +384,91 @@ def count_profile_by_enumeration(n: int, sizes: tuple[int, ...]) -> tuple[int, i
     return (total, connected, hypertree)
 
 
+def count_by_partitions(
+    n: int, sizes: tuple[int, ...], budget: int = 10_000_000
+) -> tuple[int, int, int, int]:
+    """(total, connected, hypertree, steps) by the transfer over labeled set
+    partitions that the block-size kernel lumps.
+
+    A state is the component label of every vertex (the smallest vertex of
+    its block) and whether a cycle has been seen; a slot of size s merges
+    each state with each of its C(n, s) edges, and an edge closes a cycle
+    iff it touches fewer distinct components than it has vertices.  It keeps
+    its own meter and default budget: len(states) * C(n, s) * n steps per
+    slot, one per label written, and BudgetExceededError before a slot that
+    would pass budget.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    sizes = tuple(int(s) for s in sizes)
+    if any(s < 2 for s in sizes):
+        raise ValueError("edges need at least 2 vertices")
+    total = prod(comb(n, s) for s in sizes)
+    if total == 0:
+        return (0, 0, 0, 0)
+
+    states = {(range(n), False): 1}  # each vertex v its own block, labeled v
+    steps = 0
+    for s in sizes:
+        steps += len(states) * comb(n, s) * n
+        if steps > budget:
+            raise BudgetExceededError(steps, budget)
+        choices = tuple(combinations(range(n), s))
+        after: dict[tuple[tuple[int, ...], bool], int] = {}
+        for (labels, cycle), ways in states.items():
+            for edge in choices:
+                roots = {labels[v] for v in edge}
+                low = min(roots)
+                merged = tuple(low if label in roots else label for label in labels)
+                key = (merged, cycle or len(roots) < s)
+                after[key] = after.get(key, 0) + ways
+        states = after
+
+    connected = 0
+    hypertree = 0
+    for (labels, cycle), ways in states.items():
+        if not any(labels):  # one block: every vertex carries label 0
+            connected += ways
+            if not cycle:
+                hypertree += ways
+    return (total, connected, hypertree, steps)
+
+
+def _merge(blocks: list[set[int]], edge: tuple[int, ...]) -> tuple[list[set[int]], bool]:
+    """The blocks after edge merges the ones it touches, and whether it closed
+    a cycle by touching fewer blocks than it has vertices."""
+    touched = [b for b in blocks if b & set(edge)]
+    after = [b for b in blocks if b not in touched] + [set().union(*touched)]
+    return after, len(touched) < len(edge)
+
+
+def block_type(blocks: Iterable[set[int]]) -> tuple[int, ...]:
+    """The block sizes of a partition, largest first."""
+    return tuple(sorted((len(b) for b in blocks), reverse=True))
+
+
 def kernel_steps_by_enumeration(n: int, sizes: tuple[int, ...]) -> list[int]:
     """The counting kernel's running step count after each slot, from the
-    states counted literally: before slot j, the distinct (vertex partition,
-    cycle seen) pairs that the assignments of the slots before j reach.
-    Slot j then costs that many states times C(n, s_j) edges times n labels."""
+    states and moves counted literally.  Before slot j, the states are the
+    distinct (block-size type, cycle seen) pairs that the assignments of the
+    slots before j reach; a state's moves are the distinct (type after,
+    closes a cycle) pairs over all C(n, s_j) edges laid on one partition
+    of its type that an assignment reached.  Slot j costs the states' moves."""
     out = []
     steps = 0
     for j, s in enumerate(sizes):
-        states = set()
+        reached: dict[tuple[tuple[int, ...], bool], list[set[int]]] = {}
         for assignment in product(*(combinations(range(n), r) for r in sizes[:j])):
             blocks = [{v} for v in range(n)]
             cycle = False
             for edge in assignment:
-                touched = [b for b in blocks if b & set(edge)]
-                cycle = cycle or len(touched) < len(edge)
-                blocks = [b for b in blocks if b not in touched] + [set().union(*touched)]
-            states.add((frozenset(map(frozenset, blocks)), cycle))
-        steps += len(states) * comb(n, s) * n
+                blocks, closes = _merge(blocks, edge)
+                cycle = cycle or closes
+            reached.setdefault((block_type(blocks), cycle), blocks)
+        for blocks in reached.values():
+            moves = {(block_type(after), closes)
+                     for after, closes in (_merge(blocks, e) for e in combinations(range(n), s))}
+            steps += len(moves)
         out.append(steps)
     return out
 

@@ -37,6 +37,7 @@ from hypertrees.hypergraphs import (
     is_connected,
     is_hypertree,
     iter_profiles,
+    profiles,
 )
 from hypertrees.series import TruncationContext, first_difference
 from oracles import egf_profile_coefficient, enumerate_hypergraphs, magnitude_law_violations
@@ -90,15 +91,13 @@ def test_c1_table_reproduction(acceptance, big_C):
 
 def test_c2_quadruple_agreement(acceptance):
     start = time.monotonic()
-    ctx = TruncationContext(t_max=7, magnitude_max=6)
+    ctx = TruncationContext(t_max=12, magnitude_max=11)
     T_log = compute_T(compute_C(ctx))
     T_fixed = T_from_R(solve_R_fixed_point(ctx))
     checked = 0
     ok = True
-    for n in range(1, 8):
-        for profile in iter_profiles(n - 1, max_size=n):
-            if profile.magnitude != n - 1:
-                continue
+    for n in range(1, 13):
+        for profile in profiles(n - 1, max_size=n):
             via_log = egf_profile_coefficient(T_log, n, profile)
             via_fixed_point = egf_profile_coefficient(T_fixed, n, profile)
             rooted, unrooted = count_by_profile(n, profile)
@@ -110,11 +109,11 @@ def test_c2_quadruple_agreement(acceptance):
             ok = ok and rooted == n * unrooted
             checked += 1
     elapsed = time.monotonic() - start
-    ok = ok and checked == 30 and elapsed < 60.0
+    ok = ok and checked == 195 and elapsed < 60.0
     acceptance.check(
         "C2",
         ok,
-        f"4 routes on {checked} profiles, n <= 7, {elapsed:.2f}s < 60s",
+        f"4 routes on {checked} profiles, n <= 12, {elapsed:.2f}s < 60s",
     )
 
 
@@ -286,4 +285,26 @@ def test_c9_negative_control(acceptance):
         "C9",
         ok,
         f"fault injection drives verify to exit {result.exit_code}, {elapsed:.2f}s",
+    )
+
+
+def test_c10_connected_counts_off_the_surface(acceptance):
+    start = time.monotonic()
+    ctx = TruncationContext(t_max=10, magnitude_max=9)
+    C = compute_C(ctx)
+    ok = True
+    cells = off_surface = 0
+    for n in range(1, 11):
+        for row in count_sweep(n, 9):
+            ok = ok and egf_profile_coefficient(C, n, row.profile) == row.connected
+            cells += 1
+            off_surface += row.profile.magnitude != n - 1
+    elapsed = time.monotonic() - start
+    ok = ok and cells == 625 and elapsed < 60.0
+    acceptance.check(
+        "C10",
+        ok,
+        f"n! a! [t^n u^a] C equals the kernel's connected count on {cells} cells,"
+        f" {off_surface} off the hypertree surface, n <= 10, magnitude <= 9,"
+        f" {elapsed:.2f}s < 60s",
     )

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -202,23 +203,24 @@ def test_oracle_sweep(runner):
 
 
 def test_oracle_budget_exit(runner):
+    # n = 6, u2^8 takes 136 kernel steps
     result = runner.invoke(
-        main, ["oracle", "--n", "6", "--profile", "u2=8", "--budget", "1000"]
+        main, ["oracle", "--n", "6", "--profile", "u2=8", "--budget", "100"]
     )
     assert result.exit_code == 3
     assert "budget" in result.output.lower() or "budget" in (result.stderr or "").lower()
 
 
 def test_oracle_budget_meters_the_whole_sweep(runner):
-    # every profile fits in 20,000 kernel steps (the largest takes 9,900),
-    # the 27 of them together take 55,155
+    # every profile fits in 100 kernel steps (the largest takes 54),
+    # the 27 of them together take 331
     args = ["oracle", "--n", "5", "--max-magnitude", "6", "--budget"]
-    result = runner.invoke(main, args + ["20000"])
+    result = runner.invoke(main, args + ["100"])
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert "over the budget of 20000" in result.stderr
-    assert runner.invoke(main, args + ["55154"]).exit_code == 3
-    result = runner.invoke(main, args + ["55155"])
+    assert "over the budget of 100" in result.stderr
+    assert runner.invoke(main, args + ["330"]).exit_code == 3
+    result = runner.invoke(main, args + ["331"])
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == 27
 
@@ -233,16 +235,36 @@ def test_oracle_negative_budget_is_a_usage_error(runner):
 
 
 def test_oracle_budget_prices_the_kernel_not_the_hypergraphs(runner):
-    # 170,859,375 slot assignments, but a few thousand kernel steps
+    # 170,859,375 slot assignments, but 110 kernel steps
     result = runner.invoke(main, ["oracle", "--n", "6", "--profile", "u2=7"])
     assert result.exit_code == 0, result.output
     assert result.stdout == "n=6 profile=u2^7 all=170859375 connected=105840000 hypertree=0\n"
-    # no cap on n: the budget prices it, and refuses a first slot of C(1000, 3) edges
+    # no cap on n: one 3-edge on 1000 singletons is one move, worth C(1000, 3) edges
     assert runner.invoke(main, ["oracle", "--n", "7", "--profile", "u2=1"]).exit_code == 0
     result = runner.invoke(main, ["oracle", "--n", "1000", "--profile", "u3=1"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "n=1000 profile=u3 all=166167000 connected=0 hypertree=0\n"
+    # the n = 18 sweep to magnitude 17 takes 2,154,650 steps: refused at the default budget
+    result = runner.invoke(main, ["oracle", "--n", "18", "--max-magnitude", "17"])
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert "kernel steps, over the budget of 10000000" in result.stderr
+    assert "kernel steps, over the budget of 1000000" in result.stderr
+
+
+def test_oracle_prices_small_n(runner):
+    # 5,776 profiles of up to 150 slots on three vertices: every step is priced
+    # near its cost, so the run ends, answered or refused, in about a second
+    start = time.monotonic()
+    result = runner.invoke(main, ["oracle", "--n", "3", "--max-magnitude", "150"])
+    elapsed = time.monotonic() - start
+    assert result.exit_code in (0, 3), result.output
+    assert elapsed < 4.0
+
+
+def test_oracle_reaches_n12_at_the_default_budget(runner):
+    result = runner.invoke(main, ["oracle", "--n", "12", "--max-magnitude", "11"])
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout.splitlines()) == 195
 
 
 def test_oracle_usage_errors(runner):

@@ -208,15 +208,15 @@ def test_pipeline_matches_oracle_polynomials(C, T):
         C_n, T_n = oracle_polynomials(n, octx)
         assert into_context(t_coefficient(C, n) * factorial(n), octx) == C_n
         assert into_context(t_coefficient(T, n) * factorial(n), octx) == T_n
-    # and every n <= 7 at magnitude <= 6, where the kernel meets profiles such as
-    # (7, u2^6) with 85,766,121 slot assignments
-    wide = TruncationContext(t_max=7, magnitude_max=6)
-    C7 = compute_C(wide)
-    T7 = compute_T(C7)
-    for n in range(1, 8):
+    # and every n <= 12 at magnitude <= 11, where the kernel meets profiles such as
+    # (12, u2^11) with 103,510,234,140,112,521,216 slot assignments
+    wide = TruncationContext(t_max=12, magnitude_max=11)
+    C12 = compute_C(wide)
+    T12 = compute_T(C12)
+    for n in range(1, 13):
         C_n, T_n = oracle_polynomials(n, wide)
-        assert t_coefficient(C7, n) * factorial(n) == C_n
-        assert t_coefficient(T7, n) * factorial(n) == T_n
+        assert t_coefficient(C12, n) * factorial(n) == C_n
+        assert t_coefficient(T12, n) * factorial(n) == T_n
 
 
 # -- identity suite ---------------------------------------------------------------

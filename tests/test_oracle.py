@@ -1,13 +1,12 @@
 """Brute-force layer: enumeration, literal classification, counting kernel.
 
-The counting kernel (a transfer over component partitions) is never
-trusted alone: it is held against its literal twin, a union-find pass
-over every assignment, and against the BFS/DFS classifiers over full
-enumerations.
+The counting kernel (a transfer over the block sizes of component
+partitions) is never trusted alone: it is held against the transfer over
+labeled set partitions that it lumps, against a union-find pass over every
+assignment, and against the BFS/DFS classifiers over full enumerations.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from hypertrees.hypergraphs import (
     Hypergraph,
     assignment_count,
     count_profile,
-    _count_by_partitions,
+    _count_by_types,
     count_sweep,
     is_connected,
     is_hypertree,
@@ -32,6 +31,7 @@ from hypertrees.hypergraphs import (
 from hypertrees.series import TruncationContext
 from oracles import (
     ENUMERATION_N_MAX,
+    count_by_partitions,
     count_profile_by_enumeration,
     enumerate_hypergraphs,
     kernel_steps_by_enumeration,
@@ -179,9 +179,10 @@ def test_budget_is_enforced_up_front():
     profile = EdgeProfile.parse("u2=7", 5)
     with pytest.raises(ValueError, match="needs 10000000 hypergraphs, over the budget of 1000000"):
         list(enumerate_hypergraphs(5, profile, budget=10**6))
-    # the kernel's budget counts its steps, n per (state, edge) pair of a slot
+    # the kernel's budget counts its steps, one per (state, move) pair of a slot
     profile = EdgeProfile.parse("u2=5", 5)
     steps = kernel_steps_by_enumeration(5, profile.sizes())[-1]
+    assert steps == 40
     with pytest.raises(BudgetExceededError, match="kernel steps") as exc:
         count_profile(5, profile, budget=steps - 1)
     assert exc.value.required == steps
@@ -197,39 +198,46 @@ METERED = [(4, (2, 2, 2, 2)), (5, (2, 2, 3, 3)), (5, (2, 3, 4)), (3, (3, 2, 2)),
 @pytest.mark.parametrize("n,sizes", METERED, ids=[f"n{n}-{s}" for n, s in METERED])
 def test_kernel_refuses_a_slot_before_building_it(monkeypatch, n, sizes):
     running = kernel_steps_by_enumeration(n, sizes)
-    built = []
+    priced = []  # the move count of every state the meter priced, in order
+    moves = hypergraphs._moves
 
-    def recorded(pool, r):
-        built.append(r)
-        return combinations(pool, r)
+    def recorded(blocks, s):
+        out = moves(blocks, s)
+        priced.append(len(out))
+        return out
 
-    monkeypatch.setattr(hypergraphs, "combinations", recorded)
+    monkeypatch.setattr(hypergraphs, "_moves", recorded)
     for budget in sorted({0, 1} | {s + d for s in running for d in (-1, 0, 1)}):
-        built.clear()
+        priced.clear()
         within = [s for s in running if s <= budget]
         if len(within) == len(sizes):
             expected = (*count_profile_by_enumeration(n, sizes), running[-1])
-            assert _count_by_partitions(n, sizes, budget) == expected
+            assert _count_by_types(n, sizes, budget) == expected
+            assert sum(priced) == running[-1]
         else:
             with pytest.raises(BudgetExceededError) as exc:
-                _count_by_partitions(n, sizes, budget)
-            assert exc.value.required == running[len(within)] > budget
-        # every slot that ran kept the count within budget, and no refused one built a list
-        assert built == list(sizes[: len(within)])
+                _count_by_types(n, sizes, budget)
+            # refused at the first state that took the count past budget, in the
+            # first slot that does not fit, before that slot moved any state
+            assert budget < exc.value.required <= running[len(within)]
+            assert sum(priced) == exc.value.required
+            assert sum(priced) - priced[-1] <= budget
 
 
 def test_sweep_meters_one_budget_for_the_whole_run():
-    # each profile alone fits in 20,000 steps, the n = 5 sweep to magnitude 6 does not
+    # each profile alone fits in 100 steps, the n = 5 sweep to magnitude 6 does not;
+    # 331 and 54 are the sum and the largest of kernel_steps_by_enumeration's
+    # counts over the 27 profiles
     rows = count_sweep(5, 6)
     steps = [row.steps for row in rows]
-    assert (sum(steps), max(steps)) == (55_155, 9_900)
+    assert (sum(steps), max(steps)) == (331, 54)
     assert count_sweep(5, 6, budget=sum(steps)) == rows
     with pytest.raises(BudgetExceededError) as exc:
         count_sweep(5, 6, budget=sum(steps) - 1)
     assert (exc.value.required, exc.value.budget) == (sum(steps), sum(steps) - 1)
     with pytest.raises(BudgetExceededError) as exc:
-        count_sweep(5, 6, budget=20_000)
-    assert exc.value.required > 20_000 > max(steps)
+        count_sweep(5, 6, budget=100)
+    assert exc.value.required > 100 > max(steps)
 
 
 # -- counting kernel ------------------------------------------------------------
@@ -302,7 +310,32 @@ def test_kernel_equals_enumeration_twin(n, profile):
     sizes = profile.sizes()
     steps = kernel_steps_by_enumeration(n, sizes)
     expected = (*count_profile_by_enumeration(n, sizes), steps[-1] if steps else 0)
-    assert _count_by_partitions(n, sizes) == expected
+    assert _count_by_types(n, sizes) == expected
+    # the set-partition twin also answers every one of these with the union-find counts
+    assert count_by_partitions(n, sizes)[:3] == expected[:3]
+
+
+# (n, magnitude, twin budget): at its default budget of 10,000,000 the set-partition
+# twin reaches every profile of n <= 7 to magnitude 7, about a second at n = 7; for
+# n = 8..10 a cut budget keeps its cheaper profiles and refuses the rest up front
+PARTITION_TWIN_GRID = [(n, 7, 10_000_000) for n in range(1, 8)] + [
+    (n, n - 1, 50_000) for n in range(8, 11)
+]
+
+
+def test_kernel_equals_set_partition_twin():
+    reached = refused = 0
+    for n, mag, budget in PARTITION_TWIN_GRID:
+        for profile in iter_profiles(mag, max_size=n):
+            sizes = profile.sizes()
+            try:
+                twin = count_by_partitions(n, sizes, budget)
+            except BudgetExceededError:
+                refused += 1
+                continue
+            assert _count_by_types(n, sizes)[:3] == twin[:3], (n, profile)
+            reached += 1
+    assert (reached, refused) == (184 + 50, 159)
 
 
 @settings(max_examples=25, deadline=None)
@@ -313,14 +346,15 @@ def test_kernel_ignores_slot_order(data):
     shuffled = tuple(data.draw(st.permutations(sizes)))
     expected = count_profile_by_enumeration(n, sizes)
     # the step count depends on the order of the slots, the counts do not
-    assert _count_by_partitions(n, shuffled)[:3] == expected
+    assert _count_by_types(n, shuffled)[:3] == expected
 
 
 def test_kernel_input_validation():
-    with pytest.raises(ValueError):
-        _count_by_partitions(0, (2,))
-    with pytest.raises(ValueError):
-        _count_by_partitions(3, (1,))
+    for kernel in (_count_by_types, count_by_partitions):
+        with pytest.raises(ValueError):
+            kernel(0, (2,))
+        with pytest.raises(ValueError):
+            kernel(3, (1,))
 
 
 # -- the magnitude law ----------------------------------------------------------

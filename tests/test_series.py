@@ -11,6 +11,7 @@ against exponent tuples sliced term by term.
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
@@ -152,6 +153,19 @@ def test_basic_ring_identities():
     assert power(T + U2, 2) == power(T, 2) + 2 * T * U2 + power(U2, 2)
     assert T - T == Series.zero(CTX)
     assert (T * 3) / 3 == T
+
+
+def test_scalars_are_exact_on_both_sides():
+    # int and Fraction only, as for *: a float or a string never enters exact arithmetic
+    assert T / Fraction(2, 3) == T * Fraction(3, 2)
+    assert T / -4 == T * Fraction(-1, 4)
+    for bad in (0.1, 2.0, "1/2", Decimal("0.5")):
+        with pytest.raises(TypeError):
+            T / bad
+        with pytest.raises(TypeError):
+            T * bad
+    with pytest.raises(ZeroDivisionError):
+        T / Fraction(0)
 
 
 def test_multiplication_truncates():

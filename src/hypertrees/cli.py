@@ -32,6 +32,7 @@ from .funceq import (
 from .gf import (
     IdentityCheck,
     compute_C,
+    compute_T,
     count_by_profile,
     rooted_count_by_edges,
     render_table_line,
@@ -263,9 +264,11 @@ def _verify_sections(
     if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
         C_all = C_all + Series.term(ctx_all, ctx_all.monomial(t=2, u={2: 1}), 1)
     C = into_context(C_all, ctx)
+    T = compute_T(C)
+    R = Series.variable(ctx, "t") * T.derivative("t")
     fixed = solve_R_fixed_point(ctx)
-    identities = _identity_section(verify_identities(C, fixed, max_edge_size))
-    dictionary = _identity_section(hypertree_dictionary_report(C, fixed))
+    identities = _identity_section(verify_identities(C, T, R, fixed, max_edge_size))
+    dictionary = _identity_section(hypertree_dictionary_report(T, R, fixed))
 
     vanishing_rows, trial_L = [], []
     for i in range(trials):
@@ -374,7 +377,7 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
     with open(phi_file, "r", encoding="utf-8") as fh:
         try:
             phi = PhiCoefficients.from_json(json.load(fh))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep nesting
             raise click.UsageError(f"bad Phi file: {exc}") from exc
     c00, reduced = phi.without_constant()
     L, violations, psi_series, mismatches = check_phi(reduced, t_max, z_max, order)

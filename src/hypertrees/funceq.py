@@ -21,7 +21,8 @@ The same reversion specializes to the hypergraph series: under the edge
 weights phi(w) = sum_j u_{j+1} w^j/(j+1)! it is the rooted fixed point
 w(y) = R of :func:`hypertrees.gf.solve_R_fixed_point`, and w - w^2 phi'(w)
 is the unrooted series T.  The hypertree dictionary reads that one
-reversion; it does not revert again.
+reversion, and the T and R that the identity suite reads off C; it
+neither reverts again nor rebuilds them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import factorial
 from typing import Mapping
 
 from .combinat import stirling2
-from .gf import IdentityCheck, T_from_R, compute_T, identity_check, phi_maps
+from .gf import IdentityCheck, T_from_R, identity_check, phi_maps
 from .series import Monomial, Series, TruncationContext, revert
 
 
@@ -259,33 +260,20 @@ def check_phi(
     return L, verify_psi_form(L), psi, diagonal_mismatches(psi, L)
 
 
-def hypertree_dictionary_report(C: Series, fixed: Series) -> tuple[IdentityCheck, ...]:
-    """The reversion route against the connected-hypergraph series C = log S.
+def hypertree_dictionary_report(T: Series, R: Series, fixed: Series) -> tuple[IdentityCheck, ...]:
+    """The reversion route against the hypertree layer of C = log S.
 
-    fixed is :func:`hypertrees.gf.solve_R_fixed_point` at C's context: the
-    reversion w(y) under phi = sum u_{j+1} w^j/(j+1)!.  It must equal the
-    rooted series R = t dT/dt, and w - w^2 phi'(w), which is
-    :func:`hypertrees.gf.T_from_R` of it, the unrooted series T, both read
-    off C's hypertree layer.
+    T is :func:`hypertrees.gf.compute_T` of the connected-hypergraph series
+    C and R = t dT/dt, as :func:`hypertrees.gf.verify_identities` reads
+    them.  fixed is :func:`hypertrees.gf.solve_R_fixed_point` at their
+    context: the reversion w(y) under phi = sum u_{j+1} w^j/(j+1)!.  It
+    must equal R, and w - w^2 phi'(w), which is
+    :func:`hypertrees.gf.T_from_R` of it, must equal T.
     """
-    ctx = C.context
-    T = compute_T(C)
-    R = Series.variable(ctx, "t") * T.derivative("t")
+    bounds = (T.context.t_max, T.context.magnitude_max)
     return (
-        identity_check(
-            "dictionary-rooted",
-            "w(y) = R under phi = sum u_{j+1} w^j/(j+1)!",
-            fixed,
-            R,
-            ctx.t_max,
-            ctx.magnitude_max,
-        ),
-        identity_check(
-            "dictionary-unrooted",
-            "w - w^2 phi'(w) = T under the same weights",
-            T_from_R(fixed),
-            T,
-            ctx.t_max,
-            ctx.magnitude_max,
-        ),
+        identity_check("dictionary-rooted", "w(y) = R under phi = sum u_{j+1} w^j/(j+1)!",
+                       fixed, R, *bounds),
+        identity_check("dictionary-unrooted", "w - w^2 phi'(w) = T under the same weights",
+                       T_from_R(fixed), T, *bounds),
     )

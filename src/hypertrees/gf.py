@@ -67,7 +67,7 @@ def compute_T(C: Series) -> Series:
     ctx = C.context
     if ctx.magnitude_max < ctx.t_max - 1:
         raise ValueError("need magnitude_max >= t_max - 1 for a complete hypertree layer")
-    return Series(ctx, [(m, c) for m, c in C.terms() if m.magnitude == m.t_deg - 1])
+    return C.where(lambda t, z, magnitude: magnitude == t - 1)
 
 
 def edge_symbol_phi(ctx: TruncationContext) -> Series:
@@ -167,12 +167,7 @@ def specialize_all_ones(T: Series, R: Series) -> tuple[Series, Series]:
     ctx = T.context
     if ctx.magnitude_max < ctx.t_max - 1:
         raise ValueError("need magnitude_max >= t_max - 1 to specialize u = 1")
-    tctx = TruncationContext(t_max=ctx.t_max, z_max=0, magnitude_max=0)
-
-    def collapse(f: Series) -> Series:
-        return Series(tctx, [(tctx.monomial(t=m.t_deg), c) for m, c in f.terms()])
-
-    return collapse(T), collapse(R)
+    return T.t_marginal(), R.t_marginal()
 
 
 # -- identity verification ----------------------------------------------------
@@ -193,30 +188,25 @@ class IdentityCheck:
         return self.t_bound >= 0 and self.magnitude_bound >= 0
 
 
-def identity_check(
-    key: str,
-    formula: str,
-    lhs: Series,
-    rhs: Series,
-    t_bound: int,
-    magnitude_bound: int,
-) -> IdentityCheck:
+def identity_check(key: str, formula: str, lhs: Series, rhs: Series, t_bound: int,
+                   magnitude_bound: int) -> IdentityCheck:
     a = lhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
     b = rhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
     diff = first_difference(a, b)
-    detail = None
-    if diff is not None:
-        m, ca, cb = diff
-        detail = f"{m}: {ca} vs {cb}"
+    detail = None if diff is None else "{}: {} vs {}".format(*diff)
     return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
 
 
-def verify_identities(C: Series, fixed: Series, largest_edge: int) -> tuple[IdentityCheck, ...]:
+def verify_identities(
+    C: Series, T: Series, R: Series, fixed: Series, largest_edge: int
+) -> tuple[IdentityCheck, ...]:
     """Exact structural identities tying C, its hypertree layer T and the
     rooted series R = t dT/dt together.
 
-    fixed is :func:`solve_R_fixed_point` at C's context.  The edge checks run
-    for u2 .. u_min(5, largest_edge); a u_j the context does not carry has
+    T is :func:`compute_T` of C and R is t dT/dt, which the caller builds
+    once for this suite and the hypertree dictionary; fixed is
+    :func:`solve_R_fixed_point` at C's context.  The edge checks run for
+    u2 .. u_min(5, largest_edge); a u_j the context does not carry has
     zero derivatives, so its checks compare zero with the truncated
     right-hand side.
 
@@ -229,8 +219,6 @@ def verify_identities(C: Series, fixed: Series, largest_edge: int) -> tuple[Iden
     N, Q = ctx.t_max, ctx.magnitude_max
     j_top = min(_EDGE_CHECK_TOP, largest_edge)
     t = Series.variable(ctx, "t")
-    T = compute_T(C)
-    R = t * T.derivative("t")
     checks: list[IdentityCheck] = []
 
     def d_du(f: Series, j: int) -> Series:

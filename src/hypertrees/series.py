@@ -37,8 +37,12 @@ lowest terms (the integer polynomial over one denominator of FLINT's
 fmpq_poly: Hart, "FLINT: Fast Library for Number Theory", ICMS 2010).
 Products, exp, log, substitution and reversion share one term-pair
 loop on these keys that sums int numerators and stops at the first term
-past the magnitude bound.  A :class:`Monomial` and a
-:class:`fractions.Fraction` are built only at the public edge.
+past the magnitude bound.  Selection by (t, z, magnitude), the t-marginal
+and the move into another context read and re-pack key fields as well,
+so a :class:`Monomial` and a :class:`fractions.Fraction` are built only
+at the public edge: the constructor, :meth:`Series.terms`,
+:meth:`Series.coefficient`, ``constant_term``, :func:`first_difference`
+and the repr.
 
 exp and log run on the total grade t + z + magnitude, which only the
 unit monomial has at 0: they solve for the grade-d piece of the result
@@ -63,7 +67,7 @@ from functools import cached_property
 from itertools import count
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -408,17 +412,27 @@ class Series:
 
     # -- truncation ---------------------------------------------------------
 
-    def restrict(
-        self,
-        t_max: int | None = None,
-        magnitude_max: int | None = None,
-    ) -> "Series":
+    def where(self, pred: Callable[[int, int, int], bool]) -> "Series":
+        """The terms whose (t, z, magnitude) satisfy pred, read off the fields
+        of each key; no key is decoded."""
+        width, mask, top = self.context._fields
+        kept = {key: v for key, v in self._terms.items()
+                if pred(key & mask, key >> width & mask, key >> top)}
+        return _reduced(self.context, self._den, kept)
+
+    def restrict(self, t_max: int | None = None, magnitude_max: int | None = None) -> "Series":
         """Drop terms beyond tighter t or magnitude bounds, keeping the same context."""
         tb = self.context.t_max if t_max is None else t_max
         mb = self.context.magnitude_max if magnitude_max is None else magnitude_max
-        _, mask, top = self.context._fields
-        kept = {key: v for key, v in self._terms.items() if key & mask <= tb and key >> top <= mb}
-        return _reduced(self.context, self._den, kept)
+        return self.where(lambda t, z, magnitude: t <= tb and magnitude <= mb)
+
+    def t_marginal(self) -> "Series":
+        """Every variable but t set to 1, in the context (t_max, 0, 0), where
+        t^k has the key k: the numerators summed by their t field."""
+        mask, sums = self.context._fields[1], {}
+        for key, v in self._terms.items():
+            sums[key & mask] = sums.get(key & mask, 0) + v
+        return _reduced(TruncationContext(self.context.t_max, 0, 0), self._den, sums)
 
     # -- transcendental operations ------------------------------------------
 
@@ -590,12 +604,16 @@ def into_context(f: Series, ctx: TruncationContext) -> Series:
     """f truncated into ctx, whose edge variables may be fewer or more than
     f's context has.  A term that uses a u_j past ctx's lies beyond its
     magnitude bound, so it is dropped, not shortened; the u_j that only ctx
-    has get exponent 0."""
-    width = len(ctx.names)
-    pad = (0,) * (width - len(f.context.names))
-    decode = f.context._monomial
-    ms = ((decode(key), Fraction(v, f._den)) for key, v in f._terms.items())
-    return Series(ctx, [(Monomial(m[:width] + pad), c) for m, c in ms if not any(m[width:])])
+    has get exponent 0.  Under the same key layout the kept keys carry over
+    as they are; otherwise each is re-packed field by field."""
+    kept = f.where(lambda t, z, m: t <= ctx.t_max and z <= ctx.z_max and m <= ctx.magnitude_max)
+    if f.context._fields == ctx._fields:
+        return _reduced(ctx, kept._den, kept._terms)
+    (width, mask, top), (to_width, _, to_top) = f.context._fields, ctx._fields
+    shifts = [(width * i, to_width * i) for i in range(min(top // width, to_top // to_width))]
+    rekeyed = {sum((key >> a & mask) << b for a, b in shifts) + (key >> top << to_top): v
+               for key, v in kept._terms.items()}
+    return _reduced(ctx, kept._den, rekeyed)
 
 
 # -- reversion, one t-slice at a time: each slice keeps its t-exponent

@@ -11,7 +11,9 @@ graded exp and log recurrences, the inverse built from them and the
 one-call substitution, hand-built coefficient lists in place of the maps
 derived from the edge weights phi, a Fraction per term pair in place of
 the integer product kernel, sliced exponent tuples in place of the key
-arithmetic of derivative, restrict and divided_by_t, Fraction arithmetic
+arithmetic of derivative, restrict and divided_by_t, a Monomial decoded
+per term in place of the field reads of where, compute_T, the
+t-marginal and into_context, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list
 rebuilt per call in place of the cached table pieces), so it lives with
 the tests that use it as a reference.  The twins read a series only
@@ -73,6 +75,41 @@ def divided_by_t_by_slicing(f: Series) -> Series:
     if any(m[0] == 0 for m, _ in f.terms()):
         raise ValueError("series is not divisible by t")
     return Series(f.context, [(Monomial((m[0] - 1,) + m[1:]), c) for m, c in f.terms()])
+
+
+def where_by_terms(f: Series, pred) -> Series:
+    """The terms whose (t, z, magnitude) satisfy pred, read off each monomial."""
+    return Series(f.context, [(m, c) for m, c in f.terms() if pred(m[0], m[1], m.magnitude)])
+
+
+def compute_T_by_terms(C: Series) -> Series:
+    """Hypertree layer: the terms of C with magnitude == t_deg - 1."""
+    ctx = C.context
+    if ctx.magnitude_max < ctx.t_max - 1:
+        raise ValueError("need magnitude_max >= t_max - 1 for a complete hypertree layer")
+    return Series(ctx, [(m, c) for m, c in C.terms() if m.magnitude == m.t_deg - 1])
+
+
+def t_marginal_by_terms(f: Series) -> Series:
+    """f with every variable but t set to 1, one monomial built per term."""
+    tctx = TruncationContext(t_max=f.context.t_max, z_max=0, magnitude_max=0)
+    return Series(tctx, [(tctx.monomial(t=m.t_deg), c) for m, c in f.terms()])
+
+
+def specialize_all_ones_by_terms(T: Series, R: Series) -> tuple[Series, Series]:
+    """(T, R) with every u_i set to 1, as plain series in t."""
+    ctx = T.context
+    if ctx.magnitude_max < ctx.t_max - 1:
+        raise ValueError("need magnitude_max >= t_max - 1 to specialize u = 1")
+    return t_marginal_by_terms(T), t_marginal_by_terms(R)
+
+
+def into_context_by_monomials(f: Series, ctx: TruncationContext) -> Series:
+    """f truncated into ctx, each monomial cut or padded to ctx's edge
+    variables; a term that uses a u_j past ctx's is dropped."""
+    width = len(ctx.names)
+    pad = (0,) * (width - len(f.context.names))
+    return Series(ctx, [(Monomial(m[:width] + pad), c) for m, c in f.terms() if not any(m[width:])])
 
 
 def grade_bound(ctx: TruncationContext) -> int:

@@ -39,7 +39,7 @@ from hypertrees.hypergraphs import (
     iter_profiles,
     profiles,
 )
-from hypertrees.series import TruncationContext, first_difference
+from hypertrees.series import Series, TruncationContext, first_difference
 from oracles import egf_profile_coefficient, enumerate_hypergraphs, magnitude_law_violations
 
 SEEDS = tuple(range(42, 62))
@@ -60,6 +60,17 @@ BIG_CTX = TruncationContext(t_max=6, magnitude_max=6)
 @pytest.fixture(scope="module")
 def big_C():
     return compute_C(BIG_CTX)
+
+
+@pytest.fixture(scope="module")
+def big_T(big_C):
+    return compute_T(big_C)
+
+
+@pytest.fixture(scope="module")
+def big_R(big_T):
+    """R = t dT/dt, read off the hypertree layer."""
+    return Series.variable(BIG_CTX, "t") * big_T.derivative("t")
 
 
 def test_c1_table_reproduction(acceptance, big_C):
@@ -144,10 +155,10 @@ def test_c3_stirling_edge_counts(acceptance):
     )
 
 
-def test_c4_identity_suite(acceptance, big_C):
+def test_c4_identity_suite(acceptance, big_C, big_T, big_R):
     start = time.monotonic()
     fixed = solve_R_fixed_point(BIG_CTX)
-    checks = verify_identities(big_C, fixed, 8)
+    checks = verify_identities(big_C, big_T, big_R, fixed, 8)
     keys = {c.key for c in checks}
     required = {
         "connected-2edge",
@@ -209,7 +220,7 @@ def test_c6_substitution_equivalence(acceptance):
     )
 
 
-def test_c7_psi_diagonal_and_dictionary(acceptance, big_C):
+def test_c7_psi_diagonal_and_dictionary(acceptance, big_T, big_R):
     start = time.monotonic()
     ctx_tz = TruncationContext(t_max=6, z_max=6, magnitude_max=0)
     ctx_diag = TruncationContext(t_max=6, magnitude_max=0)
@@ -219,7 +230,7 @@ def test_c7_psi_diagonal_and_dictionary(acceptance, big_C):
         L = lhs_series(phi, ctx_tz)
         psi = psi_from_phi(phi.phi_series(ctx_diag))
         ok = ok and diagonal_mismatches(psi, L) == []
-    dictionary = hypertree_dictionary_report(big_C, solve_R_fixed_point(BIG_CTX))
+    dictionary = hypertree_dictionary_report(big_T, big_R, solve_R_fixed_point(BIG_CTX))
     ok = ok and all(c.ok and c.ran for c in dictionary)
     elapsed = time.monotonic() - start
     acceptance.check(

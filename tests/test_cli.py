@@ -376,13 +376,16 @@ def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
 
 
 def test_verify_computes_C_once(runner, monkeypatch):
-    # the pipeline and the substitution route narrow one C at the wider magnitude
-    from hypertrees import cli, gf
+    # the pipeline and the substitution route narrow one C at the wider magnitude,
+    # and the identity suite and the dictionary read one hypertree layer T of it
+    from hypertrees import cli, funceq, gf
 
     calls = _count_calls(monkeypatch, "compute_C", (gf, cli))
+    layers = _count_calls(monkeypatch, "compute_T", (gf, funceq, cli))
     result = runner.invoke(main, VERIFY_SMALL)
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
+    assert len(layers) == 1
 
 
 @pytest.mark.parametrize("trials, sub_trials", [(3, 2), (1, 2), (0, 2), (2, 0)])
@@ -459,8 +462,12 @@ def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
         assert ctx.names[2:] == tuple(f"u{i}" for i in range(2, ctx.magnitude_max + 2))
 
 
-def test_verify_without_z(runner):
-    args = ["verify", "--t-max", "3", "--z-max", "0", "--max-edge-size", "4"]
+@pytest.mark.parametrize("t_max, z_max", [(3, 0), (3, 8), (8, 3), (7, 8)])
+def test_verify_without_z(runner, t_max, z_max):
+    # at t != z the pipeline's, the substitution route's and the shared C's contexts
+    # differ in key width or edge alphabet, so into_context re-packs the keys
+    args = ["verify", "--t-max", str(t_max), "--z-max", str(z_max),
+            "--max-edge-size", str(t_max + 1)]
     result = runner.invoke(main, args + ["--trials", "2", "--sub-trials", "1"])
     assert result.exit_code == 0, result.output
     assert result.output.endswith("all checks passed\n")
@@ -630,6 +637,14 @@ def test_psi_bad_inputs(runner, tmp_path):
         runner.invoke(main, ["psi", good, "--t-max", "3", "--order", "5"]).exit_code
         == 2
     )
+    # JSON nested past the parser's recursion limit, alone and under "entries"
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (deep, '{"entries": ' + deep + "}"):
+        bad.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["psi", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("Error: bad Phi file: ")
     zero_den = _write_phi(tmp_path, [{"m": 1, "n": 0, "num": 1, "den": 0}])
     result = runner.invoke(main, ["psi", zero_den])
     assert result.exit_code == 2

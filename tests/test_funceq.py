@@ -325,9 +325,14 @@ def test_dictionary_reproduces_hypertree_series():
     ctx = TruncationContext(t_max=5, magnitude_max=5)
     C = compute_C(ctx)
     fixed = solve_R_fixed_point(ctx)
-    checks = hypertree_dictionary_report(C, fixed)
+
+    def report(C):
+        T = compute_T(C)
+        return hypertree_dictionary_report(T, Series.variable(ctx, "t") * T.derivative("t"), fixed)
+
+    checks = report(C)
     assert all(c.ok and c.ran for c in checks), [c for c in checks if not c.ok]
     assert [c.key for c in checks] == ["dictionary-rooted", "dictionary-unrooted"]
     # R and T are read off C, so one wrong term of its hypertree layer fails both
     planted = C + Series.term(ctx, ctx.monomial(t=3, u={2: 2}), 1)
-    assert [c.ok for c in hypertree_dictionary_report(planted, fixed)] == [False, False]
+    assert [c.ok for c in report(planted)] == [False, False]

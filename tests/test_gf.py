@@ -222,8 +222,8 @@ def test_pipeline_matches_oracle_polynomials(C, T):
 # -- identity suite ---------------------------------------------------------------
 
 
-def test_identity_suite_all_green(C):
-    checks = verify_identities(C, solve_R_fixed_point(CTX), 8)
+def test_identity_suite_all_green(C, T, R):
+    checks = verify_identities(C, T, R, solve_R_fixed_point(CTX), 8)
     assert all(c.ok and c.ran for c in checks), [c for c in checks if not c.ok]
     assert len(checks) == 18
     keys = {c.key for c in checks}

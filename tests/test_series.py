@@ -5,8 +5,10 @@ reversions are re-checked by composing back, exp by its defining sum,
 the two reversion algorithms are held against each other, the integer
 product kernel against a Fraction per term pair, and the graded exp, log
 and inverse and the one-call substitution against their full power-sum
-twins, and the key arithmetic of derivative, restrict and divided_by_t
-against exponent tuples sliced term by term.
+twins, the key arithmetic of derivative, restrict and divided_by_t
+against exponent tuples sliced term by term, and the field reads of
+where, compute_T, the t-marginal and into_context against a monomial
+decoded per term.
 """
 
 import re
@@ -30,11 +32,13 @@ from hypertrees.series import (
     revert,
 )
 from hypertrees import series
-from hypertrees.gf import solve_R_fixed_point
+from hypertrees.gf import compute_T, solve_R_fixed_point, specialize_all_ones
 from oracles import (
+    compute_T_by_terms,
     derivative_by_slicing,
     divided_by_t_by_slicing,
     exp_by_power_sum,
+    into_context_by_monomials,
     inverse_by_power_sum,
     lagrange_revert,
     log_by_power_sum,
@@ -42,8 +46,11 @@ from oracles import (
     power,
     restrict_by_slicing,
     revert_by_iteration,
+    specialize_all_ones_by_terms,
     substitute_by_power_sum,
     t_coefficient,
+    t_marginal_by_terms,
+    where_by_terms,
 )
 
 CTX = TruncationContext(t_max=6, magnitude_max=5)
@@ -627,6 +634,50 @@ def test_product_kernel_equals_term_pairs(case, rnd):
     rnd.shuffle(a)
     rnd.shuffle(b)
     assert Series(ctx, a) * Series(ctx, b) == f * g
+
+
+# -- field reads and re-keying against their monomial twins ------------------------
+
+_REKEY_CONTEXTS = _FIELD_TOP_CONTEXTS + [_WIDE]
+# each context with its t and z bounds halved: the same key layout with tighter
+# bounds where the magnitude sets the field width, a narrower one elsewhere
+_REKEY_TARGETS = _REKEY_CONTEXTS + [
+    TruncationContext(ctx.t_max // 2, ctx.z_max // 2, ctx.magnitude_max) for ctx in _REKEY_CONTEXTS
+]
+
+_PREDICATES = [
+    lambda t, z, m: m == t - 1,  # the hypertree layer
+    lambda t, z, m: t <= z,
+    lambda t, z, m: (t + z + m) % 2 == 0,
+]
+
+
+@pytest.mark.parametrize("ctx", _REKEY_CONTEXTS, ids=str)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_key_fields_equal_monomial_twins(ctx, data):
+    terms = st.lists(st.tuples(st.sampled_from(_KERNEL_POOLS[ctx]), kernel_coeffs), max_size=10)
+    f, g = Series(ctx, data.draw(terms)), Series(ctx, data.draw(terms))
+    # every ordered pair of contexts: widths, edge alphabets and bounds that differ
+    for target in _REKEY_TARGETS:
+        moved = into_context(f, target)
+        assert moved == into_context_by_monomials(f, target)
+        assert_canonical(moved)
+    pred = data.draw(st.sampled_from(_PREDICATES))
+    selected, marginal = f.where(pred), f.t_marginal()
+    assert selected == where_by_terms(f, pred)
+    assert marginal == t_marginal_by_terms(f)
+    assert_canonical(selected, marginal)
+    if ctx.magnitude_max >= ctx.t_max - 1:
+        assert compute_T(f) == compute_T_by_terms(f)
+        assert specialize_all_ones(f, g) == specialize_all_ones_by_terms(f, g)
+        return
+    for refused in (compute_T, compute_T_by_terms):
+        with pytest.raises(ValueError, match="need magnitude_max >= t_max - 1"):
+            refused(f)
+    for refused in (specialize_all_ones, specialize_all_ones_by_terms):
+        with pytest.raises(ValueError, match="need magnitude_max >= t_max - 1"):
+            refused(f, g)
 
 
 # -- slice-by-slice reversion against its full-pass twin ---------------------------

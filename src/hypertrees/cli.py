@@ -32,8 +32,8 @@ from .funceq import (
 from .gf import (
     IdentityCheck,
     compute_C,
-    compute_T,
     count_by_profile,
+    hypertree_series,
     rooted_count_by_edges,
     render_table_line,
     solve_R_fixed_point,
@@ -264,8 +264,7 @@ def _verify_sections(
     if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
         C_all = C_all + Series.term(ctx_all, ctx_all.monomial(t=2, u={2: 1}), 1)
     C = into_context(C_all, ctx)
-    T = compute_T(C)
-    R = Series.variable(ctx, "t") * T.derivative("t")
+    T, R = hypertree_series(C)
     fixed = solve_R_fixed_point(ctx)
     identities = _identity_section(verify_identities(C, T, R, fixed, max_edge_size))
     dictionary = _identity_section(hypertree_dictionary_report(T, R, fixed))

@@ -21,8 +21,7 @@ The same reversion specializes to the hypergraph series: under the edge
 weights phi(w) = sum_j u_{j+1} w^j/(j+1)! it is the rooted fixed point
 w(y) = R of :func:`hypertrees.gf.solve_R_fixed_point`, and w - w^2 phi'(w)
 is the unrooted series T.  The hypertree dictionary reads that one
-reversion, and the T and R that the identity suite reads off C; it
-neither reverts again nor rebuilds them.
+reversion and the identity suite's T and R, and rebuilds none of them.
 """
 
 from __future__ import annotations
@@ -261,19 +260,30 @@ def check_phi(
 
 
 def hypertree_dictionary_report(T: Series, R: Series, fixed: Series) -> tuple[IdentityCheck, ...]:
-    """The reversion route against the hypertree layer of C = log S.
+    """The reversion route against the hypertree series of C = log S.
 
-    T is :func:`hypertrees.gf.compute_T` of the connected-hypergraph series
-    C and R = t dT/dt, as :func:`hypertrees.gf.verify_identities` reads
-    them.  fixed is :func:`hypertrees.gf.solve_R_fixed_point` at their
-    context: the reversion w(y) under phi = sum u_{j+1} w^j/(j+1)!.  It
-    must equal R, and w - w^2 phi'(w), which is
-    :func:`hypertrees.gf.T_from_R` of it, must equal T.
+    (T, R) is :func:`hypertrees.gf.hypertree_series` of C.  fixed is
+    :func:`hypertrees.gf.solve_R_fixed_point` at their context: the
+    reversion w(y) under phi = sum u_{j+1} w^j/(j+1)!.  It must equal R,
+    and w - w^2 phi'(w), which is :func:`hypertrees.gf.T_from_R` of it,
+    must equal T.
     """
-    bounds = (T.context.t_max, T.context.magnitude_max)
+    ctx = T.context
     return (
-        identity_check("dictionary-rooted", "w(y) = R under phi = sum u_{j+1} w^j/(j+1)!",
-                       fixed, R, *bounds),
-        identity_check("dictionary-unrooted", "w - w^2 phi'(w) = T under the same weights",
-                       T_from_R(fixed), T, *bounds),
+        identity_check(
+            "dictionary-rooted",
+            "w(y) = R under phi = sum u_{j+1} w^j/(j+1)!",
+            fixed,
+            R,
+            ctx.t_max,
+            ctx.magnitude_max,
+        ),
+        identity_check(
+            "dictionary-unrooted",
+            "w - w^2 phi'(w) = T under the same weights",
+            T_from_R(fixed),
+            T,
+            ctx.t_max,
+            ctx.magnitude_max,
+        ),
     )

@@ -70,6 +70,12 @@ def compute_T(C: Series) -> Series:
     return C.where(lambda t, z, magnitude: magnitude == t - 1)
 
 
+def hypertree_series(C: Series) -> tuple[Series, Series]:
+    """(T, R): the hypertree layer T of C and the rooted series R = t dT/dt."""
+    T = compute_T(C)
+    return T, Series.variable(C.context, "t") * T.derivative("t")
+
+
 def edge_symbol_phi(ctx: TruncationContext) -> Series:
     """phi(w) = sum_j u_{j+1} w^j/(j+1)!, the edge weights in the t-slot."""
     terms = {}
@@ -188,12 +194,21 @@ class IdentityCheck:
         return self.t_bound >= 0 and self.magnitude_bound >= 0
 
 
-def identity_check(key: str, formula: str, lhs: Series, rhs: Series, t_bound: int,
-                   magnitude_bound: int) -> IdentityCheck:
+def identity_check(
+    key: str,
+    formula: str,
+    lhs: Series,
+    rhs: Series,
+    t_bound: int,
+    magnitude_bound: int,
+) -> IdentityCheck:
     a = lhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
     b = rhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
     diff = first_difference(a, b)
-    detail = None if diff is None else "{}: {} vs {}".format(*diff)
+    detail = None
+    if diff is not None:
+        m, ca, cb = diff
+        detail = f"{m}: {ca} vs {cb}"
     return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
 
 
@@ -203,8 +218,8 @@ def verify_identities(
     """Exact structural identities tying C, its hypertree layer T and the
     rooted series R = t dT/dt together.
 
-    T is :func:`compute_T` of C and R is t dT/dt, which the caller builds
-    once for this suite and the hypertree dictionary; fixed is
+    (T, R) is :func:`hypertree_series` of C, which the caller builds once
+    for this suite and the hypertree dictionary; fixed is
     :func:`solve_R_fixed_point` at C's context.  The edge checks run for
     u2 .. u_min(5, largest_edge); a u_j the context does not carry has
     zero derivatives, so its checks compare zero with the truncated

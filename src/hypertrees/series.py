@@ -420,7 +420,11 @@ class Series:
                 if pred(key & mask, key >> width & mask, key >> top)}
         return _reduced(self.context, self._den, kept)
 
-    def restrict(self, t_max: int | None = None, magnitude_max: int | None = None) -> "Series":
+    def restrict(
+        self,
+        t_max: int | None = None,
+        magnitude_max: int | None = None,
+    ) -> "Series":
         """Drop terms beyond tighter t or magnitude bounds, keeping the same context."""
         tb = self.context.t_max if t_max is None else t_max
         mb = self.context.magnitude_max if magnitude_max is None else magnitude_max
@@ -604,11 +608,9 @@ def into_context(f: Series, ctx: TruncationContext) -> Series:
     """f truncated into ctx, whose edge variables may be fewer or more than
     f's context has.  A term that uses a u_j past ctx's lies beyond its
     magnitude bound, so it is dropped, not shortened; the u_j that only ctx
-    has get exponent 0.  Under the same key layout the kept keys carry over
-    as they are; otherwise each is re-packed field by field."""
+    has get exponent 0.  Each kept key is re-packed field by field into
+    ctx's layout, which leaves it as it is when the layouts are equal."""
     kept = f.where(lambda t, z, m: t <= ctx.t_max and z <= ctx.z_max and m <= ctx.magnitude_max)
-    if f.context._fields == ctx._fields:
-        return _reduced(ctx, kept._den, kept._terms)
     (width, mask, top), (to_width, _, to_top) = f.context._fields, ctx._fields
     shifts = [(width * i, to_width * i) for i in range(min(top // width, to_top // to_width))]
     rekeyed = {sum((key >> a & mask) << b for a, b in shifts) + (key >> top << to_top): v

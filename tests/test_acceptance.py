@@ -26,6 +26,7 @@ from hypertrees.gf import (
     compute_C,
     compute_T,
     count_by_profile,
+    hypertree_series,
     solve_R_fixed_point,
     table_terms,
     verify_identities,
@@ -39,7 +40,7 @@ from hypertrees.hypergraphs import (
     iter_profiles,
     profiles,
 )
-from hypertrees.series import Series, TruncationContext, first_difference
+from hypertrees.series import TruncationContext, first_difference
 from oracles import egf_profile_coefficient, enumerate_hypergraphs, magnitude_law_violations
 
 SEEDS = tuple(range(42, 62))
@@ -63,14 +64,19 @@ def big_C():
 
 
 @pytest.fixture(scope="module")
-def big_T(big_C):
-    return compute_T(big_C)
+def big_T_and_R(big_C):
+    """The hypertree layer T and R = t dT/dt, read off it."""
+    return hypertree_series(big_C)
 
 
 @pytest.fixture(scope="module")
-def big_R(big_T):
-    """R = t dT/dt, read off the hypertree layer."""
-    return Series.variable(BIG_CTX, "t") * big_T.derivative("t")
+def big_T(big_T_and_R):
+    return big_T_and_R[0]
+
+
+@pytest.fixture(scope="module")
+def big_R(big_T_and_R):
+    return big_T_and_R[1]
 
 
 def test_c1_table_reproduction(acceptance, big_C):

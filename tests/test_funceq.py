@@ -23,7 +23,14 @@ from hypertrees.funceq import (
     substitution_images,
     verify_psi_form,
 )
-from hypertrees.gf import T_from_R, compute_C, compute_T, edge_symbol_phi, solve_R_fixed_point
+from hypertrees.gf import (
+    T_from_R,
+    compute_C,
+    compute_T,
+    edge_symbol_phi,
+    hypertree_series,
+    solve_R_fixed_point,
+)
 from hypertrees.series import Series, TruncationContext, first_difference, revert
 
 CTX = TruncationContext(t_max=5, z_max=5, magnitude_max=0)
@@ -327,8 +334,7 @@ def test_dictionary_reproduces_hypertree_series():
     fixed = solve_R_fixed_point(ctx)
 
     def report(C):
-        T = compute_T(C)
-        return hypertree_dictionary_report(T, Series.variable(ctx, "t") * T.derivative("t"), fixed)
+        return hypertree_dictionary_report(*hypertree_series(C), fixed)
 
     checks = report(C)
     assert all(c.ok and c.ran for c in checks), [c for c in checks if not c.ok]

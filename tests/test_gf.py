@@ -17,6 +17,7 @@ from hypertrees.gf import (
     compute_C,
     compute_T,
     count_by_profile,
+    hypertree_series,
     render_table_line,
     rooted_count_by_edges,
     solve_R_fixed_point,
@@ -47,14 +48,19 @@ def C():
 
 
 @pytest.fixture(scope="module")
-def T(C):
-    return compute_T(C)
+def T_and_R(C):
+    return hypertree_series(C)
 
 
 @pytest.fixture(scope="module")
-def R(T):
+def T(T_and_R):
+    return T_and_R[0]
+
+
+@pytest.fixture(scope="module")
+def R(T_and_R):
     """Rooted hypertrees from the log route: R = t dT/dt."""
-    return Series.variable(CTX, "t") * T.derivative("t")
+    return T_and_R[1]
 
 
 # -- pipeline structure ---------------------------------------------------------
@@ -78,6 +84,12 @@ def test_hypertree_layer_is_the_minimal_magnitude_slice(C, T):
         assert m.magnitude == m.t_deg - 1
     # and it is exactly the magnitude t_deg - 1 slice of C
     assert T == Series(CTX, [(m, c) for m, c in C.terms() if m.magnitude == m.t_deg - 1])
+    assert T == compute_T(C)
+
+
+def test_rooted_series_picks_one_of_n_vertices(T, R):
+    # [t^n/n!] R = n [t^n/n!] T: a hypertree on n vertices has n rootings
+    assert R == Series(CTX, [(m, m.t_deg * c) for m, c in T.terms()])
 
 
 def test_pipeline_requires_wide_enough_alphabet():

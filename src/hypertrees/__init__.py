@@ -6,7 +6,7 @@ The package has four layers:
 * :mod:`hypertrees.series` -- truncated multivariate power series over
   exact rationals, the arithmetic everything else runs on;
 * :mod:`hypertrees.hypergraphs` -- a brute-force oracle over labeled
-  hypergraphs, with a kernel that counts by component partitions;
+  hypergraphs, with a kernel that counts by block-size types;
 * :mod:`hypertrees.gf` -- the connected-hypergraph series, its hypertree
   layer, rooted fixed point, closed-form counts and identity suite;
 * :mod:`hypertrees.funceq` -- the log-exp functional equation, its

@@ -282,10 +282,11 @@ def _verify_sections(
         })
 
     C_joint = into_context(C_all, ctx_sub)
+    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)  # as in check_phi
     sub_rows = []
     for i in range(sub_trials):
         phi = random_phi(seed + i)
-        direct = into_context(trial_L[i], ctx_sub) if i < trials else lhs_series(phi, ctx_sub)
+        direct = into_context(trial_L[i] if i < trials else lhs_series(phi, ctx_tz), ctx_sub)
         diff = first_difference(direct, substituted_connected_gf(phi, ctx_sub, C=C_joint))
         first_diff = None if diff is None else str(diff[0])
         sub_rows.append({"seed": seed + i, "ok": diff is None, "first_diff": first_diff})

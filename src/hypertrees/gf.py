@@ -164,18 +164,6 @@ def rooted_count_by_edges(n: int, k: int) -> int:
     return n**k * stirling2(n - 1, k)
 
 
-def specialize_all_ones(T: Series, R: Series) -> tuple[Series, Series]:
-    """(T, R) with every u_i set to 1, as plain series in t.
-
-    Needs the full magnitude range per t-order, i.e. magnitude_max >=
-    t_max - 1, which :func:`compute_T` already requires.
-    """
-    ctx = T.context
-    if ctx.magnitude_max < ctx.t_max - 1:
-        raise ValueError("need magnitude_max >= t_max - 1 to specialize u = 1")
-    return T.t_marginal(), R.t_marginal()
-
-
 # -- identity verification ----------------------------------------------------
 
 
@@ -202,9 +190,10 @@ def identity_check(
     t_bound: int,
     magnitude_bound: int,
 ) -> IdentityCheck:
-    a = lhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
-    b = rhs.restrict(t_max=t_bound, magnitude_max=magnitude_bound)
-    diff = first_difference(a, b)
+    def region(t: int, z: int, magnitude: int) -> bool:
+        return t <= t_bound and magnitude <= magnitude_bound
+
+    diff = first_difference(lhs.where(region), rhs.where(region))
     detail = None
     if diff is not None:
         m, ca, cb = diff
@@ -339,7 +328,7 @@ def verify_identities(
             "rooted-ratio",
             "R/t = exp(sum_j u_{j+1} R^j / j!)",
             R.divided_by_t(),
-            rooted.restrict(t_max=N - 1).substitute("t", R).exp(),
+            rooted.where(lambda t, z, magnitude: t < N).substitute("t", R).exp(),
             N - 1,
             Q,
         )
@@ -355,7 +344,7 @@ def verify_identities(
         )
     )
 
-    T1, R1 = specialize_all_ones(T, R)
+    T1, R1 = T.t_marginal(), R.t_marginal()  # every u_i set to 1
     tvar = Series.variable(T1.context, "t")
     exp_R1 = R1.exp()
     checks.append(

@@ -24,6 +24,7 @@ definition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -68,40 +69,35 @@ class EdgeProfile:
             ok = False
         if not ok:
             raise ValueError("edge counts must be non-negative integers")
-        while counts and counts[-1] == 0:
-            counts = counts[:-1]
-        object.__setattr__(self, "counts", counts)
+        top = len(counts)
+        while top and counts[top - 1] == 0:
+            top -= 1
+        object.__setattr__(self, "counts", counts[:top])
 
     @classmethod
-    def from_dict(cls, counts: dict[int, int]) -> "EdgeProfile":
-        if any(size < 2 for size in counts):
-            raise ValueError("edge sizes start at 2")
+    def from_dict(cls, counts: dict[int, int], max_size: int) -> "EdgeProfile":
+        """Counts by edge size; a size below 2 or past max_size, the vertex
+        count, is refused before any counts are built."""
+        for size in counts:
+            if size < 2:
+                raise ValueError("edge sizes start at 2")
+            if size > max_size:
+                raise ValueError(f"an edge of u{size} has more vertices than n = {max_size}")
         top = max(counts, default=2)
         return cls(tuple(counts.get(size, 0) for size in range(2, top + 1)))
 
     @classmethod
-    def from_sizes(cls, sizes: tuple[int, ...]) -> "EdgeProfile":
-        out: dict[int, int] = {}
-        for s in sizes:
-            out[s] = out.get(s, 0) + 1
-        return cls.from_dict(out)
-
-    @classmethod
     def parse(cls, text: str, max_size: int) -> "EdgeProfile":
         """Parse the CLI syntax 'u2=2,u3=1'; an empty string is the empty profile.
-        A size past max_size, the vertex count, is refused before any counts are built."""
+        Sizes are bounded as in from_dict."""
         counts: dict[int, int] = {}
         for chunk in filter(None, (p.strip() for p in text.split(","))):
             name, _, value = chunk.partition("=")
             if not (name.startswith("u") and name[1:].isdigit()) or not value:
                 raise ValueError(f"bad profile entry {chunk!r}; expected e.g. u2=2")
             size = int(name[1:])
-            if size < 2:
-                raise ValueError("edge sizes start at 2")
-            if size > max_size:
-                raise ValueError(f"an edge of u{size} has more vertices than n = {max_size}")
             counts[size] = counts.get(size, 0) + int(value)
-        return cls.from_dict(counts)
+        return cls.from_dict(counts, max_size)
 
     def items(self) -> Iterator[tuple[int, int]]:
         for j, c in enumerate(self.counts):
@@ -177,7 +173,7 @@ class Hypergraph:
             last_size = len(edge)
 
     def profile(self) -> EdgeProfile:
-        return EdgeProfile.from_sizes(tuple(len(e) for e in self.edges))
+        return EdgeProfile.from_dict(Counter(len(e) for e in self.edges), self.n)
 
     @property
     def edge_magnitude(self) -> int:
@@ -377,19 +373,16 @@ def _moves(blocks: _Blocks, s: int) -> tuple[tuple[_Blocks, bool, int], ...]:
 
 def _class_hits(b: int, m: int, most: int) -> list[list[tuple[int, int]]]:
     """hits[K] lists (t, ways) for the K <= most vertices taken from t of m
-    blocks of size b, each of the t hit at least once."""
-    q = [comb(b, j + 1) for j in range(b)]  # ((1+x)^b - 1) / x
-    poly = [1]  # q^t, cut at degree most - t: [x^(t+j)] ((1+x)^b - 1)^t is poly[j]
+    blocks of size b, each of the t hit at least once.
+
+    ways = C(m, t) [x^K] ((1+x)^b - 1)^t, and inclusion-exclusion over the
+    blocks left unhit gives [x^K] ((1+x)^b - 1)^t = sum_i (-1)^i C(t, i) C(b(t - i), K).
+    """
     hits: list[list[tuple[int, int]]] = [[] for _ in range(min(b * m, most) + 1)]
     for t in range(min(m, most) + 1):
-        pick = comb(m, t)
-        for j, ways in enumerate(poly):
-            hits[t + j].append((t, pick * ways))
-        nxt = [0] * min(len(poly) + b - 1, most - t)  # q^(t+1), cut at degree most - t - 1
-        for i, c in enumerate(poly):
-            for j, w in enumerate(q[: len(nxt) - i]):
-                nxt[i + j] += c * w
-        poly = nxt
+        for k in range(t, min(b * t, most) + 1):
+            ways = sum((-1) ** i * comb(t, i) * comb(b * (t - i), k) for i in range(t + 1))
+            hits[k].append((t, comb(m, t) * ways))
     return hits
 
 

@@ -252,9 +252,6 @@ class Series:
 
     # -- inspection --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -404,7 +401,7 @@ class Series:
         for e in range(1, max(groups, default=0) + 1):
             if e > 1:
                 power = power * g
-                if power.is_zero():
+                if not power:
                     break  # so is every higher power
             if e in groups:
                 pairs.append((power, _reduced(ctx, self._den, groups[e])))
@@ -419,16 +416,6 @@ class Series:
         kept = {key: v for key, v in self._terms.items()
                 if pred(key & mask, key >> width & mask, key >> top)}
         return _reduced(self.context, self._den, kept)
-
-    def restrict(
-        self,
-        t_max: int | None = None,
-        magnitude_max: int | None = None,
-    ) -> "Series":
-        """Drop terms beyond tighter t or magnitude bounds, keeping the same context."""
-        tb = self.context.t_max if t_max is None else t_max
-        mb = self.context.magnitude_max if magnitude_max is None else magnitude_max
-        return self.where(lambda t, z, magnitude: t <= tb and magnitude <= mb)
 
     def t_marginal(self) -> "Series":
         """Every variable but t set to 1, in the context (t_max, 0, 0), where

@@ -11,7 +11,7 @@ graded exp and log recurrences, the inverse built from them and the
 one-call substitution, hand-built coefficient lists in place of the maps
 derived from the edge weights phi, a Fraction per term pair in place of
 the integer product kernel, sliced exponent tuples in place of the key
-arithmetic of derivative, restrict and divided_by_t, a Monomial decoded
+arithmetic of derivative and divided_by_t, a Monomial decoded
 per term in place of the field reads of where, compute_T, the
 t-marginal and into_context, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list
@@ -61,15 +61,6 @@ def derivative_by_slicing(f: Series, name: str) -> Series:
     return Series(f.context, out)
 
 
-def restrict_by_slicing(f: Series, t_max: int | None = None,
-                        magnitude_max: int | None = None) -> Series:
-    """f without its terms past tighter t or magnitude bounds, read off each
-    exponent tuple."""
-    tb = f.context.t_max if t_max is None else t_max
-    mb = f.context.magnitude_max if magnitude_max is None else magnitude_max
-    return Series(f.context, [(m, c) for m, c in f.terms() if m[0] <= tb and m.magnitude <= mb])
-
-
 def divided_by_t_by_slicing(f: Series) -> Series:
     """f / t, one exponent tuple sliced per term."""
     if any(m[0] == 0 for m, _ in f.terms()):
@@ -96,14 +87,6 @@ def t_marginal_by_terms(f: Series) -> Series:
     return Series(tctx, [(tctx.monomial(t=m.t_deg), c) for m, c in f.terms()])
 
 
-def specialize_all_ones_by_terms(T: Series, R: Series) -> tuple[Series, Series]:
-    """(T, R) with every u_i set to 1, as plain series in t."""
-    ctx = T.context
-    if ctx.magnitude_max < ctx.t_max - 1:
-        raise ValueError("need magnitude_max >= t_max - 1 to specialize u = 1")
-    return t_marginal_by_terms(T), t_marginal_by_terms(R)
-
-
 def into_context_by_monomials(f: Series, ctx: TruncationContext) -> Series:
     """f truncated into ctx, each monomial cut or padded to ctx's edge
     variables; a term that uses a u_j past ctx's is dropped."""
@@ -124,7 +107,7 @@ def power(f: Series, k: int) -> Series:
     result = Series.one(f.context)
     for _ in range(k):
         result = result * f
-        if result.is_zero():
+        if not result:
             break
     return result
 
@@ -152,7 +135,7 @@ def power_sum(f: Series, coeffs: Sequence[Scalar | Series]) -> Series:
     for k, c in enumerate(coeffs):
         if k:
             p = f if k == 1 else p * f
-            if p.is_zero():
+            if not p:
                 break
         if c:
             result = result + (p * c if k else c)  # f^0 = 1 needs no product
@@ -226,7 +209,8 @@ def rooted_edge_argument(R: Series) -> Series:
     """
     ctx = R.context
     rooted, _ = phi_maps(edge_symbol_phi(ctx))
-    return rooted.restrict(t_max=ctx.t_max - 1).substitute("t", R)
+    cut = Series(ctx, [(m, c) for m, c in rooted.terms() if m[0] < ctx.t_max])
+    return cut.substitute("t", R)
 
 
 def solve_R_by_iteration(ctx: TruncationContext) -> Series:
@@ -283,7 +267,7 @@ def lagrange_revert(f: Series) -> Series:
     for n in range(1, ctx.t_max + 1):
         power = power * ratio_inv
         slice_n = t_coefficient(power, n - 1)
-        if slice_n.is_zero():
+        if not slice_n:
             continue
         t_n = Series.term(ctx, ctx.monomial(t=n), Fraction(1, n))
         g = g + t_n * slice_n

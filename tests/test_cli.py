@@ -3,6 +3,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -84,6 +86,17 @@ def test_edge_larger_than_n_is_a_usage_error(runner, command):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr.endswith("\nError: an edge of u10000000 has more vertices than n = 5\n")
+
+
+def test_profile_trims_trailing_zeros_in_one_pass():
+    # 79,999 zero counts: a trim that re-slices once per zero is quadratic (about 12 s here)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "hypertrees.cli", "count", "--n", "80000", "--profile", "u80000=0"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("rooted=0 unrooted=0\n")
 
 
 # -- table ------------------------------------------------------------------------
@@ -397,6 +410,18 @@ def test_verify_expands_L_once_per_seed(runner, monkeypatch, trials, sub_trials)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert len(calls) == max(trials, sub_trials)
+
+
+def test_verify_substitution_reads_L_the_same_past_the_trials(runner):
+    # a seed past --trials expands its own L; one under it re-keys the trial's L
+    def substitution(trials):
+        args = ["verify", "--t-max", "5", "--z-max", "5", "--trials", trials,
+                "--sub-trials", "4", "--json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stdout)["substitution"]
+
+    assert substitution("1") == substitution("4")
 
 
 def test_verify_inject_fault_fails(runner):

@@ -312,8 +312,9 @@ def test_psi_from_phi_carries_edge_symbols():
     # the u-variables ride along as coefficients: under the edge weights, psi is T / t
     ctx = TruncationContext(t_max=5, magnitude_max=5)
     psi = psi_from_phi(edge_symbol_phi(ctx))
-    assert psi == T_from_R(solve_R_fixed_point(ctx)).divided_by_t().restrict(t_max=4)
-    assert psi == compute_T(compute_C(ctx)).divided_by_t().restrict(t_max=4)
+    below_top = lambda t, z, magnitude: t <= 4
+    assert psi == T_from_R(solve_R_fixed_point(ctx)).divided_by_t().where(below_top)
+    assert psi == compute_T(compute_C(ctx)).divided_by_t().where(below_top)
     # the 3 labeled paths on 3 vertices, over 3!
     assert psi.coefficient(ctx.monomial(t=2, u={2: 2})) == Fraction(1, 2)
 

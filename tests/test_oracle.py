@@ -6,6 +6,7 @@ labeled set partitions that it lumps, against a union-find pass over every
 assignment, and against the BFS/DFS classifiers over full enumerations.
 """
 
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,8 +64,18 @@ def test_profile_parse_and_str():
 
 def test_profile_normalizes_trailing_zeros():
     assert EdgeProfile((1, 0, 0)) == EdgeProfile((1,))
-    assert EdgeProfile.from_dict({4: 1}).counts == (0, 0, 1)
-    assert EdgeProfile.from_sizes((3, 2, 3)) == EdgeProfile((1, 2))
+    assert EdgeProfile.from_dict({4: 1}, 4).counts == (0, 0, 1)
+    assert Hypergraph(3, ((1, 2), (1, 2, 3), (1, 2, 3))).profile() == EdgeProfile((1, 2))
+
+
+def test_profile_sizes_are_bounded_before_counts_are_built():
+    # a dense counts tuple to u10^9 would take minutes and gigabytes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^an edge of u1000000000 has more vertices than n = 5$"):
+        EdgeProfile.from_dict({10**9: 1}, 5)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="^edge sizes start at 2$"):
+        EdgeProfile.from_dict({1: 1}, 5)
 
 
 def test_profile_rejects_non_integral_counts():
@@ -73,7 +84,7 @@ def test_profile_rejects_non_integral_counts():
         with pytest.raises(ValueError):
             EdgeProfile(counts)
     with pytest.raises(ValueError):
-        EdgeProfile.from_dict({2: 2.7})
+        EdgeProfile.from_dict({2: 2.7}, 2)
     # counts int() itself refuses get the same error, not int()'s own
     for bad in [float("inf"), None, float("nan")]:
         with pytest.raises(ValueError, match="^edge counts must be non-negative integers$"):
@@ -273,7 +284,7 @@ def test_spanning_trees_match_cayley():
     from math import factorial
 
     for n in range(2, 6):
-        profile = EdgeProfile.from_dict({2: n - 1})
+        profile = EdgeProfile.from_dict({2: n - 1}, n)
         row = count_profile(n, profile)
         assert row.hypertree == n ** (n - 2) * factorial(n - 1)
 

@@ -5,7 +5,7 @@ reversions are re-checked by composing back, exp by its defining sum,
 the two reversion algorithms are held against each other, the integer
 product kernel against a Fraction per term pair, and the graded exp, log
 and inverse and the one-call substitution against their full power-sum
-twins, the key arithmetic of derivative, restrict and divided_by_t
+twins, the key arithmetic of derivative and divided_by_t
 against exponent tuples sliced term by term, and the field reads of
 where, compute_T, the t-marginal and into_context against a monomial
 decoded per term.
@@ -32,7 +32,7 @@ from hypertrees.series import (
     revert,
 )
 from hypertrees import series
-from hypertrees.gf import compute_T, solve_R_fixed_point, specialize_all_ones
+from hypertrees.gf import compute_T, solve_R_fixed_point
 from oracles import (
     compute_T_by_terms,
     derivative_by_slicing,
@@ -44,9 +44,7 @@ from oracles import (
     log_by_power_sum,
     mul_by_term_pairs,
     power,
-    restrict_by_slicing,
     revert_by_iteration,
-    specialize_all_ones_by_terms,
     substitute_by_power_sum,
     t_coefficient,
     t_marginal_by_terms,
@@ -98,10 +96,10 @@ def test_alphabet_rejects_unknown_variables():
 def test_bound_zero_truncates_its_variable():
     # z_max = 0 keeps z in the variable set but truncates it, like t at t_max = 0
     assert CTX.z_max == 0
-    assert Series.variable(CTX, "z").is_zero()
+    assert not Series.variable(CTX, "z")
     t_free = TruncationContext(t_max=0, z_max=2, magnitude_max=0)
-    assert Series.variable(t_free, "t").is_zero()
-    assert not Series.variable(t_free, "z").is_zero()
+    assert not Series.variable(t_free, "t")
+    assert Series.variable(t_free, "z")
 
 
 def test_magnitude_has_no_width_cap():
@@ -130,7 +128,7 @@ def test_bound_past_the_widest_key_field_is_refused():
     a = Series.term(ctx, ctx.monomial(t=2**63), 1)
     b = Series.term(ctx, ctx.monomial(t=2**63 - 1), 3)
     assert (a * b).terms() == [(ctx.monomial(t=2**64 - 1), 3)]
-    assert (a * a).is_zero()
+    assert not a * a
     for bound in ("t_max", "z_max", "magnitude_max"):
         with pytest.raises(ValueError, match="64-bit exponent field"):
             TruncationContext(**{bound: 2**64})
@@ -176,9 +174,9 @@ def test_scalars_are_exact_on_both_sides():
 
 
 def test_multiplication_truncates():
-    assert not (power(T, 3) * power(T, 3)).is_zero()
-    assert (power(T, 4) * power(T, 3)).is_zero()
-    assert (power(U2, 3) * power(U2, 3)).is_zero()  # magnitude 6 > 5
+    assert power(T, 3) * power(T, 3)
+    assert not power(T, 4) * power(T, 3)
+    assert not power(U2, 3) * power(U2, 3)  # magnitude 6 > 5
 
 
 def test_coefficient_in_and_out_of_context():
@@ -197,14 +195,14 @@ def test_t_coefficient_slices():
     f = T * U2 + T * U3 + power(T, 2)
     slice1 = t_coefficient(f, 1)
     assert slice1 == U2 + U3
-    assert t_coefficient(f, 5).is_zero()
+    assert not t_coefficient(f, 5)
 
 
 def test_derivative_basics():
     f = power(T, 3) * U2
     assert f.derivative("t") == 3 * power(T, 2) * U2
     assert f.derivative("u2") == power(T, 3)
-    assert f.derivative("u3").is_zero()
+    assert not f.derivative("u3")
 
 
 def test_power_requires_non_negative_int():
@@ -366,11 +364,13 @@ def test_product_rule_with_one_order_headroom(a, b):
     lhs = (f * g).derivative("t")
     rhs = f.derivative("t") * g + f * g.derivative("t")
     # the t_max layer of a derivative needs t_max + 1 of the argument
-    assert lhs.restrict(t_max=PCTX.t_max - 1) == rhs.restrict(t_max=PCTX.t_max - 1)
+    below_top = lambda t, z, magnitude: t < PCTX.t_max
+    assert lhs.where(below_top) == rhs.where(below_top)
     lhs_u = (f * g).derivative("u2")
     rhs_u = f.derivative("u2") * g + f * g.derivative("u2")
     bound = PCTX.magnitude_max - 1
-    assert lhs_u.restrict(magnitude_max=bound) == rhs_u.restrict(magnitude_max=bound)
+    within = lambda t, z, magnitude: magnitude <= bound
+    assert lhs_u.where(within) == rhs_u.where(within)
 
 
 @settings(max_examples=60, deadline=None)
@@ -523,22 +523,18 @@ def test_substitute_equals_power_sum_twin(case):
 
 # -- key arithmetic against sliced exponent tuples ---------------------------------
 
-cuts = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
-
-
 @settings(max_examples=80, deadline=None)
-@given(substitution_cases, cuts, cuts)
-def test_key_arithmetic_equals_slicing_twins(case, t_cut, magnitude_cut):
+@given(substitution_cases)
+def test_key_arithmetic_equals_slicing_twins(case):
     ctx, i, _, f_terms, _ = case
     f = Series(ctx, f_terms)
     name = ctx.names[i]
-    derivative, restricted = f.derivative(name), f.restrict(t_cut, magnitude_cut)
+    derivative = f.derivative(name)
     assert derivative == derivative_by_slicing(f, name)
-    assert restricted == restrict_by_slicing(f, t_cut, magnitude_cut)
     divisible = Series(ctx, {m: c for m, c in f_terms.items() if m[0]})
     divided = divisible.divided_by_t()
     assert divided == divided_by_t_by_slicing(divisible)
-    assert_canonical(derivative, restricted, divided)
+    assert_canonical(derivative, divided)
     if f != divisible:  # a term free of t
         with pytest.raises(ValueError, match="not divisible by t"):
             f.divided_by_t()
@@ -657,7 +653,7 @@ _PREDICATES = [
 @given(data=st.data())
 def test_key_fields_equal_monomial_twins(ctx, data):
     terms = st.lists(st.tuples(st.sampled_from(_KERNEL_POOLS[ctx]), kernel_coeffs), max_size=10)
-    f, g = Series(ctx, data.draw(terms)), Series(ctx, data.draw(terms))
+    f = Series(ctx, data.draw(terms))
     # every ordered pair of contexts: widths, edge alphabets and bounds that differ
     for target in _REKEY_TARGETS:
         moved = into_context(f, target)
@@ -670,14 +666,10 @@ def test_key_fields_equal_monomial_twins(ctx, data):
     assert_canonical(selected, marginal)
     if ctx.magnitude_max >= ctx.t_max - 1:
         assert compute_T(f) == compute_T_by_terms(f)
-        assert specialize_all_ones(f, g) == specialize_all_ones_by_terms(f, g)
         return
     for refused in (compute_T, compute_T_by_terms):
         with pytest.raises(ValueError, match="need magnitude_max >= t_max - 1"):
             refused(f)
-    for refused in (specialize_all_ones, specialize_all_ones_by_terms):
-        with pytest.raises(ValueError, match="need magnitude_max >= t_max - 1"):
-            refused(f, g)
 
 
 # -- slice-by-slice reversion against its full-pass twin ---------------------------

@@ -63,6 +63,8 @@ NON_NEGATIVE = click.IntRange(min=0)
 @click.version_option(version=__version__, prog_name="hypertrees")
 def main() -> None:
     """Exact hypertree counts, brute-force oracles and identity checks."""
+    if hasattr(sys, "set_int_max_str_digits"):  # exact answers can pass 4,300 digits
+        sys.set_int_max_str_digits(0)
 
 
 def _require_bounds(t_max: int, z_max: int, magnitude_max: int) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .combinat import stirling2
 from .hypergraphs import EdgeProfile, assignment_count, iter_profiles, profiles
@@ -129,23 +129,26 @@ def count_by_profile(n: int, profile: EdgeProfile) -> tuple[int, int]:
 
     One pass over the counts sums the magnitude and k and builds the
     denominator; one divmod then gives the count, and a non-zero
-    remainder, or a rooted count that n does not divide, raises.
+    remainder, or a rooted count that n does not divide, raises.  One
+    top! of the largest block size top cancels against (n - 1)! up front.
     Profiles off the magnitude n - 1 surface admit no hypertrees at all.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     magnitude = edges = 0
     denominator = 1
+    top = len(profile.counts)  # the counts carry no trailing zeros
     for i, a in enumerate(profile.counts, 1):  # a edges of i + 1 vertices
         if a:
             magnitude += i * a
             if magnitude >= n:  # off the surface, before a factorial outgrows n
                 return (0, 0)
             edges += a
-            denominator *= factorial(i) ** a * factorial(a)
+            left = a - (i == top)  # the copies of i! that stay in the denominator
+            denominator *= (factorial(i) ** left if left else 1) * factorial(a)
     if magnitude != n - 1:
         return (0, 0)
-    rooted, rest = divmod(factorial(n - 1) * n**edges, denominator)
+    rooted, rest = divmod(perm(n - 1, n - 1 - top) * n**edges, denominator)
     if rest or rooted % n:
         raise AssertionError(f"count of {profile} on n = {n} is not a multiple of n")
     return (rooted, rooted // n)

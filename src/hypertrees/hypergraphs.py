@@ -7,9 +7,9 @@ label.  The edge profile records how many edges there are of each size;
 its magnitude sum((i - 1) * count_i) is the grading that the series
 modules track with the u-variables.
 
-is_connected and is_hypertree below are deliberately literal: they walk
-the bipartite incidence graph (vertices on one side, edges on the other)
-and test reachability and acyclicity by depth-first search.
+is_connected and is_hypertree below are deliberately literal: they read
+one depth-first search of the bipartite incidence graph (vertices on one
+side, edges on the other) for reachability and acyclicity.
 
 The counting kernel does not classify hypergraphs one by one.  It counts
 orbit types: it carries the block sizes of the component partition and a
@@ -180,72 +180,46 @@ class Hypergraph:
         return sum(len(e) - 1 for e in self.edges)
 
 
-def is_connected(h: Hypergraph) -> bool:
-    """True iff every vertex is reachable from vertex 1 through edges.
-
-    The empty vertex set is defined as disconnected for uniformity.
-    """
-    if h.n == 0:
-        return False
+def _walk(h: Hypergraph) -> tuple[set[int], bool]:
+    """Depth-first search of the bipartite incidence graph (vertex nodes and
+    edge nodes, joined when the vertex lies in the edge) from vertex 1:
+    (the vertices reached, no cycle met).  An edge is opened once, from the
+    first vertex to reach it, and closes a cycle iff another of its vertices
+    was reached already."""
     # only the vertices that edges touch get an entry: memory follows the edges, not n
     by_vertex: dict[int, list[int]] = {}
     for ei, edge in enumerate(h.edges):
         for v in edge:
             by_vertex.setdefault(v, []).append(ei)
     seen = {1}
-    seen_edges: set[int] = set()
+    opened: set[int] = set()
+    acyclic = True
     stack = [1]
     while stack:
-        v = stack.pop()
-        for ei in by_vertex.get(v, ()):
-            if ei in seen_edges:
-                continue
-            seen_edges.add(ei)
-            for w in h.edges[ei]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return len(seen) == h.n
+        for ei in by_vertex.get(stack.pop(), ()):
+            if ei not in opened:
+                opened.add(ei)
+                fresh = [w for w in h.edges[ei] if w not in seen]
+                acyclic = acyclic and len(fresh) == len(h.edges[ei]) - 1
+                seen.update(fresh)
+                stack.extend(fresh)
+    return seen, acyclic
+
+
+def is_connected(h: Hypergraph) -> bool:
+    """True iff every vertex is reachable from vertex 1 through edges.
+
+    The empty vertex set is defined as disconnected for uniformity.
+    """
+    return h.n > 0 and len(_walk(h)[0]) == h.n
 
 
 def is_hypertree(h: Hypergraph) -> bool:
-    """True iff h is connected and its incidence graph is acyclic.
-
-    The incidence graph is bipartite: vertex nodes and edge nodes, joined
-    when the vertex lies in the edge.  A depth-first search that meets a
-    visited node other than its parent has found a cycle; a cycle through
-    k >= 2 edge nodes is exactly a closed walk through k distinct edges
-    and k distinct vertices.
-    """
-    if h.n == 0:
-        return False
-    by_vertex: dict[int, list[int]] = {}
-    for ei, edge in enumerate(h.edges):
-        for v in edge:
-            by_vertex.setdefault(v, []).append(ei)
-    # nodes: ("v", vertex) and ("e", edge index)
-    seen_v = {1}
-    seen_e: set[int] = set()
-    stack: list[tuple[str, int, tuple[str, int] | None]] = [("v", 1, None)]
-    while stack:
-        kind, key, parent = stack.pop()
-        if kind == "v":
-            for ei in by_vertex.get(key, ()):
-                if ("e", ei) == parent:
-                    continue
-                if ei in seen_e:
-                    return False
-                seen_e.add(ei)
-                stack.append(("e", ei, ("v", key)))
-        else:
-            for v in h.edges[key]:
-                if ("v", v) == parent:
-                    continue
-                if v in seen_v:
-                    return False
-                seen_v.add(v)
-                stack.append(("v", v, ("e", key)))
-    return len(seen_v) == h.n and len(seen_e) == len(h.edges)
+    """True iff h is connected and its incidence graph is acyclic; a cycle
+    through k >= 2 edge nodes is exactly a closed walk through k distinct
+    edges and k distinct vertices."""
+    reached, acyclic = _walk(h)
+    return h.n > 0 and len(reached) == h.n and acyclic
 
 
 def assignment_count(n: int, profile: EdgeProfile) -> int:
@@ -344,29 +318,31 @@ def _moves(blocks: _Blocks, s: int) -> tuple[tuple[_Blocks, bool, int], ...]:
     after, closes a cycle, number of edges).
 
     An edge that takes k_i >= 1 vertices from block i merges the blocks it
-    touches and closes a cycle iff some k_i >= 2.  The edges are counted
-    per class of equal blocks: t of a class's m blocks of size b, hit by K
-    vertices in all and each at least once, are C(m, t) [x^K] ((1+x)^b - 1)^t
-    edge parts, and the t-vector of the classes fixes the blocks after.
+    touches.  The edges are counted per class of equal blocks: t of a
+    class's m blocks of size b, hit by K vertices in all and each at least
+    once, are C(m, t) [x^K] ((1+x)^b - 1)^t edge parts, and the t-vector of
+    the classes fixes the blocks after.  It fixes the cycle too: the k_i sum
+    to s over the sum(t) blocks touched, so some k_i >= 2, and the edge
+    closes a cycle, iff s > sum(t).
     """
-    # (vertices left, t per class so far, closes): edge parts; placed once none is left
-    partial = {(s, (), False): 1}
-    placed: dict[tuple[int, tuple[int, ...], bool], int] = {}
+    # (vertices left, t per class so far): edge parts; placed once none is left
+    partial = {(s, ()): 1}
+    placed: dict[tuple[int, tuple[int, ...]], int] = {}
     room = sum(b * m for b, m in blocks)
     for b, m in blocks:
         room -= b * m  # the vertices of the classes after this one
         hits = _class_hits(b, m, s)
-        grown: dict[tuple[int, tuple[int, ...], bool], int] = {}
-        for (left, taken, closes), count in partial.items():
+        grown: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (left, taken), count in partial.items():
             for k in range(max(0, left - room), min(left, len(hits) - 1) + 1):
                 for t, ways in hits[k]:
-                    key = (left - k, taken + (t,), closes or k > t)
+                    key = (left - k, taken + (t,))
                     into = grown if k < left else placed
                     into[key] = into.get(key, 0) + count * ways
         partial = grown
     out: dict[tuple[_Blocks, bool], int] = {}
-    for (_, taken, closes), count in placed.items():
-        key = (_merged(blocks, taken), closes)
+    for (_, taken), count in placed.items():
+        key = (_merged(blocks, taken), s > sum(taken))
         out[key] = out.get(key, 0) + count
     return tuple((after, closes, count) for (after, closes), count in out.items())
 
@@ -377,11 +353,14 @@ def _class_hits(b: int, m: int, most: int) -> list[list[tuple[int, int]]]:
 
     ways = C(m, t) [x^K] ((1+x)^b - 1)^t, and inclusion-exclusion over the
     blocks left unhit gives [x^K] ((1+x)^b - 1)^t = sum_i (-1)^i C(t, i) C(b(t - i), K).
+    C(b(t - i), K) = 0 once b(t - i) < K, so i runs only to t - ceil(K/b):
+    one term for singleton blocks.
     """
     hits: list[list[tuple[int, int]]] = [[] for _ in range(min(b * m, most) + 1)]
     for t in range(min(m, most) + 1):
         for k in range(t, min(b * t, most) + 1):
-            ways = sum((-1) ** i * comb(t, i) * comb(b * (t - i), k) for i in range(t + 1))
+            top = t - -(-k // b)  # the last i with b(t - i) >= k
+            ways = sum((-1) ** i * comb(t, i) * comb(b * (t - i), k) for i in range(top + 1))
             hits[k].append((t, comb(m, t) * ways))
     return hits
 

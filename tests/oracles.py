@@ -5,7 +5,8 @@ second, independent method (Lagrange inversion in place of slice-by-slice
 reversion, full-precision passes in place of the slice-by-slice fixed
 point and reversion, the transfer over labeled set partitions in place
 of the block-size-type counting kernel, explicit enumeration in place of
-both kernels and of the step meter, part tuples by recursion in place of the
+both kernels and of the step meter, union-find in place of the
+incidence-graph walk, part tuples by recursion in place of the
 multiplicity-vector partition stream, full power sums in place of the
 graded exp and log recurrences, the inverse built from them and the
 one-call substitution, hand-built coefficient lists in place of the maps
@@ -351,6 +352,26 @@ def enumerate_hypergraphs(
     ]
     for assignment in product(*choice_lists):
         yield Hypergraph(n, tuple(assignment))
+
+
+def classify_by_union_find(h: Hypergraph) -> tuple[bool, bool]:
+    """(connected, hypertree) for one hypergraph by union-find: an edge closes
+    a cycle when two of its vertices already share a component."""
+    parent = list(range(h.n + 1))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    cycle = False
+    for edge in h.edges:
+        roots = [root(v) for v in edge]
+        cycle = cycle or len(set(roots)) < len(roots)
+        for r in roots:
+            parent[r] = roots[0]
+    connected = h.n > 0 and len({root(v) for v in range(1, h.n + 1)}) == 1
+    return connected, connected and not cycle
 
 
 def count_profile_by_enumeration(n: int, sizes: tuple[int, ...]) -> tuple[int, int, int]:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,15 +89,36 @@ def test_edge_larger_than_n_is_a_usage_error(runner, command):
     assert result.stderr.endswith("\nError: an edge of u10000000 has more vertices than n = 5\n")
 
 
+def _run_cli(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so its own process settings and its wall time count."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run(
+        [sys.executable, "-m", "hypertrees.cli", *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 def test_profile_trims_trailing_zeros_in_one_pass():
     # 79,999 zero counts: a trim that re-slices once per zero is quadratic (about 12 s here)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "hypertrees.cli", "count", "--n", "80000", "--profile", "u80000=0"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
-    )
+    result = _run_cli("count", "--n", "80000", "--profile", "u80000=0", timeout=5)
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("rooted=0 unrooted=0\n")
+
+
+def test_count_prints_answers_past_the_int_digit_limit():
+    # 2000^1999 has 6,599 digits, past CPython's default limit of 4,300 for int -> str
+    result = _run_cli("count", "--n", "2000", "--profile", "u2=1999", timeout=10)
+    assert result.returncode == 0, result.stderr
+    rooted = result.stdout.split("rooted=")[1].split()[0]
+    assert len(rooted) == 6599
+    assert rooted == str(2**1999) + "0" * 5997  # 2000^1999, built from a 602-digit str
+
+
+def test_count_cancels_the_largest_edge_factorial():
+    # (n - 1)! in full is 5.6 million digits here (about 21 s); the count is 1
+    result = _run_cli("count", "--n", "1000000", "--profile", "u1000000=1", timeout=5)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(" unrooted=1\n")
 
 
 # -- table ------------------------------------------------------------------------
@@ -190,6 +212,16 @@ def test_oracle_check_rejects_malformed_file(runner, tmp_path, text):
     assert result.exit_code == 2
     assert "Error: bad hypergraph file:" in result.stderr
     assert "Traceback" not in result.output
+
+
+def test_oracle_class_hits_skip_zero_terms():
+    # 1,600 vertices from 3,200 singleton blocks: one inclusion-exclusion term per t,
+    # not t + 1 (about 40 s)
+    result = _run_cli("oracle", "--n", "3200", "--profile", "u1600=1", timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        f"n=3200 profile=u1600 all={math.comb(3200, 1600)} connected=0 hypertree=0\n"
+    )
 
 
 def test_oracle_single_profile(runner):

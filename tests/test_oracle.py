@@ -32,6 +32,7 @@ from hypertrees.hypergraphs import (
 from hypertrees.series import TruncationContext
 from oracles import (
     ENUMERATION_N_MAX,
+    classify_by_union_find,
     count_by_partitions,
     count_profile_by_enumeration,
     enumerate_hypergraphs,
@@ -304,6 +305,17 @@ def test_kernels_agree_with_literal_classifiers():
                 connected,
                 hypertree,
             ), f"kernel disagrees with literal route at n={n} {profile}"
+
+
+def test_classifiers_equal_union_find_per_hypergraph():
+    # per hypergraph, so errors cannot cancel as they can in aggregate counts
+    checked = 0
+    for n in range(1, 6):
+        for profile in iter_profiles(4, max_size=n):
+            for h in enumerate_hypergraphs(n, profile):
+                assert (is_connected(h), is_hypertree(h)) == classify_by_union_find(h), h
+                checked += 1
+    assert checked == 14268  # the sum of assignment_count over these cells
 
 
 TWIN_PROFILES = [

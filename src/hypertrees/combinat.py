@@ -6,6 +6,7 @@ i + 1, with no trailing zeros, which is the layout of an edge profile.
 
 from __future__ import annotations
 
+from math import comb, factorial
 from typing import Iterator
 
 
@@ -45,15 +46,11 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling set number S(n, k), one row at a time by the recurrence
-    S(n, k) = k * S(n-1, k) + S(n-1, k-1), keeping columns 0..k only."""
+    """Stirling set number S(n, k) by inclusion-exclusion over the k blocks
+    left empty: k! S(n, k) = sum_i (-1)^i C(k, i) (k - i)^n counts the
+    surjections onto k blocks."""
     if n < 0 or k < 0:
         raise ValueError("Stirling numbers need n, k >= 0")
     if k > n:
         return 0
-    row = [1] + [0] * k  # S(0, 0..k)
-    for _ in range(n):
-        for i in range(k, 0, -1):
-            row[i] = i * row[i] + row[i - 1]
-        row[0] = 0
-    return row[k]
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1)) // factorial(k)

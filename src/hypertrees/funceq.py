@@ -5,6 +5,8 @@ zero constant term, the log-exp sum
 
     L(t, z) = log( sum_k t^k/k! * exp(k * Phi(kz, z)) )
 
+is :func:`hypertrees.gf.exponential_formula` with the weights k Phi(kz, z),
+the formula whose edge weights give the connected-hypergraph series, and
 has the shape t * Psi(tz, z): the coefficient of t^{n+1} z^m vanishes for
 every m < n.  The diagonal slice psi(y) = Psi(y, 0) is obtained from
 phi(u) = Phi(u, 0) by reverting
@@ -32,7 +34,7 @@ from math import factorial
 from typing import Mapping
 
 from .combinat import stirling2
-from .gf import IdentityCheck, T_from_R, identity_check, phi_maps
+from .gf import IdentityCheck, T_from_R, exponential_formula, identity_check, phi_maps
 from .series import Monomial, Series, TruncationContext, revert
 
 
@@ -128,32 +130,19 @@ def random_phi(seed: int) -> PhiCoefficients:
 
 
 def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
-    """L = log(sum_k t^k/k! exp(k Phi(kz, z))), truncated to ctx.
-
-    The k-th summand has t-degree exactly k, so the sum is cut at
-    k = t_max.
-    """
+    """L = log(sum_k t^k/k! exp(k Phi(kz, z))), truncated to ctx: the
+    exponential formula with the weights k Phi(kz, z) = sum c_ab k^(a+1) z^(a+b)."""
     if phi.constant_term:
         raise ValueError(
             "constant term must be zero; use without_constant() and carry "
             "the t-scale separately"
         )
-    K = ctx.t_max
 
-    def summand(k: int) -> Series:
-        acc: dict[int, Fraction] = {}
-        for (a, b), c in phi.items():
-            zp = a + b
-            if zp <= ctx.z_max:
-                acc[zp] = acc.get(zp, Fraction(0)) + c * k ** (a + 1)
-        arg = Series(ctx, {ctx.monomial(z=zp): v for zp, v in acc.items()})
-        front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
-        return front * arg.exp()
+    def weight(k: int) -> Series:  # the constructor sums the terms of equal z-power
+        return Series(ctx, [(ctx.monomial(z=a + b), c * k ** (a + 1))
+                            for (a, b), c in phi.items() if a + b <= ctx.z_max])
 
-    total = Series.zero(ctx)
-    for k in range(K + 1):
-        total = total + summand(k)
-    return total.log()
+    return exponential_formula(ctx, weight)
 
 
 def _outside_psi_form(m: Monomial) -> bool:

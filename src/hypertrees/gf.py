@@ -6,13 +6,16 @@ exponential generating function of all labeled hypergraphs,
     S(t, u) = sum_k t^k/k! * exp(sum_i binom(k, i) u_i),
 
 the logarithm C = log S counts connected labeled hypergraphs, t marking
-vertices and u_i marking i-vertex edges.  Every monomial of the t^n/n!
-layer has magnitude at least n - 1, and the magnitude n - 1 layer T is
-the hypertree generating function.  R = t dT/dt marks a root vertex and
-satisfies the fixed point R = t * exp(sum_j u_{j+1} R^j / j!), from which
-T is recovered as R - sum_j (j-1) u_j R^j / j!.  Both sums are one map
-each of the edge weights phi(w) = sum_j u_{j+1} w^j / (j+1)!, composed
-with R: phi + w phi' and w - w^2 phi'.
+vertices and u_i marking i-vertex edges.  :func:`exponential_formula`
+forms log(sum_k t^k/k! exp(w_k)): C is its call with these edge weights,
+and L of :mod:`hypertrees.funceq` its call with w_k = k Phi(kz, z).
+Every monomial of the t^n/n! layer has magnitude at least n - 1, and the
+magnitude n - 1 layer T is the hypertree generating function.
+R = t dT/dt marks a root vertex and satisfies the fixed point
+R = t * exp(sum_j u_{j+1} R^j / j!), from which T is recovered as
+R - sum_j (j-1) u_j R^j / j!.  Both sums are one map each of the edge
+weights phi(w) = sum_j u_{j+1} w^j / (j+1)!, composed with R: phi + w phi'
+and w - w^2 phi'.
 
 Everything is exact; identities are verified as equalities of truncated
 series on the region where both sides are fully determined by the
@@ -24,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, perm
+from typing import Callable
 
 from .combinat import stirling2
-from .hypergraphs import EdgeProfile, assignment_count, iter_profiles, profiles
+from .hypergraphs import EdgeProfile, profiles
 from .series import Series, TruncationContext, first_difference, revert
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
@@ -38,24 +42,30 @@ _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-def compute_C(ctx: TruncationContext) -> Series:
-    """Connected-hypergraph series C = log S, with S in closed form.
+def exponential_formula(ctx: TruncationContext, weight: Callable[[int], Series]) -> Series:
+    """log(sum_{k <= t_max} t^k/k! * exp(weight(k))), truncated to ctx.
 
-    Expanding exp(sum_i binom(k, i) u_i) gives
-
-        [t^k u^a] S = prod_i binom(k, i)^(a_i) / (k! * prod_i a_i!),
-
-    the number of labeled hypergraphs on 1..k with edge profile a over
-    the label-class size and k!.  k runs to t_max and a through every
-    profile within magnitude_max.
+    weight(k) is a series of ctx with zero constant term.  Each summand
+    starts at t^k, so the sum is cut at k = t_max.
     """
-    terms = {}
-    for p in iter_profiles(ctx.magnitude_max, max_size=ctx.max_edge_size):
-        u = dict(p.items())
-        for k in range(ctx.t_max + 1):
-            count = assignment_count(k, p)
-            terms[ctx.monomial(t=k, u=u)] = Fraction(count, factorial(k) * p.factorial_norm())
-    return Series(ctx, terms).log()
+    total = Series.zero(ctx)
+    for k in range(ctx.t_max + 1):
+        front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
+        total = total + front * weight(k).exp()
+    return total.log()
+
+
+def compute_C(ctx: TruncationContext) -> Series:
+    """Connected-hypergraph series C = log S, by the exponential formula.
+
+    On k labeled vertices each i-vertex edge is one of binom(k, i)
+    subsets, so S has the weights w_k = sum_{i=2}^{min(k, M)} binom(k, i) u_i.
+    """
+    def edges(k: int) -> Series:
+        top = min(k, ctx.max_edge_size)
+        return Series(ctx, {ctx.monomial(u={i: 1}): comb(k, i) for i in range(2, top + 1)})
+
+    return exponential_formula(ctx, edges)
 
 
 def compute_T(C: Series) -> Series:

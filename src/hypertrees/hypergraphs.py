@@ -16,10 +16,12 @@ orbit types: it carries the block sizes of the component partition and a
 cycle flag through the edge slots, with the number of partial assignments
 that reach each type, because every edge is drawn from all C(n, s) vertex
 subsets alike.  It shares nothing with log S, the rooted fixed point or
-the closed form.  Tests hold it against the transfer over labeled set
-partitions that it lumps, against a union-find pass over every assignment
-and against these classifiers, so the fast path never becomes the
-definition.
+the closed form: the pipeline builds S by the exponential formula, so it
+no longer shares assignment_count with the oracle, and that count now
+lives with the tests.  Tests hold the kernel against the transfer over
+labeled set partitions that it lumps, against a union-find pass over
+every assignment and against these classifiers, so the fast path never
+becomes the definition.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterator
 
 from .combinat import partitions
@@ -113,13 +115,6 @@ class EdgeProfile:
     @property
     def magnitude(self) -> int:
         return sum((size - 1) * c for size, c in self.items())
-
-    def factorial_norm(self) -> int:
-        """The label-class size: the product of count! over the sizes."""
-        out = 1
-        for _, c in self.items():
-            out *= factorial(c)
-        return out
 
     def as_dict(self) -> dict[str, int]:
         return {f"u{size}": c for size, c in self.items()}
@@ -222,14 +217,6 @@ def is_hypertree(h: Hypergraph) -> bool:
     return h.n > 0 and len(reached) == h.n and acyclic
 
 
-def assignment_count(n: int, profile: EdgeProfile) -> int:
-    """Number of labeled hypergraphs on 1..n with the given profile."""
-    total = 1
-    for size, c in profile.items():
-        total *= comb(n, size) ** c
-    return total
-
-
 @dataclass(frozen=True)
 class CountRow:
     """Classification counts for one (n, profile) cell, and the kernel steps they took."""
@@ -259,7 +246,14 @@ def count_profile(
     n: int, profile: EdgeProfile, budget: int = DEFAULT_BUDGET, spent: int = 0
 ) -> CountRow:
     """Classify every hypergraph with this profile through the counting kernel,
-    which refuses to take the run past budget steps, spent of them already used."""
+    which refuses to take the run past budget steps, spent of them already used.
+
+    When every size is at most n, each edge slot costs at least one step, so
+    a profile with more slots than the budget has left is refused before its
+    slots are built."""
+    slots = sum(profile.counts)
+    if len(profile.counts) < n and spent + slots > budget:  # the largest size fits in n
+        raise BudgetExceededError(spent + slots, budget)
     return CountRow(n, profile, *_count_by_types(n, profile.sizes(), budget, spent))
 
 
@@ -286,7 +280,7 @@ def _count_by_types(
     sizes = tuple(int(s) for s in sizes)
     if any(s < 2 for s in sizes):
         raise ValueError("edges need at least 2 vertices")
-    total = prod(comb(n, s) for s in sizes)
+    total = prod(comb(n, s) ** c for s, c in Counter(sizes).items())  # one power per size
     if total == 0:
         return (0, 0, 0, 0)
 

@@ -16,9 +16,12 @@ arithmetic of derivative and divided_by_t, a Monomial decoded
 per term in place of the field reads of where, compute_T, the
 t-marginal and into_context, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list
-rebuilt per call in place of the cached table pieces), so it lives with
-the tests that use it as a reference.  The twins read a series only
-through its public API, so they stay independent of its store.
+rebuilt per call in place of the cached table pieces, S in closed form
+and a summand loop in place of the one exponential formula for C and L,
+the row recurrence in place of the inclusion-exclusion Stirling
+numbers), so it lives with the tests that use it as a reference.  The
+twins read a series only through its public API, so they stay
+independent of its store.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from itertools import combinations, product
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
+from hypertrees.funceq import PhiCoefficients
 from hypertrees.gf import edge_symbol_phi, phi_maps
 from hypertrees.hypergraphs import (
     DEFAULT_BUDGET,
@@ -35,7 +39,6 @@ from hypertrees.hypergraphs import (
     CountRow,
     EdgeProfile,
     Hypergraph,
-    assignment_count,
     count_profile,
     iter_profiles,
 )
@@ -275,6 +278,87 @@ def lagrange_revert(f: Series) -> Series:
     return g
 
 
+def factorial_norm(profile: EdgeProfile) -> int:
+    """The label-class size: the product of count! over the sizes."""
+    out = 1
+    for _, c in profile.items():
+        out *= factorial(c)
+    return out
+
+
+def assignment_count(n: int, profile: EdgeProfile) -> int:
+    """Number of labeled hypergraphs on 1..n with the given profile."""
+    total = 1
+    for size, c in profile.items():
+        total *= comb(n, size) ** c
+    return total
+
+
+def compute_C_by_closed_form(ctx: TruncationContext) -> Series:
+    """Connected-hypergraph series C = log S, with S in closed form.
+
+    Expanding exp(sum_i binom(k, i) u_i) gives
+
+        [t^k u^a] S = prod_i binom(k, i)^(a_i) / (k! * prod_i a_i!),
+
+    the number of labeled hypergraphs on 1..k with edge profile a over
+    the label-class size and k!.  k runs to t_max and a through every
+    profile within magnitude_max.
+    """
+    terms = {}
+    for p in iter_profiles(ctx.magnitude_max, max_size=ctx.max_edge_size):
+        u = dict(p.items())
+        for k in range(ctx.t_max + 1):
+            count = assignment_count(k, p)
+            terms[ctx.monomial(t=k, u=u)] = Fraction(count, factorial(k) * factorial_norm(p))
+    return Series(ctx, terms).log()
+
+
+def lhs_series_by_summands(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
+    """L = log(sum_k t^k/k! exp(k Phi(kz, z))), truncated to ctx, one summand
+    at a time.
+
+    The k-th summand has t-degree exactly k, so the sum is cut at
+    k = t_max.
+    """
+    if phi.constant_term:
+        raise ValueError(
+            "constant term must be zero; use without_constant() and carry "
+            "the t-scale separately"
+        )
+    K = ctx.t_max
+
+    def summand(k: int) -> Series:
+        acc: dict[int, Fraction] = {}
+        for (a, b), c in phi.items():
+            zp = a + b
+            if zp <= ctx.z_max:
+                acc[zp] = acc.get(zp, Fraction(0)) + c * k ** (a + 1)
+        arg = Series(ctx, {ctx.monomial(z=zp): v for zp, v in acc.items()})
+        front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
+        return front * arg.exp()
+
+    total = Series.zero(ctx)
+    for k in range(K + 1):
+        total = total + summand(k)
+    return total.log()
+
+
+def stirling2_by_recurrence(n: int, k: int) -> int:
+    """Stirling set number S(n, k), one row at a time by the recurrence
+    S(n, k) = k * S(n-1, k) + S(n-1, k-1), keeping columns 0..k only."""
+    if n < 0 or k < 0:
+        raise ValueError("Stirling numbers need n, k >= 0")
+    if k > n:
+        return 0
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(n):
+        for i in range(k, 0, -1):
+            row[i] = i * row[i] + row[i - 1]
+        row[0] = 0
+    return row[k]
+
+
 def multinomial(n: int, parts: tuple[int, ...]) -> int:
     """n! / (p1! p2! ...) for parts summing to n."""
     if sum(parts) != n:
@@ -326,7 +410,7 @@ def pretty_monomial_by_sort_key(profile: EdgeProfile) -> str:
 def egf_profile_coefficient(f: Series, n: int, profile: EdgeProfile) -> Fraction:
     """Coefficient of (t^n/n!) (u^profile/profile!) in f."""
     m = f.context.monomial(t=n, u=dict(profile.items()))
-    return f.coefficient(m) * factorial(n) * profile.factorial_norm()
+    return f.coefficient(m) * factorial(n) * factorial_norm(profile)
 
 
 ENUMERATION_N_MAX = 6
@@ -583,7 +667,7 @@ def oracle_polynomials(
         if not row.connected:
             continue
         m = ctx.monomial(u=dict(profile.items()))
-        norm = Fraction(1, profile.factorial_norm())
+        norm = Fraction(1, factorial_norm(profile))
         c_terms[m] = row.connected * norm
         if profile.magnitude == n - 1:
             t_terms[m] = row.hypertree * norm

@@ -121,6 +121,13 @@ def test_count_cancels_the_largest_edge_factorial():
     assert result.stdout.endswith(" unrooted=1\n")
 
 
+def test_count_by_edges_sums_stirling_numbers_in_closed_form():
+    # S(3999, 2000) by the row recurrence is about 8 million big-int steps (about 11 s)
+    result = _run_cli("count", "--n", "4000", "--edges", "2000", timeout=5)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("n=4000 edges=2000 rooted=")
+
+
 # -- table ------------------------------------------------------------------------
 
 
@@ -221,6 +228,18 @@ def test_oracle_class_hits_skip_zero_terms():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
         f"n=3200 profile=u1600 all={math.comb(3200, 1600)} connected=0 hypertree=0\n"
+    )
+
+
+@pytest.mark.parametrize("count", ["1000001", str(10**20)])
+def test_oracle_refuses_more_slots_than_the_budget_before_building_them(count):
+    # every slot costs a step; building the slots first took 68 s at 10^6 + 1
+    # and raised OverflowError at 10^20
+    result = _run_cli("oracle", "--n", "5", "--profile", f"u2={count}", timeout=5)
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"counting needs at least {count} kernel steps, over the budget of 1000000\n"
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertrees.combinat import partitions, stirling2
-from oracles import multinomial, partitions_as_parts
+from oracles import multinomial, partitions_as_parts, stirling2_by_recurrence
 
 
 def multiplicities(parts):
@@ -87,3 +87,8 @@ def test_stirling_by_inclusion_exclusion(n, k):
     # k! S(n, k) counts surjections onto a k-set
     surjections = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
     assert factorial(k) * stirling2(n, k) == surjections
+
+
+def test_stirling_equals_recurrence_twin():
+    assert all(stirling2(n, k) == stirling2_by_recurrence(n, k)
+               for n in range(40) for k in range(45))

@@ -32,6 +32,7 @@ from hypertrees.gf import (
     solve_R_fixed_point,
 )
 from hypertrees.series import Series, TruncationContext, first_difference, revert
+from oracles import lhs_series_by_summands
 
 CTX = TruncationContext(t_max=5, z_max=5, magnitude_max=0)
 
@@ -106,6 +107,14 @@ def test_lhs_k_sum_cut_at_t_max_is_exact(seed):
         small = TruncationContext(t_max=K, z_max=CTX.z_max, magnitude_max=0)
         big = TruncationContext(t_max=K + 1, z_max=CTX.z_max, magnitude_max=0)
         assert lhs_series(phi, small) == Series(small, lhs_series(phi, big).terms())
+
+
+@pytest.mark.parametrize("t_max, z_max", [(0, 0), (1, 0), (3, 5), (6, 6), (10, 10)])
+def test_lhs_equals_summand_twin(t_max, z_max):
+    ctx = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)
+    for seed in range(20):
+        phi = random_phi(seed)
+        assert lhs_series(phi, ctx) == lhs_series_by_summands(phi, ctx), seed
 
 
 # -- the coefficient array -------------------------------------------------------

@@ -28,8 +28,10 @@ from hypertrees.hypergraphs import EdgeProfile, count_profile, iter_profiles
 from hypertrees.series import Series, TruncationContext, into_context
 from oracles import (
     T_from_R_by_power_sum,
+    compute_C_by_closed_form,
     count_by_profile_by_fractions,
     egf_profile_coefficient,
+    factorial_norm,
     oracle_polynomials,
     pretty_monomial_by_sort_key,
     rooted_edge_argument,
@@ -121,6 +123,14 @@ def test_narrowed_C_equals_direct(N, M, Z):
         assert into_context(wide, ctx) == compute_C(ctx)
 
 
+def test_compute_C_equals_closed_form_twin():
+    for t in range(9):
+        for z in (0, 1, 3):
+            for m in range(9):
+                ctx = TruncationContext(t_max=t, z_max=z, magnitude_max=m)
+                assert compute_C(ctx) == compute_C_by_closed_form(ctx), ctx
+
+
 # t_max and magnitude_max each end the sums in turn
 TWIN_CONTEXTS = {
     "t-binds": TruncationContext(t_max=3, magnitude_max=6),
@@ -172,7 +182,7 @@ def test_closed_form_matches_enumeration():
             row = count_profile(n, parts_profile)
             rooted, unrooted = count_by_profile(n, parts_profile)
             # kernel labels edges within a size class
-            assert row.hypertree == unrooted * parts_profile.factorial_norm()
+            assert row.hypertree == unrooted * factorial_norm(parts_profile)
             assert rooted == n * unrooted
 
 
@@ -207,7 +217,7 @@ def test_egf_extraction_conventions(T):
     profile = EdgeProfile.parse("u2=1,u3=1", 4)
     # 12 hypertrees on 4 vertices with one 2-edge and one 3-edge
     coeff = egf_profile_coefficient(T, 4, profile)
-    assert coeff == 12 * profile.factorial_norm()
+    assert coeff == 12 * factorial_norm(profile)
     T4 = t_coefficient(T, 4) * factorial(4)
     assert T4.coefficient(CTX.monomial(u={2: 1, 3: 1})) == 12
 

@@ -67,10 +67,10 @@ def main() -> None:
         sys.set_int_max_str_digits(0)
 
 
-def _require_bounds(t_max: int, z_max: int, magnitude_max: int) -> None:
-    """Refuse truncation bounds that no series context can hold."""
+def _context(t_max: int, z_max: int, magnitude_max: int) -> TruncationContext:
+    """The series context of these bounds; a usage error when none can hold them."""
     try:
-        TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=magnitude_max)
+        return TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=magnitude_max)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -248,72 +248,6 @@ def _vanishing(violations: list[tuple[int, int, Fraction]], t_max: int, z_max: i
     }
 
 
-def _verify_sections(
-    t_max: int,
-    z_max: int,
-    magnitude_max: int,
-    max_edge_size: int,
-    seed: int,
-    trials: int,
-    sub_trials: int,
-    inject_fault: bool,
-) -> dict[str, Section]:
-    ctx = TruncationContext(t_max=t_max, magnitude_max=magnitude_max)
-    ctx_sub = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=z_max)
-    # C has no z terms: one C at the wider magnitude serves both contexts
-    ctx_all = TruncationContext(t_max=t_max, magnitude_max=max(magnitude_max, z_max))
-    C_all = compute_C(ctx_all)
-    if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
-        C_all = C_all + Series.term(ctx_all, ctx_all.monomial(t=2, u={2: 1}), 1)
-    C = into_context(C_all, ctx)
-    T, R = hypertree_series(C)
-    fixed = solve_R_fixed_point(ctx)
-    identities = _identity_section(verify_identities(C, T, R, fixed, max_edge_size))
-    dictionary = _identity_section(hypertree_dictionary_report(T, R, fixed))
-
-    vanishing_rows, trial_L = [], []
-    for i in range(trials):
-        L, violations, _, mismatches = check_phi(random_phi(seed + i), t_max, z_max, t_max - 1)
-        trial_L.append(L)
-        vanishing_rows.append({
-            "seed": seed + i,
-            "vanishing": _vanishing(violations, t_max, z_max),
-            "diagonal_mismatches": [
-                {"power": p, "psi": _rational(a), "lhs": _rational(b)} for p, a, b in mismatches
-            ],
-        })
-
-    C_joint = into_context(C_all, ctx_sub)
-    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)  # as in check_phi
-    sub_rows = []
-    for i in range(sub_trials):
-        phi = random_phi(seed + i)
-        direct = into_context(trial_L[i] if i < trials else lhs_series(phi, ctx_tz), ctx_sub)
-        diff = first_difference(direct, substituted_connected_gf(phi, ctx_sub, C=C_joint))
-        first_diff = None if diff is None else str(diff[0])
-        sub_rows.append({"seed": seed + i, "ok": diff is None, "first_diff": first_diff})
-
-    region = f"[t<={t_max}, z<={z_max}]"
-    return {
-        "identities": identities,
-        "dictionary": dictionary,
-        "vanishing": _trial_section(
-            [row["vanishing"]["ok"] for row in vanishing_rows],
-            f"vanishing pattern over {trials} seeded arrays {region}",
-            rows=vanishing_rows,
-        ),
-        "diagonal": _trial_section(
-            [not row["diagonal_mismatches"] for row in vanishing_rows],
-            f"psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})",
-        ),
-        "substitution": _trial_section(
-            [row["ok"] for row in sub_rows],
-            f"substitution route over {sub_trials} seeded arrays {region}",
-            rows=sub_rows,
-        ),
-    }
-
-
 @main.command()
 @click.option("--t-max", "t_max", type=POSITIVE, default=6, show_default=True)
 @click.option("--z-max", "z_max", type=NON_NEGATIVE, default=6, show_default=True)
@@ -348,10 +282,57 @@ def verify(
         raise click.UsageError("need --max-edge-size > --magnitude-max")
     if inject_fault and t_max < 2:
         raise click.UsageError("--inject-fault needs --t-max >= 2 to plant its term")
-    _require_bounds(t_max, z_max, max(magnitude_max, z_max))
-    sections = _verify_sections(
-        t_max, z_max, magnitude_max, max_edge_size, seed, trials, sub_trials, inject_fault
-    )
+    ctx = _context(t_max, z_max, magnitude_max)
+    ctx_sub = _context(t_max, z_max, z_max)  # the least magnitude the substitution needs
+    # C has no z terms: one C at the larger magnitude serves both contexts
+    wide = max(ctx, ctx_sub, key=lambda c: c.magnitude_max)
+    C_wide = compute_C(wide)
+    if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
+        C_wide = C_wide + Series.term(wide, wide.monomial(t=2, u={2: 1}), 1)
+    C = into_context(C_wide, ctx)
+    T, R = hypertree_series(C)
+    fixed = solve_R_fixed_point(ctx)
+
+    vanishing_rows, trial_L = [], []
+    for i in range(trials):
+        L, violations, _, mismatches = check_phi(random_phi(seed + i), ctx_sub, t_max - 1)
+        trial_L.append(L)
+        vanishing_rows.append({
+            "seed": seed + i,
+            "vanishing": _vanishing(violations, t_max, z_max),
+            "diagonal_mismatches": [
+                {"power": p, "psi": _rational(a), "lhs": _rational(b)} for p, a, b in mismatches
+            ],
+        })
+
+    C_sub = into_context(C_wide, ctx_sub)
+    sub_rows = []
+    for i in range(sub_trials):
+        phi = random_phi(seed + i)
+        direct = trial_L[i] if i < trials else lhs_series(phi, ctx_sub)
+        diff = first_difference(direct, substituted_connected_gf(phi, C_sub))
+        first_diff = None if diff is None else str(diff[0])
+        sub_rows.append({"seed": seed + i, "ok": diff is None, "first_diff": first_diff})
+
+    region = f"[t<={t_max}, z<={z_max}]"
+    sections = {
+        "identities": _identity_section(verify_identities(C, T, R, fixed, max_edge_size)),
+        "dictionary": _identity_section(hypertree_dictionary_report(T, R, fixed)),
+        "vanishing": _trial_section(
+            [row["vanishing"]["ok"] for row in vanishing_rows],
+            f"vanishing pattern over {trials} seeded arrays {region}",
+            rows=vanishing_rows,
+        ),
+        "diagonal": _trial_section(
+            [not row["diagonal_mismatches"] for row in vanishing_rows],
+            f"psi diagonal over {trials} seeded arrays (order {max(t_max - 1, 0)})",
+        ),
+        "substitution": _trial_section(
+            [row["ok"] for row in sub_rows],
+            f"substitution route over {sub_trials} seeded arrays {region}",
+            rows=sub_rows,
+        ),
+    }
     ok = all(section.ok is not False for section in sections.values())
     payload = {name: section.value for name, section in sections.items()} | {"ok": ok}
     lines = [line for section in sections.values() for line in section.lines]
@@ -375,14 +356,14 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         order = t_max - 1
     if not 0 <= order <= t_max - 1:
         raise click.UsageError("need 0 <= --order <= t_max - 1")
-    _require_bounds(t_max, z_max, 0)
+    ctx = _context(t_max, z_max, 0)
     with open(phi_file, "r", encoding="utf-8") as fh:
         try:
             phi = PhiCoefficients.from_json(json.load(fh))
         except (KeyError, ValueError, TypeError, RecursionError) as exc:  # deep nesting
             raise click.UsageError(f"bad Phi file: {exc}") from exc
     c00, reduced = phi.without_constant()
-    L, violations, psi_series, mismatches = check_phi(reduced, t_max, z_max, order)
+    L, violations, psi_series, mismatches = check_phi(reduced, ctx, order)
     lines = [f"log t-scale: {c00} (t -> t * exp({c00}))"] if c00 else []
     psi_rows = []
     for m, c in psi_series.terms():

@@ -180,15 +180,15 @@ def substitution_images(phi: PhiCoefficients, ctx: TruncationContext) -> dict[in
     return {m: Series(ctx, items) for m, items in terms.items()}
 
 
-def substituted_connected_gf(
-    phi: PhiCoefficients, ctx: TruncationContext, C: Series
-) -> Series:
-    """Apply the substitution family to C, the connected-hypergraph series at ctx.
+def substituted_connected_gf(phi: PhiCoefficients, C: Series) -> Series:
+    """Apply the substitution family to C, the connected-hypergraph series,
+    in C's own context ctx.
 
     Needs magnitude_max >= z_max: a dropped magnitude layer could only
     produce z-degrees beyond z_max, so nothing inside the window is lost.
     The result equals lhs_series(phi, ctx) exactly.
     """
+    ctx = C.context
     if phi.constant_term:
         raise ValueError("constant term must be zero; use without_constant()")
     if ctx.magnitude_max < ctx.z_max:
@@ -236,14 +236,14 @@ def diagonal_mismatches(psi: Series, L: Series) -> list[tuple[int, Fraction, Fra
 
 
 def check_phi(
-    phi: PhiCoefficients, t_max: int, z_max: int, order: int
+    phi: PhiCoefficients, ctx: TruncationContext, order: int
 ) -> tuple[
     Series, list[tuple[int, int, Fraction]], Series, list[tuple[int, Fraction, Fraction]]
 ]:
     """(L, its vanishing violations, psi, the diagonal mismatches) for one
-    reduced array: L through t^t_max z^z_max, psi through y^order."""
-    ctx_tz = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)
-    L = lhs_series(phi, ctx_tz)
+    reduced array: L in the caller's context ctx, as lhs_series builds it,
+    and psi through y^order."""
+    L = lhs_series(phi, ctx)
     psi = psi_from_phi(phi.phi_series(TruncationContext(t_max=order + 1, magnitude_max=0)))
     return L, verify_psi_form(L), psi, diagonal_mismatches(psi, L)
 

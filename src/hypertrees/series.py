@@ -38,11 +38,11 @@ fmpq_poly: Hart, "FLINT: Fast Library for Number Theory", ICMS 2010).
 Products, exp, log, substitution and reversion share one term-pair
 loop on these keys that sums int numerators and stops at the first term
 past the magnitude bound.  Selection by (t, z, magnitude), the t-marginal
-and the move into another context read and re-pack key fields as well,
-so a :class:`Monomial` and a :class:`fractions.Fraction` are built only
-at the public edge: the constructor, :meth:`Series.terms`,
-:meth:`Series.coefficient`, ``constant_term``, :func:`first_difference`
-and the repr.
+and the move into another context (the identity when the contexts are
+equal) read and re-pack key fields as well, so a :class:`Monomial` and
+a :class:`fractions.Fraction` are built only at the public edge: the
+constructor, :meth:`Series.terms`, :meth:`Series.coefficient`,
+``constant_term``, :func:`first_difference` and the repr.
 
 exp and log run on the total grade t + z + magnitude, which only the
 unit monomial has at 0: they solve for the grade-d piece of the result
@@ -593,10 +593,12 @@ def first_difference(
 
 def into_context(f: Series, ctx: TruncationContext) -> Series:
     """f truncated into ctx, whose edge variables may be fewer or more than
-    f's context has.  A term that uses a u_j past ctx's lies beyond its
-    magnitude bound, so it is dropped, not shortened; the u_j that only ctx
-    has get exponent 0.  Each kept key is re-packed field by field into
-    ctx's layout, which leaves it as it is when the layouts are equal."""
+    f's context has; f itself when its context is ctx.  A term that uses a
+    u_j past ctx's lies beyond its magnitude bound, so it is dropped, not
+    shortened; the u_j that only ctx has get exponent 0.  Each kept key is
+    re-packed field by field into ctx's layout."""
+    if f.context == ctx:
+        return f
     kept = f.where(lambda t, z, m: t <= ctx.t_max and z <= ctx.z_max and m <= ctx.magnitude_max)
     (width, mask, top), (to_width, _, to_top) = f.context._fields, ctx._fields
     shifts = [(width * i, to_width * i) for i in range(min(top // width, to_top // to_width))]

@@ -221,7 +221,7 @@ def test_c6_substitution_equivalence(acceptance):
     ok = True
     for seed in SEEDS[:5]:
         direct = lhs_series(random_phi(seed), ctx)
-        routed = substituted_connected_gf(random_phi(seed), ctx, C=C)
+        routed = substituted_connected_gf(random_phi(seed), C)
         ok = ok and first_difference(direct, routed) is None
     elapsed = time.monotonic() - start
     acceptance.check(

@@ -461,10 +461,12 @@ def test_verify_expands_L_once_per_seed(runner, monkeypatch, trials, sub_trials)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert len(calls) == max(trials, sub_trials)
+    # each L is born in the substitution route's context, so no trial re-keys it
+    assert all(ctx.magnitude_max == ctx.z_max for _, ctx in calls)
 
 
 def test_verify_substitution_reads_L_the_same_past_the_trials(runner):
-    # a seed past --trials expands its own L; one under it re-keys the trial's L
+    # a seed past --trials expands its own L; one under it reuses the trial's L
     def substitution(trials):
         args = ["verify", "--t-max", "5", "--z-max", "5", "--trials", trials,
                 "--sub-trials", "4", "--json"]
@@ -538,10 +540,23 @@ def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
         assert ctx.names[2:] == tuple(f"u{i}" for i in range(2, ctx.magnitude_max + 2))
 
 
+def test_verify_at_equal_bounds_rekeys_nothing(runner, monkeypatch):
+    # at t = z = magnitude (perfbench's verify-std) the suite and the substitution
+    # route share one context
+    from hypertrees import cli, series
+
+    moves = _count_calls(monkeypatch, "into_context", (series, cli))
+    args = ["verify", "--t-max", "10", "--z-max", "10", "--max-edge-size", "12",
+            "--trials", "5", "--sub-trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert moves and all(f.context == ctx for f, ctx in moves)
+
+
 @pytest.mark.parametrize("t_max, z_max", [(3, 0), (3, 8), (8, 3), (7, 8)])
 def test_verify_without_z(runner, t_max, z_max):
-    # at t != z the pipeline's, the substitution route's and the shared C's contexts
-    # differ in key width or edge alphabet, so into_context re-packs the keys
+    # at magnitude != z the suite's and the substitution route's contexts differ
+    # in edge alphabet, so into_context re-packs the one C into the narrower one
     args = ["verify", "--t-max", str(t_max), "--z-max", str(z_max),
             "--max-edge-size", str(t_max + 1)]
     result = runner.invoke(main, args + ["--trials", "2", "--sub-trials", "1"])

@@ -1,5 +1,6 @@
 """Partitions, multinomials and Stirling numbers against known tables."""
 
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -81,12 +82,11 @@ def test_bell_numbers():
     assert [sum(_row(n)) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 10), st.integers(1, 10))
-def test_stirling_by_inclusion_exclusion(n, k):
-    # k! S(n, k) counts surjections onto a k-set
-    surjections = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
-    assert factorial(k) * stirling2(n, k) == surjections
+def test_stirling_counts_surjections():
+    # k! S(n, k) counts the maps of an n-set onto a k-set, listed one by one
+    for n, k in product(range(7), repeat=2):
+        surjections = sum(len(set(f)) == k for f in product(range(k), repeat=n))
+        assert factorial(k) * stirling2(n, k) == surjections, (n, k)
 
 
 def test_stirling_equals_recurrence_twin():

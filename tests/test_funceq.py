@@ -13,6 +13,7 @@ import pytest
 from hypertrees.combinat import stirling2
 from hypertrees.funceq import (
     PhiCoefficients,
+    check_phi,
     diagonal_mismatches,
     hypertree_dictionary_report,
     lhs_series,
@@ -251,9 +252,9 @@ def test_substitution_images_mixed_entries():
 def test_substitution_maps_t_and_u():
     ctx = TruncationContext(t_max=4, z_max=4, magnitude_max=4)
     phi = PhiCoefficients({(1, 0): 1})
-    u2_image = substituted_connected_gf(phi, ctx, C=Series.variable(ctx, "u2"))
+    u2_image = substituted_connected_gf(phi, Series.variable(ctx, "u2"))
     assert u2_image == Series.term(ctx, ctx.monomial(z=1), 2)
-    t_image = substituted_connected_gf(phi, ctx, C=Series.variable(ctx, "t"))
+    t_image = substituted_connected_gf(phi, Series.variable(ctx, "t"))
     # t * exp(z): coefficient of t z^2 is 1/2
     assert t_image.coefficient(ctx.monomial(t=1, z=2)) == Fraction(1, 2)
 
@@ -261,7 +262,7 @@ def test_substitution_maps_t_and_u():
 def test_substitution_requires_reduced_array():
     ctx = TruncationContext(t_max=3, z_max=3, magnitude_max=3)
     with pytest.raises(ValueError):
-        substituted_connected_gf(PhiCoefficients({(0, 0): 1}), ctx, C=compute_C(ctx))
+        substituted_connected_gf(PhiCoefficients({(0, 0): 1}), compute_C(ctx))
 
 
 def test_substitution_reproduces_lhs():
@@ -270,14 +271,14 @@ def test_substitution_reproduces_lhs():
     for seed in (42, 99):
         phi = random_phi(seed)
         direct = lhs_series(phi, ctx)
-        routed = substituted_connected_gf(phi, ctx, C=C)
+        routed = substituted_connected_gf(phi, C)
         assert first_difference(direct, routed) is None, seed
 
 
 def test_substitution_requires_magnitude_headroom():
     ctx = TruncationContext(t_max=4, z_max=4, magnitude_max=2)
     with pytest.raises(ValueError):
-        substituted_connected_gf(random_phi(1), ctx, C=Series.zero(ctx))
+        substituted_connected_gf(random_phi(1), Series.zero(ctx))
 
 
 # -- reversion route ---------------------------------------------------------------
@@ -298,6 +299,22 @@ def test_diagonal_matches_lhs_for_seeded_arrays():
         L = lhs_series(phi, CTX)
         psi = psi_from_phi(phi.phi_series(ctx1))
         assert diagonal_mismatches(psi, L) == [], seed
+
+
+def _tz_terms(L):
+    return [(m.t_deg, m.z_deg, c) for m, c in L.terms()]
+
+
+@pytest.mark.parametrize("magnitude_max", [0, 5])
+def test_check_phi_builds_L_in_the_callers_context(magnitude_max):
+    # the edge variables of a wider context carry no terms of L
+    ctx = TruncationContext(t_max=5, z_max=5, magnitude_max=magnitude_max)
+    phi = random_phi(7)
+    L, violations, psi, mismatches = check_phi(phi, ctx, 4)
+    assert L.context == ctx
+    assert _tz_terms(L) == _tz_terms(lhs_series(phi, CTX))
+    assert psi.context.t_max == 5
+    assert violations == mismatches == []
 
 
 def test_diagonal_detects_corruption():

@@ -2,7 +2,7 @@
 and ``table`` to n = 12, as text and as JSON.
 
 The fixtures under data/golden were recorded from the command line; any
-change to the printed text or JSON of these runs fails here.  The two
+change to the printed text or JSON of these runs fails here.  The
 ``--inject-fault`` runs pin the failure text, ``first diff at Monomial(...)``
 included, and exit 1.
 """
@@ -29,6 +29,11 @@ CASES = [
     (["verify", "--t-max", "6", "--z-max", "6", "--inject-fault"], 1, "verify-fault-t6-z6.txt"),
     (["verify", "--t-max", "6", "--z-max", "6", "--inject-fault", "--json"], 1,
      "verify-fault-json-t6-z6.json"),
+    # at magnitude != z the one C is re-keyed between the two contexts, both ways
+    (["verify", "--t-max", "8", "--z-max", "3", "--max-edge-size", "9", "--trials", "3",
+      "--sub-trials", "3", "--inject-fault", "--json"], 1, "verify-fault-json-t8-z3.json"),
+    (["verify", "--t-max", "4", "--z-max", "7", "--max-edge-size", "8", "--trials", "3",
+      "--sub-trials", "3", "--inject-fault"], 1, "verify-fault-t4-z7.txt"),
     (["psi", PHI_C00, "--t-max", "8", "--z-max", "8"], 0, "psi-c00-t8-z8.txt"),
     (["psi", PHI_C00, "--t-max", "8", "--z-max", "8", "--json"], 0, "psi-json-c00-t8-z8.json"),
 ]

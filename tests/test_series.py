@@ -264,6 +264,13 @@ def test_into_context_widens_and_narrows():
     assert into_context(stray, tz) == into_context(g, tz)  # u2 is past tz's alphabet
 
 
+def test_into_context_is_the_identity_within_one_context():
+    ctx = TruncationContext(t_max=3, z_max=2, magnitude_max=2)
+    f = 1 + Series.variable(ctx, "t") * Series.variable(ctx, "u2")
+    assert into_context(f, f.context) is f
+    assert into_context(f, TruncationContext(t_max=3, z_max=2, magnitude_max=2)) is f
+
+
 def test_divided_by_t():
     f = T * U2 + power(T, 2)
     assert f.divided_by_t() == U2 + T

@@ -44,10 +44,9 @@ from .hypergraphs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     EdgeProfile,
+    classify,
     count_profile,
     count_sweep,
-    is_connected,
-    is_hypertree,
     kernel_name,
     parse_hypergraph,
 )
@@ -156,15 +155,16 @@ def oracle(
                 h = parse_hypergraph(fh.read())
             except ValueError as exc:
                 raise click.UsageError(f"bad hypergraph file: {exc}") from exc
+        connected, hypertree = classify(h)
         payload = {
             "n": h.n,
             "profile": h.profile().as_dict(),
             "magnitude": h.edge_magnitude,
-            "connected": is_connected(h),
-            "hypertree": is_hypertree(h),
+            "connected": connected,
+            "hypertree": hypertree,
         }
         text = (f"n={h.n} profile={h.profile()} magnitude={h.edge_magnitude} "
-                f"connected={payload['connected']} hypertree={payload['hypertree']}")
+                f"connected={connected} hypertree={hypertree}")
         _emit(payload, [text], as_json)
         return
     if n is None:

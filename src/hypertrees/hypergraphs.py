@@ -7,20 +7,24 @@ label.  The edge profile records how many edges there are of each size;
 its magnitude sum((i - 1) * count_i) is the grading that the series
 modules track with the u-variables.
 
-is_connected and is_hypertree below are deliberately literal: they read
-one depth-first search of the bipartite incidence graph (vertices on one
-side, edges on the other) for reachability and acyclicity.
+classify below decides hypertrees by the lemma that the series modules
+rest on: h is a hypertree iff it is connected and its magnitude is
+n - 1.  Its bipartite incidence graph (vertices on one side, edges on the
+other) has n + e nodes and magnitude + e links, so when it is connected
+it is a tree exactly then.  One walk of that graph decides connectivity;
+the literal cycle detectors are the tests' twins.
 
 The counting kernel does not classify hypergraphs one by one.  It counts
-orbit types: it carries the block sizes of the component partition and a
-cycle flag through the edge slots, with the number of partial assignments
-that reach each type, because every edge is drawn from all C(n, s) vertex
-subsets alike.  It shares nothing with log S, the rooted fixed point or
-the closed form: the pipeline builds S by the exponential formula, so it
-no longer shares assignment_count with the oracle, and that count now
-lives with the tests.  Tests hold the kernel against the transfer over
-labeled set partitions that it lumps, against a union-find pass over
-every assignment and against these classifiers, so the fast path never
+orbit types: it carries the block sizes of the component partition
+through the edge slots, with the number of partial assignments that
+reach each type, because every edge is drawn from all C(n, s) vertex
+subsets alike, and reads the hypertrees off the connected count by the
+same lemma.  It shares nothing with log S, the rooted fixed point or the
+closed form: the pipeline builds S by the exponential formula, so it no
+longer shares assignment_count with the oracle, and that count now lives
+with the tests.  Tests hold the kernel against the transfer over labeled
+set partitions that it lumps, against a union-find pass over every
+assignment and against per-hypergraph union-find, so the fast path never
 becomes the definition.
 """
 
@@ -106,12 +110,6 @@ class EdgeProfile:
             if c:
                 yield (j + 2, c)
 
-    def sizes(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for size, c in self.items():
-            out.extend([size] * c)
-        return tuple(out)
-
     @property
     def magnitude(self) -> int:
         return sum((size - 1) * c for size, c in self.items())
@@ -175,12 +173,13 @@ class Hypergraph:
         return sum(len(e) - 1 for e in self.edges)
 
 
-def _walk(h: Hypergraph) -> tuple[set[int], bool]:
-    """Depth-first search of the bipartite incidence graph (vertex nodes and
-    edge nodes, joined when the vertex lies in the edge) from vertex 1:
-    (the vertices reached, no cycle met).  An edge is opened once, from the
-    first vertex to reach it, and closes a cycle iff another of its vertices
-    was reached already."""
+def classify(h: Hypergraph) -> tuple[bool, bool]:
+    """(connected, hypertree) for one hypergraph.
+
+    Connected iff a depth-first search of the incidence graph from vertex 1
+    reaches every vertex; the empty vertex set is defined as disconnected
+    for uniformity.  A connected h is a hypertree iff its magnitude is n - 1.
+    """
     # only the vertices that edges touch get an entry: memory follows the edges, not n
     by_vertex: dict[int, list[int]] = {}
     for ei, edge in enumerate(h.edges):
@@ -188,33 +187,16 @@ def _walk(h: Hypergraph) -> tuple[set[int], bool]:
             by_vertex.setdefault(v, []).append(ei)
     seen = {1}
     opened: set[int] = set()
-    acyclic = True
     stack = [1]
     while stack:
         for ei in by_vertex.get(stack.pop(), ()):
-            if ei not in opened:
+            if ei not in opened:  # an edge is opened once, from the first vertex to reach it
                 opened.add(ei)
                 fresh = [w for w in h.edges[ei] if w not in seen]
-                acyclic = acyclic and len(fresh) == len(h.edges[ei]) - 1
                 seen.update(fresh)
                 stack.extend(fresh)
-    return seen, acyclic
-
-
-def is_connected(h: Hypergraph) -> bool:
-    """True iff every vertex is reachable from vertex 1 through edges.
-
-    The empty vertex set is defined as disconnected for uniformity.
-    """
-    return h.n > 0 and len(_walk(h)[0]) == h.n
-
-
-def is_hypertree(h: Hypergraph) -> bool:
-    """True iff h is connected and its incidence graph is acyclic; a cycle
-    through k >= 2 edge nodes is exactly a closed walk through k distinct
-    edges and k distinct vertices."""
-    reached, acyclic = _walk(h)
-    return h.n > 0 and len(reached) == h.n and acyclic
+    connected = h.n > 0 and len(seen) == h.n
+    return connected, connected and h.edge_magnitude == h.n - 1
 
 
 @dataclass(frozen=True)
@@ -248,76 +230,64 @@ def count_profile(
     """Classify every hypergraph with this profile through the counting kernel,
     which refuses to take the run past budget steps, spent of them already used.
 
-    When every size is at most n, each edge slot costs at least one step, so
-    a profile with more slots than the budget has left is refused before its
-    slots are built."""
-    slots = sum(profile.counts)
-    if len(profile.counts) < n and spent + slots > budget:  # the largest size fits in n
-        raise BudgetExceededError(spent + slots, budget)
-    return CountRow(n, profile, *_count_by_types(n, profile.sizes(), budget, spent))
-
-
-def _count_by_types(
-    n: int, sizes: tuple[int, ...], budget: int = DEFAULT_BUDGET, spent: int = 0
-) -> tuple[int, int, int, int]:
-    """(total, connected, hypertree, steps) over every assignment of the edge slots.
-
     The slots are filled one at a time, and instead of each partial
-    assignment only what decides its class is carried: the block sizes of
-    its component partition and whether a cycle has been seen.  A state
-    maps to the number of partial assignments that reach it.  This is the
-    transfer-matrix method (Stanley, EC1 4.7) on the chain of component
-    partitions, lumped by its S_n symmetry (Kemeny and Snell, Finite Markov
-    Chains, 1960): every edge is drawn from all C(n, s) subsets alike, so
-    the ways to reach a partition depend only on its block sizes.
+    assignment only the block sizes of its component partition are
+    carried, mapped to the number of partial assignments that reach them.
+    This is the transfer-matrix method (Stanley, EC1 4.7) on the chain of
+    component partitions, lumped by its S_n symmetry (Kemeny and Snell,
+    Finite Markov Chains, 1960): every edge is drawn from all C(n, s)
+    subsets alike, so the ways to reach a partition depend only on its
+    block sizes.  The connected count is the weight of the one-block
+    type, and they are all hypertrees iff the magnitude is n - 1.
 
     A slot costs one step per (state, move) pair, added to the spent steps
     state by state before the slot runs; BudgetExceededError is raised as
     soon as the count passes budget, before the slot's first state moves.
+    When every size is at most n, each slot costs at least one step, so a
+    profile with more slots than the budget has left is refused before
+    any slot runs.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    sizes = tuple(int(s) for s in sizes)
-    if any(s < 2 for s in sizes):
-        raise ValueError("edges need at least 2 vertices")
-    total = prod(comb(n, s) ** c for s, c in Counter(sizes).items())  # one power per size
+    slots = sum(profile.counts)
+    if len(profile.counts) < n and spent + slots > budget:  # the largest size fits in n
+        raise BudgetExceededError(spent + slots, budget)
+    total = prod(comb(n, s) ** c for s, c in profile.items())  # one power per size
     if total == 0:
-        return (0, 0, 0, 0)
+        return CountRow(n, profile, 0, 0, 0)
 
-    states = {(((1, n),), False): 1}  # n singleton blocks, no cycle
+    states: dict[_Blocks, int] = {((1, n),): 1}  # n singleton blocks
     steps = spent
-    for s in sizes:
-        slot = []
-        for (blocks, cycle), ways in states.items():
-            moves = _moves(blocks, s)
-            steps += len(moves)
-            if steps > budget:
-                raise BudgetExceededError(steps, budget)
-            slot.append((cycle, ways, moves))
-        after: dict[tuple[_Blocks, bool], int] = {}
-        for cycle, ways, moves in slot:
-            for blocks, closes, count in moves:
-                key = (blocks, cycle or closes)
-                after[key] = after.get(key, 0) + ways * count
-        states = after
+    for s, c in profile.items():
+        for _ in range(c):
+            slot = []
+            for blocks, ways in states.items():
+                moves = _moves(blocks, s)
+                steps += len(moves)
+                if steps > budget:
+                    raise BudgetExceededError(steps, budget)
+                slot.append((ways, moves))
+            after: dict[_Blocks, int] = {}
+            for ways, moves in slot:
+                for blocks, count in moves:
+                    after[blocks] = after.get(blocks, 0) + ways * count
+            states = after
 
-    one = ((n, 1),)
-    hypertree = states.get((one, False), 0)
-    return (total, hypertree + states.get((one, True), 0), hypertree, steps - spent)
+    connected = states.get(((n, 1),), 0)
+    hypertree = connected if profile.magnitude == n - 1 else 0
+    return CountRow(n, profile, total, connected, hypertree, steps - spent)
 
 
 @lru_cache(maxsize=4096)  # every (type, size) key of a sweep to n = 16 fits
-def _moves(blocks: _Blocks, s: int) -> tuple[tuple[_Blocks, bool, int], ...]:
+def _moves(blocks: _Blocks, s: int) -> tuple[tuple[_Blocks, int], ...]:
     """Every way an s-edge meets a partition with these blocks, as (blocks
-    after, closes a cycle, number of edges).
+    after, number of edges).
 
     An edge that takes k_i >= 1 vertices from block i merges the blocks it
     touches.  The edges are counted per class of equal blocks: t of a
     class's m blocks of size b, hit by K vertices in all and each at least
     once, are C(m, t) [x^K] ((1+x)^b - 1)^t edge parts, and the t-vector of
-    the classes fixes the blocks after.  It fixes the cycle too: the k_i sum
-    to s over the sum(t) blocks touched, so some k_i >= 2, and the edge
-    closes a cycle, iff s > sum(t).
+    the classes fixes the blocks after.
     """
     # (vertices left, t per class so far): edge parts; placed once none is left
     partial = {(s, ()): 1}
@@ -334,11 +304,11 @@ def _moves(blocks: _Blocks, s: int) -> tuple[tuple[_Blocks, bool, int], ...]:
                     into = grown if k < left else placed
                     into[key] = into.get(key, 0) + count * ways
         partial = grown
-    out: dict[tuple[_Blocks, bool], int] = {}
+    out: dict[_Blocks, int] = {}
     for (_, taken), count in placed.items():
-        key = (_merged(blocks, taken), s > sum(taken))
-        out[key] = out.get(key, 0) + count
-    return tuple((after, closes, count) for (after, closes), count in out.items())
+        after = _merged(blocks, taken)
+        out[after] = out.get(after, 0) + count
+    return tuple(out.items())
 
 
 def _class_hits(b: int, m: int, most: int) -> list[list[tuple[int, int]]]:

@@ -5,8 +5,9 @@ second, independent method (Lagrange inversion in place of slice-by-slice
 reversion, full-precision passes in place of the slice-by-slice fixed
 point and reversion, the transfer over labeled set partitions in place
 of the block-size-type counting kernel, explicit enumeration in place of
-both kernels and of the step meter, union-find in place of the
-incidence-graph walk, part tuples by recursion in place of the
+both kernels and of the step meter, union-find cycle detection in place
+of the magnitude lemma that the classifier and the kernel read
+hypertrees by, part tuples by recursion in place of the
 multiplicity-vector partition stream, full power sums in place of the
 graded exp and log recurrences, the inverse built from them and the
 one-call substitution, hand-built coefficient lists in place of the maps
@@ -286,6 +287,11 @@ def factorial_norm(profile: EdgeProfile) -> int:
     return out
 
 
+def slot_sizes(profile: EdgeProfile) -> tuple[int, ...]:
+    """The size of every edge slot, ascending, as the kernel fills them."""
+    return tuple(size for size, c in profile.items() for _ in range(c))
+
+
 def assignment_count(n: int, profile: EdgeProfile) -> int:
     """Number of labeled hypergraphs on 1..n with the given profile."""
     total = 1
@@ -432,7 +438,7 @@ def enumerate_hypergraphs(
     if required > budget:
         raise ValueError(f"enumeration needs {required} hypergraphs, over the budget of {budget}")
     choice_lists = [
-        list(combinations(range(1, n + 1), size)) for size in profile.sizes()
+        list(combinations(range(1, n + 1), size)) for size in slot_sizes(profile)
     ]
     for assignment in product(*choice_lists):
         yield Hypergraph(n, tuple(assignment))
@@ -560,6 +566,13 @@ def count_by_partitions(
     return (total, connected, hypertree, steps)
 
 
+def sweep_by_partitions(n: int, max_magnitude: int) -> list[CountRow]:
+    """count_sweep's rows from the set-partition twin, which finds the
+    hypertrees by literal cycles rather than by the magnitude lemma."""
+    return [CountRow(n, profile, *count_by_partitions(n, slot_sizes(profile))[:3])
+            for profile in iter_profiles(max_magnitude, max_size=n)]
+
+
 def _merge(blocks: list[set[int]], edge: tuple[int, ...]) -> tuple[list[set[int]], bool]:
     """The blocks after edge merges the ones it touches, and whether it closed
     a cycle by touching fewer blocks than it has vertices."""
@@ -579,7 +592,9 @@ def kernel_steps_by_enumeration(n: int, sizes: tuple[int, ...]) -> list[int]:
     distinct (block-size type, cycle seen) pairs that the assignments of the
     slots before j reach; a state's moves are the distinct (type after,
     closes a cycle) pairs over all C(n, s_j) edges laid on one partition
-    of its type that an assignment reached.  Slot j costs the states' moves."""
+    of its type that an assignment reached.  Slot j costs the states' moves.
+    The kernel carries the type alone; the type fixes the block count, so
+    with the slot sizes it fixes the cycle flag, and the counts agree."""
     out = []
     steps = 0
     for j, s in enumerate(sizes):

@@ -1,5 +1,5 @@
-"""Byte-exact stdout and exit code of the README examples, ``verify``, ``psi``
-and ``table`` to n = 12, as text and as JSON.
+"""Byte-exact stdout and exit code of the README examples, ``verify``, ``psi``,
+an ``oracle`` sweep and ``table`` to n = 12, as text and as JSON.
 
 The fixtures under data/golden were recorded from the command line; any
 change to the printed text or JSON of these runs fails here.  The
@@ -24,6 +24,8 @@ CASES = [
     (["table", "--max-n", "12"], 0, "table-max-n12.txt"),
     (["table", "--max-n", "12", "--json"], 0, "table-json-max-n12.json"),
     (["oracle", "--n", "4", "--profile", "u2=1,u3=1"], 0, "oracle-n4-u2-1-u3-1.txt"),
+    # 192 rows to magnitude 11, 95 of them connected with no hypertree
+    (["oracle", "--n", "10", "--max-magnitude", "11", "--json"], 0, "oracle-json-n10-m11.json"),
     (["verify", "--t-max", "6", "--z-max", "6"], 0, "verify-t6-z6.txt"),
     (["verify", "--t-max", "6", "--z-max", "6", "--json"], 0, "verify-json-t6-z6.json"),
     (["verify", "--t-max", "6", "--z-max", "6", "--inject-fault"], 1, "verify-fault-t6-z6.txt"),

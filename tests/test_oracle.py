@@ -1,12 +1,15 @@
 """Brute-force layer: enumeration, literal classification, counting kernel.
 
 The counting kernel (a transfer over the block sizes of component
-partitions) is never trusted alone: it is held against the transfer over
-labeled set partitions that it lumps, against a union-find pass over every
-assignment, and against the BFS/DFS classifiers over full enumerations.
+partitions) and the classifier both read hypertrees off the magnitude
+lemma, so neither is trusted alone: the kernel is held against the
+transfer over labeled set partitions that it lumps and against a
+union-find pass over every assignment, and the classifier against
+union-find per hypergraph; each twin finds cycles literally.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,11 +22,9 @@ from hypertrees.hypergraphs import (
     BudgetExceededError,
     EdgeProfile,
     Hypergraph,
+    classify,
     count_profile,
-    _count_by_types,
     count_sweep,
-    is_connected,
-    is_hypertree,
     iter_profiles,
     parse_hypergraph,
     profiles,
@@ -40,6 +41,8 @@ from oracles import (
     kernel_steps_by_enumeration,
     magnitude_law_violations,
     oracle_polynomials,
+    slot_sizes,
+    sweep_by_partitions,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -54,7 +57,7 @@ def test_profile_parse_and_str():
     assert str(p) == "u2^2 u3"
     assert p.magnitude == 4
     assert sum(p.counts) == 3
-    assert p.sizes() == (2, 2, 3)
+    assert slot_sizes(p) == (2, 2, 3)
     assert EdgeProfile.parse("", 2) == EdgeProfile()
     with pytest.raises(ValueError):
         EdgeProfile.parse("v2=1", 3)
@@ -132,8 +135,7 @@ def test_sample_fixture_matches_worked_example():
     assert h.n == 5
     assert h.profile() == EdgeProfile.parse("u2=4,u3=3", 5)
     assert h.edge_magnitude == 10
-    assert is_connected(h)
-    assert not is_hypertree(h)
+    assert classify(h) == (True, False)
 
 
 def test_hypergraph_validation():
@@ -148,24 +150,18 @@ def test_hypergraph_validation():
 
 
 def test_single_vertex_is_a_hypertree():
-    h = Hypergraph(1, ())
-    assert is_connected(h)
-    assert is_hypertree(h)
-    assert not is_connected(Hypergraph(0, ()))
+    assert classify(Hypergraph(1, ())) == (True, True)
+    assert classify(Hypergraph(0, ())) == (False, False)
 
 
 def test_disconnected_and_cyclic_cases():
-    assert not is_connected(Hypergraph(4, ((1, 2), (3, 4))))
-    doubled = Hypergraph(2, ((1, 2), (1, 2)))
-    assert is_connected(doubled)
-    assert not is_hypertree(doubled)
+    assert classify(Hypergraph(4, ((1, 2), (3, 4)))) == (False, False)
+    assert classify(Hypergraph(2, ((1, 2), (1, 2)))) == (True, False)
     # two 3-edges sharing two vertices: connected, cyclic
-    sharing = Hypergraph(4, ((1, 2, 3), (1, 2, 4)))
-    assert is_connected(sharing)
-    assert not is_hypertree(sharing)
+    assert classify(Hypergraph(4, ((1, 2, 3), (1, 2, 4)))) == (True, False)
     path = Hypergraph(5, ((4, 5), (1, 2, 3), (3, 4, 5)))
-    assert not is_hypertree(path)  # 4-5 inside {3,4,5} closes a cycle
-    assert is_hypertree(Hypergraph(5, ((1, 2, 3), (3, 4, 5))))
+    assert classify(path) == (True, False)  # 4-5 inside {3,4,5} closes a cycle
+    assert classify(Hypergraph(5, ((1, 2, 3), (3, 4, 5)))) == (True, True)
 
 
 def format_hypergraph(h):
@@ -194,7 +190,7 @@ def test_budget_is_enforced_up_front():
         list(enumerate_hypergraphs(5, profile, budget=10**6))
     # the kernel's budget counts its steps, one per (state, move) pair of a slot
     profile = EdgeProfile.parse("u2=5", 5)
-    steps = kernel_steps_by_enumeration(5, profile.sizes())[-1]
+    steps = kernel_steps_by_enumeration(5, slot_sizes(profile))[-1]
     assert steps == 40
     with pytest.raises(BudgetExceededError, match="kernel steps") as exc:
         count_profile(5, profile, budget=steps - 1)
@@ -205,12 +201,14 @@ def test_budget_is_enforced_up_front():
         list(enumerate_hypergraphs(ENUMERATION_N_MAX + 1, EdgeProfile()))
 
 
-METERED = [(4, (2, 2, 2, 2)), (5, (2, 2, 3, 3)), (5, (2, 3, 4)), (3, (3, 2, 2)), (2, (2,))]
+# the slots of each profile in ascending size, the order the kernel fills them in
+METERED = [(4, (2, 2, 2, 2)), (5, (2, 2, 3, 3)), (5, (2, 3, 4)), (3, (2, 2, 3)), (2, (2,))]
 
 
 @pytest.mark.parametrize("n,sizes", METERED, ids=[f"n{n}-{s}" for n, s in METERED])
 def test_kernel_refuses_a_slot_before_building_it(monkeypatch, n, sizes):
-    running = kernel_steps_by_enumeration(n, sizes)
+    profile = EdgeProfile.from_dict(Counter(sizes), n)
+    assert slot_sizes(profile) == sizes
     priced = []  # the move count of every state the meter priced, in order
     moves = hypergraphs._moves
 
@@ -220,21 +218,31 @@ def test_kernel_refuses_a_slot_before_building_it(monkeypatch, n, sizes):
         return out
 
     monkeypatch.setattr(hypergraphs, "_moves", recorded)
-    for budget in sorted({0, 1} | {s + d for s in running for d in (-1, 0, 1)}):
-        priced.clear()
-        within = [s for s in running if s <= budget]
-        if len(within) == len(sizes):
-            expected = (*count_profile_by_enumeration(n, sizes), running[-1])
-            assert _count_by_types(n, sizes, budget) == expected
-            assert sum(priced) == running[-1]
-        else:
-            with pytest.raises(BudgetExceededError) as exc:
-                _count_by_types(n, sizes, budget)
-            # refused at the first state that took the count past budget, in the
-            # first slot that does not fit, before that slot moved any state
-            assert budget < exc.value.required <= running[len(within)]
-            assert sum(priced) == exc.value.required
-            assert sum(priced) - priced[-1] <= budget
+    counted = kernel_steps_by_enumeration(n, sizes)
+    expected = (*count_profile_by_enumeration(n, sizes), counted[-1])
+    for spent in (0, 3):  # steps already used by earlier profiles of a sweep
+        running = [spent + s for s in counted]
+        for budget in sorted({0, 1} | {s + d for s in running for d in (-1, 0, 1)}):
+            priced.clear()
+            within = [s for s in running if s <= budget]
+            if budget < spent + len(sizes):
+                # every slot costs a step: refused up front, before any state is priced
+                with pytest.raises(BudgetExceededError) as exc:
+                    count_profile(n, profile, budget, spent)
+                assert exc.value.required == spent + len(sizes)
+                assert priced == []
+            elif len(within) == len(sizes):
+                row = count_profile(n, profile, budget, spent)
+                assert (row.total, row.connected, row.hypertree, row.steps) == expected
+                assert sum(priced) == row.steps
+            else:
+                with pytest.raises(BudgetExceededError) as exc:
+                    count_profile(n, profile, budget, spent)
+                # refused at the first state that took the count past budget, in the
+                # first slot that does not fit, before that slot moved any state
+                assert budget < exc.value.required <= running[len(within)]
+                assert spent + sum(priced) == exc.value.required
+                assert spent + sum(priced) - priced[-1] <= budget
 
 
 def test_sweep_meters_one_budget_for_the_whole_run():
@@ -268,7 +276,8 @@ FROZEN_ROWS = [
     (4, "u2=1,u3=1", 24, 12, 12),
     (5, "u3=2", 100, 30, 30),
     (5, "u2=4", 10000, 3000, 3000),
-    # connected but never a hypertree: a kernel blind to cycles fails these
+    # connected but never a hypertree, above magnitude n - 1: a kernel that took
+    # every connected hypergraph for a hypertree fails these
     (3, "u2=3", 27, 24, 0),
     (4, "u3=2", 16, 12, 0),
     (4, "u2=1,u3=2", 96, 84, 0),
@@ -297,9 +306,9 @@ def test_kernels_agree_with_literal_classifiers():
             total = connected = hypertree = 0
             for h in enumerate_hypergraphs(n, profile):
                 total += 1
-                c = is_connected(h)
+                c, ht = classify_by_union_find(h)
                 connected += c
-                hypertree += c and is_hypertree(h)
+                hypertree += ht
             row = count_profile(n, profile)
             assert (row.total, row.connected, row.hypertree) == (
                 total,
@@ -314,7 +323,7 @@ def test_classifiers_equal_union_find_per_hypergraph():
     for n in range(1, 6):
         for profile in iter_profiles(4, max_size=n):
             for h in enumerate_hypergraphs(n, profile):
-                assert (is_connected(h), is_hypertree(h)) == classify_by_union_find(h), h
+                assert classify(h) == classify_by_union_find(h), h
                 checked += 1
     assert checked == 14268  # the sum of assignment_count over these cells
 
@@ -331,10 +340,11 @@ TWIN_PROFILES = [
 )
 def test_kernel_equals_enumeration_twin(n, profile):
     # the counts by union-find over every assignment, the steps from counted states
-    sizes = profile.sizes()
+    sizes = slot_sizes(profile)
     steps = kernel_steps_by_enumeration(n, sizes)
     expected = (*count_profile_by_enumeration(n, sizes), steps[-1] if steps else 0)
-    assert _count_by_types(n, sizes) == expected
+    row = count_profile(n, profile)
+    assert (row.total, row.connected, row.hypertree, row.steps) == expected
     # the set-partition twin also answers every one of these with the union-find counts
     assert count_by_partitions(n, sizes)[:3] == expected[:3]
 
@@ -351,13 +361,13 @@ def test_kernel_equals_set_partition_twin():
     reached = refused = 0
     for n, mag, budget in PARTITION_TWIN_GRID:
         for profile in iter_profiles(mag, max_size=n):
-            sizes = profile.sizes()
             try:
-                twin = count_by_partitions(n, sizes, budget)
+                twin = count_by_partitions(n, slot_sizes(profile), budget)
             except BudgetExceededError:
                 refused += 1
                 continue
-            assert _count_by_types(n, sizes)[:3] == twin[:3], (n, profile)
+            row = count_profile(n, profile)
+            assert (row.total, row.connected, row.hypertree) == twin[:3], (n, profile)
             reached += 1
     assert (reached, refused) == (184 + 50, 159)
 
@@ -366,28 +376,38 @@ def test_kernel_equals_set_partition_twin():
 @given(st.data())
 def test_kernel_ignores_slot_order(data):
     n = data.draw(st.integers(1, 5))
-    sizes = tuple(data.draw(st.lists(st.integers(2, max(2, n)), max_size=4)))
+    sizes = data.draw(st.lists(st.integers(2, max(2, n)), max_size=4))
+    profile = EdgeProfile(tuple(sizes.count(s) for s in range(2, max(sizes, default=1) + 1)))
     shuffled = tuple(data.draw(st.permutations(sizes)))
-    expected = count_profile_by_enumeration(n, sizes)
-    # the step count depends on the order of the slots, the counts do not
-    assert _count_by_types(n, shuffled)[:3] == expected
+    # the kernel fills the slots in ascending size; the twin's counts do not
+    # depend on the order it fills them in
+    row = count_profile(n, profile)
+    assert (row.total, row.connected, row.hypertree) == count_profile_by_enumeration(n, shuffled)
 
 
 def test_kernel_input_validation():
-    for kernel in (_count_by_types, count_by_partitions):
-        with pytest.raises(ValueError):
-            kernel(0, (2,))
-        with pytest.raises(ValueError):
-            kernel(3, (1,))
+    with pytest.raises(ValueError):
+        count_profile(0, EdgeProfile((1,)))
+    # a size-1 slot cannot reach count_profile: EdgeProfile has no size below 2
+    with pytest.raises(ValueError):
+        count_by_partitions(0, (2,))
+    with pytest.raises(ValueError):
+        count_by_partitions(3, (1,))
 
 
 # -- the magnitude law ----------------------------------------------------------
 
 
 def test_sweep_satisfies_magnitude_law():
+    # the kernel reads hypertrees off the law, so the law is checked on the twin's rows
     for n in range(1, 5):
-        table = count_sweep(n, max_magnitude=5)
-        assert magnitude_law_violations(table) == []
+        assert magnitude_law_violations(sweep_by_partitions(n, max_magnitude=5)) == []
+
+
+def test_sweep_step_totals():
+    # the kernel's steps for every profile to magnitude n - 1, as CI's n = 12 run takes
+    for n, steps in [(12, 37_360), (14, 156_524)]:
+        assert sum(row.steps for row in count_sweep(n, n - 1)) == steps
 
 
 def test_law_checker_flags_planted_violations():

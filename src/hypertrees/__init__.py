@@ -13,23 +13,8 @@ The package has four layers:
   vanishing pattern, substitution family and reversion route.
 
 ``hypertrees.cli`` wires the layers into the ``hypertrees`` command.
+Importing the package loads no layer; import from the submodules, as in
+``from hypertrees.series import Series``.
 """
 
-from .series import (
-    ContextMismatchError,
-    Monomial,
-    OutOfContextError,
-    Series,
-    TruncationContext,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ContextMismatchError",
-    "Monomial",
-    "OutOfContextError",
-    "Series",
-    "TruncationContext",
-    "__version__",
-]

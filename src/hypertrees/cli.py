@@ -7,6 +7,11 @@ true, false or null.  Exit codes: 0 on success, 1 when a verification
 fails, 2 on usage errors (click's default), 3 when the oracle's counting
 kernel would run past its budget.  All rational values are emitted as
 exact num/den pairs or p/q strings; no floats appear anywhere.
+
+Each command imports the layers it runs as it runs, so ``--help``,
+``--version`` and ``oracle`` load only ``hypergraphs`` and ``combinat``,
+not the series stack.  ``__getattr__`` below still serves the layers'
+names as this module's, because perfbench's tracer reads them here.
 """
 
 from __future__ import annotations
@@ -14,48 +19,37 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import click
 
 from . import __version__
-from .funceq import (
-    PhiCoefficients,
-    check_phi,
-    hypertree_dictionary_report,
-    lhs_series,
-    psi_uv_coefficients,
-    random_phi,
-    substituted_connected_gf,
-)
-from .gf import (
-    IdentityCheck,
-    compute_C,
-    count_by_profile,
-    hypertree_series,
-    rooted_count_by_edges,
-    render_table_line,
-    solve_R_fixed_point,
-    table_terms,
-    verify_identities,
-)
-from .hypergraphs import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    EdgeProfile,
-    classify,
-    count_profile,
-    count_sweep,
-    kernel_name,
-    parse_hypergraph,
-)
-from .series import Series, TruncationContext, first_difference, into_context
+# --budget shows DEFAULT_BUDGET, so --help loads the oracle's layer too
+from .hypergraphs import (DEFAULT_BUDGET, BudgetExceededError, EdgeProfile, classify,
+                          count_profile, count_sweep, kernel_name, parse_hypergraph)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .gf import IdentityCheck
+    from .series import TruncationContext
 
 EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 3
 POSITIVE = click.IntRange(min=1)
 NON_NEGATIVE = click.IntRange(min=0)
+
+
+def __getattr__(name: str):
+    """A public name of the series, gf or funceq layer, read from it on every access:
+    a cached name would outlive the tracer's patch.  It goes with the tracer (ROADMAP 5)."""
+    if not name.startswith("_"):
+        from . import funceq, gf, series
+
+        for layer in (series, gf, funceq):  # a name's home is the lowest layer binding it
+            if name in vars(layer):
+                return vars(layer)[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @click.group()
@@ -68,6 +62,8 @@ def main() -> None:
 
 def _context(t_max: int, z_max: int, magnitude_max: int) -> TruncationContext:
     """The series context of these bounds; a usage error when none can hold them."""
+    from .series import TruncationContext
+
     try:
         return TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=magnitude_max)
     except ValueError as exc:
@@ -97,6 +93,8 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
     """Closed-form hypertree counts on n labeled vertices."""
     if (profile_text is None) == (edges is None):
         raise click.UsageError("give exactly one of --profile or --edges")
+    from .gf import count_by_profile, rooted_count_by_edges
+
     if profile_text is not None:
         profile = _parse_profile(profile_text, n)
         rooted, unrooted = count_by_profile(n, profile)
@@ -119,6 +117,8 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def table(max_n: int, as_json: bool) -> None:
     """Unrooted hypertree counts by edge profile, one line per vertex count."""
+    from .gf import render_table_line, table_terms
+
     if as_json:  # streamed one row at a time, in json.dumps' own layout
         click.echo('{"rows": [', nl=False)
         for n in range(1, max_n + 1):
@@ -282,6 +282,11 @@ def verify(
         raise click.UsageError("need --max-edge-size > --magnitude-max")
     if inject_fault and t_max < 2:
         raise click.UsageError("--inject-fault needs --t-max >= 2 to plant its term")
+    from .funceq import (check_phi, hypertree_dictionary_report, lhs_series, random_phi,
+                         substituted_connected_gf)
+    from .gf import compute_C, hypertree_series, solve_R_fixed_point, verify_identities
+    from .series import Series, first_difference, into_context
+
     ctx = _context(t_max, z_max, magnitude_max)
     ctx_sub = _context(t_max, z_max, z_max)  # the least magnitude the substitution needs
     # C has no z terms: one C at the larger magnitude serves both contexts
@@ -356,6 +361,8 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         order = t_max - 1
     if not 0 <= order <= t_max - 1:
         raise click.UsageError("need 0 <= --order <= t_max - 1")
+    from .funceq import PhiCoefficients, check_phi, psi_uv_coefficients
+
     ctx = _context(t_max, z_max, 0)
     with open(phi_file, "r", encoding="utf-8") as fh:
         try:

@@ -154,16 +154,16 @@ def test_table_json(runner):
 
 def test_table_json_streams_rows(runner, monkeypatch):
     # each row is printed as it is built: a failure at the last n finds the first printed
-    from hypertrees import cli
+    from hypertrees import gf
 
-    real = cli.table_terms
+    real = gf.table_terms
 
     def failing_last(n):
         if n == 3:
             raise RuntimeError("row 3")
         return real(n)
 
-    monkeypatch.setattr(cli, "table_terms", failing_last)
+    monkeypatch.setattr(gf, "table_terms", failing_last)
     result = runner.invoke(main, ["table", "--max-n", "3", "--json"])
     assert isinstance(result.exception, RuntimeError)
     first = json.dumps({"n": 1, "terms": [{"profile": {}, "coefficient": 1}]})
@@ -426,10 +426,10 @@ def _count_calls(monkeypatch, name, modules):
 
 
 def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
-    from hypertrees import cli, funceq, gf, series
+    from hypertrees import funceq, gf, series
 
-    solves = _count_calls(monkeypatch, "solve_R_fixed_point", (gf, funceq, cli))
-    reverts = _count_calls(monkeypatch, "revert", (series, gf, funceq, cli))
+    solves = _count_calls(monkeypatch, "solve_R_fixed_point", (gf, funceq))
+    reverts = _count_calls(monkeypatch, "revert", (series, gf, funceq))
     result = runner.invoke(main, VERIFY_SMALL)
     assert result.exit_code == 0, result.output
     assert len(solves) == 1
@@ -442,10 +442,10 @@ def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
 def test_verify_computes_C_once(runner, monkeypatch):
     # the pipeline and the substitution route narrow one C at the wider magnitude,
     # and the identity suite and the dictionary read one hypertree layer T of it
-    from hypertrees import cli, funceq, gf
+    from hypertrees import funceq, gf
 
-    calls = _count_calls(monkeypatch, "compute_C", (gf, cli))
-    layers = _count_calls(monkeypatch, "compute_T", (gf, funceq, cli))
+    calls = _count_calls(monkeypatch, "compute_C", (gf,))
+    layers = _count_calls(monkeypatch, "compute_T", (gf, funceq))
     result = runner.invoke(main, VERIFY_SMALL)
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
@@ -454,9 +454,9 @@ def test_verify_computes_C_once(runner, monkeypatch):
 
 @pytest.mark.parametrize("trials, sub_trials", [(3, 2), (1, 2), (0, 2), (2, 0)])
 def test_verify_expands_L_once_per_seed(runner, monkeypatch, trials, sub_trials):
-    from hypertrees import cli, funceq
+    from hypertrees import funceq
 
-    calls = _count_calls(monkeypatch, "lhs_series", (funceq, cli))
+    calls = _count_calls(monkeypatch, "lhs_series", (funceq,))
     args = VERIFY_SMALL + ["--trials", str(trials), "--sub-trials", str(sub_trials)]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
@@ -519,7 +519,7 @@ def test_verify_bound_validation(runner):
 def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
     # no u_i past magnitude_max + 1 can carry a term, so a huge --max-edge-size
     # changes nothing but the width of the printed check list, already 5 at M = 5
-    from hypertrees import cli, gf
+    from hypertrees import gf
 
     real = gf.compute_C
     contexts = []
@@ -528,8 +528,7 @@ def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
         contexts.append(ctx)
         return real(ctx)
 
-    for module in (gf, cli):
-        monkeypatch.setattr(module, "compute_C", recorded)
+    monkeypatch.setattr(gf, "compute_C", recorded)
     args = ["verify", "--t-max", "4", "--z-max", "2", "--trials", "1", "--sub-trials", "1"]
     small = runner.invoke(main, args + ["--max-edge-size", "5"])
     huge = runner.invoke(main, args + ["--max-edge-size", "1000"])
@@ -543,9 +542,9 @@ def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
 def test_verify_at_equal_bounds_rekeys_nothing(runner, monkeypatch):
     # at t = z = magnitude (perfbench's verify-std) the suite and the substitution
     # route share one context
-    from hypertrees import cli, series
+    from hypertrees import series
 
-    moves = _count_calls(monkeypatch, "into_context", (series, cli))
+    moves = _count_calls(monkeypatch, "into_context", (series,))
     args = ["verify", "--t-max", "10", "--z-max", "10", "--max-edge-size", "12",
             "--trials", "5", "--sub-trials", "1"]
     result = runner.invoke(main, args)
@@ -614,16 +613,16 @@ def test_verify_text_and_json_give_the_same_verdicts(runner, fault):
 
 def test_verify_json_writes_diagonal_mismatches_as_rationals(runner, monkeypatch):
     # the seeded arrays always agree on the diagonal, so a mismatch is planted after check_phi
-    from hypertrees import cli
+    from hypertrees import funceq
 
-    real = cli.check_phi
+    real = funceq.check_phi
 
     def planted(*args):
         L, violations, pair, mismatches = real(*args)
         assert mismatches == []
         return L, violations, pair, [(1, Fraction(2), Fraction(-3, 4))]
 
-    monkeypatch.setattr(cli, "check_phi", planted)
+    monkeypatch.setattr(funceq, "check_phi", planted)
     args = ["verify", "--t-max", "3", "--z-max", "2", "--trials", "1", "--sub-trials", "0"]
     result = runner.invoke(main, args + ["--json"])
     assert result.exit_code == 1, result.output
@@ -645,16 +644,16 @@ def test_verify_json_writes_diagonal_mismatches_as_rationals(runner, monkeypatch
 ])
 def test_psi_text_and_json_give_the_same_verdicts(runner, monkeypatch, violations, mismatches):
     # the reduced array always has the psi form, so failures are planted after check_phi
-    from hypertrees import cli
+    from hypertrees import funceq
 
-    real = cli.check_phi
+    real = funceq.check_phi
 
     def planted(*args):
         L, found, pair, diagonal = real(*args)
         assert (found, diagonal) == ([], [])
         return L, violations, pair, mismatches
 
-    monkeypatch.setattr(cli, "check_phi", planted)
+    monkeypatch.setattr(funceq, "check_phi", planted)
     text, payload, exit_code = _text_and_json(runner, ["psi", PHI_C00, "--t-max", "4"])
     *_, vanishing_line, diagonal_line = text.stdout.splitlines()
     assert vanishing_line.startswith("vanishing ok" if payload["vanishing"]["ok"]

@@ -1,0 +1,90 @@
+"""Each command loads only the layers it runs.
+
+Every ``hypertrees`` process compiles what it imports, so a layer that a
+command never calls costs start-up time on every run.  These tests run
+each command in a fresh interpreter under ``-X importtime`` and read the
+modules it loaded; they also pin the ``cli.__getattr__`` hook that serves
+the layers' names without importing them up front.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hypertrees import cli, gf
+
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLE = str(ROOT / "tests" / "data" / "sample5.txt")
+SERIES_STACK = {"hypertrees.series", "hypertrees.gf", "hypertrees.funceq", "fractions"}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package on its path."""
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def _loaded(*cli_args: str) -> set[str]:
+    """Every module one CLI run imports, read off its ``-X importtime`` lines."""
+    result = _python("-X", "importtime", "-m", "hypertrees.cli", *cli_args)
+    assert result.returncode == 0, result.stderr[-500:]
+    return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["--version"],
+    ["oracle", "--n", "4", "--max-magnitude", "3"],
+    ["oracle", "--check", SAMPLE],
+], ids=["help", "version", "oracle-sweep", "oracle-check"])
+def test_help_version_and_oracle_load_no_series_stack(args):
+    loaded = _loaded(*args)
+    assert "hypertrees.hypergraphs" in loaded  # the parse saw the package's own imports
+    assert loaded & SERIES_STACK == set()
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "--max-n", "3"],
+    ["count", "--n", "5", "--edges", "2"],
+], ids=["table", "count"])
+def test_closed_form_commands_load_no_funceq(args):
+    loaded = _loaded(*args)
+    assert "hypertrees.gf" in loaded
+    assert "hypertrees.funceq" not in loaded
+
+
+def test_cli_serves_layer_names_from_the_layer():
+    assert cli.compute_C is gf.compute_C
+
+
+def test_cli_reads_a_patched_name_without_caching_it(monkeypatch):
+    def patched(ctx):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(gf, "compute_C", patched)
+    assert cli.compute_C is patched
+    assert "compute_C" not in vars(cli)
+
+
+@pytest.mark.parametrize("name", ["_nope", "nope"])
+def test_cli_refuses_unknown_names(name):
+    with pytest.raises(AttributeError):
+        getattr(cli, name)
+
+
+def test_cli_private_lookup_imports_no_layer():
+    # functools, inspect and the like probe dunder names; none of them may load the series stack
+    code = ("import sys; from hypertrees import cli; getattr(cli, '__wrapped__', None); "
+            "print(*sorted(m for m in sys.modules if m.startswith('hypertrees')))")
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "hypertrees", "hypertrees.cli", "hypertrees.combinat", "hypertrees.hypergraphs"]

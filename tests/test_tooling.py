@@ -105,7 +105,8 @@ def _count_calls(monkeypatch) -> Counter:
             continue
         orig = getattr(module, attr)
         for name, mod in list(sys.modules.items()):
-            if name.startswith("hypertrees") and getattr(mod, attr, None) is orig:
+            # vars, not getattr: cli serves layer names through a hook and binds none
+            if name.startswith("hypertrees") and vars(mod).get(attr) is orig:
                 monkeypatch.setattr(mod, attr, counted(span, orig))
     return calls
 

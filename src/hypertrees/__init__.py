@@ -8,13 +8,17 @@ The package has four layers:
 * :mod:`hypertrees.hypergraphs` -- a brute-force oracle over labeled
   hypergraphs, with a kernel that counts by block-size types;
 * :mod:`hypertrees.gf` -- the connected-hypergraph series, its hypertree
-  layer, rooted fixed point, closed-form counts and identity suite;
+  layer, rooted fixed point and identity suite;
 * :mod:`hypertrees.funceq` -- the log-exp functional equation, its
   vanishing pattern, substitution family and reversion route.
 
+The closed-form counts and their table live in :mod:`hypertrees.closed`.
 ``hypertrees.cli`` wires the layers into the ``hypertrees`` command.
 Importing the package loads no layer; import from the submodules, as in
 ``from hypertrees.series import Series``.
 """
 
 __version__ = "0.1.0"
+# the oracle's counting-kernel steps per run, one per (state, move) pair; kept
+# here so that --help shows it without loading the oracle
+DEFAULT_BUDGET = 1_000_000

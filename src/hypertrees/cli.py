@@ -8,30 +8,27 @@ fails, 2 on usage errors (click's default), 3 when the oracle's counting
 kernel would run past its budget.  All rational values are emitted as
 exact num/den pairs or p/q strings; no floats appear anywhere.
 
-Each command imports the layers it runs as it runs, so ``--help``,
-``--version`` and ``oracle`` load only ``hypergraphs`` and ``combinat``,
-not the series stack.  ``__getattr__`` below still serves the layers'
-names as this module's, because perfbench's tracer reads them here.
+Each command imports the layers it runs as it runs, so ``--help`` and
+``--version`` load no layer, and ``count``, ``table`` and ``oracle`` load
+no series stack.  ``__getattr__`` below still serves the layers' names as
+this module's, because perfbench's tracer reads them here.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import click
 
-from . import __version__
-# --budget shows DEFAULT_BUDGET, so --help loads the oracle's layer too
-from .hypergraphs import (DEFAULT_BUDGET, BudgetExceededError, EdgeProfile, classify,
-                          count_profile, count_sweep, kernel_name, parse_hypergraph)
+from . import DEFAULT_BUDGET, __version__
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     from .gf import IdentityCheck
+    from .hypergraphs import EdgeProfile
     from .series import TruncationContext
 
 EXIT_VERIFY_FAILED = 1
@@ -71,6 +68,8 @@ def _context(t_max: int, z_max: int, magnitude_max: int) -> TruncationContext:
 
 
 def _parse_profile(text: str, n: int) -> EdgeProfile:
+    from .hypergraphs import EdgeProfile
+
     try:
         return EdgeProfile.parse(text, n)
     except ValueError as exc:
@@ -93,7 +92,7 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
     """Closed-form hypertree counts on n labeled vertices."""
     if (profile_text is None) == (edges is None):
         raise click.UsageError("give exactly one of --profile or --edges")
-    from .gf import count_by_profile, rooted_count_by_edges
+    from .closed import count_by_profile, rooted_count_by_edges
 
     if profile_text is not None:
         profile = _parse_profile(profile_text, n)
@@ -117,7 +116,7 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def table(max_n: int, as_json: bool) -> None:
     """Unrooted hypertree counts by edge profile, one line per vertex count."""
-    from .gf import render_table_line, table_terms
+    from .closed import render_table_line, table_terms
 
     if as_json:  # streamed one row at a time, in json.dumps' own layout
         click.echo('{"rows": [', nl=False)
@@ -149,6 +148,9 @@ def oracle(
     as_json: bool,
 ) -> None:
     """Brute-force hypergraph counts: all / connected / hypertree."""
+    from .hypergraphs import (BudgetExceededError, classify, count_profile, count_sweep,
+                              kernel_name, parse_hypergraph)
+
     if check_path is not None:
         with open(check_path, "r", encoding="utf-8") as fh:
             try:
@@ -198,8 +200,7 @@ def _verdict(oks: Iterable[bool | None]) -> bool | None:
     return all(ran) if ran else None
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """One verdict of a report, True, False or None when it ran no cases,
     with its JSON value and its text lines."""
 

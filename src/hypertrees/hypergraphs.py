@@ -36,10 +36,8 @@ from functools import lru_cache
 from math import comb, prod
 from typing import Iterator
 
+from . import DEFAULT_BUDGET
 from .combinat import partitions
-
-# counting-kernel steps per run, one per (state, move) pair
-DEFAULT_BUDGET = 1_000_000
 
 # a kernel state's partition type: (block size, multiplicity) pairs, largest size first
 _Blocks = tuple[tuple[int, int], ...]

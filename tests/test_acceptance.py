@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import pytest
 
 from hypertrees.cli import main
+from hypertrees.closed import count_by_profile, table_terms
 from hypertrees.combinat import stirling2
 from hypertrees.funceq import (
     diagonal_mismatches,
@@ -25,10 +26,8 @@ from hypertrees.gf import (
     T_from_R,
     compute_C,
     compute_T,
-    count_by_profile,
     hypertree_series,
     solve_R_fixed_point,
-    table_terms,
     verify_identities,
 )
 from hypertrees.hypergraphs import (

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from hypertrees import __version__
 from hypertrees.cli import main
-from hypertrees.gf import render_table_line
+from hypertrees.closed import render_table_line
 
 SAMPLE = os.path.join(os.path.dirname(__file__), "data", "sample5.txt")
 PHI_C00 = os.path.join(os.path.dirname(__file__), "data", "phi-c00.json")
@@ -154,16 +154,16 @@ def test_table_json(runner):
 
 def test_table_json_streams_rows(runner, monkeypatch):
     # each row is printed as it is built: a failure at the last n finds the first printed
-    from hypertrees import gf
+    from hypertrees import closed
 
-    real = gf.table_terms
+    real = closed.table_terms
 
     def failing_last(n):
         if n == 3:
             raise RuntimeError("row 3")
         return real(n)
 
-    monkeypatch.setattr(gf, "table_terms", failing_last)
+    monkeypatch.setattr(closed, "table_terms", failing_last)
     result = runner.invoke(main, ["table", "--max-n", "3", "--json"])
     assert isinstance(result.exception, RuntimeError)
     first = json.dumps({"n": 1, "terms": [{"profile": {}, "coefficient": 1}]})

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from hypertrees import cli, gf
+from hypertrees import cli, closed, gf
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = str(ROOT / "tests" / "data" / "sample5.txt")
 SERIES_STACK = {"hypertrees.series", "hypertrees.gf", "hypertrees.funceq", "fractions"}
+ORACLE_LAYER = {"hypertrees.hypergraphs", "hypertrees.combinat", "dataclasses"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -39,16 +40,16 @@ def _loaded(*cli_args: str) -> set[str]:
             if line.startswith("import time:")}
 
 
-@pytest.mark.parametrize("args", [
-    ["--help"],
-    ["--version"],
-    ["oracle", "--n", "4", "--max-magnitude", "3"],
-    ["oracle", "--check", SAMPLE],
+@pytest.mark.parametrize("args, present, absent", [
+    (["--help"], "hypertrees", ORACLE_LAYER),
+    (["--version"], "hypertrees", ORACLE_LAYER),
+    (["oracle", "--n", "4", "--max-magnitude", "3"], "hypertrees.hypergraphs", set()),
+    (["oracle", "--check", SAMPLE], "hypertrees.hypergraphs", set()),
 ], ids=["help", "version", "oracle-sweep", "oracle-check"])
-def test_help_version_and_oracle_load_no_series_stack(args):
+def test_help_version_and_oracle_load_no_series_stack(args, present, absent):
     loaded = _loaded(*args)
-    assert "hypertrees.hypergraphs" in loaded  # the parse saw the package's own imports
-    assert loaded & SERIES_STACK == set()
+    assert present in loaded  # the parse saw the package's own imports
+    assert loaded & (SERIES_STACK | absent) == set()
 
 
 @pytest.mark.parametrize("args", [
@@ -57,8 +58,12 @@ def test_help_version_and_oracle_load_no_series_stack(args):
 ], ids=["table", "count"])
 def test_closed_form_commands_load_no_funceq(args):
     loaded = _loaded(*args)
-    assert "hypertrees.gf" in loaded
-    assert "hypertrees.funceq" not in loaded
+    assert "hypertrees.closed" in loaded
+    assert loaded & SERIES_STACK == set()
+
+
+def test_gf_serves_the_closed_form_count_it_does_not_copy():
+    assert gf.count_by_profile is closed.count_by_profile
 
 
 def test_cli_serves_layer_names_from_the_layer():
@@ -86,5 +91,4 @@ def test_cli_private_lookup_imports_no_layer():
             "print(*sorted(m for m in sys.modules if m.startswith('hypertrees')))")
     result = _python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == [
-        "hypertrees", "hypertrees.cli", "hypertrees.combinat", "hypertrees.hypergraphs"]
+    assert result.stdout.split() == ["hypertrees", "hypertrees.cli"]

@@ -11,17 +11,19 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypertrees.gf import (
-    T_from_R,
+from hypertrees.closed import (
     _pretty_monomial,
-    compute_C,
-    compute_T,
     count_by_profile,
-    hypertree_series,
     render_table_line,
     rooted_count_by_edges,
-    solve_R_fixed_point,
     table_terms,
+)
+from hypertrees.gf import (
+    T_from_R,
+    compute_C,
+    compute_T,
+    hypertree_series,
+    solve_R_fixed_point,
     verify_identities,
 )
 from hypertrees.hypergraphs import EdgeProfile, count_profile, iter_profiles

@@ -5,7 +5,7 @@ zero constant term, the log-exp sum
 
     L(t, z) = log( sum_k t^k/k! * exp(k * Phi(kz, z)) )
 
-is :func:`hypertrees.gf.exponential_formula` with the weights k Phi(kz, z),
+is :func:`hypertrees.series.exponential_formula` with the weights k Phi(kz, z),
 the formula whose edge weights give the connected-hypergraph series, and
 has the shape t * Psi(tz, z): the coefficient of t^{n+1} z^m vanishes for
 every m < n.  The diagonal slice psi(y) = Psi(y, 0) is obtained from
@@ -34,8 +34,8 @@ from math import factorial
 from typing import Mapping
 
 from .combinat import stirling2
-from .gf import IdentityCheck, T_from_R, exponential_formula, identity_check, phi_maps
-from .series import Monomial, Series, TruncationContext, revert
+from .gf import IdentityCheck, T_from_R, identity_check, phi_maps
+from .series import Monomial, Series, TruncationContext, exponential_formula, revert
 
 
 class PhiCoefficients:
@@ -138,11 +138,13 @@ def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
             "the t-scale separately"
         )
 
-    def weight(k: int) -> Series:  # the constructor sums the terms of equal z-power
-        return Series(ctx, [(ctx.monomial(z=a + b), c * k ** (a + 1))
-                            for (a, b), c in phi.items() if a + b <= ctx.z_max])
-
-    return exponential_formula(ctx, weight)
+    weights: dict[Monomial, list[Fraction]] = {}
+    for (a, b), c in phi.items():
+        if a + b <= ctx.z_max:
+            column = weights.setdefault(ctx.monomial(z=a + b), [Fraction(0)] * (ctx.t_max + 1))
+            for k in range(ctx.t_max + 1):
+                column[k] += c * k ** (a + 1)
+    return exponential_formula(ctx, weights)
 
 
 def _outside_psi_form(m: Monomial) -> bool:

@@ -6,9 +6,11 @@ exponential generating function of all labeled hypergraphs,
     S(t, u) = sum_k t^k/k! * exp(sum_i binom(k, i) u_i),
 
 the logarithm C = log S counts connected labeled hypergraphs, t marking
-vertices and u_i marking i-vertex edges.  :func:`exponential_formula`
-forms log(sum_k t^k/k! exp(w_k)): C is its call with these edge weights,
-and L of :mod:`hypertrees.funceq` its call with w_k = k Phi(kz, z).
+vertices and u_i marking i-vertex edges.
+:func:`hypertrees.series.exponential_formula` forms
+log(sum_k t^k/k! exp(w_k)) from the coefficient columns of the weights
+w_k: C is its call with the column binom(k, i) of each u_i, and L of
+:mod:`hypertrees.funceq` its call with w_k = k Phi(kz, z).
 Every monomial of the t^n/n! layer has magnitude at least n - 1, and the
 magnitude n - 1 layer T is the hypertree generating function.
 R = t dT/dt marks a root vertex and satisfies the fixed point
@@ -28,30 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable
 
 # perfbench's PLAN, the functions its tracer wraps by name, reads gf.count_by_profile
 # until ROADMAP item 5.  The import also keeps hypergraphs loaded wherever gf is, which
 # perfbench's test that the tracer restores every name it patched relies on.
 from .closed import count_by_profile
-from .series import Series, TruncationContext, first_difference, revert
+from .series import Series, TruncationContext, exponential_formula, first_difference, revert
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
 # largest edge size is below 5)
 _EDGE_CHECK_TOP = 5
-
-
-def exponential_formula(ctx: TruncationContext, weight: Callable[[int], Series]) -> Series:
-    """log(sum_{k <= t_max} t^k/k! * exp(weight(k))), truncated to ctx.
-
-    weight(k) is a series of ctx with zero constant term.  Each summand
-    starts at t^k, so the sum is cut at k = t_max.
-    """
-    total = Series.zero(ctx)
-    for k in range(ctx.t_max + 1):
-        front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
-        total = total + front * weight(k).exp()
-    return total.log()
 
 
 def compute_C(ctx: TruncationContext) -> Series:
@@ -60,11 +48,9 @@ def compute_C(ctx: TruncationContext) -> Series:
     On k labeled vertices each i-vertex edge is one of binom(k, i)
     subsets, so S has the weights w_k = sum_{i=2}^{min(k, M)} binom(k, i) u_i.
     """
-    def edges(k: int) -> Series:
-        top = min(k, ctx.max_edge_size)
-        return Series(ctx, {ctx.monomial(u={i: 1}): comb(k, i) for i in range(2, top + 1)})
-
-    return exponential_formula(ctx, edges)
+    ks = range(ctx.t_max + 1)
+    return exponential_formula(ctx, {ctx.monomial(u={i: 1}): [comb(k, i) for k in ks]
+                                     for i in range(2, ctx.max_edge_size + 1)})
 
 
 def compute_T(C: Series) -> Series:

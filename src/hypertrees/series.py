@@ -49,7 +49,11 @@ unit monomial has at 0: they solve for the grade-d piece of the result
 from the pieces below it (the Euler-operator recurrences), about one
 product's work in all, and inverse is exp(-log(f/c)) / c.  The grades
 stop at the sum of the bounds of the variables the operand uses, since
-products of its monomials never leave those variables.  Substitution
+products of its monomials never leave those variables.
+:func:`exponential_formula` builds sum_k t^k/k! exp(w_k) by the same
+Euler operator, taken in z and the u's alone: the grade-d piece of the
+sum is read from the pieces below it through the t-free monomials of the
+weights, with no exp per k, and one log follows.  Substitution
 groups the terms by the exponent e of the substituted variable and adds
 every group c_e times g^e in one call of the product loop.
 
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -506,6 +510,60 @@ class Series:
 
 
 _Term = tuple[int, int, int, int, int]  # key, t, z, magnitude, numerator
+
+
+def exponential_formula(
+    ctx: TruncationContext, weights: Mapping[Monomial, Sequence[Scalar]]
+) -> Series:
+    """log(sum_{k <= t_max} t^k/k! exp(w_k)) with w_k = sum_m weights[m][k] m.
+
+    Each weight monomial m is free of t and has grade g(m) = z-degree +
+    magnitude >= 1; its column holds c_m(0) .. c_m(t_max).  A monomial
+    past the bounds is dropped.  The sum S is built grade by grade, with
+    S_0 = sum_k t^k/k! and d S_d = sum_m g(m) m (c_m S)_(d-g(m)), where
+    c_m S scales each t^k term of S by c_m(k): the Euler operator in z and
+    the u's applied to every exp(w_k) at once.
+    """
+    width = len(ctx.names)
+    cols = []
+    for m, column in weights.items():
+        if len(m) != width:
+            raise ValueError("weight monomial does not match the context's edge variables")
+        if m[0]:
+            raise ValueError(f"weight monomial {m} has a t exponent")
+        grade = m[1] + m.magnitude
+        if not grade:
+            raise ValueError("the unit monomial, of grade 0, cannot be a weight monomial")
+        if len(column) != ctx.t_max + 1:
+            raise ValueError(f"weight column of length {len(column)}, "
+                             f"not t_max + 1 = {ctx.t_max + 1}")
+        if ctx.admits(m):
+            column = [grade * Fraction(c) for c in column]
+            cols.append((grade, ctx._key(m), m[1], m.magnitude, column))
+    # every column over one denominator W
+    W = lcm(*(c.denominator for *_, column in cols for c in column))
+    cols = [(*col, [c.numerator * (W // c.denominator) for c in column]) for *col, column in cols]
+    z_max, mag_max = ctx.z_max, ctx.magnitude_max
+    top = z_max * any(col[2] for col in cols) + mag_max * any(col[3] for col in cols)
+    f = factorial(ctx.t_max)  # S_0 = sum_k t^k/k!, where t^k has the key k
+    pieces = [_reduced(ctx, f, {k: f // factorial(k) for k in range(ctx.t_max + 1)})]
+    for d in range(1, top + 1):
+        parts = [(col, pieces[d - col[0]]) for col in cols if col[0] <= d and pieces[d - col[0]]]
+        den = lcm(*(p._den for _, p in parts))
+        sums: dict[int, int] = {}
+        get = sums.get
+        for (_, km, zm, magm, column), p in parts:
+            scale = den // p._den
+            scaled = [scale * c for c in column]
+            mag_room, z_room = mag_max - magm, z_max - zm
+            for key, t, z, mag, v in p._kernel_operand():
+                if mag > mag_room:
+                    break  # the terms are sorted by magnitude
+                if z <= z_room and scaled[t]:
+                    key += km
+                    sums[key] = get(key, 0) + scaled[t] * v
+        pieces.append(_reduced(ctx, den * W * d, sums))
+    return _sum(pieces).log()
 
 
 def _reduced(ctx: TruncationContext, den: int, nums: Mapping[int, int]) -> Series:

@@ -18,7 +18,8 @@ per term in place of the field reads of where, compute_T, the
 t-marginal and into_context, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list
 rebuilt per call in place of the cached table pieces, S in closed form
-and a summand loop in place of the one exponential formula for C and L,
+and a summand loop in place of the exponential formula that builds C and L,
+one exp per k in place of its grade recurrence,
 the row recurrence in place of the inclusion-exclusion Stirling
 numbers), so it lives with the tests that use it as a reference.  The
 twins read a series only through its public API, so they stay
@@ -298,6 +299,21 @@ def assignment_count(n: int, profile: EdgeProfile) -> int:
     for size, c in profile.items():
         total *= comb(n, size) ** c
     return total
+
+
+def exponential_formula_by_exps(
+    ctx: TruncationContext, weights: dict[Monomial, Sequence[Scalar]]
+) -> Series:
+    """log(sum_{k <= t_max} t^k/k! exp(w_k)) with w_k = sum_m weights[m][k] m,
+    one exp per k: each w_k built as a series, t^k/k! times its exp as a
+    term product, and the summands added one at a time.
+    """
+    total = Series.zero(ctx)
+    for k in range(ctx.t_max + 1):
+        w_k = Series(ctx, [(m, column[k]) for m, column in weights.items()])
+        front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
+        total = total + front * w_k.exp()
+    return total.log()
 
 
 def compute_C_by_closed_form(ctx: TruncationContext) -> Series:

@@ -8,7 +8,8 @@ and inverse and the one-call substitution against their full power-sum
 twins, the key arithmetic of derivative and divided_by_t
 against exponent tuples sliced term by term, and the field reads of
 where, compute_T, the t-marginal and into_context against a monomial
-decoded per term.
+decoded per term, and the grade recurrence of the exponential formula
+against one exp per k.
 """
 
 import re
@@ -38,6 +39,7 @@ from oracles import (
     derivative_by_slicing,
     divided_by_t_by_slicing,
     exp_by_power_sum,
+    exponential_formula_by_exps,
     into_context_by_monomials,
     inverse_by_power_sum,
     lagrange_revert,
@@ -799,3 +801,72 @@ def test_graded_maps_reject_like_power_sums(graded, twin, f):
     with pytest.raises(ValueError) as old:
         twin(f)
     assert str(new.value) == str(old.value)
+
+
+# -- the exponential formula against its per-k twin ----------------------------------
+
+# t_max = 0, z_max = 0, no edge variable, and the top of every key field
+_FORMULA_CONTEXTS = [
+    TruncationContext(t_max=0, z_max=3, magnitude_max=3),
+    TruncationContext(t_max=4, z_max=0, magnitude_max=4),
+    TruncationContext(t_max=4, z_max=4, magnitude_max=0),
+    TruncationContext(t_max=3, z_max=2, magnitude_max=2),
+] + _FIELD_TOP_CONTEXTS
+
+
+def _weight_monomials(ctx):
+    # t-free monomials of grade >= 1 over z, the u's or both, and some past the bounds
+    inside = [m for m in _KERNEL_POOLS.get(ctx) or _admissible(ctx) if not m[0] and any(m)]
+    M, zeros = ctx.max_edge_size, [0] * len(ctx.names)
+    past = [Monomial([0, ctx.z_max + 1] + zeros[2:])]
+    if M >= 2:
+        past.append(Monomial([0, 1, ctx.magnitude_max + 1] + zeros[3:]))
+    if M >= 3:
+        past.append(Monomial([0, 0, 1] + zeros[3:M] + [1]))  # u2 * uM: magnitude_max + 1
+    return inside + past
+
+
+column_entries = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _formula_case(ctx):
+    columns = st.lists(column_entries, min_size=ctx.t_max + 1, max_size=ctx.t_max + 1)
+    weights = st.dictionaries(st.sampled_from(_weight_monomials(ctx)), columns, max_size=4)
+    return st.tuples(st.just(ctx), weights)
+
+
+formula_cases = st.sampled_from(_FORMULA_CONTEXTS).flatmap(_formula_case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(formula_cases)
+def test_exponential_formula_equals_per_k_twin(case):
+    ctx, weights = case
+    L = series.exponential_formula(ctx, weights)
+    assert L == exponential_formula_by_exps(ctx, weights)
+    assert_canonical(L)
+
+
+_W = TruncationContext(t_max=2, z_max=2, magnitude_max=2)
+
+
+@pytest.mark.parametrize(
+    "monomial, column, message",
+    [
+        (_W.monomial(t=1, z=1), [0, 1, 2], "has a t exponent"),
+        (_W.monomial(), [0, 1, 2], "the unit monomial, of grade 0"),
+        (Monomial((0, 1, 0)), [0, 1, 2], "does not match the context's edge variables"),
+        (_W.monomial(z=1), [0, 1], "not t_max \\+ 1 = 3"),
+    ],
+    ids=["t-exponent", "unit", "width", "column-length"],
+)
+def test_exponential_formula_refuses_malformed_weights(monomial, column, message):
+    with pytest.raises(ValueError, match=message) as refused:
+        series.exponential_formula(_W, {_W.monomial(u={2: 1}): [0, 1, 1], monomial: column})
+    assert "\n" not in str(refused.value)
+
+
+def test_exponential_formula_drops_weights_past_the_bounds():
+    kept = {_W.monomial(z=1): [0, 1, Fraction(1, 2)]}
+    past = {_W.monomial(z=3): [1, 2, 3], _W.monomial(u={3: 2}): [0, -1, 1]}
+    assert series.exponential_formula(_W, kept | past) == series.exponential_formula(_W, kept)

@@ -10,7 +10,8 @@ The package has four layers:
 * :mod:`hypertrees.gf` -- the connected-hypergraph series, its hypertree
   layer, rooted fixed point and identity suite;
 * :mod:`hypertrees.funceq` -- the log-exp functional equation, its
-  vanishing pattern, substitution family and reversion route.
+  vanishing pattern, substitution family and reversion route; it runs on
+  the series layer, and only its hypertree dictionary report reaches into gf.
 
 The closed-form counts and their table live in :mod:`hypertrees.closed`.
 ``hypertrees.cli`` wires the layers into the ``hypertrees`` command.

@@ -373,22 +373,19 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
     c00, reduced = phi.without_constant()
     L, violations, psi_series, mismatches = check_phi(reduced, ctx, order)
     lines = [f"log t-scale: {c00} (t -> t * exp({c00}))"] if c00 else []
-    psi_rows = []
-    for m, c in psi_series.terms():
-        psi_rows.append({"power": m.t_deg, **_rational(c)})
-        lines.append(f"psi[{m.t_deg}] = {_pq(c)}")
+    lines += [f"psi[{m.t_deg}] = {_pq(c)}" for m, c in psi_series.terms()]
     vanishing = ", ".join(f"t^{a} z^{b}: {_pq(c)}" for a, b, c in violations)
     diagonal = ", ".join(f"y^{n}: psi {_pq(a)} vs L {_pq(b)}" for n, a, b in mismatches)
     lines.append(f"vanishing FAILED: {vanishing}" if violations else "vanishing ok")
     lines.append(f"diagonal FAILED: {diagonal}" if mismatches else "diagonal ok")
-    payload = {
+    payload = {  # built for --json alone: psi_uv decodes every term of L
         "log_t_scale": _rational(c00),
         "order": order,
-        "psi": psi_rows,
+        "psi": [{"power": m.t_deg, **_rational(c)} for m, c in psi_series.terms()],
         "psi_uv": [{"u": a, "v": b, **_rational(c)} for a, b, c in psi_uv_coefficients(L)],
         "vanishing": _vanishing(violations, t_max, z_max),
         "diagonal_ok": not mismatches,
-    }
+    } if as_json else {}
     _emit(payload, lines, as_json, ok=not violations and not mismatches)
 
 

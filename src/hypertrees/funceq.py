@@ -31,11 +31,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .combinat import stirling2
-from .gf import IdentityCheck, T_from_R, identity_check, phi_maps
-from .series import Monomial, Series, TruncationContext, exponential_formula, revert
+from .series import Monomial, Series, TruncationContext, exponential_formula, phi_maps, revert
+
+if TYPE_CHECKING:
+    from .gf import IdentityCheck
 
 
 class PhiCoefficients:
@@ -259,6 +261,8 @@ def hypertree_dictionary_report(T: Series, R: Series, fixed: Series) -> tuple[Id
     and w - w^2 phi'(w), which is :func:`hypertrees.gf.T_from_R` of it,
     must equal T.
     """
+    from .gf import T_from_R, identity_check  # only this report reaches into gf
+
     ctx = T.context
     return (
         identity_check(

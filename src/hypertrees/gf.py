@@ -32,10 +32,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 # perfbench's PLAN, the functions its tracer wraps by name, reads gf.count_by_profile
-# until ROADMAP item 5.  The import also keeps hypergraphs loaded wherever gf is, which
-# perfbench's test that the tracer restores every name it patched relies on.
+# until ROADMAP item 5.  The import also loads closed and hypergraphs wherever gf is (in
+# verify; psi loads no gf), which perfbench's test that the tracer restores names needs.
 from .closed import count_by_profile
-from .series import Series, TruncationContext, exponential_formula, first_difference, revert
+from .series import (Series, TruncationContext, exponential_formula, first_difference, phi_maps,
+                     revert)
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
 # largest edge size is below 5)
@@ -79,21 +80,9 @@ def edge_symbol_phi(ctx: TruncationContext) -> Series:
     return Series(ctx, terms)
 
 
-def phi_maps(phi: Series) -> tuple[Series, Series]:
-    """(phi + w phi', w - w^2 phi') for phi in the t-slot, with w = t.
-
-    These are the two sides of the reversion pair y = w exp(-phi - w phi')
-    and y psi(y) = w - w^2 phi'.  Under :func:`edge_symbol_phi` they are
-    sum_j u_{j+1} w^j/j! and w - sum_j (j-1) u_j w^j/j!.
-    """
-    w = Series.variable(phi.context, "t")
-    w_dphi = w * phi.derivative("t")
-    return phi + w_dphi, w - w * w_dphi
-
-
 def solve_R_fixed_point(ctx: TruncationContext) -> Series:
     """Solve R = t * exp(a(R)) for a = sum_j u_{j+1} w^j / j!, the rooted
-    map of :func:`phi_maps`, by reverting t * exp(-a(t)).
+    map of :func:`hypertrees.series.phi_maps`, by reverting t * exp(-a(t)).
 
     R / exp(a(R)) = t says that R is the compositional inverse of
     w * exp(-a(w)).  At t_max = 0 the series t, and so R, is zero.

@@ -706,3 +706,15 @@ def revert(f: Series) -> Series:
             powers[k][n] = _mul([(g[i], prev[n - i]) for i in range(1, n)], ctx)
         g[n] = _mul([(h[k], powers[k][n]) for k in range(2, top + 1)], ctx)
     return _sum(g)
+
+
+def phi_maps(phi: Series) -> tuple[Series, Series]:
+    """(phi + w phi', w - w^2 phi') for phi in the t-slot, with w = t.
+
+    These are the two sides of the reversion pair y = w exp(-phi - w phi')
+    and y psi(y) = w - w^2 phi'.  Under :func:`hypertrees.gf.edge_symbol_phi`
+    they are sum_j u_{j+1} w^j/j! and w - sum_j (j-1) u_j w^j/j!.
+    """
+    w = Series.variable(phi.context, "t")
+    w_dphi = w * phi.derivative("t")
+    return phi + w_dphi, w - w * w_dphi

@@ -34,7 +34,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from hypertrees.funceq import PhiCoefficients
-from hypertrees.gf import edge_symbol_phi, phi_maps
+from hypertrees.gf import edge_symbol_phi
 from hypertrees.hypergraphs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -44,7 +44,7 @@ from hypertrees.hypergraphs import (
     count_profile,
     iter_profiles,
 )
-from hypertrees.series import Monomial, Scalar, Series, TruncationContext
+from hypertrees.series import Monomial, Scalar, Series, TruncationContext, phi_maps
 
 
 def mul_by_term_pairs(f: Series, g: Series) -> Series:

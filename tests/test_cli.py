@@ -672,6 +672,19 @@ def test_psi_text_and_json_give_the_same_verdicts(runner, monkeypatch, violation
     assert exit_code == (1 if violations or mismatches else 0)
 
 
+def test_psi_text_reads_no_psi_uv(runner, monkeypatch):
+    # psi_uv decodes every term of L for the JSON payload; the text report prints none of it
+    from hypertrees import funceq
+
+    def unread(L):
+        raise AssertionError("the text report built the JSON payload")
+
+    monkeypatch.setattr(funceq, "psi_uv_coefficients", unread)
+    result = runner.invoke(main, ["psi", PHI_C00, "--t-max", "4", "--z-max", "4"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.endswith("vanishing ok\ndiagonal ok\n")
+
+
 def _write_phi(tmp_path, entries):
     path = tmp_path / "phi.json"
     path.write_text(json.dumps({"entries": entries}), encoding="utf-8")

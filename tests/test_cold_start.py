@@ -16,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from hypertrees import cli, closed, gf
+from hypertrees import cli, closed, gf, series
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = str(ROOT / "tests" / "data" / "sample5.txt")
+PHI_C00 = str(ROOT / "tests" / "data" / "phi-c00.json")
 SERIES_STACK = {"hypertrees.series", "hypertrees.gf", "hypertrees.funceq", "fractions"}
 ORACLE_LAYER = {"hypertrees.hypergraphs", "hypertrees.combinat", "dataclasses"}
 
@@ -62,8 +63,53 @@ def test_closed_form_commands_load_no_funceq(args):
     assert loaded & SERIES_STACK == set()
 
 
+def test_psi_loads_series_and_funceq_and_no_gf():
+    loaded = _loaded("psi", PHI_C00, "--t-max", "4", "--z-max", "4")
+    assert {"hypertrees.series", "hypertrees.funceq"} <= loaded
+    assert loaded & {"hypertrees.gf", "hypertrees.closed", "hypertrees.hypergraphs"} == set()
+
+
+def _package_modules(code: str) -> list[str]:
+    """The hypertrees modules loaded after running code in a fresh interpreter."""
+    code += "; print(*sorted(m for m in sys.modules if m.startswith('hypertrees')))"
+    result = _python("-c", "import sys; " + code)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_funceq_runs_on_series_alone():
+    assert _package_modules("import hypertrees.funceq") == [
+        "hypertrees", "hypertrees.combinat", "hypertrees.funceq", "hypertrees.series"]
+
+
+def test_dictionary_report_loads_gf_when_called():
+    # the first report runs before anything loaded gf: R = fixed = t passes the rooted
+    # check, and T = t fails the unrooted one, whose w - w^2 phi' has u-terms
+    code = """
+import sys
+from hypertrees.funceq import hypertree_dictionary_report
+from hypertrees.series import Series, TruncationContext
+ctx = TruncationContext(t_max=5, magnitude_max=5)
+t = Series.variable(ctx, "t")
+loaded = "hypertrees.gf" in sys.modules
+first = hypertree_dictionary_report(t, t, t)
+print(loaded, *[(c.key, c.ok) for c in first], "hypertrees.gf" in sys.modules)
+from hypertrees.gf import compute_C, hypertree_series, solve_R_fixed_point
+T, R = hypertree_series(compute_C(ctx))
+print(*[c.ok for c in hypertree_dictionary_report(T, R, solve_R_fixed_point(ctx))])
+"""
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "False ('dictionary-rooted', True) ('dictionary-unrooted', False) True", "True True"]
+
+
 def test_gf_serves_the_closed_form_count_it_does_not_copy():
     assert gf.count_by_profile is closed.count_by_profile
+
+
+def test_gf_serves_the_phi_maps_of_series():
+    assert gf.phi_maps is series.phi_maps
 
 
 def test_cli_serves_layer_names_from_the_layer():
@@ -87,8 +133,5 @@ def test_cli_refuses_unknown_names(name):
 
 def test_cli_private_lookup_imports_no_layer():
     # functools, inspect and the like probe dunder names; none of them may load the series stack
-    code = ("import sys; from hypertrees import cli; getattr(cli, '__wrapped__', None); "
-            "print(*sorted(m for m in sys.modules if m.startswith('hypertrees')))")
-    result = _python("-c", code)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["hypertrees", "hypertrees.cli"]
+    modules = _package_modules("from hypertrees import cli; getattr(cli, '__wrapped__', None)")
+    assert modules == ["hypertrees", "hypertrees.cli"]

@@ -220,16 +220,15 @@ def _pq(c: Fraction) -> str:
 def _identity_section(checks: tuple[IdentityCheck, ...]) -> Section:
     rows, lines = [], []
     for c in checks:
-        ok = c.ok if c.ran else None
         rows.append({
             "key": c.key,
             "formula": c.formula,
-            "ok": ok,
+            "ok": c.ok,
             "region": {"t_max": c.t_bound, "magnitude_max": c.magnitude_bound},
             "first_diff": c.first_diff,
         })
         region = f"[t<={c.t_bound}, magnitude<={c.magnitude_bound}]"
-        line = f"{_TAG[ok]} {c.key:28s} {region} {c.formula}"
+        line = f"{_TAG[c.ok]} {c.key:28s} {region} {c.formula}"
         lines.append(line + (f"  first diff at {c.first_diff}" if c.first_diff else ""))
     ok = _verdict(row["ok"] for row in rows)
     return Section(ok, {"ok": ok, "checks": rows}, lines)
@@ -294,7 +293,7 @@ def verify(
     wide = max(ctx, ctx_sub, key=lambda c: c.magnitude_max)
     C_wide = compute_C(wide)
     if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
-        C_wide = C_wide + Series.term(wide, wide.monomial(t=2, u={2: 1}), 1)
+        C_wide = C_wide + Series(wide, {wide.monomial(t=2, u={2: 1}): 1})
     C = into_context(C_wide, ctx)
     T, R = hypertree_series(C)
     fixed = solve_R_fixed_point(ctx)

@@ -8,8 +8,9 @@ zero constant term, the log-exp sum
 is :func:`hypertrees.series.exponential_formula` with the weights k Phi(kz, z),
 the formula whose edge weights give the connected-hypergraph series, and
 has the shape t * Psi(tz, z): the coefficient of t^{n+1} z^m vanishes for
-every m < n.  The diagonal slice psi(y) = Psi(y, 0) is obtained from
-phi(u) = Phi(u, 0) by reverting
+every m < n.  The check selects the terms that break it by their key
+fields (``Series.where``) and decodes only those.  The diagonal slice
+psi(y) = Psi(y, 0) is obtained from phi(u) = Phi(u, 0) by reverting
 
     y = w * exp(-phi(w) - w phi'(w)),        y psi(y) = w - w^2 phi'(w).
 
@@ -149,20 +150,20 @@ def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
     return exponential_formula(ctx, weights)
 
 
-def _outside_psi_form(m: Monomial) -> bool:
+def _outside_psi_form(t: int, z: int, magnitude: int) -> bool:
     """t^a z^b is outside the support of t * Psi(tz, z) when a = 0 or b < a - 1."""
-    return m.t_deg == 0 or m.z_deg < m.t_deg - 1
+    return t == 0 or z < t - 1
 
 
 def verify_psi_form(L: Series) -> list[tuple[int, int, Fraction]]:
     """The terms of L outside t * Psi(tz, z), as (t_deg, z_deg, coefficient)."""
-    return [(m.t_deg, m.z_deg, c) for m, c in L.terms() if _outside_psi_form(m)]
+    return [(m.t_deg, m.z_deg, c) for m, c in L.where(_outside_psi_form).terms()]
 
 
 def psi_uv_coefficients(L: Series) -> list[tuple[int, int, Fraction]]:
     """Read Psi(u, v) off L through u^n v^m <-> t^{n+1} z^{n+m}."""
-    return [(m.t_deg - 1, m.z_deg - m.t_deg + 1, c) for m, c in L.terms()
-            if not _outside_psi_form(m)]
+    inside = L.where(lambda t, z, magnitude: not _outside_psi_form(t, z, magnitude))
+    return [(m.t_deg - 1, m.z_deg - m.t_deg + 1, c) for m, c in inside.terms()]
 
 
 # -- the substitution family --------------------------------------------------

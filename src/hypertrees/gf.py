@@ -106,15 +106,10 @@ def T_from_R(R: Series) -> Series:
 class IdentityCheck:
     key: str
     formula: str
-    ok: bool
+    ok: bool | None  # None when a negative bound leaves the comparison region empty
     t_bound: int
     magnitude_bound: int
     first_diff: str | None = None
-
-    @property
-    def ran(self) -> bool:
-        """False when a negative bound leaves the comparison region empty."""
-        return self.t_bound >= 0 and self.magnitude_bound >= 0
 
 
 def identity_check(
@@ -128,6 +123,8 @@ def identity_check(
     def region(t: int, z: int, magnitude: int) -> bool:
         return t <= t_bound and magnitude <= magnitude_bound
 
+    if t_bound < 0 or magnitude_bound < 0:  # no case to compare
+        return IdentityCheck(key, formula, None, t_bound, magnitude_bound)
     diff = first_difference(lhs.where(region), rhs.where(region))
     detail = None
     if diff is not None:
@@ -194,12 +191,15 @@ def verify_identities(
         )
 
     dTdu = {j: d_du(T, j) for j in range(2, max(j_top, ctx.max_edge_size) + 1)}
+    R_power = {2: R * R}  # R^j, which tree-2edge and tree-rooted-forest-u{j} read
+    for j in range(3, j_top + 1):
+        R_power[j] = R_power[j - 1] * R
     checks.append(
         identity_check(
             "tree-2edge",
             "dT/du2 = (t dT/dt)^2 / 2",
             dTdu[2],
-            R * R / 2,
+            R_power[2] / 2,
             N,
             Q,
         )
@@ -217,15 +217,13 @@ def verify_identities(
             )
         )
 
-    R_power = R
     for j in range(2, j_top + 1):
-        R_power = R_power * R
         checks.append(
             identity_check(
                 f"tree-rooted-forest-u{j}",
                 f"dT/du{j} = (t dT/dt)^{j} / {j}!",
                 dTdu[j],
-                R_power / factorial(j),
+                R_power[j] / factorial(j),
                 N,
                 Q,
             )

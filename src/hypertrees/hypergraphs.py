@@ -238,9 +238,9 @@ def count_profile(
     block sizes.  The connected count is the weight of the one-block
     type, and they are all hypertrees iff the magnitude is n - 1.
 
-    A slot costs one step per (state, move) pair, added to the spent steps
-    state by state before the slot runs; BudgetExceededError is raised as
-    soon as the count passes budget, before the slot's first state moves.
+    A slot costs one step per (state, move) pair, in one pass over its
+    states: charged before applied, and a slot over budget is dropped, as
+    BudgetExceededError is raised as soon as the spent steps pass budget.
     When every size is at most n, each slot costs at least one step, so a
     profile with more slots than the budget has left is refused before
     any slot runs.
@@ -258,17 +258,14 @@ def count_profile(
     steps = spent
     for s, c in profile.items():
         for _ in range(c):
-            slot = []
+            after: dict[_Blocks, int] = {}
             for blocks, ways in states.items():
                 moves = _moves(blocks, s)
                 steps += len(moves)
                 if steps > budget:
                     raise BudgetExceededError(steps, budget)
-                slot.append((ways, moves))
-            after: dict[_Blocks, int] = {}
-            for ways, moves in slot:
-                for blocks, count in moves:
-                    after[blocks] = after.get(blocks, 0) + ways * count
+                for blocks_after, count in moves:
+                    after[blocks_after] = after.get(blocks_after, 0) + ways * count
             states = after
 
     connected = states.get(((n, 1),), 0)

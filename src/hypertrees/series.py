@@ -37,11 +37,12 @@ lowest terms (the integer polynomial over one denominator of FLINT's
 fmpq_poly: Hart, "FLINT: Fast Library for Number Theory", ICMS 2010).
 Products, exp, log, substitution and reversion share one term-pair
 loop on these keys that sums int numerators and stops at the first term
-past the magnitude bound.  Selection by (t, z, magnitude), the t-marginal
-and the move into another context (the identity when the contexts are
-equal) read and re-pack key fields as well, so a :class:`Monomial` and
-a :class:`fractions.Fraction` are built only at the public edge: the
-constructor, :meth:`Series.terms`, :meth:`Series.coefficient`,
+past the magnitude bound.  :meth:`Series.where`, the one selector by
+(t, z, magnitude), the t-marginal and the move into another context (the
+identity when the contexts are equal) read and re-pack key fields as
+well, so a :class:`Monomial` and a :class:`fractions.Fraction` are built
+only at the public edge: the constructor (the one builder from
+monomials), :meth:`Series.terms`, :meth:`Series.coefficient`,
 ``constant_term``, :func:`first_difference` and the repr.
 
 exp and log run on the total grade t + z + magnitude, which only the
@@ -238,21 +239,13 @@ class Series:
 
     @classmethod
     def one(cls, context: TruncationContext) -> "Series":
-        return cls.constant(context, 1)
-
-    @classmethod
-    def constant(cls, context: TruncationContext, value: Scalar) -> "Series":
-        return cls(context, {context.monomial(): Fraction(value)})
+        return cls(context, {context.monomial(): 1})
 
     @classmethod
     def variable(cls, context: TruncationContext, name: str) -> "Series":
         degs = [0] * len(context.names)
         degs[context.index(name)] = 1
         return cls(context, {Monomial(degs): Fraction(1)})
-
-    @classmethod
-    def term(cls, context: TruncationContext, m: Monomial, coeff: Scalar) -> "Series":
-        return cls(context, {m: Fraction(coeff)})
 
     # -- inspection --------------------------------------------------------
 
@@ -307,7 +300,7 @@ class Series:
 
     def __add__(self, other: "Series" | Scalar) -> "Series":
         if isinstance(other, (int, Fraction)):
-            other = Series.constant(self.context, other)
+            other = Series(self.context, {self.context.monomial(): other})
         elif not isinstance(other, Series):
             return NotImplemented
         self._check_same_context(other)
@@ -320,11 +313,9 @@ class Series:
         return _reduced(self.context, self._den, {key: -v for key, v in self._terms.items()})
 
     def __sub__(self, other: "Series" | Scalar) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            other = Series.constant(self.context, other)
-        elif not isinstance(other, Series):
+        if not isinstance(other, (Series, int, Fraction)):
             return NotImplemented
-        return self.__add__(other.__neg__())
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Series":
         return self.__neg__().__add__(other)
@@ -640,8 +631,7 @@ def first_difference(
     a: Series, b: Series
 ) -> tuple[Monomial, Fraction, Fraction] | None:
     """The canonically first monomial where two series differ, or None."""
-    if a.context != b.context:
-        raise ContextMismatchError("cannot compare series from different contexts")
+    a._check_same_context(b)
     ta, tb, da, db = a._terms, b._terms, a._den, b._den
     decode = a.context._monomial
     diffs = (k for k in ta.keys() | tb.keys() if ta.get(k, 0) * db != tb.get(k, 0) * da)

@@ -19,6 +19,7 @@ t-marginal and into_context, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list
 rebuilt per call in place of the cached table pieces, S in closed form
 and a summand loop in place of the exponential formula that builds C and L,
+a Monomial per term of L in place of the field selector of the psi form,
 one exp per k in place of its grade recurrence,
 the row recurrence in place of the inclusion-exclusion Stirling
 numbers), so it lives with the tests that use it as a reference.  The
@@ -275,7 +276,7 @@ def lagrange_revert(f: Series) -> Series:
         slice_n = t_coefficient(power, n - 1)
         if not slice_n:
             continue
-        t_n = Series.term(ctx, ctx.monomial(t=n), Fraction(1, n))
+        t_n = Series(ctx, {ctx.monomial(t=n): Fraction(1, n)})
         g = g + t_n * slice_n
     return g
 
@@ -311,7 +312,7 @@ def exponential_formula_by_exps(
     total = Series.zero(ctx)
     for k in range(ctx.t_max + 1):
         w_k = Series(ctx, [(m, column[k]) for m, column in weights.items()])
-        front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
+        front = Series(ctx, {ctx.monomial(t=k): Fraction(1, factorial(k))})
         total = total + front * w_k.exp()
     return total.log()
 
@@ -357,13 +358,29 @@ def lhs_series_by_summands(phi: PhiCoefficients, ctx: TruncationContext) -> Seri
             if zp <= ctx.z_max:
                 acc[zp] = acc.get(zp, Fraction(0)) + c * k ** (a + 1)
         arg = Series(ctx, {ctx.monomial(z=zp): v for zp, v in acc.items()})
-        front = Series.term(ctx, ctx.monomial(t=k), Fraction(1, factorial(k)))
+        front = Series(ctx, {ctx.monomial(t=k): Fraction(1, factorial(k))})
         return front * arg.exp()
 
     total = Series.zero(ctx)
     for k in range(K + 1):
         total = total + summand(k)
     return total.log()
+
+
+def outside_psi_form_by_monomial(m: Monomial) -> bool:
+    """t^a z^b is outside the support of t * Psi(tz, z) when a = 0 or b < a - 1."""
+    return m.t_deg == 0 or m.z_deg < m.t_deg - 1
+
+
+def verify_psi_form_by_terms(L: Series) -> list[tuple[int, int, Fraction]]:
+    """The terms of L outside t * Psi(tz, z), every term decoded and tested."""
+    return [(m.t_deg, m.z_deg, c) for m, c in L.terms() if outside_psi_form_by_monomial(m)]
+
+
+def psi_uv_coefficients_by_terms(L: Series) -> list[tuple[int, int, Fraction]]:
+    """Psi(u, v) read off L through u^n v^m <-> t^{n+1} z^{n+m}, every term decoded."""
+    return [(m.t_deg - 1, m.z_deg - m.t_deg + 1, c) for m, c in L.terms()
+            if not outside_psi_form_by_monomial(m)]
 
 
 def stirling2_by_recurrence(n: int, k: int) -> int:

@@ -685,6 +685,24 @@ def test_psi_text_reads_no_psi_uv(runner, monkeypatch):
     assert result.stdout.endswith("vanishing ok\ndiagonal ok\n")
 
 
+def test_psi_text_decodes_only_psi_terms(runner, monkeypatch):
+    # the vanishing check selects L's off-form terms on their key fields, and on a
+    # passing run there are none: the only terms decoded are the printed psi[k]
+    from hypertrees.series import Series
+
+    decoded = []
+    terms = Series.terms
+
+    def counted(self):
+        decoded.append(self.n_terms)
+        return terms(self)
+
+    monkeypatch.setattr(Series, "terms", counted)
+    result = runner.invoke(main, ["psi", PHI_C00, "--t-max", "8", "--z-max", "8"])
+    assert result.exit_code == 0, result.output
+    assert sum(decoded) == result.stdout.count("psi[") > 0
+
+
 def _write_phi(tmp_path, entries):
     path = tmp_path / "phi.json"
     path.write_text(json.dumps({"entries": entries}), encoding="utf-8")

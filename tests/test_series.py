@@ -33,7 +33,10 @@ from hypertrees.series import (
     revert,
 )
 from hypertrees import series
+from hypertrees.closed import count_by_profile, rooted_count_by_edges, table_terms
+from hypertrees.funceq import PhiCoefficients
 from hypertrees.gf import compute_T, solve_R_fixed_point
+from hypertrees.hypergraphs import EdgeProfile, Hypergraph
 from oracles import (
     compute_T_by_terms,
     derivative_by_slicing,
@@ -127,8 +130,8 @@ def test_magnitude_has_no_width_cap():
 def test_bound_past_the_widest_key_field_is_refused():
     # eight-byte key fields hold 2**64 - 1: an exponent there still multiplies exactly
     ctx = TruncationContext(t_max=2**64 - 1, magnitude_max=0)
-    a = Series.term(ctx, ctx.monomial(t=2**63), 1)
-    b = Series.term(ctx, ctx.monomial(t=2**63 - 1), 3)
+    a = Series(ctx, {ctx.monomial(t=2**63): 1})
+    b = Series(ctx, {ctx.monomial(t=2**63 - 1): 3})
     assert (a * b).terms() == [(ctx.monomial(t=2**64 - 1), 3)]
     assert not a * a
     for bound in ("t_max", "z_max", "magnitude_max"):
@@ -152,6 +155,46 @@ def test_mixing_contexts_raises():
         T + Series.variable(other, "t")
 
 
+_OTHER_T = Series.variable(TruncationContext(t_max=6, z_max=1, magnitude_max=5), "t")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TruncationContext(magnitude_max=-1), ValueError, "must be non-negative"),
+        (lambda: CTX.monomial(t=-1), ValueError, "exponents must be non-negative"),
+        (lambda: CTX.monomial(z=-1), ValueError, "exponents must be non-negative"),
+        (lambda: CTX.monomial(u={2: -1}), ValueError, "exponents must be non-negative"),
+        (lambda: Series(CTX, {(1,) + (0,) * 5: 1}), TypeError, "expected Monomial key, got tuple"),
+        (lambda: Series(CTX, {Monomial((1, 0)): 1}), ValueError, "match the context's edge"),
+        (lambda: first_difference(T, _OTHER_T), ContextMismatchError, "different truncation"),
+        (lambda: count_by_profile(0, EdgeProfile()), ValueError, "need n >= 1"),
+        (lambda: rooted_count_by_edges(0, 0), ValueError, "need n >= 1"),
+        (lambda: table_terms(0), ValueError, "need n >= 1"),
+        (lambda: Hypergraph(-1, ()), ValueError, "need n >= 0"),
+        (lambda: PhiCoefficients({(0, 0): 1, (1, 0): 1}).phi_series(CTX), ValueError,
+         "phi needs a zero constant term"),
+    ],
+    ids=["negative-bound", "negative-t", "negative-z", "negative-u", "key-type", "key-width",
+         "first-difference-contexts", "count-n0", "rooted-count-n0", "table-n0",
+         "hypergraph-n", "phi-series-c00"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message) as refused:
+        call()
+    assert "\n" not in str(refused.value)
+
+
+def test_reprs():
+    # what pytest prints when an assert on series or Phi arrays fails
+    assert repr(Series.zero(CTX)) == "Series(0)"
+    f = Series(CTX, {mono(t=1, u2=2): Fraction(3, 2), mono(u3=1): 1})
+    assert repr(f) == "Series(u3 + 3/2*t*u2^2)"
+    assert repr(power(1 + T, 4)) == "Series(1 + 4*t + 6*t^2 + 4*t^3 + ... (5 terms))"
+    phi = PhiCoefficients({(2, 0): 3, (0, 1): Fraction(1, 2)})
+    assert repr(phi) == "PhiCoefficients({(0,1): 1/2, (2,0): 3})"
+
+
 # -- ring arithmetic ----------------------------------------------------------
 
 
@@ -171,6 +214,11 @@ def test_scalars_are_exact_on_both_sides():
             T / bad
         with pytest.raises(TypeError):
             T * bad
+        with pytest.raises(TypeError):
+            T + bad
+        with pytest.raises(TypeError):
+            T - bad
+        assert T.__eq__(bad) is NotImplemented
     with pytest.raises(ZeroDivisionError):
         T / Fraction(0)
 
@@ -776,7 +824,7 @@ def test_graded_maps_and_revert_at_the_top_of_a_key_field(top):
     t, u2 = Series.variable(ctx, "t"), Series.variable(ctx, "u2")
 
     def z(e):
-        return Series.term(ctx, ctx.monomial(z=e), 1)
+        return Series(ctx, {ctx.monomial(z=e): 1})
 
     f0 = z(top - top // 2) / 3 + 2 * u2 * z(top // 2) - t * z(top - 1) + t * t * z(1) / 5
     assert f0.exp() == exp_by_power_sum(f0)

@@ -181,14 +181,9 @@ def oracle(
     except BudgetExceededError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_BUDGET)
-    if as_json:
-        click.echo(json.dumps({"kernel": kernel_name(), "rows": [r.as_dict() for r in rows]}))
-    else:
-        for row in rows:
-            click.echo(
-                f"n={row.n} profile={row.profile} all={row.total} "
-                f"connected={row.connected} hypertree={row.hypertree}"
-            )
+    lines = [f"n={row.n} profile={row.profile} all={row.total} "
+             f"connected={row.connected} hypertree={row.hypertree}" for row in rows]
+    _emit({"kernel": kernel_name(), "rows": [r.as_dict() for r in rows]}, lines, as_json)
 
 
 _TAG = {True: "ok  ", False: "FAIL", None: "skip"}
@@ -285,16 +280,17 @@ def verify(
     from .funceq import (check_phi, hypertree_dictionary_report, lhs_series, random_phi,
                          substituted_connected_gf)
     from .gf import compute_C, hypertree_series, solve_R_fixed_point, verify_identities
-    from .series import Series, first_difference, into_context
+    from .series import Series, first_difference
 
     ctx = _context(t_max, z_max, magnitude_max)
     ctx_sub = _context(t_max, z_max, z_max)  # the least magnitude the substitution needs
-    # C has no z terms: one C at the larger magnitude serves both contexts
-    wide = max(ctx, ctx_sub, key=lambda c: c.magnitude_max)
-    C_wide = compute_C(wide)
-    if inject_fault:  # t^2 u2 lies in both contexts from t_max = 2 and z_max = 1 on
-        C_wide = C_wide + Series(wide, {wide.monomial(t=2, u={2: 1}): 1})
-    C = into_context(C_wide, ctx)
+    Cs = {}
+    for c in (ctx, ctx_sub):  # one C per distinct context
+        if c not in Cs:
+            Cs[c] = compute_C(c)
+            if inject_fault and c.magnitude_max:  # t^2 u2, where the context has u2
+                Cs[c] += Series(c, {c.monomial(t=2, u={2: 1}): 1})
+    C, C_sub = Cs[ctx], Cs[ctx_sub]
     T, R = hypertree_series(C)
     fixed = solve_R_fixed_point(ctx)
 
@@ -310,7 +306,6 @@ def verify(
             ],
         })
 
-    C_sub = into_context(C_wide, ctx_sub)
     sub_rows = []
     for i in range(sub_trials):
         phi = random_phi(seed + i)

@@ -38,9 +38,8 @@ fmpq_poly: Hart, "FLINT: Fast Library for Number Theory", ICMS 2010).
 Products, exp, log, substitution and reversion share one term-pair
 loop on these keys that sums int numerators and stops at the first term
 past the magnitude bound.  :meth:`Series.where`, the one selector by
-(t, z, magnitude), the t-marginal and the move into another context (the
-identity when the contexts are equal) read and re-pack key fields as
-well, so a :class:`Monomial` and a :class:`fractions.Fraction` are built
+(t, z, magnitude), and the t-marginal read key fields as well, so a
+:class:`Monomial` and a :class:`fractions.Fraction` are built
 only at the public edge: the constructor (the one builder from
 monomials), :meth:`Series.terms`, :meth:`Series.coefficient`,
 ``constant_term``, :func:`first_difference` and the repr.
@@ -174,6 +173,12 @@ class TruncationContext:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def admits(self, m: Monomial) -> bool:
+        """Whether m lies within the bounds.  A monomial of another width or
+        with a negative exponent is refused: its key would alias another's."""
+        if len(m) != len(self.names):
+            raise ValueError("monomial does not match the context's edge variables")
+        if min(m) < 0:
+            raise ValueError(f"monomial {m} has a negative exponent")
         return m[0] <= self.t_max and m[1] <= self.z_max and m.magnitude <= self.magnitude_max
 
     def require(self, m: Monomial) -> None:
@@ -213,17 +218,13 @@ class Series:
         context: TruncationContext,
         terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = (),
     ) -> None:
-        width = len(context.names)
         items = []
         for m, c in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(m, Monomial):
                 raise TypeError(f"expected Monomial key, got {type(m).__name__}")
-            if len(m) != width:
-                raise ValueError("monomial does not match the context's edge variables")
-            if min(m) < 0:
-                raise ValueError(f"monomial {m} has a negative exponent")
-            items.append((m, Fraction(c)))
-        kept = [(context._key(m), c) for m, c in items if context.admits(m)]
+            admitted = context.admits(m)  # refuses a malformed monomial, in bounds or not
+            items.append((m, Fraction(c), admitted))
+        kept = [(context._key(m), c) for m, c, admitted in items if admitted]
         den = lcm(*(c.denominator for _, c in kept))
         nums: dict[int, int] = {}
         for key, c in kept:
@@ -271,13 +272,13 @@ class Series:
         Raises OutOfContextError for monomials beyond the truncation bounds,
         where the stored value 0 would be indistinguishable from truncation.
         """
-        if len(m) != len(self.context.names):
-            raise ValueError("monomial does not match the context's edge variables")
         self.context.require(m)
         return Fraction(self._terms.get(self.context._key(m), 0), self._den)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series):
+        if isinstance(other, (int, Fraction)):
+            other = Series(self.context, {self.context.monomial(): other})
+        elif not isinstance(other, Series):
             return NotImplemented
         return (self.context == other.context and self._den == other._den
                 and self._terms == other._terms)
@@ -515,11 +516,9 @@ def exponential_formula(
     c_m S scales each t^k term of S by c_m(k): the Euler operator in z and
     the u's applied to every exp(w_k) at once.
     """
-    width = len(ctx.names)
     cols = []
     for m, column in weights.items():
-        if len(m) != width:
-            raise ValueError("weight monomial does not match the context's edge variables")
+        admitted = ctx.admits(m)  # refuses a malformed monomial, in bounds or not
         if m[0]:
             raise ValueError(f"weight monomial {m} has a t exponent")
         grade = m[1] + m.magnitude
@@ -528,7 +527,7 @@ def exponential_formula(
         if len(column) != ctx.t_max + 1:
             raise ValueError(f"weight column of length {len(column)}, "
                              f"not t_max + 1 = {ctx.t_max + 1}")
-        if ctx.admits(m):
+        if admitted:
             column = [grade * Fraction(c) for c in column]
             cols.append((grade, ctx._key(m), m[1], m.magnitude, column))
     # every column over one denominator W
@@ -637,22 +636,6 @@ def first_difference(
     diffs = (k for k in ta.keys() | tb.keys() if ta.get(k, 0) * db != tb.get(k, 0) * da)
     return min(((decode(k), Fraction(ta.get(k, 0), da), Fraction(tb.get(k, 0), db))
                 for k in diffs), default=None)
-
-
-def into_context(f: Series, ctx: TruncationContext) -> Series:
-    """f truncated into ctx, whose edge variables may be fewer or more than
-    f's context has; f itself when its context is ctx.  A term that uses a
-    u_j past ctx's lies beyond its magnitude bound, so it is dropped, not
-    shortened; the u_j that only ctx has get exponent 0.  Each kept key is
-    re-packed field by field into ctx's layout."""
-    if f.context == ctx:
-        return f
-    kept = f.where(lambda t, z, m: t <= ctx.t_max and z <= ctx.z_max and m <= ctx.magnitude_max)
-    (width, mask, top), (to_width, _, to_top) = f.context._fields, ctx._fields
-    shifts = [(width * i, to_width * i) for i in range(min(top // width, to_top // to_width))]
-    rekeyed = {sum((key >> a & mask) << b for a, b in shifts) + (key >> top << to_top): v
-               for key, v in kept._terms.items()}
-    return _reduced(ctx, kept._den, rekeyed)
 
 
 # -- reversion, one t-slice at a time: each slice keeps its t-exponent

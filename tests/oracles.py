@@ -14,8 +14,8 @@ one-call substitution, hand-built coefficient lists in place of the maps
 derived from the edge weights phi, a Fraction per term pair in place of
 the integer product kernel, sliced exponent tuples in place of the key
 arithmetic of derivative and divided_by_t, a Monomial decoded
-per term in place of the field reads of where, compute_T, the
-t-marginal and into_context, Fraction arithmetic
+per term in place of the field reads of where, compute_T and the
+t-marginal, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list
 rebuilt per call in place of the cached table pieces, S in closed form
 and a summand loop in place of the exponential formula that builds C and L,
@@ -24,7 +24,9 @@ one exp per k in place of its grade recurrence,
 the row recurrence in place of the inclusion-exclusion Stirling
 numbers), so it lives with the tests that use it as a reference.  The
 twins read a series only through its public API, so they stay
-independent of its store.
+independent of its store.  The library never moves a series between
+contexts; the tests that compare series of two contexts move one with
+``into_context_by_monomials``.
 """
 
 from __future__ import annotations

@@ -440,8 +440,8 @@ def test_verify_solves_the_fixed_point_once(runner, monkeypatch):
 
 
 def test_verify_computes_C_once(runner, monkeypatch):
-    # the pipeline and the substitution route narrow one C at the wider magnitude,
-    # and the identity suite and the dictionary read one hypertree layer T of it
+    # at t = z = magnitude the pipeline and the substitution route share one context
+    # and one C, and the identity suite and the dictionary read one hypertree layer T of it
     from hypertrees import funceq, gf
 
     calls = _count_calls(monkeypatch, "compute_C", (gf,))
@@ -461,7 +461,7 @@ def test_verify_expands_L_once_per_seed(runner, monkeypatch, trials, sub_trials)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert len(calls) == max(trials, sub_trials)
-    # each L is born in the substitution route's context, so no trial re-keys it
+    # each L is born in the substitution route's context, where it is compared
     assert all(ctx.magnitude_max == ctx.z_max for _, ctx in calls)
 
 
@@ -534,28 +534,37 @@ def test_verify_sizes_contexts_by_magnitude(runner, monkeypatch):
     huge = runner.invoke(main, args + ["--max-edge-size", "1000"])
     assert small.exit_code == huge.exit_code == 0, huge.output
     assert huge.stdout_bytes == small.stdout_bytes
-    assert len(contexts) == 2  # one C per run serves the pipeline and the substitution route
+    # per run, one C for the suite at magnitude 4 and one for the substitution route at 2
+    assert len(contexts) == 4
     for ctx in contexts:
         assert ctx.names[2:] == tuple(f"u{i}" for i in range(2, ctx.magnitude_max + 2))
 
 
-def test_verify_at_equal_bounds_rekeys_nothing(runner, monkeypatch):
+def test_verify_builds_C_once_per_context(runner, monkeypatch):
     # at t = z = magnitude (perfbench's verify-std) the suite and the substitution
-    # route share one context
-    from hypertrees import series
+    # route share one context and one C; elsewhere C is built in the suite's
+    # (t, z, magnitude), then in the substitution route's (t, z, z)
+    from hypertrees import gf
+    from hypertrees.series import TruncationContext
 
-    moves = _count_calls(monkeypatch, "into_context", (series,))
-    args = ["verify", "--t-max", "10", "--z-max", "10", "--max-edge-size", "12",
-            "--trials", "5", "--sub-trials", "1"]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    assert moves and all(f.context == ctx for f, ctx in moves)
+    calls = _count_calls(monkeypatch, "compute_C", (gf,))
+    verify_std = ["--t-max", "10", "--z-max", "10", "--max-edge-size", "12",
+                  "--trials", "5", "--sub-trials", "1"]
+    for bounds, built in [
+        (verify_std, [(10, 10, 10)]),
+        (["--t-max", "4", "--z-max", "2"], [(4, 2, 4), (4, 2, 2)]),
+        (["--t-max", "4", "--z-max", "7"], [(4, 7, 4), (4, 7, 7)]),
+    ]:
+        calls.clear()
+        result = runner.invoke(main, ["verify"] + bounds)
+        assert result.exit_code == 0, result.output
+        assert calls == [(TruncationContext(*b),) for b in built]
 
 
 @pytest.mark.parametrize("t_max, z_max", [(3, 0), (3, 8), (8, 3), (7, 8)])
 def test_verify_without_z(runner, t_max, z_max):
     # at magnitude != z the suite's and the substitution route's contexts differ
-    # in edge alphabet, so into_context re-packs the one C into the narrower one
+    # in edge alphabet, and each builds its own C
     args = ["verify", "--t-max", str(t_max), "--z-max", str(z_max),
             "--max-edge-size", str(t_max + 1)]
     result = runner.invoke(main, args + ["--trials", "2", "--sub-trials", "1"])

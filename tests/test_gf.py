@@ -27,13 +27,14 @@ from hypertrees.gf import (
     verify_identities,
 )
 from hypertrees.hypergraphs import EdgeProfile, count_profile, iter_profiles
-from hypertrees.series import Series, TruncationContext, into_context
+from hypertrees.series import Series, TruncationContext
 from oracles import (
     T_from_R_by_power_sum,
     compute_C_by_closed_form,
     count_by_profile_by_fractions,
     egf_profile_coefficient,
     factorial_norm,
+    into_context_by_monomials,
     oracle_polynomials,
     pretty_monomial_by_sort_key,
     rooted_edge_argument,
@@ -118,11 +119,12 @@ def test_fixed_point_slices_equal_iteration(ctx):
 
 @pytest.mark.parametrize("N, M, Z", [(6, 6, 3), (6, 3, 6), (6, 6, 0), (5, 7, 4), (4, 4, 4)])
 def test_narrowed_C_equals_direct(N, M, Z):
-    # verify computes C once at magnitude max(M, Z) and narrows it into both contexts
+    # verify builds C in each context it reads, the suite's and the substitution
+    # route's: each equals the C of the wider magnitude cut down to that context
     wide = compute_C(TruncationContext(t_max=N, magnitude_max=max(M, Z)))
     for ctx in (TruncationContext(t_max=N, magnitude_max=M),
                 TruncationContext(t_max=N, z_max=Z, magnitude_max=Z)):
-        assert into_context(wide, ctx) == compute_C(ctx)
+        assert into_context_by_monomials(wide, ctx) == compute_C(ctx)
 
 
 def test_compute_C_equals_closed_form_twin():
@@ -229,8 +231,8 @@ def test_pipeline_matches_oracle_polynomials(C, T):
     octx = TruncationContext(t_max=4, magnitude_max=4)
     for n in range(1, 5):
         C_n, T_n = oracle_polynomials(n, octx)
-        assert into_context(t_coefficient(C, n) * factorial(n), octx) == C_n
-        assert into_context(t_coefficient(T, n) * factorial(n), octx) == T_n
+        assert into_context_by_monomials(t_coefficient(C, n) * factorial(n), octx) == C_n
+        assert into_context_by_monomials(t_coefficient(T, n) * factorial(n), octx) == T_n
     # and every n <= 12 at magnitude <= 11, where the kernel meets profiles such as
     # (12, u2^11) with 103,510,234,140,112,521,216 slot assignments
     wide = TruncationContext(t_max=12, magnitude_max=11)

@@ -31,7 +31,8 @@ CASES = [
     (["verify", "--t-max", "6", "--z-max", "6", "--inject-fault"], 1, "verify-fault-t6-z6.txt"),
     (["verify", "--t-max", "6", "--z-max", "6", "--inject-fault", "--json"], 1,
      "verify-fault-json-t6-z6.json"),
-    # at magnitude != z the one C is re-keyed between the two contexts, both ways
+    # at magnitude != z the suite and the substitution route each build their own C,
+    # at magnitude > z and at magnitude < z
     (["verify", "--t-max", "8", "--z-max", "3", "--max-edge-size", "9", "--trials", "3",
       "--sub-trials", "3", "--inject-fault", "--json"], 1, "verify-fault-json-t8-z3.json"),
     (["verify", "--t-max", "4", "--z-max", "7", "--max-edge-size", "8", "--trials", "3",

@@ -7,9 +7,9 @@ product kernel against a Fraction per term pair, and the graded exp, log
 and inverse and the one-call substitution against their full power-sum
 twins, the key arithmetic of derivative and divided_by_t
 against exponent tuples sliced term by term, and the field reads of
-where, compute_T, the t-marginal and into_context against a monomial
-decoded per term, and the grade recurrence of the exponential formula
-against one exp per k.
+where, compute_T and the t-marginal against a monomial decoded per
+term, and the grade recurrence of the exponential formula against one
+exp per k.
 """
 
 import re
@@ -29,7 +29,6 @@ from hypertrees.series import (
     Series,
     TruncationContext,
     first_difference,
-    into_context,
     revert,
 )
 from hypertrees import series
@@ -87,6 +86,14 @@ def test_context_admits_and_requires():
     assert not CTX.admits(mono(u3=3))  # magnitude 6 > 5
     with pytest.raises(OutOfContextError):
         CTX.require(mono(t=7))
+
+
+def test_admits_refuses_another_width():
+    # t, z, u2, u3: a short monomial would be read as in bounds, a long one past them
+    ctx = TruncationContext(t_max=3, z_max=0, magnitude_max=2)
+    for m in ((1, 0), (1, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="does not match the context's edge variables"):
+            ctx.admits(Monomial(m))
 
 
 def test_alphabet_rejects_unknown_variables():
@@ -147,6 +154,16 @@ def test_negative_exponent_is_refused(position):
     bad = Monomial(degs)
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         Series(CTX, {bad: 1})
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        Series.one(CTX).coefficient(bad)
+
+
+def test_coefficient_refuses_a_key_alias():
+    # t^-1 z has the key of t^3 in a 2-bit layout: it would read the t^3 coefficient
+    ctx = TruncationContext(t_max=3, z_max=3, magnitude_max=2)
+    f = 1 + 5 * power(Series.variable(ctx, "t"), 3)
+    with pytest.raises(ValueError, match="negative exponent"):
+        f.coefficient(Monomial((-1, 1, 0, 0)))
 
 
 def test_mixing_contexts_raises():
@@ -219,6 +236,12 @@ def test_scalars_are_exact_on_both_sides():
         with pytest.raises(TypeError):
             T - bad
         assert T.__eq__(bad) is NotImplemented
+    # a scalar compares as the constant series, as it adds
+    assert Series.zero(CTX) == 0
+    assert Series.one(CTX) == 1 and 1 == Series.one(CTX)
+    assert Series.one(CTX) + T / 2 != Fraction(1)
+    assert Series.variable(CTX, "t") != 0
+    assert (Series.one(CTX) == 0.5) is False
     with pytest.raises(ZeroDivisionError):
         T / Fraction(0)
 
@@ -295,30 +318,6 @@ def test_inverse_multiplies_to_one():
     assert f * f.inverse() == Series.one(CTX)
     with pytest.raises(ValueError):
         T.inverse()
-
-
-def test_into_context_widens_and_narrows():
-    tz = TruncationContext(t_max=3, z_max=2, magnitude_max=0)
-    wide = TruncationContext(t_max=2, z_max=2, magnitude_max=2)
-    t, z = Series.variable(tz, "t"), Series.variable(tz, "z")
-    f = 1 + t * z + 3 * power(t, 3)
-    g = into_context(f, wide)
-    # the edge variables only `wide` has get exponent 0; t^3 is past its t bound
-    wt, wz = Series.variable(wide, "t"), Series.variable(wide, "z")
-    assert g == 1 + wt * wz
-    assert g.coefficient(wide.monomial(t=1, z=1)) == 1
-    assert into_context(g, tz) == f - 3 * power(t, 3)
-    # compared in the wider context, a stray u-term still shows as a difference
-    stray = g + Series.variable(wide, "u2") * wt
-    assert first_difference(g, stray) is not None
-    assert into_context(stray, tz) == into_context(g, tz)  # u2 is past tz's alphabet
-
-
-def test_into_context_is_the_identity_within_one_context():
-    ctx = TruncationContext(t_max=3, z_max=2, magnitude_max=2)
-    f = 1 + Series.variable(ctx, "t") * Series.variable(ctx, "u2")
-    assert into_context(f, f.context) is f
-    assert into_context(f, TruncationContext(t_max=3, z_max=2, magnitude_max=2)) is f
 
 
 def test_divided_by_t():
@@ -453,7 +452,7 @@ def test_truncation_coherence(a, b):
     small = TruncationContext(t_max=2, magnitude_max=2)  # u2, u3 of PCTX's u2 .. u5
 
     def cut(f):
-        return into_context(f, small)
+        return into_context_by_monomials(f, small)
 
     f, g = build(a), build(b)
     assert cut(f * g) == cut(f) * cut(g)
@@ -689,14 +688,7 @@ def test_product_kernel_equals_term_pairs(case, rnd):
     assert Series(ctx, a) * Series(ctx, b) == f * g
 
 
-# -- field reads and re-keying against their monomial twins ------------------------
-
-_REKEY_CONTEXTS = _FIELD_TOP_CONTEXTS + [_WIDE]
-# each context with its t and z bounds halved: the same key layout with tighter
-# bounds where the magnitude sets the field width, a narrower one elsewhere
-_REKEY_TARGETS = _REKEY_CONTEXTS + [
-    TruncationContext(ctx.t_max // 2, ctx.z_max // 2, ctx.magnitude_max) for ctx in _REKEY_CONTEXTS
-]
+# -- field reads against their monomial twins --------------------------------------
 
 _PREDICATES = [
     lambda t, z, m: m == t - 1,  # the hypertree layer
@@ -705,17 +697,12 @@ _PREDICATES = [
 ]
 
 
-@pytest.mark.parametrize("ctx", _REKEY_CONTEXTS, ids=str)
+@pytest.mark.parametrize("ctx", _FIELD_TOP_CONTEXTS + [_WIDE], ids=str)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_key_fields_equal_monomial_twins(ctx, data):
     terms = st.lists(st.tuples(st.sampled_from(_KERNEL_POOLS[ctx]), kernel_coeffs), max_size=10)
     f = Series(ctx, data.draw(terms))
-    # every ordered pair of contexts: widths, edge alphabets and bounds that differ
-    for target in _REKEY_TARGETS:
-        moved = into_context(f, target)
-        assert moved == into_context_by_monomials(f, target)
-        assert_canonical(moved)
     pred = data.draw(st.sampled_from(_PREDICATES))
     selected, marginal = f.where(pred), f.t_marginal()
     assert selected == where_by_terms(f, pred)

@@ -49,6 +49,8 @@ def stirling2(n: int, k: int) -> int:
     """Stirling set number S(n, k) by inclusion-exclusion over the k blocks
     left empty: k! S(n, k) = sum_i (-1)^i C(k, i) (k - i)^n counts the
     surjections onto k blocks."""
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise TypeError(f"Stirling numbers need int n and k, got {n!r}, {k!r}")
     if n < 0 or k < 0:
         raise ValueError("Stirling numbers need n, k >= 0")
     if k > n:

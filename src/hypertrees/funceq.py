@@ -35,7 +35,8 @@ from math import factorial
 from typing import TYPE_CHECKING, Mapping
 
 from .combinat import stirling2
-from .series import Monomial, Series, TruncationContext, exponential_formula, phi_maps, revert
+from .series import (Monomial, Series, TruncationContext, exact, exponential_formula, phi_maps,
+                     revert)
 
 if TYPE_CHECKING:
     from .gf import IdentityCheck
@@ -46,13 +47,14 @@ class PhiCoefficients:
 
     def __init__(self, entries: Mapping[tuple[int, int], Fraction | int]) -> None:
         data: dict[tuple[int, int], Fraction] = {}
-        for key, value in entries.items():
-            m, n = key
+        for (m, n), value in entries.items():
+            if not (isinstance(m, int) and isinstance(n, int)):
+                raise TypeError(f"coefficient indices must be ints, got {(m, n)!r}")
             if m < 0 or n < 0:
                 raise ValueError("coefficient indices must be non-negative")
-            c = Fraction(value)
+            c = Fraction(exact(value))
             if c:
-                data[(int(m), int(n))] = c
+                data[(m, n)] = c
         self._entries = data
 
     def items(self) -> list[tuple[tuple[int, int], Fraction]]:

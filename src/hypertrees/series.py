@@ -16,10 +16,10 @@ A :class:`TruncationContext` is three integers: the bounds ``t_max``,
 i - 1, so no u_i past M = magnitude_max + 1 can carry a term, and the
 edge variables are exactly ``u2 .. uM``.  Every operation truncates its
 result to the bounds, so the algebra is closed and every coefficient
-is an exact rational number.
-A bound of 0 leaves its variable in the set but truncates it away: with
-``z_max = 0`` the series ``z`` is zero.  There is no floating point
-anywhere.
+is an exact rational number: builders and operators take int and
+Fraction scalars only.  A bound of 0 leaves its variable in the set but
+truncates it away: with ``z_max = 0`` the series ``z`` is zero.  There
+is no floating point anywhere.
 
 All three gradings are additive and non-negative, which is what makes
 truncation coherent: any product of admissible monomials that lands back
@@ -76,6 +76,13 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
+def exact(c: object) -> Scalar:
+    """c, if it is an int or a Fraction; a float, str or Decimal is refused, not converted."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 class ContextMismatchError(ValueError):
     """Raised when series from different truncation contexts are combined."""
 
@@ -124,9 +131,12 @@ class TruncationContext:
     magnitude_max: int = 6
 
     def __post_init__(self) -> None:
-        if min(self.t_max, self.z_max, self.magnitude_max) < 0:
+        bounds = (self.t_max, self.z_max, self.magnitude_max)
+        if not all(isinstance(b, int) for b in bounds):
+            raise TypeError(f"truncation bounds must be ints, got {bounds!r}")
+        if min(bounds) < 0:
             raise ValueError("truncation bounds must be non-negative")
-        top = max(self.t_max, self.z_max, self.magnitude_max)
+        top = max(bounds)
         if top > 2**64 - 1:
             raise ValueError(f"truncation bound {top} exceeds the 64-bit exponent field")
 
@@ -207,8 +217,9 @@ class Series:
     stored as int numerators under the context's packed keys over one common
     denominator, in lowest terms.
 
-    Construction drops zero coefficients and silently truncates monomials
-    that violate the context bounds, so every stored term is admissible.
+    Construction takes int and Fraction coefficients only (:func:`exact`),
+    drops zero coefficients and silently truncates monomials that violate
+    the context bounds, so every stored term is admissible.
     """
 
     __slots__ = ("context", "_den", "_terms", "_operand")
@@ -223,7 +234,7 @@ class Series:
             if not isinstance(m, Monomial):
                 raise TypeError(f"expected Monomial key, got {type(m).__name__}")
             admitted = context.admits(m)  # refuses a malformed monomial, in bounds or not
-            items.append((m, Fraction(c), admitted))
+            items.append((m, exact(c), admitted))
         kept = [(context._key(m), c) for m, c, admitted in items if admitted]
         den = lcm(*(c.denominator for _, c in kept))
         nums: dict[int, int] = {}
@@ -527,8 +538,8 @@ def exponential_formula(
         if len(column) != ctx.t_max + 1:
             raise ValueError(f"weight column of length {len(column)}, "
                              f"not t_max + 1 = {ctx.t_max + 1}")
+        column = [grade * exact(c) for c in column]
         if admitted:
-            column = [grade * Fraction(c) for c in column]
             cols.append((grade, ctx._key(m), m[1], m.magnitude, column))
     # every column over one denominator W
     W = lcm(*(c.denominator for *_, column in cols for c in column))

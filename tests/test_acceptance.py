@@ -110,14 +110,16 @@ def test_c1_table_reproduction(acceptance, big_C):
     )
 
 
-def test_c2_quadruple_agreement(acceptance):
-    start = time.monotonic()
-    ctx = TruncationContext(t_max=12, magnitude_max=11)
+def quadruple_agreement(reach):
+    """C2's routes on every hypertree profile on n <= reach vertices: the log
+    route, the fixed point, the closed form and the kernel.  Returns (every
+    route agrees, profiles checked)."""
+    ctx = TruncationContext(t_max=reach, magnitude_max=reach - 1)
     T_log = compute_T(compute_C(ctx))
     T_fixed = T_from_R(solve_R_fixed_point(ctx))
     checked = 0
     ok = True
-    for n in range(1, 13):
+    for n in range(1, reach + 1):
         for profile in profiles(n - 1, max_size=n):
             via_log = egf_profile_coefficient(T_log, n, profile)
             via_fixed_point = egf_profile_coefficient(T_fixed, n, profile)
@@ -129,12 +131,18 @@ def test_c2_quadruple_agreement(acceptance):
             )
             ok = ok and rooted == n * unrooted
             checked += 1
+    return ok, checked
+
+
+def test_c2_quadruple_agreement(acceptance):
+    start = time.monotonic()
+    ok, checked = quadruple_agreement(14)
     elapsed = time.monotonic() - start
-    ok = ok and checked == 195 and elapsed < 60.0
+    ok = ok and checked == 373 and elapsed < 60.0
     acceptance.check(
         "C2",
         ok,
-        f"4 routes on {checked} profiles, n <= 12, {elapsed:.2f}s < 60s",
+        f"4 routes on {checked} profiles, n <= 14, {elapsed:.2f}s < 60s",
     )
 
 
@@ -312,23 +320,30 @@ def test_c9_negative_control(acceptance):
     )
 
 
-def test_c10_connected_counts_off_the_surface(acceptance):
-    start = time.monotonic()
-    ctx = TruncationContext(t_max=10, magnitude_max=9)
-    C = compute_C(ctx)
+def connected_counts_agree(reach):
+    """C10's cells: n! a! [t^n u^a] C against the kernel's connected count, for
+    n <= reach at magnitude <= reach - 1.  Returns (every cell agrees, cells,
+    cells off the hypertree surface)."""
+    C = compute_C(TruncationContext(t_max=reach, magnitude_max=reach - 1))
     ok = True
     cells = off_surface = 0
-    for n in range(1, 11):
-        for row in count_sweep(n, 9):
+    for n in range(1, reach + 1):
+        for row in count_sweep(n, reach - 1):
             ok = ok and egf_profile_coefficient(C, n, row.profile) == row.connected
             cells += 1
             off_surface += row.profile.magnitude != n - 1
+    return ok, cells, off_surface
+
+
+def test_c10_connected_counts_off_the_surface(acceptance):
+    start = time.monotonic()
+    ok, cells, off_surface = connected_counts_agree(14)
     elapsed = time.monotonic() - start
-    ok = ok and cells == 625 and elapsed < 60.0
+    ok = ok and cells == 3455 and elapsed < 60.0
     acceptance.check(
         "C10",
         ok,
         f"n! a! [t^n u^a] C equals the kernel's connected count on {cells} cells,"
-        f" {off_surface} off the hypertree surface, n <= 10, magnitude <= 9,"
+        f" {off_surface} off the hypertree surface, n <= 14, magnitude <= 13,"
         f" {elapsed:.2f}s < 60s",
     )

@@ -1,5 +1,6 @@
 """Partitions, multinomials and Stirling numbers against known tables."""
 
+from decimal import Decimal
 from itertools import product
 from math import comb, factorial
 
@@ -76,6 +77,11 @@ def test_stirling_small_table():
         stirling2(-1, 0)
     with pytest.raises(ValueError):
         stirling2(0, -1)
+    for bad in (5.0, 2.5, "5", Decimal("5")):
+        with pytest.raises(TypeError, match="need int n and k"):
+            stirling2(bad, 2)
+        with pytest.raises(TypeError, match="need int n and k"):
+            stirling2(5, bad)
 
 
 def test_bell_numbers():

@@ -5,6 +5,7 @@ implementation on plain (t_deg, z_deg) -> Fraction dicts, so the Series
 engine never validates itself.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -127,6 +128,17 @@ def test_phi_coefficients_basics():
     assert phi.coefficient(5, 5) == 0
     with pytest.raises(ValueError):
         PhiCoefficients({(-1, 0): 1})
+    # int and Fraction only, as for Series: no value or index is converted
+    for bad in (0.1, 2.0, "1/2", Decimal("0.5")):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            PhiCoefficients({(1, 0): bad})
+    for bad in (1.5, 1.0, "1", Decimal("1")):
+        for key in ((bad, 0), (0, bad)):
+            with pytest.raises(TypeError, match="indices must be ints"):
+                PhiCoefficients({key: 1})
+    # another type is left to its own __eq__, and no array equals a scalar
+    assert phi.__eq__({(0, 1): Fraction(1, 2), (2, 0): 3}) is NotImplemented
+    assert PhiCoefficients({}) != 0
 
 
 def test_phi_json_round_trip():

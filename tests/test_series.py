@@ -179,6 +179,10 @@ _OTHER_T = Series.variable(TruncationContext(t_max=6, z_max=1, magnitude_max=5),
     "call, error, message",
     [
         (lambda: TruncationContext(magnitude_max=-1), ValueError, "must be non-negative"),
+        (lambda: TruncationContext(2.5, 0, 2), TypeError, "bounds must be ints"),
+        (lambda: TruncationContext(z_max=2.0), TypeError, "bounds must be ints"),
+        (lambda: TruncationContext(magnitude_max="2"), TypeError, "bounds must be ints"),
+        (lambda: TruncationContext(t_max=Decimal("2")), TypeError, "bounds must be ints"),
         (lambda: CTX.monomial(t=-1), ValueError, "exponents must be non-negative"),
         (lambda: CTX.monomial(z=-1), ValueError, "exponents must be non-negative"),
         (lambda: CTX.monomial(u={2: -1}), ValueError, "exponents must be non-negative"),
@@ -187,14 +191,17 @@ _OTHER_T = Series.variable(TruncationContext(t_max=6, z_max=1, magnitude_max=5),
         (lambda: first_difference(T, _OTHER_T), ContextMismatchError, "different truncation"),
         (lambda: count_by_profile(0, EdgeProfile()), ValueError, "need n >= 1"),
         (lambda: rooted_count_by_edges(0, 0), ValueError, "need n >= 1"),
+        (lambda: rooted_count_by_edges(4.0, 2), TypeError, "need int n and k"),
         (lambda: table_terms(0), ValueError, "need n >= 1"),
         (lambda: Hypergraph(-1, ()), ValueError, "need n >= 0"),
         (lambda: PhiCoefficients({(0, 0): 1, (1, 0): 1}).phi_series(CTX), ValueError,
          "phi needs a zero constant term"),
+        (lambda: PhiCoefficients({(1.5, 0): 1}), TypeError, "indices must be ints"),
     ],
-    ids=["negative-bound", "negative-t", "negative-z", "negative-u", "key-type", "key-width",
-         "first-difference-contexts", "count-n0", "rooted-count-n0", "table-n0",
-         "hypergraph-n", "phi-series-c00"],
+    ids=["negative-bound", "float-bound", "integral-float-bound", "str-bound", "decimal-bound",
+         "negative-t", "negative-z", "negative-u", "key-type", "key-width",
+         "first-difference-contexts", "count-n0", "rooted-count-n0",
+         "rooted-count-float", "table-n0", "hypergraph-n", "phi-series-c00", "phi-float-index"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error, match=message) as refused:
@@ -226,7 +233,16 @@ def test_scalars_are_exact_on_both_sides():
     # int and Fraction only, as for *: a float or a string never enters exact arithmetic
     assert T / Fraction(2, 3) == T * Fraction(3, 2)
     assert T / -4 == T * Fraction(-1, 4)
+    # the builders take the same scalars, and refuse the same others where they enter
+    m, w, past = mono(t=1), mono(u2=1), mono(u3=3)
+    assert Series(CTX, {m: 2}) == Series(CTX, [(m, Fraction(4, 2))]) == 2 * T
     for bad in (0.1, 2.0, "1/2", Decimal("0.5")):
+        # a weight past the bounds is dropped, but its column is refused all the same
+        for build in (lambda: Series(CTX, {m: bad}), lambda: Series(CTX, [(m, bad)]),
+                      lambda: series.exponential_formula(CTX, {w: [bad] * (CTX.t_max + 1)}),
+                      lambda: series.exponential_formula(CTX, {past: [bad] * (CTX.t_max + 1)})):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                build()
         with pytest.raises(TypeError):
             T / bad
         with pytest.raises(TypeError):

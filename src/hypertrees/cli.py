@@ -10,13 +10,13 @@ exact num/den pairs or p/q strings; no floats appear anywhere.
 
 Each command imports the layers it runs as it runs, so ``--help`` and
 ``--version`` load no layer, and ``count``, ``table`` and ``oracle`` load
-no series stack.  ``__getattr__`` below still serves the layers' names as
-this module's, because perfbench's tracer reads them here.
+no series stack.  ``json`` is loaded only to write ``--json`` output or
+to read psi's Phi file.  ``__getattr__`` below still serves the layers'
+names as this module's, because perfbench's tracer reads them here.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -78,7 +78,12 @@ def _parse_profile(text: str, n: int) -> EdgeProfile:
 
 def _emit(payload: dict, lines: list[str], as_json: bool, ok: bool = True) -> None:
     """Print the JSON payload or the text lines, then exit 1 on a failed check."""
-    click.echo(json.dumps(payload) if as_json else "\n".join(lines))
+    if as_json:
+        import json
+
+        click.echo(json.dumps(payload))
+    else:
+        click.echo("\n".join(lines))
     if not ok:
         sys.exit(EXIT_VERIFY_FAILED)
 
@@ -119,6 +124,8 @@ def table(max_n: int, as_json: bool) -> None:
     from .closed import render_table_line, table_terms
 
     if as_json:  # streamed one row at a time, in json.dumps' own layout
+        import json
+
         click.echo('{"rows": [', nl=False)
         for n in range(1, max_n + 1):
             terms = [{"profile": p.as_dict(), "coefficient": c} for p, c in table_terms(n)]
@@ -356,6 +363,8 @@ def psi(phi_file: str, t_max: int, z_max: int, order: int | None, as_json: bool)
         order = t_max - 1
     if not 0 <= order <= t_max - 1:
         raise click.UsageError("need 0 <= --order <= t_max - 1")
+    import json
+
     from .funceq import PhiCoefficients, check_phi, psi_uv_coefficients
 
     ctx = _context(t_max, z_max, 0)

@@ -201,10 +201,9 @@ def substituted_connected_gf(phi: PhiCoefficients, C: Series) -> Series:
     if ctx.magnitude_max < ctx.z_max:
         raise ValueError("need magnitude_max >= z_max for an exact substitution")
     images = substitution_images(phi, ctx)
-    g = C
-    for m in range(2, ctx.max_edge_size + 1):
-        g = g.substitute(f"u{m}", images.get(m, Series.zero(ctx)))
-    return g.substitute("t", Series.variable(ctx, "t") * images[1].exp())
+    zero = Series.zero(ctx)
+    g = C.substitute({f"u{m}": images.get(m, zero) for m in range(2, ctx.max_edge_size + 1)})
+    return g.substitute({"t": Series.variable(ctx, "t") * images[1].exp()})
 
 
 # -- the reversion route --------------------------------------------------------
@@ -225,7 +224,7 @@ def psi_from_phi(phi: Series) -> Series:
         raise ValueError("phi needs a zero constant term")
     exponent, y_psi_of_w = phi_maps(phi)
     w_of_y = revert(Series.variable(ctx, "t") * (-exponent).exp())
-    return y_psi_of_w.substitute("t", w_of_y).divided_by_t()
+    return y_psi_of_w.substitute({"t": w_of_y}).divided_by_t()
 
 
 def diagonal_mismatches(psi: Series, L: Series) -> list[tuple[int, Fraction, Fraction]]:

@@ -96,7 +96,7 @@ def solve_R_fixed_point(ctx: TruncationContext) -> Series:
 def T_from_R(R: Series) -> Series:
     """Unrooted form: T = R - sum_{j>=2} (j-1) u_j R^j / j!."""
     _, unrooted = phi_maps(edge_symbol_phi(R.context))
-    return unrooted.substitute("t", R)
+    return unrooted.substitute({"t": R})
 
 
 # -- identity verification ----------------------------------------------------
@@ -164,7 +164,9 @@ def verify_identities(
     t_dCdt = t * dCdt
     dCdu = {j: d_du(C, j) for j in range(2, j_top + 1)}
 
-    rhs = (t * t) * (dCdt * dCdt + dCdt.derivative("t")) / 2
+    # each C-side product is formed only to its check's magnitude bound:
+    # t^2 (dC/dt)^2 is t (t dC/dt x dC/dt), the last cut at Q - 1
+    rhs = t * (t_dCdt.product(dCdt, Q - 1) + t * dCdt.derivative("t")) / 2
     checks.append(
         identity_check(
             "connected-2edge",
@@ -178,7 +180,7 @@ def verify_identities(
 
     for j in range(3, j_top + 1):
         prev = dCdu[j - 1]
-        rhs = (t_dCdt * prev + t * prev.derivative("t") - (j - 1) * prev) / j
+        rhs = (t_dCdt.product(prev, Q - (j - 1)) + t * prev.derivative("t") - (j - 1) * prev) / j
         checks.append(
             identity_check(
                 f"connected-edge-recursion-u{j}",
@@ -261,7 +263,7 @@ def verify_identities(
             "rooted-ratio",
             "R/t = exp(sum_j u_{j+1} R^j / j!)",
             R.divided_by_t(),
-            rooted.where(lambda t, z, magnitude: t < N).substitute("t", R).exp(),
+            rooted.where(lambda t, z, magnitude: t < N).substitute({"t": R}).exp(),
             N - 1,
             Q,
         )

@@ -54,8 +54,12 @@ products of its monomials never leave those variables.
 Euler operator, taken in z and the u's alone: the grade-d piece of the
 sum is read from the pieces below it through the t-free monomials of the
 weights, with no exp per k, and one log follows.  Substitution
-groups the terms by the exponent e of the substituted variable and adds
-every group c_e times g^e in one call of the product loop.
+replaces every named variable at once: it groups the terms on the key
+bits of the substituted fields, forms each group's product of image
+powers once from a smaller one, and adds every group c_e times g^e in
+one call of the product loop.  A product can stop at a magnitude below
+the context's, so a check that reads only the lower layers forms no
+term of the top ones.
 
 :func:`revert` finds one t-slice of the inverse at a time from the
 slices below it, each slice sum one call of the product loop: the
@@ -184,9 +188,12 @@ class TruncationContext:
 
     def admits(self, m: Monomial) -> bool:
         """Whether m lies within the bounds.  A monomial of another width or
-        with a negative exponent is refused: its key would alias another's."""
+        with a non-int or negative exponent is refused: its key would alias
+        another's, or be no key at all."""
         if len(m) != len(self.names):
             raise ValueError("monomial does not match the context's edge variables")
+        if not all(isinstance(e, int) for e in m):
+            raise ValueError(f"monomial {m} has a non-int exponent")
         if min(m) < 0:
             raise ValueError(f"monomial {m} has a negative exponent")
         return m[0] <= self.t_max and m[1] <= self.z_max and m.magnitude <= self.magnitude_max
@@ -198,18 +205,16 @@ class TruncationContext:
     def monomial(
         self, t: int = 0, z: int = 0, u: Mapping[int, int] | None = None
     ) -> Monomial:
-        """Build a monomial, validating exponents against the edge variables."""
-        if t < 0 or z < 0:
-            raise ValueError("exponents must be non-negative")
+        """Build a monomial, in the bounds or past them; its exponents pass
+        :meth:`admits`' checks and its edge variables must be the context's."""
         degs = [t, z] + [0] * self.magnitude_max
-        if u:
-            for i, e in u.items():
-                if e < 0:
-                    raise ValueError("exponents must be non-negative")
-                if not 2 <= i <= self.max_edge_size:
-                    raise ValueError(f"no edge variable u{i} in the context")
-                degs[i] = e
-        return Monomial(degs)
+        for i, e in (u or {}).items():
+            if not (isinstance(i, int) and 2 <= i <= self.max_edge_size):
+                raise ValueError(f"no edge variable u{i!r} in the context")
+            degs[i] = e
+        m = Monomial(degs)
+        self.admits(m)
+        return m
 
 
 class Series:
@@ -339,10 +344,18 @@ class Series:
             return _reduced(self.context, self._den * other.denominator, nums)
         if not isinstance(other, Series):
             return NotImplemented
+        return self.product(other)
+
+    def product(self, other: "Series", magnitude_max: int | None = None) -> "Series":
+        """The terms of self * other with magnitude <= magnitude_max, by
+        default the context's bound, with no term past it formed."""
         self._check_same_context(other)
-        if self.n_terms > other.n_terms:
-            return _mul([(other, self)], self.context)
-        return _mul([(self, other)], self.context)
+        if magnitude_max is not None and not (
+                isinstance(magnitude_max, int) and magnitude_max <= self.context.magnitude_max):
+            raise ValueError(f"product bound {magnitude_max!r} is not an int <= the context's "
+                             f"magnitude_max {self.context.magnitude_max}")
+        a, b = (other, self) if self.n_terms > other.n_terms else (self, other)
+        return _mul([(a, b)], self.context, magnitude_max)
 
     def _kernel_operand(self) -> list[_Term]:
         """The terms as :func:`_mul` reads them, built on first use and kept.
@@ -385,34 +398,44 @@ class Series:
                 out[key - unit] = v * e
         return _reduced(ctx, self._den, out)
 
-    def substitute(self, name: str, g: "Series") -> "Series":
-        """Replace a variable by a series with zero constant term.
+    def substitute(self, images: Mapping[str, "Series"]) -> "Series":
+        """Replace each named variable by its image, all at once: the images'
+        own variables are not replaced.  Every image needs a zero constant term.
 
-        With c_e the terms whose exponent of the variable is e, that
-        exponent set to 0, the result is sum_e c_e g^e: the e = 0 group
-        plus one :func:`_mul` call over the pairs (g^e, c_e).
+        The terms are grouped on their key bits in the substituted fields.
+        With c_e the group of exponent vector e, those exponents set to 0,
+        the result is sum_e c_e g^e, one :func:`_mul` call over the pairs
+        (g^e, c_e).  g^e is kept by e's key bits, and each is g^(e - v)
+        times the image of e's top variable v, so no power is formed twice.
         """
-        self._check_same_context(g)
-        if 0 in g._terms:
-            raise ValueError("substitute needs an image with zero constant term")
         ctx = self.context
-        i = ctx.index(name)
-        shift, mask, unit = ctx._fields[0] * i, ctx._fields[1], ctx._unit(i)
+        width, mask, _ = ctx._fields
+        by_unit, sel = {}, 0  # each variable's (key, image) by its field's lowest bit
+        for name, g in images.items():
+            self._check_same_context(g)
+            if 0 in g._terms:
+                raise ValueError("substitute needs an image with zero constant term")
+            i = ctx.index(name)
+            by_unit[1 << width * i] = ctx._unit(i), g
+            sel |= mask << width * i
         groups: dict[int, dict[int, int]] = {}
         for key, v in self._terms.items():
-            e = key >> shift & mask
-            groups.setdefault(e, {})[key - e * unit] = v
-        free = _reduced(ctx, self._den, groups.pop(0, {}))
+            groups.setdefault(key & sel, {})[key] = v
+        power = {0: (0, Series.one(ctx))}  # e's key bits -> (the key of e, g^e)
         pairs = []
-        power = g
-        for e in range(1, max(groups, default=0) + 1):
-            if e > 1:
-                power = power * g
-                if not power:
-                    break  # so is every higher power
-            if e in groups:
-                pairs.append((power, _reduced(ctx, self._den, groups[e])))
-        return _sum([free, _mul(pairs, ctx)])
+        for bits, group in groups.items():
+            e, chain = bits, []
+            while e not in power:  # down to a known power, one top variable at a time
+                low = 1 << (e.bit_length() - 1) // width * width
+                chain.append((e, low))
+                e -= low
+            for e, low in reversed(chain):
+                (key, p), (unit, g) = power[e - low], by_unit[low]
+                power[e] = key + unit, p * g
+            key, p = power[bits]
+            if p:
+                pairs.append((p, _reduced(ctx, self._den, {k - key: v for k, v in group.items()})))
+        return _mul(pairs, ctx)
 
     # -- truncation ---------------------------------------------------------
 
@@ -595,20 +618,27 @@ def _sum(parts: Sequence[Series]) -> Series:
     return _reduced(parts[0].context, den, sums)
 
 
-def _mul(pairs: Iterable[tuple[Series, Series]], ctx: TruncationContext) -> Series:
-    """The sum of left * right over the pairs.
+def _mul(
+    pairs: Iterable[tuple[Series, Series]], ctx: TruncationContext, bound: int | None = None
+) -> Series:
+    """The sum of left * right over the pairs, cut to magnitude <= bound.
 
     This is the one term-pair loop that ``*``, exp, log, substitution and
     revert multiply through.  Pairs with an empty side are dropped before
     it starts.  Each pair's numerators are scaled to the lcm D of the
     pairs' denominator products, so the loop sums ints over D.  The
     gradings are additive, so the bound checks need no monomial, and a
-    pair inside the bounds is keyed by the sum of the two keys.
+    pair inside the bounds is keyed by the sum of the two keys.  The bound
+    b, at most the context's magnitude_max and by default that, cuts both
+    walks, since both operands are sorted by magnitude: the left one stops
+    at its first term past b, and the right one at its first term past b
+    less the left term's magnitude.
     """
     pairs = [(a, b) for a, b in pairs if a and b]
     if not pairs:
         return Series.zero(ctx)
-    t_max, z_max, mag_max = ctx.t_max, ctx.z_max, ctx.magnitude_max
+    t_max, z_max = ctx.t_max, ctx.z_max
+    mag_max = ctx.magnitude_max if bound is None else bound
     den = lcm(*(a._den * b._den for a, b in pairs))
     sums: dict[int, int] = {}
     get = sums.get
@@ -616,6 +646,8 @@ def _mul(pairs: Iterable[tuple[Series, Series]], ctx: TruncationContext) -> Seri
         scale = den // (a._den * b._den)
         right_terms = b._kernel_operand()
         for ka, ta, za, maga, na in a._kernel_operand():
+            if maga > mag_max:
+                break  # the left terms are sorted by magnitude too
             na *= scale
             mag_room, t_room, z_room = mag_max - maga, t_max - ta, z_max - za
             for kb, tb, zb, magb, nb in right_terms:

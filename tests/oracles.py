@@ -10,9 +10,11 @@ of the magnitude lemma that the classifier and the kernel read
 hypertrees by, part tuples by recursion in place of the
 multiplicity-vector partition stream, full power sums in place of the
 graded exp and log recurrences, the inverse built from them and the
-one-call substitution, hand-built coefficient lists in place of the maps
-derived from the edge weights phi, a Fraction per term pair in place of
-the integer product kernel, sliced exponent tuples in place of the key
+one-call substitution, one product of powers per term in place of the
+grouped substitution of several variables at once, the full product cut
+afterwards in place of the product cut as it is formed, hand-built
+coefficient lists in place of the maps derived from the edge weights
+phi, a Fraction per term pair in place of the integer product kernel, sliced exponent tuples in place of the key
 arithmetic of derivative and divided_by_t, a Monomial decoded
 per term in place of the field reads of where, compute_T and the
 t-marginal, Fraction arithmetic
@@ -104,6 +106,11 @@ def into_context_by_monomials(f: Series, ctx: TruncationContext) -> Series:
     return Series(ctx, [(Monomial(m[:width] + pad), c) for m, c in f.terms() if not any(m[width:])])
 
 
+def product_by_where(f: Series, g: Series, bound: int) -> Series:
+    """f * g to the context's magnitude bound, then the terms of magnitude <= bound."""
+    return (f * g).where(lambda t, z, magnitude: magnitude <= bound)
+
+
 def grade_bound(ctx: TruncationContext) -> int:
     """The largest total grade t + z + magnitude a monomial of ctx can have."""
     return ctx.t_max + ctx.z_max + ctx.magnitude_max
@@ -163,6 +170,20 @@ def substitute_by_power_sum(f: Series, name: str, g: Series) -> Series:
     return power_sum(g, [Series(f.context, groups.get(e, ())) for e in range(top + 1)])
 
 
+def substitute_by_monomials(f: Series, images: dict[str, Series]) -> Series:
+    """f with each named variable replaced by its image at once: per term of f,
+    the product of each variable's power, an image's where it has one."""
+    ctx = f.context
+    out = Series.zero(ctx)
+    for m, c in f.terms():
+        term = Series.one(ctx) * c
+        for name, e in zip(ctx.names, m):
+            if e:
+                term = term * power(images.get(name, Series.variable(ctx, name)), e)
+        out = out + term
+    return out
+
+
 def exp_by_power_sum(f: Series) -> Series:
     """exp(f) for f with zero constant term."""
     if f.constant_term:
@@ -219,7 +240,7 @@ def rooted_edge_argument(R: Series) -> Series:
     ctx = R.context
     rooted, _ = phi_maps(edge_symbol_phi(ctx))
     cut = Series(ctx, [(m, c) for m, c in rooted.terms() if m[0] < ctx.t_max])
-    return cut.substitute("t", R)
+    return cut.substitute({"t": R})
 
 
 def solve_R_by_iteration(ctx: TruncationContext) -> Series:
@@ -253,7 +274,7 @@ def revert_by_iteration(f: Series) -> Series:
     h = f - c1 * y
     g = y / c1
     for _ in range(grade_bound(ctx) + 2):
-        nxt = (y - h.substitute("t", g)) / c1
+        nxt = (y - h.substitute({"t": g})) / c1
         if nxt == g:
             return g
         g = nxt

@@ -5,6 +5,7 @@ line through the acceptance log (printed in the terminal summary).
 """
 
 import time
+from math import comb
 
 from click.testing import CliRunner
 
@@ -14,12 +15,14 @@ from hypertrees.cli import main
 from hypertrees.closed import count_by_profile, table_terms
 from hypertrees.combinat import stirling2
 from hypertrees.funceq import (
+    PhiCoefficients,
     diagonal_mismatches,
     hypertree_dictionary_report,
     lhs_series,
     psi_from_phi,
     random_phi,
     substituted_connected_gf,
+    substitution_images,
     verify_psi_form,
 )
 from hypertrees.gf import (
@@ -37,7 +40,7 @@ from hypertrees.hypergraphs import (
     iter_profiles,
     profiles,
 )
-from hypertrees.series import TruncationContext, first_difference
+from hypertrees.series import Series, TruncationContext, first_difference
 from oracles import (
     classify_by_union_find,
     egf_profile_coefficient,
@@ -346,4 +349,45 @@ def test_c10_connected_counts_off_the_surface(acceptance):
         f"n! a! [t^n u^a] C equals the kernel's connected count on {cells} cells,"
         f" {off_surface} off the hypertree surface, n <= 14, magnitude <= 13,"
         f" {elapsed:.2f}s < 60s",
+    )
+
+
+def vanishing_for_every_phi(reach):
+    """C11: the vanishing pattern of L = log sum_k t^k/k! exp(k Phi(kz, z)) for
+    every Phi through t, z <= reach, from three checks that read no Phi.
+
+    L is C with each u_m replaced by image_m and t by t exp(P_1(z)), since
+    (b) sum_{m >= 1} binom(k, m) image_m is the weight k Phi(kz, z) of L's
+    exponential formula for every k; C6 checks that substitution per seed.
+    Both sides of (b) are linear in Phi, so the basis arrays, a single
+    c_ab = 1 with 1 <= a + b <= reach, cover every Phi.  By (a) every term
+    t^n u^alpha of C has n >= 1 and magnitude(alpha) >= n - 1, and by (c)
+    image_m has z-valuation >= m - 1, so the term's image has t-degree n
+    and z-degree >= n - 1: the support of t Psi(tz, z).  Returns (all
+    three hold, basis arrays).
+    """
+    ctx = TruncationContext(t_max=reach, z_max=reach, magnitude_max=reach)
+    ok = not compute_C(ctx).where(lambda t, z, magnitude: t == 0 or magnitude < t - 1)  # (a)
+    basis = [(a, s - a) for s in range(1, reach + 1) for a in range(s + 1)]
+    for a, b in basis:
+        images = substitution_images(PhiCoefficients({(a, b): 1}), ctx)
+        for k in range(reach + 1):  # (b)
+            weight = Series(ctx, {ctx.monomial(z=a + b): k ** (a + 1)})
+            ok = ok and sum((comb(k, m) * g for m, g in images.items()), Series.zero(ctx)) == weight
+        for m, g in images.items():  # (c)
+            ok = ok and not g.where(lambda t, z, magnitude, m=m: z < m - 1)
+    return ok, len(basis)
+
+
+def test_c11_vanishing_for_every_phi(acceptance):
+    start = time.monotonic()
+    ok, arrays = vanishing_for_every_phi(14)
+    elapsed = time.monotonic() - start
+    ok = ok and arrays == 119 and elapsed < 60.0
+    acceptance.check(
+        "C11",
+        ok,
+        f"C has no term below the hypertree surface, and the substitution images give"
+        f" L's weights at z-valuation >= m - 1 on {arrays} basis arrays, so the vanishing"
+        f" holds for every Phi through t, z <= 14, {elapsed:.2f}s < 60s",
     )

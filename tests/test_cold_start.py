@@ -35,7 +35,11 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 def _loaded(*cli_args: str) -> set[str]:
     """Every module one CLI run imports, read off its ``-X importtime`` lines."""
-    result = _python("-X", "importtime", "-m", "hypertrees.cli", *cli_args)
+    return _imported("-m", "hypertrees.cli", *cli_args)
+
+
+def _imported(*args: str) -> set[str]:
+    result = _python("-X", "importtime", *args)
     assert result.returncode == 0, result.stderr[-500:]
     return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
             if line.startswith("import time:")}
@@ -61,6 +65,16 @@ def test_closed_form_commands_load_no_funceq(args):
     loaded = _loaded(*args)
     assert "hypertrees.closed" in loaded
     assert loaded & SERIES_STACK == set()
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["verify", "--t-max", "3", "--z-max", "3", "--trials", "1", "--sub-trials", "1"],
+], ids=["help", "verify-text"])
+def test_text_runs_load_no_json(args):
+    # json is for --json output and psi's Phi file; an interpreter whose own
+    # start-up loads it (a sitecustomize, say) shows it for a bare start too
+    assert "json" not in _loaded(*args) - _imported("-c", "pass")
 
 
 def test_psi_loads_series_and_funceq_and_no_gf():

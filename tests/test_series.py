@@ -48,7 +48,9 @@ from oracles import (
     log_by_power_sum,
     mul_by_term_pairs,
     power,
+    product_by_where,
     revert_by_iteration,
+    substitute_by_monomials,
     substitute_by_power_sum,
     t_coefficient,
     t_marginal_by_terms,
@@ -158,6 +160,20 @@ def test_negative_exponent_is_refused(position):
         Series.one(CTX).coefficient(bad)
 
 
+@pytest.mark.parametrize("degs", [(1.5, 0, 0, 0), (1.0, 0, 0, 0), (0, 0, 0.0, 1)], ids=str)
+def test_non_int_exponent_is_refused(degs):
+    # 1.0 would key as t's 1, and 1.5 as no key at all, failing inside the packing
+    ctx = TruncationContext(t_max=3, z_max=0, magnitude_max=2)
+    bad = Monomial(degs)
+    message = re.escape(f"monomial {bad!r} has a non-int exponent")
+    with pytest.raises(ValueError, match=message):
+        Series(ctx, {bad: 1})
+    with pytest.raises(ValueError, match=message):
+        Series.variable(ctx, "t").coefficient(bad)
+    with pytest.raises(ValueError, match=message):
+        ctx.monomial(t=degs[0], u={2: degs[2], 3: degs[3]})
+
+
 def test_coefficient_refuses_a_key_alias():
     # t^-1 z has the key of t^3 in a 2-bit layout: it would read the t^3 coefficient
     ctx = TruncationContext(t_max=3, z_max=3, magnitude_max=2)
@@ -183,9 +199,13 @@ _OTHER_T = Series.variable(TruncationContext(t_max=6, z_max=1, magnitude_max=5),
         (lambda: TruncationContext(z_max=2.0), TypeError, "bounds must be ints"),
         (lambda: TruncationContext(magnitude_max="2"), TypeError, "bounds must be ints"),
         (lambda: TruncationContext(t_max=Decimal("2")), TypeError, "bounds must be ints"),
-        (lambda: CTX.monomial(t=-1), ValueError, "exponents must be non-negative"),
-        (lambda: CTX.monomial(z=-1), ValueError, "exponents must be non-negative"),
-        (lambda: CTX.monomial(u={2: -1}), ValueError, "exponents must be non-negative"),
+        (lambda: CTX.monomial(t=-1), ValueError, "negative exponent"),
+        (lambda: CTX.monomial(z=-1), ValueError, "negative exponent"),
+        (lambda: CTX.monomial(u={2: -1}), ValueError, "negative exponent"),
+        (lambda: CTX.monomial(t=1.0), ValueError, "non-int exponent"),
+        (lambda: CTX.monomial(u={2: Fraction(1)}), ValueError, "non-int exponent"),
+        (lambda: CTX.monomial(u={2.0: 1}), ValueError, "no edge variable u2.0"),
+        (lambda: CTX.monomial(u={"2": 1}), ValueError, "no edge variable u'2'"),
         (lambda: Series(CTX, {(1,) + (0,) * 5: 1}), TypeError, "expected Monomial key, got tuple"),
         (lambda: Series(CTX, {Monomial((1, 0)): 1}), ValueError, "match the context's edge"),
         (lambda: first_difference(T, _OTHER_T), ContextMismatchError, "different truncation"),
@@ -199,7 +219,8 @@ _OTHER_T = Series.variable(TruncationContext(t_max=6, z_max=1, magnitude_max=5),
         (lambda: PhiCoefficients({(1.5, 0): 1}), TypeError, "indices must be ints"),
     ],
     ids=["negative-bound", "float-bound", "integral-float-bound", "str-bound", "decimal-bound",
-         "negative-t", "negative-z", "negative-u", "key-type", "key-width",
+         "negative-t", "negative-z", "negative-u", "float-t", "fraction-u", "float-edge",
+         "str-edge", "key-type", "key-width",
          "first-difference-contexts", "count-n0", "rooted-count-n0",
          "rooted-count-float", "table-n0", "hypergraph-n", "phi-series-c00", "phi-float-index"],
 )
@@ -345,13 +366,13 @@ def test_divided_by_t():
 
 def test_substitute_zero_series_kills_variable():
     f = 1 + U2 + T * U2
-    g = f.substitute("u2", Series.zero(CTX))
+    g = f.substitute({"u2": Series.zero(CTX)})
     assert g == Series.one(CTX)
 
 
 def test_substitute_rejects_constant_term():
     with pytest.raises(ValueError, match="substitute needs an image with zero constant term"):
-        T.substitute("t", 1 + T)
+        T.substitute({"t": 1 + T})
 
 
 # -- reversion ----------------------------------------------------------------
@@ -361,7 +382,7 @@ def test_revert_catalan():
     # g with g - g^2 = y counts binary plane trees: 1, 1, 2, 5, 14, 42
     f = T - power(T, 2)
     g = revert(f)
-    assert f.substitute("t", g) == T
+    assert f.substitute({"t": g}) == T
     got = [g.coefficient(mono(t=k)) for k in range(1, 7)]
     assert got == [1, 1, 2, 5, 14, 42]
     assert lagrange_revert(f) == g
@@ -381,7 +402,7 @@ def test_revert_rooted_labeled_trees():
 def test_revert_with_symbolic_coefficients():
     f = T * (-(U2 * T)).exp()
     g = revert(f)
-    assert f.substitute("t", g) == T
+    assert f.substitute({"t": g}) == T
 
 
 def test_revert_rejects_bad_input():
@@ -485,12 +506,11 @@ def test_substitution_is_a_homomorphism_on_dominating_images(a, b, w):
     # u2 -> u2 * (1 + w) never lowers any grading, so truncation commutes
     f, g = build(a), build(b)
     image = Series.variable(PCTX, "u2") * (1 + build(w))
-    lhs = (f * g).substitute("u2", image)
-    rhs = f.substitute("u2", image) * g.substitute("u2", image)
+    lhs = (f * g).substitute({"u2": image})
+    rhs = f.substitute({"u2": image}) * g.substitute({"u2": image})
     assert lhs == rhs
-    assert (f + g).substitute("u2", image) == f.substitute("u2", image) + g.substitute(
-        "u2", image
-    )
+    sub = {"u2": image}
+    assert (f + g).substitute(sub) == f.substitute(sub) + g.substitute(sub)
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,7 +519,7 @@ def test_reversion_routes_agree(a, c1):
     t = Series.variable(PCTX, "t")
     f = c1 * t + t * t * build(a)
     g = revert(f)
-    assert f.substitute("t", g) == t
+    assert f.substitute({"t": g}) == t
     assert lagrange_revert(f) == g
 
 
@@ -588,9 +608,60 @@ def test_substitute_equals_power_sum_twin(case):
         f_terms = {m: c for m, c in f_terms.items() if not m[i]}
     f, g = Series(ctx, f_terms), Series(ctx, g_terms)
     name = ctx.names[i]
-    substituted = f.substitute(name, g)
+    substituted = f.substitute({name: g})
     assert substituted == substitute_by_power_sum(f, name, g)
     assert_canonical(substituted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SUBSTITUTION_CONTEXTS), st.data())
+def test_mapping_substitution_equals_simultaneous_twin(ctx, data):
+    # any set of variables, t and z among them; an image may be zero and may carry
+    # variables, substituted or not
+    pool = _admissible(ctx)
+    nonconstant = [m for m in pool if any(m)]
+    f = Series(ctx, data.draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=10)))
+    names = data.draw(st.lists(st.sampled_from(ctx.names), min_size=1, unique=True))
+    images = {name: Series(ctx, data.draw(
+        st.dictionaries(st.sampled_from(nonconstant), coeffs, max_size=4))) for name in names}
+    substituted = f.substitute(images)
+    assert substituted == substitute_by_monomials(f, images)
+    assert_canonical(substituted)
+    positions = [ctx.index(name) for name in names]
+    if not any(m[i] for g in images.values() for m, _ in g.terms() for i in positions):
+        chained = f
+        for name, g in images.items():
+            chained = substitute_by_power_sum(chained, name, g)
+        assert substituted == chained
+
+
+_SUB_CTX = TruncationContext(t_max=3, z_max=3, magnitude_max=3)
+_t, _z, _u2, _u3, _u4 = (Series.variable(_SUB_CTX, name) for name in _SUB_CTX.names)
+
+
+@pytest.mark.parametrize("images", [
+    {"u2": _z + _t * _z, "u4": _z * _z},  # a strict subset of the u's
+    {"u2": Series.zero(_SUB_CTX), "u3": _z + _z * _z},  # a zero image
+    {"u2": _t * _u4 + _z, "u3": 2 * _u4},  # images that carry u4, which stays
+    {"t": _t * (1 + _z), "u2": _z, "u3": _z * _z, "u4": _z * _z * _z},  # the verify shape
+], ids=["u-subset", "zero-image", "unsubstituted-variable", "every-variable"])
+def test_mapping_substitution_named_shapes(images):
+    f = (1 + _t * _u2 + 3 * _t * _t * _u3 - _u2 * _u2 + Fraction(1, 2) * _u2 * _u4
+         + _z * _u4 + 5 * _t * _u2 * _u2 * _u2)
+    substituted = f.substitute(images)
+    assert substituted == substitute_by_monomials(f, images)
+    chained = f
+    for name, g in images.items():
+        chained = substitute_by_power_sum(chained, name, g)
+    assert substituted == chained
+
+
+def test_mapping_substitution_is_simultaneous():
+    # t and z trade places: a chain of two calls would send both to z
+    f = _t + 2 * _z + 7 * _t * _z * _z
+    assert f.substitute({"t": _z, "z": _t}) == _z + 2 * _t + 7 * _z * _t * _t
+    assert f.substitute({"t": _z, "z": _t}) == substitute_by_monomials(f, {"t": _z, "z": _t})
+    assert f.substitute({}) == f
 
 
 # -- key arithmetic against sliced exponent tuples ---------------------------------
@@ -704,6 +775,26 @@ def test_product_kernel_equals_term_pairs(case, rnd):
     assert Series(ctx, a) * Series(ctx, b) == f * g
 
 
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases)
+def test_bounded_product_equals_cut_full_product(case):
+    ctx, a, b, _ = case
+    f, g = Series(ctx, a), Series(ctx, b)
+    for bound in range(ctx.magnitude_max + 1):
+        cut = f.product(g, magnitude_max=bound)
+        assert cut == product_by_where(f, g, bound)
+        assert_canonical(cut)
+    assert f.product(g) == f * g
+    assert not f.product(g, magnitude_max=-1)
+
+
+@pytest.mark.parametrize("bound", [CTX.magnitude_max + 1, 2.0, "2"], ids=repr)
+def test_bounded_product_refuses_a_bound_past_the_context(bound):
+    with pytest.raises(ValueError, match="product bound") as refused:
+        T.product(U2, magnitude_max=bound)
+    assert "\n" not in str(refused.value)
+
+
 # -- field reads against their monomial twins --------------------------------------
 
 _PREDICATES = [
@@ -778,7 +869,7 @@ def test_revert_with_series_linear_coefficient():
     f = t * (2 + z + 3 * u2) + t * t * (u2 - 1) + power(t, 3) * z / 2
     g = revert(f)
     assert g == revert_by_iteration(f)
-    assert f.substitute("t", g) == t
+    assert f.substitute({"t": g}) == t
 
 
 def test_exp_fixed_point_rooted_labeled_trees():
@@ -797,7 +888,7 @@ def test_exp_fixed_point_equals_iteration():
     a = t * (z - 1) + t * t * u2 / 2 + power(t, 3) * z / 3 + power(t, 5)
     R = t
     for _ in range(ctx.t_max):
-        R = t * a.substitute("t", R).exp()
+        R = t * a.substitute({"t": R}).exp()
     assert revert(t * (-a).exp()) == R
 
 

@@ -410,18 +410,18 @@ class Series:
         """
         ctx = self.context
         width, mask, _ = ctx._fields
-        by_unit, sel = {}, 0  # each variable's (key, image) by its field's lowest bit
+        power = {0: (0, Series.one(ctx))}  # e's key bits -> (the key of e, g^e)
+        sel = 0
         for name, g in images.items():
             self._check_same_context(g)
             if 0 in g._terms:
                 raise ValueError("substitute needs an image with zero constant term")
             i = ctx.index(name)
-            by_unit[1 << width * i] = ctx._unit(i), g
+            power[1 << width * i] = ctx._unit(i), g
             sel |= mask << width * i
         groups: dict[int, dict[int, int]] = {}
         for key, v in self._terms.items():
             groups.setdefault(key & sel, {})[key] = v
-        power = {0: (0, Series.one(ctx))}  # e's key bits -> (the key of e, g^e)
         pairs = []
         for bits, group in groups.items():
             e, chain = bits, []
@@ -430,7 +430,7 @@ class Series:
                 chain.append((e, low))
                 e -= low
             for e, low in reversed(chain):
-                (key, p), (unit, g) = power[e - low], by_unit[low]
+                (key, p), (unit, g) = power[e - low], power[low]
                 power[e] = key + unit, p * g
             key, p = power[bits]
             if p:

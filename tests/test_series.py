@@ -620,10 +620,13 @@ def test_mapping_substitution_equals_simultaneous_twin(ctx, data):
     # variables, substituted or not
     pool = _admissible(ctx)
     nonconstant = [m for m in pool if any(m)]
+    # images of grade 1 keep their products of two or three inside the bounds
+    low = [m for m in nonconstant if m[0] + m[1] + m.magnitude == 1]
+    image = st.one_of(st.dictionaries(st.sampled_from(nonconstant), coeffs, max_size=4),
+                      st.dictionaries(st.sampled_from(low), coeffs, max_size=3))
     f = Series(ctx, data.draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=10)))
     names = data.draw(st.lists(st.sampled_from(ctx.names), min_size=1, unique=True))
-    images = {name: Series(ctx, data.draw(
-        st.dictionaries(st.sampled_from(nonconstant), coeffs, max_size=4))) for name in names}
+    images = {name: Series(ctx, data.draw(image)) for name in names}
     substituted = f.substitute(images)
     assert substituted == substitute_by_monomials(f, images)
     assert_canonical(substituted)
@@ -635,8 +638,8 @@ def test_mapping_substitution_equals_simultaneous_twin(ctx, data):
         assert substituted == chained
 
 
-_SUB_CTX = TruncationContext(t_max=3, z_max=3, magnitude_max=3)
-_t, _z, _u2, _u3, _u4 = (Series.variable(_SUB_CTX, name) for name in _SUB_CTX.names)
+_SUB_CTX = TruncationContext(t_max=3, z_max=3, magnitude_max=4)
+_t, _z, _u2, _u3, _u4, _ = (Series.variable(_SUB_CTX, name) for name in _SUB_CTX.names)
 
 
 @pytest.mark.parametrize("images", [
@@ -646,8 +649,10 @@ _t, _z, _u2, _u3, _u4 = (Series.variable(_SUB_CTX, name) for name in _SUB_CTX.na
     {"t": _t * (1 + _z), "u2": _z, "u3": _z * _z, "u4": _z * _z * _z},  # the verify shape
 ], ids=["u-subset", "zero-image", "unsubstituted-variable", "every-variable"])
 def test_mapping_substitution_named_shapes(images):
+    # every image power is built from a smaller one: u2 u4, u3^2 and u2 u3 z step
+    # from one variable to another, or to the same one again
     f = (1 + _t * _u2 + 3 * _t * _t * _u3 - _u2 * _u2 + Fraction(1, 2) * _u2 * _u4
-         + _z * _u4 + 5 * _t * _u2 * _u2 * _u2)
+         + _z * _u4 + 5 * _t * _u2 * _u2 * _u2 + 2 * _u3 * _u3 + 7 * _z * _u2 * _u3)
     substituted = f.substitute(images)
     assert substituted == substitute_by_monomials(f, images)
     chained = f

@@ -14,8 +14,9 @@ one-call substitution, one product of powers per term in place of the
 grouped substitution of several variables at once, the full product cut
 afterwards in place of the product cut as it is formed, hand-built
 coefficient lists in place of the maps derived from the edge weights
-phi, a Fraction per term pair in place of the integer product kernel, sliced exponent tuples in place of the key
-arithmetic of derivative and divided_by_t, a Monomial decoded
+phi, a Fraction per term pair in place of the integer product kernel,
+sliced exponent tuples in place of the key arithmetic of derivative and
+divided_by_t, a Monomial decoded
 per term in place of the field reads of where, compute_T and the
 t-marginal, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list

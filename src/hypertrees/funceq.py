@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import TYPE_CHECKING, Mapping
 
 from .combinat import stirling2
-from .series import (Monomial, Series, TruncationContext, exact, exponential_formula, phi_maps,
-                     revert)
+from .series import Series, TruncationContext, exact, exponential_formula, phi_maps, revert
 
 if TYPE_CHECKING:
     from .gf import IdentityCheck
@@ -143,13 +142,17 @@ def lhs_series(phi: PhiCoefficients, ctx: TruncationContext) -> Series:
             "the t-scale separately"
         )
 
-    weights: dict[Monomial, list[Fraction]] = {}
-    for (a, b), c in phi.items():
-        if a + b <= ctx.z_max:
-            column = weights.setdefault(ctx.monomial(z=a + b), [Fraction(0)] * (ctx.t_max + 1))
-            for k in range(ctx.t_max + 1):
-                column[k] += c * k ** (a + 1)
-    return exponential_formula(ctx, weights)
+    # every column as int numerators over one denominator: no Fraction arithmetic
+    kept = [(a, a + b, c) for (a, b), c in phi.items() if a + b <= ctx.z_max]
+    den = lcm(*(c.denominator for _, _, c in kept))
+    columns: dict[int, list[int]] = {}
+    for a, s, c in kept:
+        num = c.numerator * (den // c.denominator)
+        column = columns.setdefault(s, [0] * (ctx.t_max + 1))
+        for k in range(1, ctx.t_max + 1):
+            column[k] += num * k ** (a + 1)
+    return exponential_formula(ctx, {ctx.monomial(z=s): [Fraction(n, den) for n in column]
+                                     for s, column in columns.items()})
 
 
 def _outside_psi_form(t: int, z: int, magnitude: int) -> bool:

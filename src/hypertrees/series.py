@@ -35,9 +35,13 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  The
 coefficients are int numerators over one common denominator, kept in
 lowest terms (the integer polynomial over one denominator of FLINT's
 fmpq_poly: Hart, "FLINT: Fast Library for Number Theory", ICMS 2010).
-Products, exp, log, substitution and reversion share one term-pair
-loop on these keys that sums int numerators and stops at the first term
-past the magnitude bound.  :meth:`Series.where`, the one selector by
+Every result reaches that form in one pass over its terms, and since
+the form is canonical, equal series have equal stores.  Products, exp,
+log, substitution and reversion share one term-pair loop on these keys
+that sums int numerators and stops at the first term past the magnitude
+bound; a product with a one-term factor instead shifts the other
+factor's keys by that term's key, under the same bound checks.
+:meth:`Series.where`, the one selector by
 (t, z, magnitude), and the t-marginal read key fields as well, so a
 :class:`Monomial` and a :class:`fractions.Fraction` are built
 only at the public edge: the constructor (the one builder from
@@ -340,7 +344,7 @@ class Series:
     def __mul__(self, other: "Series" | Scalar) -> "Series":
         if isinstance(other, (int, Fraction)):  # both carry numerator and denominator
             num = other.numerator
-            nums = {key: v * num for key, v in self._terms.items()}
+            nums = self._terms if num == 1 else {key: v * num for key, v in self._terms.items()}
             return _reduced(self.context, self._den * other.denominator, nums)
         if not isinstance(other, Series):
             return NotImplemented
@@ -355,6 +359,8 @@ class Series:
             raise ValueError(f"product bound {magnitude_max!r} is not an int <= the context's "
                              f"magnitude_max {self.context.magnitude_max}")
         a, b = (other, self) if self.n_terms > other.n_terms else (self, other)
+        if len(a._terms) == 1:
+            return _shifted(b, a, magnitude_max)
         return _mul([(a, b)], self.context, magnitude_max)
 
     def _kernel_operand(self) -> list[_Term]:
@@ -561,12 +567,13 @@ def exponential_formula(
         if len(column) != ctx.t_max + 1:
             raise ValueError(f"weight column of length {len(column)}, "
                              f"not t_max + 1 = {ctx.t_max + 1}")
-        column = [grade * exact(c) for c in column]
+        column = [exact(c) for c in column]
         if admitted:
             cols.append((grade, ctx._key(m), m[1], m.magnitude, column))
-    # every column over one denominator W
+    # every column over one denominator W, times its grade on the numerators
     W = lcm(*(c.denominator for *_, column in cols for c in column))
-    cols = [(*col, [c.numerator * (W // c.denominator) for c in column]) for *col, column in cols]
+    cols = [(grade, *col, [grade * c.numerator * (W // c.denominator) for c in column])
+            for grade, *col, column in cols]
     z_max, mag_max = ctx.z_max, ctx.magnitude_max
     top = z_max * any(col[2] for col in cols) + mag_max * any(col[3] for col in cols)
     f = factorial(ctx.t_max)  # S_0 = sum_k t^k/k!, where t^k has the key k
@@ -590,18 +597,24 @@ def exponential_formula(
     return _sum(pieces).log()
 
 
-def _reduced(ctx: TruncationContext, den: int, nums: Mapping[int, int]) -> Series:
+def _reduced(ctx: TruncationContext, den: int, nums: dict[int, int]) -> Series:
     """The series with numerators nums over den, in the store's one form: no
     zero numerator, and den and the numerators divided by their gcd.
 
     In this form den is the lcm of the terms' own reduced denominators, so
     the numerators are a product operand as they stand, with no rescaling.
+    One pass makes the form: the gcd g comes first, and nums is copied only
+    to divide by g > 1, dropping zeros on the way, or to drop a zero that is
+    there.  Otherwise the result keeps nums itself, so a caller hands over
+    a dict that nothing changes afterwards.
     """
-    nums = {key: v for key, v in nums.items() if v}
     g = gcd(den, *nums.values())
+    if g > 1:
+        nums = {key: v // g for key, v in nums.items() if v}
+    elif 0 in nums.values():
+        nums = {key: v for key, v in nums.items() if v}
     out = Series.__new__(Series)
-    out.context, out._den = ctx, den // g
-    out._terms = {key: v // g for key, v in nums.items()} if g > 1 else nums
+    out.context, out._den, out._terms = ctx, den // g, nums
     return out
 
 
@@ -623,18 +636,18 @@ def _mul(
 ) -> Series:
     """The sum of left * right over the pairs, cut to magnitude <= bound.
 
-    This is the one term-pair loop that ``*``, exp, log, substitution and
-    revert multiply through.  Pairs with an empty side are dropped before
-    it starts.  Each pair's numerators are scaled to the lcm D of the
-    pairs' denominator products, so the loop sums ints over D.  The
-    gradings are additive, so the bound checks need no monomial, and a
-    pair inside the bounds is keyed by the sum of the two keys.  The bound
-    b, at most the context's magnitude_max and by default that, cuts both
-    walks, since both operands are sorted by magnitude: the left one stops
-    at its first term past b, and the right one at its first term past b
-    less the left term's magnitude.
+    This is the one term-pair loop that ``*`` of two series of two or more
+    terms, exp, log, substitution and revert multiply through.  Pairs with
+    an empty side are dropped before it starts.  Each pair's numerators are
+    scaled to the lcm D of the pairs' denominator products, so the loop
+    sums ints over D.  The gradings are additive, so the bound checks need
+    no monomial, and a pair inside the bounds is keyed by the sum of the
+    two keys.  The bound b, at most the context's magnitude_max and by
+    default that, cuts both walks, since both operands are sorted by
+    magnitude: the left one stops at its first term past b, and the right
+    one at its first term past b less the left term's magnitude.
     """
-    pairs = [(a, b) for a, b in pairs if a and b]
+    pairs = [(a, b) for a, b in pairs if a._terms and b._terms]
     if not pairs:
         return Series.zero(ctx)
     t_max, z_max = ctx.t_max, ctx.z_max
@@ -660,6 +673,19 @@ def _mul(
     return _reduced(ctx, den, sums)
 
 
+def _shifted(f: Series, one: Series, bound: int | None) -> Series:
+    """f times the one-term series one, cut to magnitude <= bound: each key of
+    f shifted by one's key, under :func:`_mul`'s t, z and magnitude checks."""
+    ctx = f.context
+    (key, num), = one._terms.items()
+    width, mask, top = ctx._fields
+    mag_room = (ctx.magnitude_max if bound is None else bound) - (key >> top)
+    t_room, z_room = ctx.t_max - (key & mask), ctx.z_max - (key >> width & mask)
+    nums = {k + key: v * num for k, v in f._terms.items()
+            if k >> top <= mag_room and k & mask <= t_room and k >> width & mask <= z_room}
+    return _reduced(ctx, f._den * one._den, nums)
+
+
 def _term_text(names: Sequence[str], m: Monomial, c: Fraction) -> str:
     body = "*".join(v + (f"^{e}" if e > 1 else "") for v, e in zip(names, m) if e)
     if not body:
@@ -675,6 +701,8 @@ def first_difference(
     """The canonically first monomial where two series differ, or None."""
     a._check_same_context(b)
     ta, tb, da, db = a._terms, b._terms, a._den, b._den
+    if da == db and ta == tb:  # both are in lowest terms, so equal values store equally
+        return None
     decode = a.context._monomial
     diffs = (k for k in ta.keys() | tb.keys() if ta.get(k, 0) * db != tb.get(k, 0) * da)
     return min(((decode(k), Fraction(ta.get(k, 0), da), Fraction(tb.get(k, 0), db))

@@ -14,7 +14,10 @@ one-call substitution, one product of powers per term in place of the
 grouped substitution of several variables at once, the full product cut
 afterwards in place of the product cut as it is formed, hand-built
 coefficient lists in place of the maps derived from the edge weights
-phi, a Fraction per term pair in place of the integer product kernel,
+phi, a Fraction per term pair in place of the integer product kernel
+and its key shift for a one-term factor, a Fraction per term in place of
+the one-pass lowest-terms store and of the store comparison that
+first_difference makes first,
 sliced exponent tuples in place of the key arithmetic of derivative and
 divided_by_t, a Monomial decoded
 per term in place of the field reads of where, compute_T and the
@@ -64,6 +67,23 @@ def mul_by_term_pairs(f: Series, g: Series) -> Series:
             if ctx.admits(m):
                 out[m] = out.get(m, Fraction(0)) + ca * cb
     return Series(ctx, out)
+
+
+def reduced_by_fractions(den: int, nums: dict[Monomial, int]) -> list[tuple[Monomial, Fraction]]:
+    """The terms of the numerators nums over den, one Fraction per term,
+    zeros dropped, in canonical order."""
+    return sorted((m, Fraction(v, den)) for m, v in nums.items() if v)
+
+
+def first_difference_by_terms(
+    f: Series, g: Series
+) -> tuple[Monomial, Fraction, Fraction] | None:
+    """The least monomial whose coefficients in f and g differ, with both,
+    every term of each read through terms()."""
+    cf, cg = dict(f.terms()), dict(g.terms())
+    zero = Fraction(0)
+    return min(((m, cf.get(m, zero), cg.get(m, zero)) for m in cf.keys() | cg.keys()
+                if cf.get(m, zero) != cg.get(m, zero)), default=None)
 
 
 def derivative_by_slicing(f: Series, name: str) -> Series:

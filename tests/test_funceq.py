@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypertrees.combinat import stirling2
 from hypertrees.funceq import (
@@ -117,6 +118,25 @@ def test_lhs_equals_summand_twin(t_max, z_max):
     for seed in range(20):
         phi = random_phi(seed)
         assert lhs_series(phi, ctx) == lhs_series_by_summands(phi, ctx), seed
+
+
+# entries with z-degree a + b from 1 to 7, past z_max in most contexts below, with
+# numerators -6..6 (negative ones included) over denominators 1..7, so that one
+# z-degree mixes denominators
+_phi_entries = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda ab: 1 <= sum(ab) <= 7),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)),
+    max_size=10,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_phi_entries, st.sampled_from([(0, 0), (1, 0), (3, 2), (2, 4), (5, 5), (6, 3)]))
+def test_lhs_equals_summand_twin_on_drawn_arrays(entries, bounds):
+    t_max, z_max = bounds
+    ctx = TruncationContext(t_max=t_max, z_max=z_max, magnitude_max=0)
+    phi = PhiCoefficients(entries)
+    assert lhs_series(phi, ctx) == lhs_series_by_summands(phi, ctx)
 
 
 # -- the coefficient array -------------------------------------------------------

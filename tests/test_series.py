@@ -3,7 +3,9 @@
 Frozen reference values come with an independent route next to them:
 reversions are re-checked by composing back, exp by its defining sum,
 the two reversion algorithms are held against each other, the integer
-product kernel against a Fraction per term pair, and the graded exp, log
+product kernel and its key shift for a one-term factor against a
+Fraction per term pair, the one-pass store and first_difference against
+a Fraction per term, and the graded exp, log
 and inverse and the one-call substitution against their full power-sum
 twins, the key arithmetic of derivative and divided_by_t
 against exponent tuples sliced term by term, and the field reads of
@@ -42,6 +44,7 @@ from oracles import (
     divided_by_t_by_slicing,
     exp_by_power_sum,
     exponential_formula_by_exps,
+    first_difference_by_terms,
     into_context_by_monomials,
     inverse_by_power_sum,
     lagrange_revert,
@@ -49,6 +52,7 @@ from oracles import (
     mul_by_term_pairs,
     power,
     product_by_where,
+    reduced_by_fractions,
     revert_by_iteration,
     substitute_by_monomials,
     substitute_by_power_sum,
@@ -749,9 +753,27 @@ _KERNEL_POOLS[_WIDE] = _wide_admissible(_WIDE)
 _KERNEL_POOLS.update((ctx, _field_top_admissible(ctx)) for ctx in _FIELD_TOP_CONTEXTS)
 
 
+def _one_term_monomials(ctx):
+    # the unit, a term at t_max, one at z_max, one at the magnitude bound (the top
+    # of the magnitude field in _FIELD_TOP_CONTEXTS), one with every field at its
+    # bound, and any term of the pool
+    M = ctx.max_edge_size
+    top_edge = {M: 1} if M >= 2 else {}
+    tops = [ctx.monomial(), ctx.monomial(t=ctx.t_max), ctx.monomial(z=ctx.z_max),
+            ctx.monomial(u=top_edge), ctx.monomial(t=ctx.t_max, z=ctx.z_max, u=top_edge)]
+    if M >= 2:
+        tops.append(ctx.monomial(u={2: ctx.magnitude_max}))
+    return tops + _KERNEL_POOLS[ctx]
+
+
+# a one-term coefficient: negative, Fraction and the numerator 1 among them
+one_term_coeffs = st.one_of(kernel_coeffs, st.sampled_from([1, -1, 2, Fraction(-7, 3)]))
+
+
 def _kernel_triples(ctx):
     terms = st.lists(st.tuples(st.sampled_from(_KERNEL_POOLS[ctx]), kernel_coeffs), max_size=10)
-    return st.tuples(st.just(ctx), terms, terms, terms)
+    one_term = st.tuples(st.sampled_from(_one_term_monomials(ctx)), one_term_coeffs)
+    return st.tuples(st.just(ctx), terms, terms, terms, one_term)
 
 
 kernel_cases = st.sampled_from(list(_KERNEL_POOLS)).flatmap(_kernel_triples)
@@ -760,13 +782,17 @@ kernel_cases = st.sampled_from(list(_KERNEL_POOLS)).flatmap(_kernel_triples)
 @settings(max_examples=80, deadline=None)
 @given(kernel_cases, st.randoms(use_true_random=False))
 def test_product_kernel_equals_term_pairs(case, rnd):
-    ctx, a, b, c = case
-    f, g, h = Series(ctx, a), Series(ctx, b), Series(ctx, c)
+    ctx, a, b, c, one = case
+    f, g, h, o = Series(ctx, a), Series(ctx, b), Series(ctx, c), Series(ctx, [one])
     products = [
         (f, g),
         (f, g + h),
         (f + g, f - g),  # the cross terms f*g and -g*f cancel inside one product
         (g - h, h - g),
+        # a one-term factor on either side, which shifts the other factor's keys
+        (o, f),
+        (g + h, o),
+        (o, o),
     ]
     for x, y in products:
         xy = x * y
@@ -783,14 +809,16 @@ def test_product_kernel_equals_term_pairs(case, rnd):
 @settings(max_examples=80, deadline=None)
 @given(kernel_cases)
 def test_bounded_product_equals_cut_full_product(case):
-    ctx, a, b, _ = case
-    f, g = Series(ctx, a), Series(ctx, b)
-    for bound in range(ctx.magnitude_max + 1):
-        cut = f.product(g, magnitude_max=bound)
-        assert cut == product_by_where(f, g, bound)
-        assert_canonical(cut)
-    assert f.product(g) == f * g
-    assert not f.product(g, magnitude_max=-1)
+    ctx, a, b, _, one = case
+    f, g, o = Series(ctx, a), Series(ctx, b), Series(ctx, [one])
+    # o on either side, at every bound: those below o's own magnitude leave nothing
+    for x, y in ((f, g), (o, f), (g, o)):
+        for bound in range(ctx.magnitude_max + 1):
+            cut = x.product(y, magnitude_max=bound)
+            assert cut == product_by_where(x, y, bound)
+            assert_canonical(cut)
+        assert x.product(y) == x * y
+        assert not x.product(y, magnitude_max=-1)
 
 
 @pytest.mark.parametrize("bound", [CTX.magnitude_max + 1, 2.0, "2"], ids=repr)
@@ -798,6 +826,56 @@ def test_bounded_product_refuses_a_bound_past_the_context(bound):
     with pytest.raises(ValueError, match="product bound") as refused:
         T.product(U2, magnitude_max=bound)
     assert "\n" not in str(refused.value)
+
+
+# -- the one-pass store against a Fraction per term --------------------------------
+
+_STORE_CTX = TruncationContext(t_max=3, z_max=2, magnitude_max=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_admissible(_STORE_CTX)), st.integers(-40, 40), max_size=8),
+       st.one_of(st.just(1), st.integers(1, 60)), st.sampled_from([1, 2, 3, 6, 35]), st.booleans())
+def test_reduced_store_equals_fraction_per_term(nums, den, factor, all_zero):
+    # zeros among the numerators or all of them, a common factor > 1 and den 1
+    nums = {m: 0 if all_zero else v * factor for m, v in nums.items()}
+    keyed = {_STORE_CTX._key(m): v for m, v in nums.items()}
+    handed = dict(keyed)
+    r = series._reduced(_STORE_CTX, den * factor, handed)
+    assert r.terms() == reduced_by_fractions(den * factor, nums)
+    assert all(type(v) is Fraction and v for _, v in r.terms())
+    assert handed == keyed
+    assert_canonical(r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases)
+def test_first_difference_is_none_exactly_on_equal_series(case):
+    ctx, a, b, _, one = case
+    f, g, o = Series(ctx, a), Series(ctx, b), Series(ctx, [one])
+    pairs = [(f, g), (f, f), (f, Series(ctx, f.terms())), (f, -f), (f, f + o), (f, f + 2 * o),
+             (f + f, 2 * f), (f, f / 3 * 3), (g, f * g), (Series.zero(ctx), o)]
+    for x, y in pairs:
+        diff = first_difference(x, y)
+        assert (diff is None) == (x == y)
+        assert diff == first_difference_by_terms(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_cases, st.data())
+def test_operations_leave_their_operand_as_built(f, data):
+    # a result may keep its operand's numerators (f * 1 does), so no operation may
+    # change the store of the series it read
+    ctx = f.context
+    f0 = f - f.constant_term
+    o = Series(ctx, [data.draw(st.tuples(st.sampled_from(_one_term_monomials(ctx)),
+                                         one_term_coeffs))])
+    before = [x.terms() for x in (f, f0, o)]
+    results = [f / 3, f * 1, -(-f), f0.exp(), (1 + f0).log(), o.product(f), f.product(o)]
+    for x, terms in zip((f, f0, o), before):
+        assert x.terms() == terms
+        assert x == Series(ctx, terms)
+    assert results[0] * 3 == results[1] == results[2] == f
 
 
 # -- field reads against their monomial twins --------------------------------------

@@ -13,8 +13,8 @@ The package has four layers:
   vanishing pattern, substitution family and reversion route; it runs on
   the series layer, and only its hypertree dictionary report reaches into gf.
 
-The closed-form counts and their table live in :mod:`hypertrees.closed`.
-``hypertrees.cli`` wires the layers into the ``hypertrees`` command.
+The closed-form counts live in :mod:`hypertrees.closed`.  ``hypertrees.cli``
+wires the layers into the ``hypertrees`` command and alone formats their data.
 Importing the package loads no layer; import from the submodules, as in
 ``from hypertrees.series import Series``.
 """

@@ -39,7 +39,7 @@ NON_NEGATIVE = click.IntRange(min=0)
 
 def __getattr__(name: str):
     """A public name of the series, gf or funceq layer, read from it on every access:
-    a cached name would outlive the tracer's patch.  It goes with the tracer (ROADMAP 5)."""
+    a cached name would outlive the tracer's patch.  It goes with the tracer (ROADMAP 6)."""
     if not name.startswith("_"):
         from . import funceq, gf, series
 
@@ -76,6 +76,16 @@ def _parse_profile(text: str, n: int) -> EdgeProfile:
         raise click.UsageError(str(exc)) from exc
 
 
+def _profile_dict(profile: EdgeProfile) -> dict[str, int]:
+    return {f"u{size}": c for size, c in profile.items()}
+
+
+def _profile_text(profile: EdgeProfile) -> str:
+    """e.g. 'u2^2 u3'; '1' for the profile with no edges."""
+    parts = [f"u{size}" + (f"^{c}" if c > 1 else "") for size, c in profile.items()]
+    return " ".join(parts) if parts else "1"
+
+
 def _emit(payload: dict, lines: list[str], as_json: bool, ok: bool = True) -> None:
     """Print the JSON payload or the text lines, then exit 1 on a failed check."""
     if as_json:
@@ -104,11 +114,11 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
         rooted, unrooted = count_by_profile(n, profile)
         payload = {
             "n": n,
-            "profile": profile.as_dict(),
+            "profile": _profile_dict(profile),
             "rooted": rooted,
             "unrooted": unrooted,
         }
-        text = f"n={n} profile={profile} rooted={rooted} unrooted={unrooted}"
+        text = f"n={n} profile={_profile_text(profile)} rooted={rooted} unrooted={unrooted}"
     else:
         rooted = rooted_count_by_edges(n, edges)
         payload = {"n": n, "edges": edges, "rooted": rooted, "unrooted": rooted // n}
@@ -116,24 +126,59 @@ def count(n: int, profile_text: str | None, edges: int | None, as_json: bool) ->
     _emit(payload, [text], as_json)
 
 
+_SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+# each rendered factor such as u₅³, by (exponent, size)
+_PIECES: dict[tuple[int, int], str] = {}
+
+
+def _pretty_monomial(profile: EdgeProfile) -> str:
+    pieces = []
+    for pair in sorted([(e, i + 2) for i, e in enumerate(profile.counts) if e]):
+        piece = _PIECES.get(pair)
+        if piece is None:
+            e, size = pair
+            piece = "u" + str(size).translate(_SUBSCRIPT)
+            if e > 1:
+                piece += str(e).translate(_SUPERSCRIPT)
+            _PIECES[pair] = piece
+        pieces.append(piece)
+    return "".join(pieces)
+
+
+def render_table_line(n: int, terms: list[tuple[EdgeProfile, int]]) -> str:
+    """The display line of table_terms(n), e.g. '[t⁴/4!]T = u₄ + 12u₂u₃ + 16u₂³'."""
+    t_power = "t" if n == 1 else "t" + str(n).translate(_SUPERSCRIPT)
+    pieces = []
+    for profile, coeff in terms:
+        body = _pretty_monomial(profile)
+        if not body:
+            pieces.append(str(coeff))
+        elif coeff == 1:
+            pieces.append(body)
+        else:
+            pieces.append(f"{coeff}{body}")
+    return f"[{t_power}/{n}!]T = " + " + ".join(pieces)
+
+
 @main.command()
 @click.option("--max-n", "max_n", type=POSITIVE, default=6, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def table(max_n: int, as_json: bool) -> None:
     """Unrooted hypertree counts by edge profile, one line per vertex count."""
-    from .closed import render_table_line, table_terms
+    from .closed import table_terms
 
     if as_json:  # streamed one row at a time, in json.dumps' own layout
         import json
 
         click.echo('{"rows": [', nl=False)
         for n in range(1, max_n + 1):
-            terms = [{"profile": p.as_dict(), "coefficient": c} for p, c in table_terms(n)]
+            terms = [{"profile": _profile_dict(p), "coefficient": c} for p, c in table_terms(n)]
             click.echo((", " if n > 1 else "") + json.dumps({"n": n, "terms": terms}), nl=False)
         click.echo("]}")
     else:
         for n in range(1, max_n + 1):
-            click.echo(render_table_line(n))
+            click.echo(render_table_line(n, table_terms(n)))
 
 
 @main.command()
@@ -167,12 +212,12 @@ def oracle(
         connected, hypertree = classify(h)
         payload = {
             "n": h.n,
-            "profile": h.profile().as_dict(),
+            "profile": _profile_dict(h.profile()),
             "magnitude": h.edge_magnitude,
             "connected": connected,
             "hypertree": hypertree,
         }
-        text = (f"n={h.n} profile={h.profile()} magnitude={h.edge_magnitude} "
+        text = (f"n={h.n} profile={_profile_text(h.profile())} magnitude={h.edge_magnitude} "
                 f"connected={connected} hypertree={hypertree}")
         _emit(payload, [text], as_json)
         return
@@ -188,9 +233,12 @@ def oracle(
     except BudgetExceededError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_BUDGET)
-    lines = [f"n={row.n} profile={row.profile} all={row.total} "
-             f"connected={row.connected} hypertree={row.hypertree}" for row in rows]
-    _emit({"kernel": kernel_name(), "rows": [r.as_dict() for r in rows]}, lines, as_json)
+    lines = [f"n={r.n} profile={_profile_text(r.profile)} all={r.total} "
+             f"connected={r.connected} hypertree={r.hypertree}" for r in rows]
+    payload = {"kernel": kernel_name(), "rows": [
+        {"n": r.n, "profile": _profile_dict(r.profile), "all": r.total,
+         "connected": r.connected, "hypertree": r.hypertree} for r in rows]}
+    _emit(payload, lines, as_json)
 
 
 _TAG = {True: "ok  ", False: "FAIL", None: "skip"}
@@ -222,16 +270,17 @@ def _pq(c: Fraction) -> str:
 def _identity_section(checks: tuple[IdentityCheck, ...]) -> Section:
     rows, lines = [], []
     for c in checks:
+        first_diff = None if c.first_diff is None else "{}: {} vs {}".format(*c.first_diff)
         rows.append({
             "key": c.key,
             "formula": c.formula,
             "ok": c.ok,
             "region": {"t_max": c.t_bound, "magnitude_max": c.magnitude_bound},
-            "first_diff": c.first_diff,
+            "first_diff": first_diff,
         })
         region = f"[t<={c.t_bound}, magnitude<={c.magnitude_bound}]"
         line = f"{_TAG[c.ok]} {c.key:28s} {region} {c.formula}"
-        lines.append(line + (f"  first diff at {c.first_diff}" if c.first_diff else ""))
+        lines.append(line + (f"  first diff at {first_diff}" if first_diff else ""))
     ok = _verdict(row["ok"] for row in rows)
     return Section(ok, {"ok": ok, "checks": rows}, lines)
 

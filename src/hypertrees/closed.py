@@ -1,5 +1,5 @@
-"""Closed-form hypertree counts, by Lagrange inversion, and their table:
-no power series, so ``count`` and ``table`` load no series stack."""
+"""Closed-form hypertree counts, by Lagrange inversion, and the table's
+terms: no power series, so ``count`` and ``table`` load no series stack."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ from math import factorial, perm
 
 from .combinat import stirling2
 from .hypergraphs import EdgeProfile, profiles
-
-_SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 def count_by_profile(n: int, profile: EdgeProfile) -> tuple[int, int]:
@@ -72,36 +69,3 @@ def table_terms(n: int) -> list[tuple[EdgeProfile, int]]:
     if n < 1:
         raise ValueError("need n >= 1")
     return [(profile, count_by_profile(n, profile)[1]) for profile in profiles(n - 1)]
-
-
-# each rendered factor such as u₅³, by (exponent, size)
-_PIECES: dict[tuple[int, int], str] = {}
-
-
-def _pretty_monomial(profile: EdgeProfile) -> str:
-    pieces = []
-    for pair in sorted([(e, i + 2) for i, e in enumerate(profile.counts) if e]):
-        piece = _PIECES.get(pair)
-        if piece is None:
-            e, size = pair
-            piece = "u" + str(size).translate(_SUBSCRIPT)
-            if e > 1:
-                piece += str(e).translate(_SUPERSCRIPT)
-            _PIECES[pair] = piece
-        pieces.append(piece)
-    return "".join(pieces)
-
-
-def render_table_line(n: int) -> str:
-    """One display line, e.g. '[t⁴/4!]T = u₄ + 12u₂u₃ + 16u₂³'."""
-    t_power = "t" if n == 1 else "t" + str(n).translate(_SUPERSCRIPT)
-    pieces = []
-    for profile, coeff in table_terms(n):
-        body = _pretty_monomial(profile)
-        if not body:
-            pieces.append(str(coeff))
-        elif coeff == 1:
-            pieces.append(body)
-        else:
-            pieces.append(f"{coeff}{body}")
-    return f"[{t_power}/{n}!]T = " + " + ".join(pieces)

@@ -27,16 +27,16 @@ layer of the corresponding grading).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 # perfbench's PLAN, the functions its tracer wraps by name, reads gf.count_by_profile
-# until ROADMAP item 5.  The import also loads closed and hypergraphs wherever gf is (in
+# until ROADMAP item 6.  The import also loads closed and hypergraphs wherever gf is (in
 # verify; psi loads no gf), which perfbench's test that the tracer restores names needs.
 from .closed import count_by_profile
-from .series import (Series, TruncationContext, exponential_formula, first_difference, phi_maps,
-                     revert)
+from .series import (Monomial, Series, TruncationContext, exponential_formula, first_difference,
+                     phi_maps, revert)
 
 # the edge-derivative identities run for u2 .. u5 (fewer when the caller's
 # largest edge size is below 5)
@@ -102,14 +102,14 @@ def T_from_R(R: Series) -> Series:
 # -- identity verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     key: str
     formula: str
     ok: bool | None  # None when a negative bound leaves the comparison region empty
     t_bound: int
     magnitude_bound: int
-    first_diff: str | None = None
+    # the first monomial where the sides differ, with its coefficient on each side
+    first_diff: tuple[Monomial, Fraction, Fraction] | None = None
 
 
 def identity_check(
@@ -126,11 +126,7 @@ def identity_check(
     if t_bound < 0 or magnitude_bound < 0:  # no case to compare
         return IdentityCheck(key, formula, None, t_bound, magnitude_bound)
     diff = first_difference(lhs.where(region), rhs.where(region))
-    detail = None
-    if diff is not None:
-        m, ca, cb = diff
-        detail = f"{m}: {ca} vs {cb}"
-    return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, detail)
+    return IdentityCheck(key, formula, diff is None, t_bound, magnitude_bound, diff)
 
 
 def verify_identities(

@@ -112,13 +112,6 @@ class EdgeProfile:
     def magnitude(self) -> int:
         return sum((size - 1) * c for size, c in self.items())
 
-    def as_dict(self) -> dict[str, int]:
-        return {f"u{size}": c for size, c in self.items()}
-
-    def __str__(self) -> str:
-        parts = [f"u{size}" + (f"^{c}" if c > 1 else "") for size, c in self.items()]
-        return " ".join(parts) if parts else "1"
-
 
 def profiles(magnitude: int, max_size: int | None = None) -> Iterator[EdgeProfile]:
     """The profiles of one magnitude with sizes <= max_size, in the order of
@@ -211,15 +204,6 @@ class CountRow:
     def __post_init__(self) -> None:
         if not 0 <= self.hypertree <= self.connected <= self.total:
             raise ValueError("counts must satisfy hypertree <= connected <= total")
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "profile": self.profile.as_dict(),
-            "all": self.total,
-            "connected": self.connected,
-            "hypertree": self.hypertree,
-        }
 
 
 def count_profile(

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import pytest
 
 from hypertrees.cli import main
-from hypertrees.closed import count_by_profile, table_terms
+from hypertrees.closed import count_by_profile, rooted_count_by_edges, table_terms
 from hypertrees.combinat import stirling2
 from hypertrees.funceq import (
     PhiCoefficients,
@@ -149,6 +149,22 @@ def test_c2_quadruple_agreement(acceptance):
     )
 
 
+def stirling_route(reach):
+    """C3's closed-form route: for n <= reach and 0 <= k <= n - 1, the rooted
+    counts of the profiles of n - 1 with k edges sum to rooted_count_by_edges(n, k),
+    n^k S(n - 1, k).  Returns (every pair agrees, (n, k) pairs)."""
+    ok = True
+    pairs = 0
+    for n in range(1, reach + 1):
+        by_edges = [0] * n
+        for profile in profiles(n - 1):
+            by_edges[sum(profile.counts)] += count_by_profile(n, profile)[0]
+        for k in range(n):
+            ok = ok and by_edges[k] == rooted_count_by_edges(n, k)
+            pairs += 1
+    return ok, pairs
+
+
 def test_c3_stirling_edge_counts(acceptance):
     start = time.monotonic()
     ok = True
@@ -167,12 +183,14 @@ def test_c3_stirling_edge_counts(acceptance):
             expected = n**k * stirling2(n - 1, k)
             ok = ok and rooted_by_k.get(k, 0) == expected
             pairs += 1
+    route_ok, route_pairs = stirling_route(24)
     elapsed = time.monotonic() - start
-    ok = ok and pairs == 10 and elapsed < 30.0
+    ok = ok and route_ok and pairs == 10 and route_pairs == 300 and elapsed < 30.0
     acceptance.check(
         "C3",
         ok,
-        f"rooted-by-edge-count totals on {pairs} (n, k) pairs, {elapsed:.2f}s < 30s",
+        f"rooted-by-edge-count totals on {pairs} (n, k) pairs by the kernel and on"
+        f" {route_pairs} pairs, n <= 24, by the closed form, {elapsed:.2f}s < 30s",
     )
 
 

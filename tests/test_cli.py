@@ -13,8 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from hypertrees import __version__
-from hypertrees.cli import main
-from hypertrees.closed import render_table_line
+from hypertrees.cli import main, render_table_line
+from hypertrees.closed import table_terms
 
 SAMPLE = os.path.join(os.path.dirname(__file__), "data", "sample5.txt")
 PHI_C00 = os.path.join(os.path.dirname(__file__), "data", "phi-c00.json")
@@ -140,7 +140,7 @@ def test_table_text(runner):
     assert len(lines) == 4
     # the default bound, one rendered line per vertex count
     default = runner.invoke(main, ["table"]).output.splitlines()
-    assert default == [render_table_line(n) for n in range(1, 7)]
+    assert default == [render_table_line(n, table_terms(n)) for n in range(1, 7)]
 
 
 def test_table_json(runner):

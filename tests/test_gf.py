@@ -11,13 +11,8 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypertrees.closed import (
-    _pretty_monomial,
-    count_by_profile,
-    render_table_line,
-    rooted_count_by_edges,
-    table_terms,
-)
+from hypertrees.cli import _pretty_monomial, render_table_line
+from hypertrees.closed import count_by_profile, rooted_count_by_edges, table_terms
 from hypertrees.gf import (
     T_from_R,
     compute_C,
@@ -263,7 +258,8 @@ def test_identity_check_reports_first_difference():
     t = Series.variable(CTX, "t")
     check = identity_check("probe", "t = 2t", t, 2 * t, CTX.t_max, CTX.magnitude_max)
     assert not check.ok
-    assert "1 vs 2" in check.first_diff
+    # the data, not its text: the monomial t with its coefficient on each side
+    assert check.first_diff == (CTX.monomial(t=1), 1, 2)
 
 
 def test_identity_check_empty_region_is_vacuous():
@@ -288,18 +284,19 @@ def test_identity_check_empty_region_is_vacuous():
 
 def test_table_terms_order_and_values():
     got = table_terms(4)
-    assert [(str(p), c) for p, c in got] == [("u4", 1), ("u2 u3", 12), ("u2^3", 16)]
+    assert [(p.counts, c) for p, c in got] == [((0, 0, 1), 1), ((1, 1), 12), ((3,), 16)]
+
+
+def _table_line(n):
+    return render_table_line(n, table_terms(n))
 
 
 def test_render_table_lines():
-    assert render_table_line(1) == "[t/1!]T = 1"
-    assert render_table_line(2) == "[t²/2!]T = u₂"
-    assert render_table_line(3) == "[t³/3!]T = u₃ + 3u₂²"
-    assert render_table_line(4) == "[t⁴/4!]T = u₄ + 12u₂u₃ + 16u₂³"
-    assert (
-        render_table_line(5)
-        == "[t⁵/5!]T = u₅ + 20u₂u₄ + 15u₃² + 150u₃u₂² + 125u₂⁴"
-    )
+    assert _table_line(1) == "[t/1!]T = 1"
+    assert _table_line(2) == "[t²/2!]T = u₂"
+    assert _table_line(3) == "[t³/3!]T = u₃ + 3u₂²"
+    assert _table_line(4) == "[t⁴/4!]T = u₄ + 12u₂u₃ + 16u₂³"
+    assert _table_line(5) == "[t⁵/5!]T = u₅ + 20u₂u₄ + 15u₃² + 150u₃u₂² + 125u₂⁴"
 
 
 def test_pretty_monomial_equals_sort_key_twin():
@@ -310,6 +307,6 @@ def test_pretty_monomial_equals_sort_key_twin():
 
 
 def test_render_table_line_n6_value():
-    line = render_table_line(6)
+    line = _table_line(6)
     assert "2160u₃u₂³" in line
     assert "1296u₂⁵" in line

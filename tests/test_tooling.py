@@ -140,9 +140,14 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 def test_only_the_cli_knows_the_report_format():
-    # the math modules return plain data; cli.py alone turns it into JSON or text
+    # the math modules return plain data; cli.py alone turns it into JSON or text: no
+    # other module imports json or click, defines as_dict, __str__ or a render_* function,
+    # translates digits (the table's sub- and superscripts) or writes the " vs " of a
+    # first difference
     importers, renderers = [], []
     for path in sorted((ROOT / "src" / "hypertrees").glob("*.py")):
+        if path.name == "cli.py":
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -150,11 +155,16 @@ def test_only_the_cli_knows_the_report_format():
                 modules = [node.module or ""]
             else:
                 modules = []
-            importers += [(path.name, m) for m in modules
-                          if m.split(".")[0] in ("json", "click") and path.name != "cli.py"]
-            if path.name in ("gf.py", "funceq.py") and isinstance(node, ast.FunctionDef):
-                if node.name in ("as_dict", "summary_lines"):
-                    renderers.append((path.name, node.name))
+            importers += [(path.name, m) for m in modules if m.split(".")[0] in ("json", "click")]
+            if isinstance(node, ast.FunctionDef) and (
+                node.name in ("as_dict", "__str__", "summary_lines")
+                or node.name.startswith("render_")
+            ):
+                renderers.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Attribute) and node.attr in ("translate", "maketrans"):
+                renderers.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.Constant) and " vs " in str(node.value):
+                renderers.append((path.name, node.lineno, node.value))
     assert importers == []
     assert renderers == []
 

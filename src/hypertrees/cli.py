@@ -133,8 +133,16 @@ _PIECES: dict[tuple[int, int], str] = {}
 
 
 def _pretty_monomial(profile: EdgeProfile) -> str:
-    pieces = []
-    for pair in sorted([(e, i + 2) for i, e in enumerate(profile.counts) if e]):
+    pairs = []
+    size = 1
+    for e in profile.counts:
+        size += 1
+        if e:
+            pairs.append((e, size))
+    if len(pairs) > 1:
+        pairs.sort()
+    body = ""
+    for pair in pairs:
         piece = _PIECES.get(pair)
         if piece is None:
             e, size = pair
@@ -142,22 +150,15 @@ def _pretty_monomial(profile: EdgeProfile) -> str:
             if e > 1:
                 piece += str(e).translate(_SUPERSCRIPT)
             _PIECES[pair] = piece
-        pieces.append(piece)
-    return "".join(pieces)
+        body += piece
+    return body
 
 
 def render_table_line(n: int, terms: list[tuple[EdgeProfile, int]]) -> str:
     """The display line of table_terms(n), e.g. '[t⁴/4!]T = u₄ + 12u₂u₃ + 16u₂³'."""
     t_power = "t" if n == 1 else "t" + str(n).translate(_SUPERSCRIPT)
-    pieces = []
-    for profile, coeff in terms:
-        body = _pretty_monomial(profile)
-        if not body:
-            pieces.append(str(coeff))
-        elif coeff == 1:
-            pieces.append(body)
-        else:
-            pieces.append(f"{coeff}{body}")
+    pieces = [body if coeff == 1 and body else f"{coeff}{body}"
+              for profile, coeff in terms for body in (_pretty_monomial(profile),)]
     return f"[{t_power}/{n}!]T = " + " + ".join(pieces)
 
 

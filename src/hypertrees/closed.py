@@ -26,17 +26,20 @@ def count_by_profile(n: int, profile: EdgeProfile) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    magnitude = edges = 0
+    magnitude = edges = i = 0
     denominator = 1
     top = len(profile.counts)  # the counts carry no trailing zeros
-    for i, a in enumerate(profile.counts, 1):  # a edges of i + 1 vertices
+    for a in profile.counts:  # a edges of i + 1 vertices
+        i += 1
         if a:
             magnitude += i * a
             if magnitude >= n:  # off the surface, before a factorial outgrows n
                 return (0, 0)
             edges += a
-            left = a - (i == top)  # the copies of i! that stay in the denominator
-            denominator *= (factorial(i) ** left if left else 1) * factorial(a)
+            if i < top:
+                denominator *= factorial(i) ** a * factorial(a)
+            elif a > 1:  # one copy of top! is cancelled below
+                denominator *= factorial(i) ** (a - 1) * factorial(a)
     if magnitude != n - 1:
         return (0, 0)
     rooted, rest = divmod(perm(n - 1, n - 1 - top) * n**edges, denominator)

@@ -117,9 +117,10 @@ def profiles(magnitude: int, max_size: int | None = None) -> Iterator[EdgeProfil
     """The profiles of one magnitude with sizes <= max_size, in the order of
     partitions(magnitude), whose vectors are already canonical (non-negative
     ints, no trailing zeros): so each profile skips the constructor's checks."""
+    new, set_counts = object.__new__, object.__setattr__
     for counts in partitions(magnitude, None if max_size is None else max_size - 1):
-        profile = object.__new__(EdgeProfile)
-        object.__setattr__(profile, "counts", counts)
+        profile = new(EdgeProfile)
+        set_counts(profile, "counts", counts)
         yield profile
 
 

@@ -23,7 +23,8 @@ divided_by_t, a Monomial decoded
 per term in place of the field reads of where, compute_T and the
 t-marginal, Fraction arithmetic
 in place of the integer closed-form counts, a key-sorted factor list
-rebuilt per call in place of the cached table pieces, S in closed form
+rebuilt per call in place of the cached table pieces and each table
+line joined term by term from it in place of the renderer, S in closed form
 and a summand loop in place of the exponential formula that builds C and L,
 a Monomial per term of L in place of the field selector of the psi form,
 one exp per k in place of its grade recurrence,
@@ -488,6 +489,21 @@ def pretty_monomial_by_sort_key(profile: EdgeProfile) -> str:
             text += str(e).translate(_SUPERSCRIPT_DIGITS)
         parts.append(text)
     return "".join(parts)
+
+
+def render_table_line_by_terms(n: int, terms: Sequence[tuple[EdgeProfile, int]]) -> str:
+    """The table's line for n, e.g. [t⁴/4!]T = u₄ + 12u₂u₃ + 16u₂³: each
+    term is str(coefficient) and its monomial text, with a coefficient 1
+    dropped before a non-empty monomial, and the terms join with " + "."""
+    power = "" if n == 1 else str(n).translate(_SUPERSCRIPT_DIGITS)
+    parts = []
+    for profile, coefficient in terms:
+        monomial = pretty_monomial_by_sort_key(profile)
+        if coefficient == 1 and monomial:
+            parts.append(monomial)
+        else:
+            parts.append(str(coefficient) + monomial)
+    return f"[t{power}/{n}!]T = " + " + ".join(parts)
 
 
 def egf_profile_coefficient(f: Series, n: int, profile: EdgeProfile) -> Fraction:

@@ -32,6 +32,7 @@ from oracles import (
     into_context_by_monomials,
     oracle_polynomials,
     pretty_monomial_by_sort_key,
+    render_table_line_by_terms,
     rooted_edge_argument,
     rooted_edge_argument_by_power_sum,
     solve_R_by_iteration,
@@ -304,6 +305,12 @@ def test_pretty_monomial_equals_sort_key_twin():
     for _ in range(2):
         for profile in iter_profiles(20, max_size=21):
             assert _pretty_monomial(profile) == pretty_monomial_by_sort_key(profile)
+
+
+def test_render_table_line_equals_term_twin():
+    for n in range(1, 21):
+        terms = table_terms(n)
+        assert render_table_line(n, terms) == render_table_line_by_terms(n, terms)
 
 
 def test_render_table_line_n6_value():

@@ -22,7 +22,7 @@ from itertools import product
 from math import factorial, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypertrees.series import (
     ContextMismatchError,
@@ -45,6 +45,7 @@ from oracles import (
     exp_by_power_sum,
     exponential_formula_by_exps,
     first_difference_by_terms,
+    grade_bound,
     into_context_by_monomials,
     inverse_by_power_sum,
     lagrange_revert,
@@ -617,29 +618,56 @@ def test_substitute_equals_power_sum_twin(case):
     assert_canonical(substituted)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(_SUBSTITUTION_CONTEXTS), st.data())
-def test_mapping_substitution_equals_simultaneous_twin(ctx, data):
+@st.composite
+def mapping_substitution_cases(draw):
     # any set of variables, t and z among them; an image may be zero and may carry
     # variables, substituted or not
+    ctx = draw(st.sampled_from(_SUBSTITUTION_CONTEXTS))
     pool = _admissible(ctx)
     nonconstant = [m for m in pool if any(m)]
     # images of grade 1 keep their products of two or three inside the bounds
     low = [m for m in nonconstant if m[0] + m[1] + m.magnitude == 1]
     image = st.one_of(st.dictionaries(st.sampled_from(nonconstant), coeffs, max_size=4),
                       st.dictionaries(st.sampled_from(low), coeffs, max_size=3))
-    f = Series(ctx, data.draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=10)))
-    names = data.draw(st.lists(st.sampled_from(ctx.names), min_size=1, unique=True))
-    images = {name: Series(ctx, data.draw(image)) for name in names}
+    f = Series(ctx, draw(st.dictionaries(st.sampled_from(pool), coeffs, max_size=10)))
+    names = draw(st.lists(st.sampled_from(ctx.names), min_size=1, unique=True))
+    return f, {name: Series(ctx, draw(image)) for name in names}
+
+
+def _chain_without_truncation(f, images):
+    """The chain of one-variable substitutions, run where no intermediate is cut.
+
+    Each step truncates what it forms, and an intermediate can pass the bounds
+    that the simultaneous result is back inside: with t -> u2 and u3 -> u2,
+    t z u3 passes through u2 z u3, one magnitude past (2, 3, 2), on its way to
+    z u2^2.  A term of f has at most grade_bound(ctx) units of exponent, and
+    each becomes one image monomial inside ctx's bounds, so every intermediate
+    fits each bound times grade_bound(ctx) + 1.
+    """
+    ctx = f.context
+    k = grade_bound(ctx) + 1
+    wide = TruncationContext(k * ctx.t_max, k * ctx.z_max, k * ctx.magnitude_max)
+    chained = into_context_by_monomials(f, wide)
+    for name, g in images.items():
+        chained = substitute_by_power_sum(chained, name, into_context_by_monomials(g, wide))
+    return into_context_by_monomials(chained, ctx)
+
+
+_PAST_CTX = _SUBSTITUTION_CONTEXTS[1]
+_PAST_U2 = Series.variable(_PAST_CTX, "u2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(mapping_substitution_cases())
+@example((Series(_PAST_CTX, {Monomial((1, 1, 0, 1)): 1}), {"t": _PAST_U2, "u3": _PAST_U2}))
+def test_mapping_substitution_equals_simultaneous_twin(case):
+    f, images = case
     substituted = f.substitute(images)
     assert substituted == substitute_by_monomials(f, images)
     assert_canonical(substituted)
-    positions = [ctx.index(name) for name in names]
+    positions = [f.context.index(name) for name in images]
     if not any(m[i] for g in images.values() for m, _ in g.terms() for i in positions):
-        chained = f
-        for name, g in images.items():
-            chained = substitute_by_power_sum(chained, name, g)
-        assert substituted == chained
+        assert substituted == _chain_without_truncation(f, images)
 
 
 _SUB_CTX = TruncationContext(t_max=3, z_max=3, magnitude_max=4)
